@@ -152,7 +152,7 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     mdp = Mdp(
         var_decls=tuple((d.name, d.lo, d.hi) for d in decls),
         states=tuple(states),
-        actions=make_absorbing(states, actions, target),
+        actions=make_absorbing(actions, target),
         initial=0,
         target=frozenset(target),
         module_count=len(ast.modules),
@@ -248,8 +248,7 @@ def parse_flat(src: str) -> Mdp:
     mdp = Mdp(
         var_decls=tuple(var_decls),
         states=tuple(state_vecs[i] for i in range(n)),
-        actions=make_absorbing([state_vecs[i] for i in range(n)],
-                               [tuple(row) for row in actions], target),
+        actions=make_absorbing([tuple(row) for row in actions], target),
         initial=init[0],
         target=frozenset(target),
         module_count=max(module_count, 1),
@@ -275,13 +274,17 @@ def export_flat(mdp: Mdp) -> str:
     return "\n".join(out) + "\n"
 
 
-def sniff_and_load(text: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
-    """Load either format: flat files start with a 'vars' directive."""
+def is_flat(text: str) -> bool:
+    """True when the first line that is not blank or a comment is a 'vars' directive."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.split()[0] == "vars":
-            return parse_flat(text)
-        break
+        if line:
+            return line.split()[0] == "vars"
+    return False
+
+
+def sniff_and_load(text: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
+    """Load either format, telling them apart with `is_flat`."""
+    if is_flat(text):
+        return parse_flat(text)
     return load_model(text, state_cap=state_cap)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bdd, dtree, strategy as strat
-from .build import DEFAULT_STATE_CAP, build_mdp, parse_flat, export_flat
+from .build import DEFAULT_STATE_CAP, build_mdp, export_flat, is_flat, parse_flat
 from .core import Mdp, MdpError, make_absorbing
 from .importance import (build_training_set, importance_of, simulate_batched)
 from .lang import ModelError, parse_model, parse_predicate
@@ -31,17 +31,9 @@ VARIANTS = {
 }
 
 
-def _is_flat(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] == "vars"
-    return False
-
-
 def _load(args) -> Mdp:
     text = Path(args.model).read_text()
-    if _is_flat(text):
+    if is_flat(text):
         mdp = parse_flat(text)
         if args.target_expr:
             names = [n for n, _, _ in mdp.var_decls]
@@ -50,7 +42,7 @@ def _load(args) -> Mdp:
                 s for s, vec in enumerate(mdp.states)
                 if pred.eval(dict(zip(names, vec))))
             mdp = Mdp(mdp.var_decls, mdp.states,
-                      make_absorbing(mdp.states, mdp.actions, target),
+                      make_absorbing(mdp.actions, target),
                       mdp.initial, target, mdp.module_count).validate()
         return mdp
     ast = parse_model(text)
@@ -110,23 +102,25 @@ def _pipeline(args):
     return mdp, va, sigma, imp, trunc, ts
 
 
+def _within_budget(value: float, reference: float, budget: float) -> bool:
+    """The value lost against `reference`, relative to it, is at most `budget`."""
+    return reference <= 0.0 or (reference - value) / reference <= budget
+
+
 def _fit_tree(mdp, ts, reference, args):
     """Learn at a fixed leaf size, or search for the largest one in budget."""
     if args.min_leaf != "auto":
-        tree = dtree.learn(ts, min_leaf=int(args.min_leaf),
+        tree = dtree.learn(ts, min_leaf=args.min_leaf,
                            confidence=args.confidence, prune=not args.no_prune)
-        return tree, int(args.min_leaf), True
+        return tree, args.min_leaf
 
     def accept(t: dtree.DTree) -> bool:
         induced, _ = dtree.induce_strategy(mdp, t)
-        val = strat.evaluate(mdp, induced)
-        if reference <= 0.0:
-            return True
-        return (reference - val) / reference <= args.budget
+        return _within_budget(strat.evaluate(mdp, induced), reference, args.budget)
 
     fit = dtree.fit_max_leaf(ts, accept, confidence=args.confidence,
                              prune=not args.no_prune)
-    return fit.tree, fit.min_leaf, fit.budget_met
+    return fit.tree, fit.min_leaf
 
 
 def cmd_distill(args) -> int:
@@ -134,9 +128,10 @@ def cmd_distill(args) -> int:
         raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
-    tree, used_leaf, budget_met = _fit_tree(mdp, ts, reference, args)
+    tree, used_leaf = _fit_tree(mdp, ts, reference, args)
     induced, fallback = dtree.induce_strategy(mdp, tree)
     tree_value = strat.evaluate(mdp, induced)
+    budget_met = _within_budget(tree_value, reference, args.budget)
     rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
     _print_kv([
         ("states", mdp.n_states),
@@ -168,12 +163,12 @@ def cmd_compare(args) -> int:
         raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, trunc)
-    tree, used_leaf, _ = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
+    tree, used_leaf = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
     induced, _ = dtree.induce_strategy(mdp, tree)
     store = bdd.store_strategy(mdp, trunc)
     rows = [
-        ("explicit", strat.explicit_size(mdp, trunc), strat.evaluate(mdp, trunc)),
-        ("bdd", store.size, strat.evaluate(mdp, trunc)),
+        ("explicit", strat.explicit_size(mdp, trunc), reference),
+        ("bdd", store.size, reference),
         ("dtree", tree.size, strat.evaluate(mdp, induced)),
     ]
     print(f"model: {args.model}  states: {mdp.n_states}  "
@@ -199,6 +194,22 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _min_leaf(text: str):
+    if text == "auto":
+        return text
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mdpdistill",
@@ -212,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     solveopts = argparse.ArgumentParser(add_help=False)
-    solveopts.add_argument("--eps", type=float, default=1e-6,
+    solveopts.add_argument("--eps", type=_positive_float, default=1e-6,
                            help="certified gap at the initial state")
     solveopts.add_argument("--engine", choices=("vi", "brtdp"), default="vi")
     solveopts.add_argument("--seed", type=int, default=0)
@@ -231,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="drop states with importance at most this")
     learnopts.add_argument("--truncate-mode", choices=("keep-all", "keep-argmax"),
                            default="keep-all")
-    learnopts.add_argument("--min-leaf", default="auto",
+    learnopts.add_argument("--min-leaf", type=_min_leaf, default="auto",
                            help="minimum leaf weight, or 'auto' to search")
     learnopts.add_argument("--confidence", type=float, default=0.25,
                            help="pruning confidence (lower prunes harder)")
@@ -268,7 +279,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelError, FileNotFoundError) as e:
+    except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MdpError as e:

@@ -66,17 +66,10 @@ class Mdp:
     def n_states(self) -> int:
         return len(self.states)
 
-    def act(self, s: int) -> Tuple[Action, ...]:
-        return self.actions[s]
-
     @cached_property
     def action_names(self) -> Tuple[str, ...]:
         names = {a.attr.name for acts in self.actions for a in acts}
         return tuple(sorted(names))
-
-    @cached_property
-    def action_name_index(self) -> Dict[str, int]:
-        return {n: i for i, n in enumerate(self.action_names)}
 
     def validate(self, tol: float = 1e-9):
         n = self.n_states
@@ -111,18 +104,11 @@ class Mdp:
 
     def predecessors(self) -> List[List[int]]:
         """preds[t] = states with some action giving positive mass to t."""
-        preds: List[List[int]] = [[] for _ in range(self.n_states)]
-        for s in range(self.n_states):
-            seen = set()
-            for a in self.actions[s]:
-                for t in a.succs:
-                    if t not in seen:
-                        seen.add(t)
-                        preds[t].append(s)
-        return preds
+        return reverse_edges([sorted({t for a in acts for t in a.succs})
+                              for acts in self.actions])
 
 
-def make_absorbing(states, actions, target) -> tuple:
+def make_absorbing(actions, target) -> tuple:
     """Replace Act(s) of every target state with the single tau self-loop."""
     out = list(actions)
     for t in target:
@@ -137,14 +123,6 @@ class MarkovChain:
     n: int
     rows: Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]  # (succs, probs) per location
     init: int
-
-    def matrix(self) -> sp.csr_matrix:
-        data, indices, indptr = [], [], [0]
-        for succs, probs in self.rows:
-            indices.extend(succs)
-            data.extend(probs)
-            indptr.append(len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
 @dataclass
@@ -183,6 +161,34 @@ class LiberalStrategy:
             attrs = sorted({mdp.actions[s][i].attr for i in self.choice[s]})
             out.extend((s, attr) for attr in attrs)
         return out
+
+
+# --------------------------------------------------------------------------
+# Graph search. Graphs are successor lists indexed by node; search backward
+# by searching the reversed edges.
+
+def reachable(succ: Sequence[Sequence[int]], sources) -> np.ndarray:
+    """Boolean mask of the nodes reachable from `sources`, sources included."""
+    seen = [False] * len(succ)
+    stack = list(sources)
+    for u in stack:
+        seen[u] = True
+    while stack:
+        u = stack.pop()
+        for v in succ[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return np.array(seen, dtype=bool)
+
+
+def reverse_edges(succ: Sequence[Sequence[int]]) -> List[List[int]]:
+    """pred[v] lists every u with an edge u -> v, in increasing u."""
+    pred: List[List[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    return pred
 
 
 # --------------------------------------------------------------------------
@@ -290,10 +296,6 @@ def mec_decompose(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[M
     return mecs
 
 
-def internal_action_indices(mdp: Mdp, mec: Mec, s: int) -> Tuple[int, ...]:
-    return tuple(i for i, a in enumerate(mdp.actions[s]) if all(t in mec.states for t in a.succs))
-
-
 def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
     """Markov chain of the uniform randomization over the selected actions."""
     rows = []
@@ -312,25 +314,6 @@ def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
     return MarkovChain(mdp.n_states, tuple(rows), mdp.initial)
 
 
-def _can_reach(rows, targets, n) -> np.ndarray:
-    """Boolean mask of locations with a path into `targets`."""
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for s, (succs, _) in enumerate(rows):
-        for t in succs:
-            preds[t].append(s)
-    mask = np.zeros(n, dtype=bool)
-    queue = list(targets)
-    for t in queue:
-        mask[t] = True
-    while queue:
-        t = queue.pop()
-        for s in preds[t]:
-            if not mask[s]:
-                mask[s] = True
-                queue.append(s)
-    return mask
-
-
 def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
                 tol: float = 1e-12) -> np.ndarray:
     """Exact reachability probabilities Pr_l[<> targets] for every location.
@@ -347,7 +330,7 @@ def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
         vals[t] = 1.0
     if not targets:
         return vals
-    mask = _can_reach(chain.rows, targets, n)
+    mask = reachable(reverse_edges([succs for succs, _ in chain.rows]), targets)
     unknown = [s for s in range(n) if mask[s] and s not in targets]
     if not unknown:
         return vals
@@ -461,26 +444,8 @@ def build_quotient(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     frozen[target_nodes] = 1.0
 
     # nodes that cannot reach a target node under any action get upper bound 0
-    succ_sets: List[List[int]] = [[] for _ in range(q)]
-    for u in range(q):
-        nbrs = set()
-        for succs, _ in rows_by_node[u]:
-            nbrs.update(succs)
-        succ_sets[u] = sorted(nbrs)
-    preds: List[List[int]] = [[] for _ in range(q)]
-    for u in range(q):
-        for v in succ_sets[u]:
-            preds[v].append(u)
-    reach_mask = np.zeros(q, dtype=bool)
-    queue = [u for u in range(q) if target_nodes[u]]
-    for u in queue:
-        reach_mask[u] = True
-    while queue:
-        v = queue.pop()
-        for u in preds[v]:
-            if not reach_mask[u]:
-                reach_mask[u] = True
-                queue.append(u)
+    succ = [[v for succs, _ in rows for v in succs] for rows in rows_by_node]
+    reach_mask = reachable(reverse_edges(succ), np.flatnonzero(target_nodes))
 
     return Quotient(
         num_nodes=q,

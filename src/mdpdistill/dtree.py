@@ -334,10 +334,10 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     """Largest `min_leaf` whose tree still passes `accept` (smallest tree).
 
     Tree quality usually degrades monotonically as min_leaf grows, so a
-    binary search finds the frontier quickly; because it need not be
-    perfectly monotone the found value is re-verified and scanned downward
-    if the re-check fails. If even min_leaf=1 is rejected, that tree is
-    returned with budget_met False.
+    binary search finds the frontier quickly. Where it is not monotone the
+    search still returns a min_leaf whose tree `accept` passed, since only
+    accepted probes move the lower end; `accept` must be deterministic. If
+    even min_leaf=1 is rejected, that tree is returned with budget_met False.
     """
     wg = sum(r.weight for r in ts.rows if r.good)
     wb = sum(r.weight for r in ts.rows if not r.good)
@@ -366,10 +366,4 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
             lo = mid
         else:
             top = mid - 1
-    m = lo
-    if not ok(m):
-        while m > 1:
-            m -= 1
-            if ok(m):
-                break
-    return FitResult(tree_at(m), m, True, tried)
+    return FitResult(tree_at(lo), lo, True, tried)

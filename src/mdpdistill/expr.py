@@ -19,9 +19,6 @@ class Expr:
     def eval(self, env: Mapping[str, int]):
         raise NotImplementedError
 
-    def free_vars(self) -> frozenset:
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class IntLit(Expr):
@@ -52,9 +49,6 @@ class Var(Expr):
     def eval(self, env):
         return env[self.name]
 
-    def free_vars(self):
-        return frozenset((self.name,))
-
     def __str__(self):
         return self.name
 
@@ -65,9 +59,6 @@ class Neg(Expr):
 
     def eval(self, env):
         return -self.arg.eval(env)
-
-    def free_vars(self):
-        return self.arg.free_vars()
 
     def __str__(self):
         return f"-{self.arg}"
@@ -88,9 +79,6 @@ class Arith(Expr):
             return a - b
         return a * b
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
     def __str__(self):
         return f"({self.left}{self.op}{self.right})"
 
@@ -103,12 +91,6 @@ class MinMax(Expr):
     def eval(self, env):
         vals = [a.eval(env) for a in self.args]
         return min(vals) if self.op == "min" else max(vals)
-
-    def free_vars(self):
-        out = frozenset()
-        for a in self.args:
-            out |= a.free_vars()
-        return out
 
     def __str__(self):
         return f"{self.op}({','.join(str(a) for a in self.args)})"
@@ -133,9 +115,6 @@ class Cmp(Expr):
     def eval(self, env):
         return _CMP[self.op](self.left.eval(env), self.right.eval(env))
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
     def __str__(self):
         return f"{self.left}{self.op}{self.right}"
 
@@ -146,9 +125,6 @@ class Not(Expr):
 
     def eval(self, env):
         return not self.arg.eval(env)
-
-    def free_vars(self):
-        return self.arg.free_vars()
 
     def __str__(self):
         return f"!({self.arg})"
@@ -162,9 +138,6 @@ class And(Expr):
     def eval(self, env):
         return self.left.eval(env) and self.right.eval(env)
 
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
     def __str__(self):
         return f"({self.left}&{self.right})"
 
@@ -176,9 +149,6 @@ class Or(Expr):
 
     def eval(self, env):
         return self.left.eval(env) or self.right.eval(env)
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self):
         return f"({self.left}|{self.right})"

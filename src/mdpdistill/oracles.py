@@ -147,22 +147,3 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
         raise MdpError("no mass reached the target within the horizon")
     return hit_and_seen / hit, slack
 
-
-def enumerate_good_sets(mdp: Mdp, value_of, eps: float,
-                        limit: int = 10) -> List[Dict[int, Tuple[int, ...]]]:
-    """All deterministic strategies whose value is within eps of optimal.
-
-    `value_of` maps a {state: action index} dict to the strategy's value;
-    handy for checking that an extraction produced one of the near-optimal
-    choices rather than a merely plausible one.
-    """
-    n = mdp.n_states
-    if n > limit:
-        raise MdpError(f"brute force capped at {limit} states")
-    ranges = [range(len(mdp.actions[s])) for s in range(n)]
-    scored = []
-    for pick in product(*ranges):
-        scored.append((value_of({s: (pick[s],) for s in range(n)}), pick))
-    best = max(v for v, _ in scored)
-    return [{s: (pick[s],) for s in range(n)}
-            for v, pick in scored if v >= best - eps]

@@ -22,7 +22,7 @@ from .core import (Mdp, MdpError, build_quotient, derive_seed, interval_iterate,
 
 @dataclass
 class ValueApprox:
-    """Lower/upper reachability bounds, per state-action pair and per state.
+    """Reachability bounds: lower per state-action pair, lower and upper per state.
 
     The per-pair lower table is the object downstream steps consume: it is a
     valid eps-underapproximation of the optimal pair values (see check_valid
@@ -31,7 +31,6 @@ class ValueApprox:
     """
 
     pair_lower: Dict[Tuple[int, int], float]
-    pair_upper: Dict[Tuple[int, int], float]
     state_lower: Dict[int, float]
     state_upper: Dict[int, float]
     epsilon: float
@@ -64,7 +63,6 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
     Us = U[q.node_of]
 
     pair_lower: Dict[Tuple[int, int], float] = {}
-    pair_upper: Dict[Tuple[int, int], float] = {}
     state_lower: Dict[int, float] = {}
     state_upper: Dict[int, float] = {}
     for s in range(mdp.n_states):
@@ -74,7 +72,6 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
             lv = sum(p * Ls[t] for t, p in zip(a.succs, a.probs))
             uv = sum(p * Us[t] for t, p in zip(a.succs, a.probs))
             pair_lower[(s, i)] = lv
-            pair_upper[(s, i)] = uv
             best_l = max(best_l, lv)
             best_u = max(best_u, uv)
         state_lower[s] = best_l
@@ -82,8 +79,7 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
 
     gap = float(U[q.node_of[mdp.initial]] - L[q.node_of[mdp.initial]])
     return ValueApprox(
-        pair_lower=pair_lower, pair_upper=pair_upper,
-        state_lower=state_lower, state_upper=state_upper,
+        pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
         epsilon=eps, explored=frozenset(range(mdp.n_states)),
         converged=True, gap=gap, engine="vi", sweeps=sweeps)
 
@@ -200,24 +196,20 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
                 backup(v)
 
     pair_lower: Dict[Tuple[int, int], float] = {}
-    pair_upper: Dict[Tuple[int, int], float] = {}
     state_lower: Dict[int, float] = {}
     state_upper: Dict[int, float] = {}
     for s in sorted(explored):
         for i, a in enumerate(mdp.actions[s]):
             pair_lower[(s, i)] = pair_l(s, a)
-            pair_upper[(s, i)] = pair_u(s, a)
         if s in target:
             state_lower[s] = state_upper[s] = 1.0
         else:
             state_lower[s] = max(pair_lower[(s, i)] for i in range(len(mdp.actions[s])))
-            state_upper[s] = min(uval(s),
-                                 max(pair_upper[(s, i)] for i in range(len(mdp.actions[s]))))
+            state_upper[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
 
     gap = uval(s0) - lval(s0)
     return ValueApprox(
-        pair_lower=pair_lower, pair_upper=pair_upper,
-        state_lower=state_lower, state_upper=state_upper,
+        pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
         epsilon=eps, explored=frozenset(explored),
         converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
 

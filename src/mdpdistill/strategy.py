@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, Mec,
-                   induce_chain, mec_decompose, reach_exact)
+                   induce_chain, mec_decompose, reach_exact, reachable)
 from .solver import ValueApprox
 
 
@@ -102,15 +102,8 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, mecs: Optional[List[Mec]] = No
 def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """States reachable from the initial state in the induced chain."""
     chain = induce_chain(mdp, strategy)
-    seen = {mdp.initial}
-    queue = [mdp.initial]
-    while queue:
-        s = queue.pop()
-        for t in chain.rows[s][0]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return sorted(seen)
+    mask = reachable([succs for succs, _ in chain.rows], [mdp.initial])
+    return np.flatnonzero(mask).tolist()
 
 
 def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
@@ -120,9 +113,9 @@ def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     the strategy, so changing choices anywhere else cannot perturb the
     result, not even in the last bit.
     """
-    reach = reachable_under(mdp, strategy)
-    pos = {s: k for k, s in enumerate(reach)}
     chain = induce_chain(mdp, strategy)
+    reach = np.flatnonzero(reachable([succs for succs, _ in chain.rows], [mdp.initial])).tolist()
+    pos = {s: k for k, s in enumerate(reach)}
     rows = []
     for s in reach:
         succs, probs = chain.rows[s]

@@ -69,7 +69,7 @@ def random_mdp(seed, max_states=7, max_actions=3, acyclic=False):
     mdp = Mdp(
         var_decls=(("x", 0, n - 1),),
         states=states,
-        actions=make_absorbing(states, actions, target),
+        actions=make_absorbing(actions, target),
         initial=0,
         target=frozenset(target),
         module_count=1,
@@ -97,7 +97,7 @@ def tiny_mec_mdp():
     mdp = Mdp(
         var_decls=(("x", 0, 4),),
         states=states,
-        actions=make_absorbing(states, actions, frozenset({3})),
+        actions=make_absorbing(actions, frozenset({3})),
         initial=0,
         target=frozenset({3}),
     )

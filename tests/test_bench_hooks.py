@@ -1,0 +1,36 @@
+"""The benchmark's layer hooks must name functions the package still has.
+
+`perfbench/spans.py` traces a layer by replacing a function in the namespace
+of the module that calls it, and `perfbench/run.py` reads the simulation
+stats by replacing `cli.simulate_batched`. A refactor that moves or renames
+one of those names would silently drop its span, so check them here.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _hooks():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.HOOKS
+
+
+@pytest.mark.parametrize("owner,attr", [(h[0], h[1]) for h in _hooks()])
+def test_hook_resolves(owner, attr):
+    mod_name, _, cls_name = owner.partition(".")
+    target = importlib.import_module(f"mdpdistill.{mod_name}")
+    if cls_name:
+        target = getattr(target, cls_name)
+    assert callable(getattr(target, attr, None))
+
+
+def test_run_stats_hook_resolves():
+    from mdpdistill import cli
+    assert callable(getattr(cli, "simulate_batched", None))

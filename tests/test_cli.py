@@ -1,10 +1,15 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import mdpdistill
 from mdpdistill.cli import main
 
 
@@ -171,6 +176,17 @@ def test_distill_impossible_budget(models, capsys):
     assert out["budget met"] == "no"
 
 
+def test_fixed_min_leaf_reports_missed_budget(models, capsys):
+    # a leaf size above the whole training weight gives a one-leaf tree
+    # that loses half the value; a fixed leaf size must not hide that
+    rc = main(["distill", "--model", str(models / "fig1.mdp"),
+               "--runs", "2000", "--min-leaf", "100000"])
+    out = _kv(capsys.readouterr().out)
+    assert float(out["rel error"]) > 0.01
+    assert out["budget met"] == "no"
+    assert rc == 1
+
+
 def test_distill_exit_union_and_modes(models, capsys):
     rc = main(["distill", "--model", str(models / "mutex.mdp"),
                "--runs", "800", "--seed", "3", "--exit-union",
@@ -260,3 +276,24 @@ def test_unknown_flag_exits_two(models, capsys):
         main(["solve", "--model", str(models / "fig1.mdp"), "--bogus"])
     assert ei.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--eps", "0"],
+    ["solve", "--eps", "-0.5"],
+    ["distill", "--min-leaf", "abc"],
+    ["distill", "--min-leaf", "0"],
+    ["solve", "--model", "."],
+], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory"])
+def test_bad_input_exits_two_without_traceback(models, argv):
+    if "--model" not in argv:
+        argv = argv + ["--model", str(models / "fig1.mdp")]
+    src = Path(mdpdistill.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mdpdistill.cli", *argv],
+                          cwd=models, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr

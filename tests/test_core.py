@@ -23,7 +23,7 @@ def _mdp(actions, target, n=None):
     return Mdp(
         var_decls=(("x", 0, n - 1),),
         states=states,
-        actions=make_absorbing(states, tuple(tuple(r) for r in actions), target),
+        actions=make_absorbing(tuple(tuple(r) for r in actions), target),
         initial=0,
         target=frozenset(target),
     )

@@ -36,7 +36,7 @@ def mdps(draw, max_states=6):
         actions.append(tuple(row))
     states = tuple((s,) for s in range(n))
     m = Mdp((("x", 0, n - 1),), states,
-            make_absorbing(states, tuple(actions), {target}),
+            make_absorbing(tuple(actions), {target}),
             0, frozenset({target}))
     return m.validate()
 

@@ -54,7 +54,7 @@ def test_vi_covers_every_pair(mutex):
     pairs = {(s, i) for s in range(mutex.n_states)
              for i in range(len(mutex.actions[s]))}
     assert set(va.pair_lower) == pairs
-    assert set(va.pair_upper) == pairs
+    assert set(va.state_upper) == set(range(mutex.n_states))
 
 
 def test_vi_respects_eps_not_exactness(tiny_mec_mdp):
@@ -134,7 +134,7 @@ def test_brtdp_deterministic_per_seed(mutex):
     a = brtdp(mutex, 1e-6, seed=42)
     b = brtdp(mutex, 1e-6, seed=42)
     assert a.pair_lower == b.pair_lower
-    assert a.pair_upper == b.pair_upper
+    assert a.state_upper == b.state_upper
     assert a.explored == b.explored
     assert a.episodes == b.episodes
 

@@ -86,10 +86,9 @@ def test_positive_mec_without_exit_rejected():
     states = ((0,), (1,), (2,), (3,))
     actions = ((A("go", (1,)),), (A("spin", (2,)),), (A("spin", (1,)),), ())
     m = Mdp((("x", 0, 3),), states,
-            make_absorbing(states, actions, {3}), 0, frozenset({3})).validate()
+            make_absorbing(actions, {3}), 0, frozenset({3})).validate()
     fake = ValueApprox(
         pair_lower={(0, 0): 0.5, (1, 0): 0.5, (2, 0): 0.5},
-        pair_upper={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0},
         state_lower={0: 0.5, 1: 0.5, 2: 0.5},
         state_upper={0: 1.0, 1: 1.0, 2: 1.0},
         epsilon=0.1, explored=frozenset({0, 1, 2}),
@@ -108,6 +107,20 @@ def test_evaluate_ignores_unreachable_choices(fig1):
     tweaked[3] = frozenset({0})  # st instead of e; state 3 is unreachable
     tweaked[6] = frozenset({0})
     assert evaluate(fig1, LiberalStrategy(tweaked)) == base
+
+
+def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
+    from mdpdistill import strategy as strategy_mod
+    calls = []
+    real = strategy_mod.induce_chain
+
+    def counting(mdp, strat):
+        calls.append(1)
+        return real(mdp, strat)
+
+    monkeypatch.setattr(strategy_mod, "induce_chain", counting)
+    assert evaluate(fig1, LiberalStrategy({})) == pytest.approx(0.49625, abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_uniform_strategy_value_frozen(fig1):
