@@ -108,19 +108,30 @@ def _within_budget(value: float, reference: float, budget: float) -> bool:
 
 
 def _fit_tree(mdp, ts, reference, args):
-    """Learn at a fixed leaf size, or search for the largest one in budget."""
+    """Learn at a fixed leaf size, or search for the largest one in budget.
+
+    Returns the tree, its leaf size, and the value and fallback states of
+    the strategy it induces, each tree being induced and evaluated once.
+    """
+    probed = []
+
+    def probe(t: dtree.DTree) -> float:
+        induced, fallback = dtree.induce_strategy(mdp, t)
+        probed.append((t, strat.evaluate(mdp, induced), fallback))
+        return probed[-1][1]
+
     if args.min_leaf != "auto":
         tree = dtree.learn(ts, min_leaf=args.min_leaf,
                            confidence=args.confidence, prune=not args.no_prune)
-        return tree, args.min_leaf
-
-    def accept(t: dtree.DTree) -> bool:
-        induced, _ = dtree.induce_strategy(mdp, t)
-        return _within_budget(strat.evaluate(mdp, induced), reference, args.budget)
-
-    fit = dtree.fit_max_leaf(ts, accept, confidence=args.confidence,
-                             prune=not args.no_prune)
-    return fit.tree, fit.min_leaf
+        probe(tree)
+        leaf = args.min_leaf
+    else:
+        fit = dtree.fit_max_leaf(
+            ts, lambda t: _within_budget(probe(t), reference, args.budget),
+            confidence=args.confidence, prune=not args.no_prune)
+        tree, leaf = fit.tree, fit.min_leaf
+    _, value, fallback = next(p for p in probed if p[0] is tree)
+    return tree, leaf, value, fallback
 
 
 def cmd_distill(args) -> int:
@@ -128,9 +139,7 @@ def cmd_distill(args) -> int:
         raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
-    tree, used_leaf = _fit_tree(mdp, ts, reference, args)
-    induced, fallback = dtree.induce_strategy(mdp, tree)
-    tree_value = strat.evaluate(mdp, induced)
+    tree, used_leaf, tree_value, fallback = _fit_tree(mdp, ts, reference, args)
     budget_met = _within_budget(tree_value, reference, args.budget)
     rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
     _print_kv([
@@ -163,13 +172,12 @@ def cmd_compare(args) -> int:
         raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, trunc)
-    tree, used_leaf = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
-    induced, _ = dtree.induce_strategy(mdp, tree)
+    tree, used_leaf, tree_value, _ = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
     store = bdd.store_strategy(mdp, trunc)
     rows = [
         ("explicit", strat.explicit_size(mdp, trunc), reference),
         ("bdd", store.size, reference),
-        ("dtree", tree.size, strat.evaluate(mdp, induced)),
+        ("dtree", tree.size, tree_value),
     ]
     print(f"model: {args.model}  states: {mdp.n_states}  "
           f"value: {va.lower_at(mdp.initial, mdp.target):.6g}  min leaf: {used_leaf}")

@@ -8,12 +8,14 @@ constructor here enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 TAU = "tau"  # attribute name of the self-loop placed on absorbing target states
@@ -102,10 +104,60 @@ class Mdp:
                     raise MdpError(f"target state {s} is not absorbing")
         return self
 
+    @cached_property
+    def sparse(self) -> "SparseView":
+        """The compiled row-grouped arrays of this model (see SparseView)."""
+        n, width = self.n_states, len(self.var_decls)
+
+        def all_actions():
+            return chain.from_iterable(self.actions)
+
+        counts = np.fromiter(map(len, self.actions), np.int64, n)
+        row_start = np.concatenate(([0], np.cumsum(counts)))
+        n_rows = int(row_start[-1])
+        indptr = np.concatenate(([0], np.cumsum(np.fromiter(
+            (len(a.succs) for a in all_actions()), np.int64, n_rows))))
+        nnz = int(indptr[-1])
+        branches = sp.csr_matrix(
+            (np.fromiter(chain.from_iterable(a.probs for a in all_actions()), np.float64, nnz),
+             np.fromiter(chain.from_iterable(a.succs for a in all_actions()), np.int64, nnz),
+             indptr), shape=(n_rows, n))
+        name_id = {name: k for k, name in enumerate(self.action_names)}
+        is_target = np.zeros(n, dtype=bool)
+        is_target[np.fromiter(self.target, np.int64, len(self.target))] = True
+        return SparseView(
+            row_start=row_start,
+            row_state=np.repeat(np.arange(n), counts),
+            branches=branches,
+            action_id=np.fromiter((name_id[a.attr.name] for a in all_actions()), np.int64, n_rows),
+            module=np.fromiter((a.attr.module for a in all_actions()), np.int64, n_rows),
+            valuation=np.fromiter(chain.from_iterable(self.states), np.int64,
+                                  n * width).reshape(n, width),
+            is_target=is_target,
+        )
+
     def predecessors(self) -> List[List[int]]:
         """preds[t] = states with some action giving positive mass to t."""
-        return reverse_edges([sorted({t for a in acts for t in a.succs})
-                              for acts in self.actions])
+        # the uniform strategy's chain has an edge wherever some action does
+        return induce_chain(self, LiberalStrategy()).P.T.tolil().rows.tolist()
+
+
+@dataclass(frozen=True)
+class SparseView:
+    """An Mdp as arrays, in the sparse row-grouped layout of PRISM and Storm.
+
+    Action rows are numbered state by state in declaration order, so the
+    rows of state s are row_start[s]:row_start[s + 1] and local action i of
+    s is row row_start[s] + i.
+    """
+
+    row_start: np.ndarray  # (states + 1,) offset of each state's first row
+    row_state: np.ndarray  # (rows,) owning state of each row
+    branches: sp.csr_matrix  # rows x states, successors in declaration order
+    action_id: np.ndarray  # (rows,) index into Mdp.action_names
+    module: np.ndarray  # (rows,) owning module
+    valuation: np.ndarray  # states x variables
+    is_target: np.ndarray  # (states,) bool
 
 
 def make_absorbing(actions, target) -> tuple:
@@ -116,13 +168,32 @@ def make_absorbing(actions, target) -> tuple:
     return tuple(out)
 
 
-@dataclass
 class MarkovChain:
-    """Finite Markov chain; locations coincide with MDP state indices."""
+    """Finite Markov chain; locations coincide with MDP state indices.
 
-    n: int
-    rows: Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]  # (succs, probs) per location
-    init: int
+    `P` holds the transitions as a CSR matrix, locations x locations. Build
+    a chain from `rows`, one (succs, probs) pair per location, or from `P`;
+    `rows` is derived from `P` on first use, in the order of its entries.
+    """
+
+    def __init__(self, n: int, rows=None, init: int = 0, *,
+                 P: Optional[sp.csr_matrix] = None):
+        self.n = n
+        self.init = init
+        if P is None:
+            lengths = np.fromiter((len(succs) for succs, _ in rows), np.int64, n)
+            nnz = int(lengths.sum())
+            P = sp.csr_matrix(
+                (np.fromiter(chain.from_iterable(p for _, p in rows), np.float64, nnz),
+                 np.fromiter(chain.from_iterable(s for s, _ in rows), np.int64, nnz),
+                 np.concatenate(([0], np.cumsum(lengths)))), shape=(n, n))
+        self.P = P
+
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]:
+        ptr = self.P.indptr.tolist()
+        ind, data = self.P.indices.tolist(), self.P.data.tolist()
+        return tuple((tuple(ind[a:b]), tuple(data[a:b])) for a, b in zip(ptr, ptr[1:]))
 
 
 @dataclass
@@ -136,14 +207,62 @@ class Mec:
         self.states = frozenset(self.states)
 
 
-@dataclass
 class LiberalStrategy:
     """Partial map state -> non-empty set of action indices; absent = don't-care.
 
-    Don't-care states are read as the uniform distribution over Act(s).
+    Don't-care states are read as the uniform distribution over Act(s). The
+    map is held as the `choice` dict, or as masks over the action rows and
+    states of one model's SparseView (`from_rows`); either form is derived
+    from the other once, on first use, so the map must not change after it.
     """
 
-    choice: Dict[int, FrozenSet[int]] = field(default_factory=dict)
+    def __init__(self, choice: Optional[Dict[int, FrozenSet[int]]] = None):
+        self._choice = {} if choice is None else choice
+        self._rows = None  # (mdp, row mask, defined-state mask)
+
+    @classmethod
+    def from_rows(cls, mdp: Mdp, selected: np.ndarray,
+                  defined: np.ndarray) -> "LiberalStrategy":
+        """Defined at the states in `defined`, choosing their `selected` rows."""
+        out = cls()
+        out._choice = None
+        out._rows = (mdp, selected | ~defined[mdp.sparse.row_state], defined)
+        return out
+
+    @property
+    def choice(self) -> Dict[int, FrozenSet[int]]:
+        if self._choice is None:
+            mdp, mask, defined = self._rows
+            v = mdp.sparse
+            rows = np.flatnonzero(mask & defined[v.row_state])
+            owner = v.row_state[rows]
+            picked: Dict[int, List[int]] = {}
+            for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+                picked.setdefault(s, []).append(i)
+            self._choice = {s: frozenset(acts) for s, acts in picked.items()}
+        return self._choice
+
+    def row_mask(self, mdp: Mdp) -> np.ndarray:
+        """Rows of `mdp.sparse` in play: the chosen ones, all rows of open states."""
+        if self._rows is None or self._rows[0] is not mdp:
+            v = mdp.sparse
+            choice = self.choice
+            states = np.fromiter(choice, np.int64, len(choice))
+            sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
+            local = np.fromiter(chain.from_iterable(choice.values()), np.int64,
+                                int(sizes.sum()))
+            owner = np.repeat(states, sizes)
+            if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
+                raise MdpError("strategy chooses an action index out of range")
+            defined = np.zeros(mdp.n_states, dtype=bool)
+            defined[states] = True
+            mask = ~defined[v.row_state]
+            mask[v.row_start[owner] + local] = True
+            self._rows = (mdp, mask, defined)
+        return self._rows[1]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LiberalStrategy) and self.choice == other.choice
 
     def is_defined(self, s: int) -> bool:
         return s in self.choice
@@ -164,31 +283,21 @@ class LiberalStrategy:
 
 
 # --------------------------------------------------------------------------
-# Graph search. Graphs are successor lists indexed by node; search backward
-# by searching the reversed edges.
+# Graph search. A graph is a square sparse matrix whose stored entry (u, v)
+# is an edge u -> v; search backward by searching its transpose.
 
-def reachable(succ: Sequence[Sequence[int]], sources) -> np.ndarray:
+def reachable(graph: sp.spmatrix, sources) -> np.ndarray:
     """Boolean mask of the nodes reachable from `sources`, sources included."""
-    seen = [False] * len(succ)
-    stack = list(sources)
-    for u in stack:
-        seen[u] = True
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return np.array(seen, dtype=bool)
-
-
-def reverse_edges(succ: Sequence[Sequence[int]]) -> List[List[int]]:
-    """pred[v] lists every u with an edge u -> v, in increasing u."""
-    pred: List[List[int]] = [[] for _ in succ]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            pred[v].append(u)
-    return pred
+    g = sp.csr_matrix(graph)
+    n = g.shape[0]
+    src = np.fromiter(sources, np.int64)
+    # one extra node with an edge to every source makes a single-source search
+    indices = np.concatenate((g.indices, src))
+    indptr = np.append(g.indptr, len(indices))
+    g = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[csgraph.breadth_first_order(g, n, return_predecessors=False)] = True
+    return mask[:n]
 
 
 # --------------------------------------------------------------------------
@@ -297,21 +406,24 @@ def mec_decompose(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[M
 
 
 def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
-    """Markov chain of the uniform randomization over the selected actions."""
-    rows = []
-    for s in range(mdp.n_states):
-        idxs = strategy.actions_at(mdp, s)
-        if not idxs:
-            raise MdpError(f"strategy defines an empty action set at state {s}")
-        w = 1.0 / len(idxs)
-        mass: Dict[int, float] = {}
-        for i in idxs:
-            a = mdp.actions[s][i]
-            for t, p in zip(a.succs, a.probs):
-                mass[t] = mass.get(t, 0.0) + w * p
-        succs = tuple(sorted(mass))
-        rows.append((succs, tuple(mass[t] for t in succs)))
-    return MarkovChain(mdp.n_states, tuple(rows), mdp.initial)
+    """Markov chain of the uniform randomization over the selected actions.
+
+    One sparse product: row s of the selection matrix weighs each selected
+    row of s by w = 1/|choice|, so entry (s, t) sums w*p over the selected
+    rows in row order, the order a per-state accumulation would use.
+    """
+    v = mdp.sparse
+    rows = np.flatnonzero(strategy.row_mask(mdp))
+    owner = v.row_state[rows]
+    counts = np.bincount(owner, minlength=mdp.n_states)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        raise MdpError(f"strategy defines an empty action set at state {empty[0]}")
+    select = sp.csr_matrix((1.0 / counts[owner], rows, np.concatenate(([0], np.cumsum(counts)))),
+                           shape=(mdp.n_states, len(v.row_state)))
+    P = select @ v.branches
+    P.sort_indices()
+    return MarkovChain(mdp.n_states, init=mdp.initial, P=P)
 
 
 def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
@@ -321,33 +433,27 @@ def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
     Zero set by graph search, then a sparse linear solve on the remaining
     locations (direct below `direct_cutoff` unknowns, else Jacobi iteration
     to residual < tol; convergence is geometric since every non-zero-set
-    location almost surely enters targets-or-zero-set).
+    location almost surely enters targets-or-zero-set). Each location's
+    target mass is summed in the order of its row in `chain.P`.
     """
-    n = chain.n
-    targets = set(targets)
-    vals = np.zeros(n)
-    for t in targets:
-        vals[t] = 1.0
-    if not targets:
+    is_target = np.zeros(chain.n, dtype=bool)
+    is_target[np.fromiter(targets, np.int64)] = True
+    vals = is_target.astype(np.float64)
+    if not is_target.any():
         return vals
-    mask = reachable(reverse_edges([succs for succs, _ in chain.rows]), targets)
-    unknown = [s for s in range(n) if mask[s] and s not in targets]
-    if not unknown:
+    unknown = reachable(chain.P.T, np.flatnonzero(is_target)) & ~is_target
+    m = int(unknown.sum())
+    if not m:
         return vals
-    pos = {s: k for k, s in enumerate(unknown)}
-    m = len(unknown)
-    data, ind, indptr = [], [], [0]
-    b = np.zeros(m)
-    for s in unknown:
-        succs, probs = chain.rows[s]
-        for t, p in zip(succs, probs):
-            if t in targets:
-                b[pos[s]] += p
-            elif t in pos:
-                ind.append(pos[t])
-                data.append(p)
-        indptr.append(len(ind))
-    A = sp.csr_matrix((data, ind, indptr), shape=(m, m))
+    rows = chain.P[np.flatnonzero(unknown)]
+    owner = np.repeat(np.arange(m), np.diff(rows.indptr))
+    hit, keep = is_target[rows.indices], unknown[rows.indices]
+    b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
+    pos = np.cumsum(unknown) - 1
+    A = sp.csr_matrix(
+        (rows.data[keep], pos[rows.indices[keep]],
+         np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=m))))),
+        shape=(m, m))
     if m <= direct_cutoff:
         x = spla.spsolve(sp.eye(m, format="csc") - A.tocsc(), b)
     else:
@@ -360,9 +466,7 @@ def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
             x = nxt
         else:
             raise MdpError("reachability iteration failed to converge")
-    x = np.clip(x, 0.0, 1.0)
-    for s in unknown:
-        vals[s] = x[pos[s]]
+    vals[unknown] = np.clip(x, 0.0, 1.0)
     return vals
 
 
@@ -443,9 +547,13 @@ def build_quotient(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     frozen = np.zeros(q)
     frozen[target_nodes] = 1.0
 
-    # nodes that cannot reach a target node under any action get upper bound 0
-    succ = [[v for succs, _ in rows for v in succs] for rows in rows_by_node]
-    reach_mask = reachable(reverse_edges(succ), np.flatnonzero(target_nodes))
+    # nodes that cannot reach a target node under any action get upper bound 0;
+    # rows of target nodes are left out of R, which a backward search from
+    # the targets never needs
+    row_owner = np.repeat(np.array(owners, dtype=np.int64), np.diff(starts + [row_count]))
+    edges = sp.csr_matrix((R.data, (np.repeat(row_owner, np.diff(R.indptr)), R.indices)),
+                          shape=(q, q))
+    reach_mask = reachable(edges.T, np.flatnonzero(target_nodes))
 
     return Quotient(
         num_nodes=q,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .core import ActionAttr, LiberalStrategy, Mdp
 from .importance import Domain, TrainingSet
@@ -192,9 +192,13 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
 
     root = grow(np.arange(m))
     if prune:
-        z = float(norm.ppf(1.0 - confidence))
-        root, _ = _prune(root, max(z, 0.0))
+        root, _ = _prune(root, _upper_z(confidence))
     return DTree(root, domain)
+
+
+def _upper_z(confidence: float) -> float:
+    """Standard normal quantile at 1 - confidence, floored at 0."""
+    return max(float(ndtri(1.0 - confidence)), 0.0)
 
 
 def _ucb_errors(e: float, n: float, z: float) -> float:
@@ -235,21 +239,33 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
 
     At each non-target state the strategy keeps the actions the tree calls
     good. States where it rejects everything stay open (uniform fallback);
-    they are returned so callers can report how often that happened.
+    they are returned so callers can report how often that happened. The
+    tree is walked once over all action rows of `mdp.sparse`, each split
+    dividing the rows that reach it.
     """
-    choice = {}
-    fallback: List[int] = []
-    for s in range(mdp.n_states):
-        if s in mdp.target:
-            continue
-        vec = mdp.states[s]
-        keep = frozenset(i for i, a in enumerate(mdp.actions[s])
-                         if tree.classify(vec, a.attr))
-        if keep:
-            choice[s] = keep
+    v = mdp.sparse
+    x = v.valuation[v.row_state]
+    name_id = {name: k for k, name in enumerate(mdp.action_names)}
+    good = np.zeros(len(v.row_state), dtype=bool)
+
+    def walk(node: Node, rows: np.ndarray):
+        if isinstance(node, Leaf):
+            good[rows] = node.good
+            return
+        p = node.pred
+        if p.kind == "le":
+            holds = x[rows, p.coord] <= p.k
+        elif p.kind == COORD_ACTION:
+            holds = v.action_id[rows] == name_id.get(p.k, -1)
         else:
-            fallback.append(s)
-    return LiberalStrategy(choice), fallback
+            holds = v.module[rows] == p.k
+        walk(node.yes, rows[holds])
+        walk(node.no, rows[~holds])
+
+    walk(tree.root, np.flatnonzero(~v.is_target[v.row_state]))
+    defined = np.bincount(v.row_state[good], minlength=mdp.n_states) > 0
+    fallback = np.flatnonzero(~defined & ~v.is_target).tolist()
+    return LiberalStrategy.from_rows(mdp, good, defined), fallback
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import (ActionAttr, LiberalStrategy, Mdp, MdpError, _MASK64,
-                   derive_seed, induce_chain, reachable, reverse_edges)
+                   derive_seed, induce_chain, reachable)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -68,7 +68,7 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     stats are identical however the batch is split across calls.
     """
     chain = induce_chain(mdp, strategy)
-    can = list(reachable(reverse_edges([succs for succs, _ in chain.rows]), mdp.target))
+    can = list(reachable(chain.P.T, mdp.target))
     stats = RunStats(mdp.n_states, total_runs=runs)
     # plain-int counters; numpy scalar writes per run are too slow here
     cond_count = [0] * mdp.n_states

@@ -102,8 +102,7 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, mecs: Optional[List[Mec]] = No
 def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """States reachable from the initial state in the induced chain."""
     chain = induce_chain(mdp, strategy)
-    mask = reachable([succs for succs, _ in chain.rows], [mdp.initial])
-    return np.flatnonzero(mask).tolist()
+    return np.flatnonzero(reachable(chain.P, [mdp.initial])).tolist()
 
 
 def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
@@ -114,15 +113,10 @@ def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     result, not even in the last bit.
     """
     chain = induce_chain(mdp, strategy)
-    reach = np.flatnonzero(reachable([succs for succs, _ in chain.rows], [mdp.initial])).tolist()
-    pos = {s: k for k, s in enumerate(reach)}
-    rows = []
-    for s in reach:
-        succs, probs = chain.rows[s]
-        rows.append((tuple(pos[t] for t in succs), probs))
-    sub = MarkovChain(len(reach), tuple(rows), pos[mdp.initial])
-    targets = [pos[s] for s in reach if s in mdp.target]
-    vals = reach_exact(sub, targets)
+    states = np.flatnonzero(reachable(chain.P, [mdp.initial]))
+    sub = MarkovChain(len(states), init=int(np.searchsorted(states, mdp.initial)),
+                      P=chain.P[states][:, states])
+    vals = reach_exact(sub, np.flatnonzero(mdp.sparse.is_target[states]))
     return float(vals[sub.init])
 
 

@@ -5,6 +5,11 @@ by enumerating all deterministic memoryless strategies, end components by
 checking every state subset, strategy values on acyclic models by exact
 rational path summation. Only usable on tiny models; the tests freeze the
 numbers these produce.
+
+The per-state loops at the end (`induce_rows`, `reach_rows`,
+`evaluate_rows`, `induce_by_classify`) are the plain-Python forms of the
+array code in `core`, `strategy` and `dtree`. They add in the same order,
+so the tests compare against them with `==`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, induce_chain,
-                   reach_exact)
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from mdpdistill.core import (LiberalStrategy, MarkovChain, Mdp, MdpError,
+                             induce_chain, reach_exact)
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -147,3 +155,104 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
         raise MdpError("no mass reached the target within the horizon")
     return hit_and_seen / hit, slack
 
+
+
+# --------------------------------------------------------------------------
+# Per-state reference loops for the accept probe.
+
+Rows = Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
+
+
+def induce_rows(mdp: Mdp, strategy: LiberalStrategy) -> Rows:
+    """Induced chain as (succs, probs) per state, summed in a dict per state."""
+    rows = []
+    for s in range(mdp.n_states):
+        idxs = strategy.actions_at(mdp, s)
+        if not idxs:
+            raise MdpError(f"strategy defines an empty action set at state {s}")
+        w = 1.0 / len(idxs)
+        mass: Dict[int, float] = {}
+        for i in idxs:
+            a = mdp.actions[s][i]
+            for t, p in zip(a.succs, a.probs):
+                mass[t] = mass.get(t, 0.0) + w * p
+        succs = tuple(sorted(mass))
+        rows.append((succs, tuple(mass[t] for t in succs)))
+    return tuple(rows)
+
+
+def _search(succ: Sequence[Sequence[int]], sources) -> List[bool]:
+    seen = [False] * len(succ)
+    stack = list(sources)
+    for u in stack:
+        seen[u] = True
+    while stack:
+        u = stack.pop()
+        for v in succ[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+def reach_rows(rows: Rows, targets) -> np.ndarray:
+    """Reachability values of a chain given as rows, by one direct solve."""
+    n = len(rows)
+    targets = set(targets)
+    vals = np.zeros(n)
+    for t in targets:
+        vals[t] = 1.0
+    if not targets:
+        return vals
+    pred: List[List[int]] = [[] for _ in rows]
+    for u, (succs, _) in enumerate(rows):
+        for v in succs:
+            pred[v].append(u)
+    mask = _search(pred, targets)
+    unknown = [s for s in range(n) if mask[s] and s not in targets]
+    if not unknown:
+        return vals
+    pos = {s: k for k, s in enumerate(unknown)}
+    m = len(unknown)
+    data, ind, indptr = [], [], [0]
+    b = np.zeros(m)
+    for s in unknown:
+        for t, p in zip(*rows[s]):
+            if t in targets:
+                b[pos[s]] += p
+            elif t in pos:
+                ind.append(pos[t])
+                data.append(p)
+        indptr.append(len(ind))
+    A = sp.csr_matrix((data, ind, indptr), shape=(m, m))
+    x = np.clip(spla.spsolve(sp.eye(m, format="csc") - A.tocsc(), b), 0.0, 1.0)
+    for s in unknown:
+        vals[s] = x[pos[s]]
+    return vals
+
+
+def evaluate_rows(mdp: Mdp, strategy: LiberalStrategy) -> float:
+    """Strategy value from the initial state, solved on the reachable states."""
+    rows = induce_rows(mdp, strategy)
+    seen = _search([succs for succs, _ in rows], [mdp.initial])
+    reach = [s for s in range(mdp.n_states) if seen[s]]
+    pos = {s: k for k, s in enumerate(reach)}
+    sub = tuple((tuple(pos[t] for t in rows[s][0]), rows[s][1]) for s in reach)
+    vals = reach_rows(sub, [pos[s] for s in reach if s in mdp.target])
+    return float(vals[pos[mdp.initial]])
+
+
+def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[int]]:
+    """`choice` and fallback states of a tree, one `classify` call per action."""
+    choice = {}
+    fallback: List[int] = []
+    for s in range(mdp.n_states):
+        if s in mdp.target:
+            continue
+        keep = frozenset(i for i, a in enumerate(mdp.actions[s])
+                         if tree.classify(mdp.states[s], a.attr))
+        if keep:
+            choice[s] = keep
+        else:
+            fallback.append(s)
+    return choice, fallback

@@ -3,11 +3,15 @@
 `perfbench/spans.py` traces a layer by replacing a function in the namespace
 of the module that calls it, and `perfbench/run.py` reads the simulation
 stats by replacing `cli.simulate_batched`. A refactor that moves or renames
-one of those names would silently drop its span, so check them here.
+one of those names, or inlines a hooked call, would silently drop its span,
+so check both here.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -15,11 +19,15 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _hooks():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.HOOKS
+    return spans
+
+
+def _hooks():
+    return _spans().HOOKS
 
 
 @pytest.mark.parametrize("owner,attr", [(h[0], h[1]) for h in _hooks()])
@@ -34,3 +42,19 @@ def test_hook_resolves(owner, attr):
 def test_run_stats_hook_resolves():
     from mdpdistill import cli
     assert callable(getattr(cli, "simulate_batched", None))
+
+
+def test_distill_opens_every_layer_span():
+    from mdpdistill import bdd, cli, dtree, importance, solver, strategy
+    spans = _spans()
+    modules = {"cli": cli, "solver": solver, "strategy": strategy,
+               "importance": importance, "dtree": dtree, "bdd": bdd}
+    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
+    tracer = spans.Tracer()
+    with spans.patched(modules, tracer), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["distill", "--model", str(model), "--runs", "500"])
+    assert rc == 0
+    opened = {span["name"] for span in tracer.spans}
+    for name in ("strategy.evaluate", "core.induce_chain", "core.reach_exact",
+                 "dtree.induce", "dtree.learn", "importance.simulate"):
+        assert name in opened, name

@@ -187,6 +187,40 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("min_leaf", ["auto", "3"])
+def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
+    # one evaluate for the liberal strategy's reference value, then one
+    # induce and one evaluate per tree; the chosen tree is not redone
+    from mdpdistill import dtree, strategy
+    calls = {"evaluate": 0, "induce": 0}
+    fits = []
+    real_evaluate, real_induce = strategy.evaluate, dtree.induce_strategy
+    real_fit = dtree.fit_max_leaf
+
+    def evaluate(*a):
+        calls["evaluate"] += 1
+        return real_evaluate(*a)
+
+    def induce(*a):
+        calls["induce"] += 1
+        return real_induce(*a)
+
+    def fit(*a, **kw):
+        fits.append(real_fit(*a, **kw))
+        return fits[-1]
+
+    monkeypatch.setattr(strategy, "evaluate", evaluate)
+    monkeypatch.setattr(dtree, "induce_strategy", induce)
+    monkeypatch.setattr(dtree, "fit_max_leaf", fit)
+    rc = main(["distill", "--model", str(models / "fig1.mdp"),
+               "--runs", "2000", "--min-leaf", min_leaf])
+    assert rc == 0
+    capsys.readouterr()
+    probes = len(fits[0].tried) if fits else 1
+    assert probes > 1 or min_leaf != "auto"
+    assert calls == {"evaluate": probes + 1, "induce": probes}
+
+
 def test_distill_exit_union_and_modes(models, capsys):
     rc = main(["distill", "--model", str(models / "mutex.mdp"),
                "--runs", "800", "--seed", "3", "--exit-union",

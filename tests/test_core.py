@@ -11,9 +11,9 @@ from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
                              derive_seed, induce_chain, interval_iterate,
                              make_absorbing, max_reach_exact, mec_decompose,
                              reach_exact, strongly_connected_components)
-from mdpdistill.oracles import acyclic_value, brute_mecs, brute_val
 
 from conftest import random_mdp
+from oracles import acyclic_value, brute_mecs, brute_val, induce_rows
 
 
 def _mdp(actions, target, n=None):
@@ -295,6 +295,28 @@ def test_induce_chain_uniform_mixture(fig1):
     # unlisted states fall back to uniform over all their actions
     s5, p5 = chain.rows[5]
     assert s5 == (5,) and p5 == (1.0,)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_induce_chain_matches_dict_loop(seed):
+    # mixtures of several actions per state exercise the order of addition
+    m = random_mdp(seed, max_actions=4)
+    rng = random.Random(seed + 7)
+    choice = {}
+    for s in range(m.n_states):
+        k = len(m.actions[s])
+        if rng.random() < 0.8:
+            choice[s] = frozenset(rng.sample(range(k), rng.randint(1, k)))
+    strategy = LiberalStrategy(choice)
+    assert induce_chain(m, strategy).rows == induce_rows(m, strategy)
+
+
+def test_induce_chain_rejects_bad_choices(fig1):
+    with pytest.raises(MdpError, match="empty action set at state 0"):
+        induce_chain(fig1, LiberalStrategy({0: frozenset()}))
+    # index 2 at state 0 would be the first row of state 1
+    with pytest.raises(MdpError, match="out of range"):
+        induce_chain(fig1, LiberalStrategy({0: frozenset({len(fig1.actions[0])})}))
 
 
 def test_predecessors(fig1):

@@ -2,16 +2,21 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mdpdistill.core import ActionAttr
-from mdpdistill.dtree import (DTree, Leaf, Pred, Split, export_dot,
+from mdpdistill.dtree import (DTree, Leaf, Pred, Split, _upper_z, export_dot,
                               export_json, fit_max_leaf, import_json,
                               induce_strategy, learn, tree_size)
 from mdpdistill.importance import (Domain, TrainRow, TrainingSet,
-                                   build_training_set, exact_importance)
+                                   build_training_set, exact_importance,
+                                   importance_of, simulate)
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal
+
+from conftest import random_mdp
+from oracles import induce_by_classify
 
 
 def membership_set(domain_hi, positives, lo=1):
@@ -230,7 +235,51 @@ def test_export_dot():
     assert dot.count("shape=ellipse") == 3  # three leaves
 
 
+@pytest.mark.parametrize("confidence", [0.001, 0.05, 0.1, 0.25, 0.4, 0.5, 0.75, 0.999])
+def test_upper_z_is_the_normal_quantile(confidence):
+    from scipy.stats import norm
+    assert _upper_z(confidence) == max(float(norm.ppf(1.0 - confidence)), 0.0)
+
+
 # ------------------------------------------------------------ induction
+
+def _hand_tree(m):
+    """Every predicate kind, including an action name the model lacks."""
+    name = m.action_names[0]
+    return DTree(Split(Pred("action", 0, name),
+                       Split(Pred("le", 0, 2), Leaf(True), Leaf(False)),
+                       Split(Pred("module", 0, 1),
+                             Split(Pred("action", 0, "nosuch"), Leaf(False), Leaf(True)),
+                             Leaf(False))),
+                 Domain.of(m))
+
+
+def _assert_induced_like_classify(m, tree):
+    induced, fallback = induce_strategy(m, tree)
+    choice, want_fallback = induce_by_classify(m, tree)
+    assert induced.choice == choice
+    assert fallback == want_fallback
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_induce_strategy_matches_classify(name, request):
+    m = request.getfixturevalue(name)
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    weights = importance_of(simulate(m, sigma, 2000, seed=1)).weights
+    ts = build_training_set(m, sigma, weights, runs=2000)
+    for min_leaf in (1, 10, 100, 1000):
+        _assert_induced_like_classify(m, learn(ts, min_leaf=min_leaf))
+    _assert_induced_like_classify(m, _hand_tree(m))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_induce_strategy_matches_classify_on_random_models(seed):
+    m = random_mdp(seed, max_actions=4)
+    sigma = extract_liberal(m, value_iteration(m, 1e-9))
+    ts = build_training_set(m, sigma, np.ones(m.n_states), mode="once")
+    _assert_induced_like_classify(m, learn(ts, min_leaf=1, prune=False))
+    _assert_induced_like_classify(m, _hand_tree(m))
+
 
 def test_induce_strategy_round_trip(fig1):
     va = value_iteration(fig1, 1e-9)

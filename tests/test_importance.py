@@ -8,11 +8,11 @@ from mdpdistill.core import (ActionAttr, LiberalStrategy, MdpError,
 from mdpdistill.importance import (Domain, ImportanceResult, RunStats,
                                    build_training_set, exact_importance,
                                    importance_of, simulate, simulate_batched)
-from mdpdistill.oracles import horizon_importance
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal
 
 from conftest import random_mdp
+from oracles import horizon_importance
 
 
 def _opt(mdp):

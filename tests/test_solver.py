@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mdpdistill.core import max_reach_exact, mec_decompose
-from mdpdistill.oracles import brute_val
 from mdpdistill.solver import (ValueApprox, brtdp, check_valid,
                                value_iteration)
 
 from conftest import random_mdp
+from oracles import brute_val
 
 
 # --------------------------------------------------------------------- VI

@@ -5,13 +5,16 @@ import pytest
 
 from mdpdistill.core import (LiberalStrategy, MdpError, max_reach_exact,
                              mec_decompose)
-from mdpdistill.importance import exact_importance
+from mdpdistill.dtree import fit_max_leaf, induce_strategy
+from mdpdistill.importance import (build_training_set, exact_importance,
+                                   importance_of, simulate)
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import (consulted_dont_care, dump_tsv, evaluate,
                                  explicit_size, extract_liberal,
                                  reachable_under, truncate)
 
 from conftest import random_mdp
+from oracles import evaluate_rows
 
 
 def _names(mdp, s, acts):
@@ -121,6 +124,31 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
     monkeypatch.setattr(strategy_mod, "induce_chain", counting)
     assert evaluate(fig1, LiberalStrategy({})) == pytest.approx(0.49625, abs=1e-12)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2"])
+def test_evaluate_equals_dict_loop_on_every_probe(name, request):
+    m = request.getfixturevalue(name)
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    weights = importance_of(simulate(m, sigma, 2000, seed=0)).weights
+    ts = build_training_set(m, sigma, weights, runs=2000)
+    reference = evaluate(m, sigma)
+    strategies = [sigma, truncate(sigma, weights)]
+
+    def accept(tree):
+        induced, _ = induce_strategy(m, tree)
+        strategies.append(induced)
+        return reference - evaluate(m, induced) <= 0.01 * reference
+
+    fit = fit_max_leaf(ts, accept)
+    assert len(strategies) == 2 + len(fit.tried)
+    for s in strategies:
+        assert evaluate(m, s) == evaluate_rows(m, s)
+
+
+def test_evaluate_equals_dict_loop_on_grid(grid):
+    sigma = extract_liberal(grid, value_iteration(grid, 1e-6))
+    assert evaluate(grid, sigma) == evaluate_rows(grid, sigma)
 
 
 def test_uniform_strategy_value_frozen(fig1):
