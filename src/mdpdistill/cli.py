@@ -92,8 +92,7 @@ def _pipeline(args):
     mdp = _load(args)
     va = _solve(mdp, args)
     sigma = strat.extract_liberal(mdp, va, exit_union=args.exit_union)
-    stats = simulate_batched(mdp, sigma, args.runs, seed=args.seed,
-                             threads=args.threads)
+    stats = simulate_batched(mdp, sigma, args.runs, seed=args.seed)
     mode, kind = VARIANTS[args.variant]
     imp = importance_of(stats, kind)
     trunc = strat.truncate(sigma, imp.weights, args.delta, args.truncate_mode)
@@ -209,13 +208,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _min_leaf(text: str):
-    if text == "auto":
-        return text
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be 'auto' or an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _min_leaf(text: str):
+    return text if text == "auto" else _positive_int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     learnopts = argparse.ArgumentParser(add_help=False)
     learnopts.add_argument("--runs", type=int, default=10000,
                            help="simulation runs for importance")
-    learnopts.add_argument("--threads", type=int, default=1)
+    learnopts.add_argument("--threads", type=_positive_int, default=1,
+                           help="ignored; results do not depend on it")
     learnopts.add_argument("--variant", default="IDP",
                            help="importance variant: IDP IDE IAP IAE OD OA")
     learnopts.add_argument("--delta", type=float, default=0.0,

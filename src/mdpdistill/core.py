@@ -21,18 +21,23 @@ import scipy.sparse.linalg as spla
 TAU = "tau"  # attribute name of the self-loop placed on absorbing target states
 
 _MASK64 = (1 << 64) - 1
+GOLDEN64 = 0x9E3779B97F4A7C15  # splitmix64 counter increment
 
 
-def derive_seed(seed: int, stream: int) -> int:
-    """Mix a base seed with a stream index (splitmix64 finalizer).
+def splitmix64(z):
+    """The splitmix64 finalizer of z, a Python int or a numpy uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def derive_seed(seed: int, stream):
+    """Mix a base seed with a stream index (an int or a uint64 array).
 
     Gives every simulation run its own well-separated generator seed, so
     batches can be split or reordered without changing per-run outcomes.
     """
-    z = (seed * 0x9E3779B97F4A7C15 + stream + 1) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return splitmix64((((seed * GOLDEN64 + 1) & _MASK64) + stream) & _MASK64)
 
 
 class MdpError(Exception):

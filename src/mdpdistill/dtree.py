@@ -91,20 +91,17 @@ def tree_size(node: Node) -> int:
     return 1 + tree_size(node.yes) + tree_size(node.no)
 
 
-def _entropy(wg: float, wb: float) -> float:
-    n = wg + wb
-    if n <= 0 or wg <= 0 or wb <= 0:
-        return 0.0
-    pg, pb = wg / n, wb / n
-    return -(pg * math.log2(pg) + pb * math.log2(pb))
-
-
-def _coord_key(p: Pred, domain: Domain) -> Tuple[int, int, int]:
-    if p.kind == "le":
-        return (p.coord, 0, int(p.k))
-    if p.kind == COORD_ACTION:
-        return (domain.n_vars, 1, domain.action_index(p.k))
-    return (domain.n_vars + 1, 1, int(p.k))
+def _entropies(wg: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Binary entropy of good/bad weights, elementwise; 0 unless both are
+    positive. Uses libm's log2, so each value is the bits a scalar
+    `-(pg * math.log2(pg) + pb * math.log2(pb))` gives."""
+    out = np.zeros(len(wg))
+    both = (wg > 0) & (wb > 0)
+    n = wg[both] + wb[both]
+    pg, pb = wg[both] / n, wb[both] / n
+    log2 = lambda v: np.fromiter(map(math.log2, v.tolist()), np.float64, len(v))
+    out[both] = -(pg * log2(pg) + pb * log2(pb))
+    return out
 
 
 def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
@@ -113,38 +110,39 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
 
     `min_leaf` is the minimum total row weight each side of a split must
     keep; raising it is the main lever for trading accuracy against size.
+    A node scores all its splits at once from running sums of its rows'
+    weights in each coordinate's order, exact as the weights are integers.
     """
-    if not ts.rows:
-        return DTree(Leaf(True), ts.domain)
     domain = ts.domain
     nv = domain.n_vars
-    m = len(ts.rows)
-    X = np.array([r.x for r in ts.rows], dtype=np.int64).reshape(m, nv)
-    act = np.array([domain.action_index(r.attr.name) if r.attr is not None else -1
-                    for r in ts.rows], dtype=np.int64)
-    mod = np.array([r.attr.module if r.attr is not None else -1
-                    for r in ts.rows], dtype=np.int64)
-    y = np.array([r.good for r in ts.rows], dtype=bool)
-    w = np.array([r.weight for r in ts.rows], dtype=np.float64)
+    F, y, w = ts.features
+    wy = w * y
 
-    def masked(p: Pred, idx: np.ndarray) -> np.ndarray:
-        if p.kind == "le":
-            return X[idx, p.coord] <= p.k
-        if p.kind == COORD_ACTION:
-            return act[idx] == domain.action_index(p.k)
-        return mod[idx] == p.k
-
-    def candidates(idx: np.ndarray) -> List[Pred]:
-        out: List[Pred] = []
-        for j in range(nv):
-            vals = np.unique(X[idx, j])
-            for a, b in zip(vals, vals[1:]):
-                out.append(Pred("le", j, int((int(a) + int(b)) // 2)))
-        names = sorted({int(v) for v in np.unique(act[idx]) if v >= 0})
-        out.extend(Pred(COORD_ACTION, 0, domain.action_names[v]) for v in names)
-        mods = sorted({int(v) for v in np.unique(mod[idx]) if v >= 0})
-        out.extend(Pred(COORD_MODULE, 0, v) for v in mods)
-        return out
+    def candidates(idx: np.ndarray):
+        """Coordinate, constant, yes-side weight, good weight and whether that
+        side is every row, of each split of rows `idx`, in tie-break order."""
+        n = len(idx)
+        order = np.argsort(F[idx], axis=0, kind="stable")
+        vals = np.take_along_axis(F[idx], order, 0).T  # coordinate x sorted rows
+        # weight and good weight of the first r sorted rows, r = 0..n
+        sums = np.zeros((2, len(vals), n + 1))
+        sums[0, :, 1:] = w[idx][order].cumsum(0).T
+        sums[1, :, 1:] = wy[idx][order].cumsum(0).T
+        end = np.ones(vals.shape, dtype=bool)  # last row of a run of equal values
+        end[:, :-1] = vals[:, 1:] != vals[:, :-1]
+        c, i = np.nonzero(end)
+        start = np.concatenate(([0], i[:-1] + 1))  # first row of each run
+        start[np.concatenate(([True], c[1:] != c[:-1]))] = 0
+        # [x <= k], k between a value and the next, keeps every row up to
+        # the end of the value's run; an equality keeps the run itself
+        # (-1 marks a row without an action attribute)
+        le = c < nv
+        keep = np.where(le, i < n - 1, vals[c, i] >= 0)
+        c, i, le = c[keep], i[keep], le[keep]
+        lo = np.where(le, 0, start[keep])
+        k = np.where(le, (vals[c, i] + vals[c, np.minimum(i + 1, n - 1)]) // 2, vals[c, i])
+        wl, wlg = sums[:, c, i + 1] - sums[:, c, lo]
+        return c, k, wl, wlg, i + 1 - lo == n
 
     def grow(idx: np.ndarray) -> Node:
         wg = float(w[idx][y[idx]].sum())
@@ -154,43 +152,34 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
         err = min(wg, wb)
         if wg == 0.0 or wb == 0.0:
             return Leaf(majority, total, err)
-        parent_h = _entropy(wg, wb)
-        best: Optional[Tuple[float, Tuple[int, int, int], Pred, np.ndarray]] = None
-        for p in candidates(idx):
-            mask = masked(p, idx)
-            wl = float(w[idx][mask].sum())
-            wr = total - wl
-            if wl < min_leaf or wr < min_leaf:
-                continue
-            wlg = float(w[idx][mask & y[idx]].sum())
-            wrg = wg - wlg
-            gain = parent_h - (wl * _entropy(wlg, wl - wlg)
-                               + wr * _entropy(wrg, wr - wrg)) / total
-            if gain <= 1e-12:
-                continue
-            key = _coord_key(p, domain)
-            if best is None or gain > best[0] + 1e-12 or (
-                    abs(gain - best[0]) <= 1e-12 and key < best[1]):
-                best = (gain, key, p, mask)
+        coord, k, wl, wlg, full = candidates(idx)
+        wr = total - wl
+        ok = (wl >= min_leaf) & (wr >= min_leaf)
+        coord, k, wl, wlg, wr, full = coord[ok], k[ok], wl[ok], wlg[ok], wr[ok], full[ok]
+        wrg = wg - wlg
+        parent_h = _entropies(np.array([wg]), np.array([wb]))[0]
+        gain = (parent_h - (wl * _entropies(wlg, wl - wlg)
+                            + wr * _entropies(wrg, wr - wrg)) / total).tolist()
+        best = None
+        for i in np.flatnonzero(np.asarray(gain) > 1e-12).tolist():
+            # a later split must win by more than the tolerance
+            if best is None or gain[i] > gain[best] + 1e-12:
+                best = i
         if best is None:
             # a perfectly balanced boundary zeroes out every gain while the
             # rows stay separable; split anyway so an unrestricted tree
             # always fits its training set
-            for p in sorted(candidates(idx),
-                            key=lambda c: _coord_key(c, domain)):
-                mask = masked(p, idx)
-                wl = float(w[idx][mask].sum())
-                if wl < min_leaf or total - wl < min_leaf:
-                    continue
-                if not mask.any() or mask.all():
-                    continue
-                return Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
-            return Leaf(majority, total, err)
-        _, _, p, mask = best
-        node = Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
-        return node
+            if full.all():
+                return Leaf(majority, total, err)
+            best = int(np.argmin(full))
+        c, v = int(coord[best]), int(k[best])
+        yes = F[idx, c] <= v if c < nv else F[idx, c] == v
+        pred = (Pred("le", c, v) if c < nv else
+                Pred(COORD_MODULE, 0, v) if c > nv else
+                Pred(COORD_ACTION, 0, domain.action_names[v]))
+        return Split(pred, grow(idx[yes]), grow(idx[~yes]), total, err)
 
-    root = grow(np.arange(m))
+    root = grow(np.arange(len(ts.rows)))
     if prune:
         root, _ = _prune(root, _upper_z(confidence))
     return DTree(root, domain)
@@ -355,8 +344,8 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     accepted probes move the lower end; `accept` must be deterministic. If
     even min_leaf=1 is rejected, that tree is returned with budget_met False.
     """
-    wg = sum(r.weight for r in ts.rows if r.good)
-    wb = sum(r.weight for r in ts.rows if not r.good)
+    _, y, w = ts.features
+    wg, wb = int(w[y].sum()), int(w[~y].sum())
     if hi is None:
         hi = max(1, min(wg, wb) if min(wg, wb) > 0 else max(wg, wb))
     tried: List[Tuple[int, bool]] = []

@@ -10,13 +10,14 @@ the tree learner pays proportional attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import (ActionAttr, LiberalStrategy, Mdp, MdpError, _MASK64,
-                   derive_seed, induce_chain, reachable)
+from .core import (GOLDEN64, ActionAttr, LiberalStrategy, MarkovChain, Mdp, MdpError,
+                   derive_seed, induce_chain, reach_exact, reachable, splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -26,36 +27,35 @@ class RunStats:
     """Visit counts from a batch of simulated runs.
 
     Per state: runs that visited it / total visits, once over runs that
-    reached the target and once over all runs. Adding two RunStats gives
-    the stats of the merged batch, so batches can be farmed out and the
-    result does not depend on how they were split.
+    reached the target and once over all runs. `truncated_runs` counts the
+    runs cut off at the step cap before they reached the target or a state
+    that cannot reach it. Adding two RunStats gives the stats of the merged
+    batch, so the result does not depend on how a batch was split.
     """
 
     n_states: int
     total_runs: int = 0
     target_runs: int = 0
+    truncated_runs: int = 0
     visited_cond_count: np.ndarray = field(default=None)
     visited_cond_mult: np.ndarray = field(default=None)
     visited_all_count: np.ndarray = field(default=None)
     visited_all_mult: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        for name in ("visited_cond_count", "visited_cond_mult",
-                     "visited_all_count", "visited_all_mult"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.n_states, dtype=np.int64))
+        for f in fields(self)[4:]:  # the visit arrays
+            if getattr(self, f.name) is None:
+                setattr(self, f.name, np.zeros(self.n_states, dtype=np.int64))
 
     def merge(self, other: "RunStats") -> "RunStats":
         if other.n_states != self.n_states:
             raise ValueError("cannot merge stats over different state spaces")
-        return RunStats(
-            self.n_states,
-            self.total_runs + other.total_runs,
-            self.target_runs + other.target_runs,
-            self.visited_cond_count + other.visited_cond_count,
-            self.visited_cond_mult + other.visited_cond_mult,
-            self.visited_all_count + other.visited_all_count,
-            self.visited_all_mult + other.visited_all_mult)
+        return RunStats(self.n_states, *(getattr(self, f.name) + getattr(other, f.name)
+                                         for f in fields(self)[1:]))
+
+
+_BLOCK = 2048  # runs walked in lockstep at a time
+_PENDING = 256  # steps whose visits are held before they are tallied
 
 
 def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
@@ -65,85 +65,76 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     A run ends on reaching the target, on entering a state from which the
     chain cannot reach the target anymore, or at the step cap. Each run
     draws from its own splitmix64 stream keyed by (seed, run index), so
-    stats are identical however the batch is split across calls.
+    stats are identical however the batch is split across calls. Runs are
+    walked in lockstep, `_BLOCK` at a time, and the blocks are merged.
     """
-    chain = induce_chain(mdp, strategy)
-    can = list(reachable(chain.P.T, mdp.target))
-    stats = RunStats(mdp.n_states, total_runs=runs)
-    # plain-int counters; numpy scalar writes per run are too slow here
-    cond_count = [0] * mdp.n_states
-    cond_mult = [0] * mdp.n_states
-    all_count = [0] * mdp.n_states
-    all_mult = [0] * mdp.n_states
-    rows, target, initial = chain.rows, mdp.target, mdp.initial
-    mask, norm = _MASK64, 2.0 ** -53
-    for r in range(runs):
-        # counter-mode splitmix64 keyed by (seed, run index); a fresh
-        # random.Random per run costs more than the whole walk
-        ctr = derive_seed(seed, first_run + r)
-        visits: Dict[int, int] = {}
-        s = initial
-        visits[s] = 1
-        hit = s in target
-        steps = 0
-        while not hit and can[s] and steps < max_steps:
-            succs, probs = rows[s]
-            ctr = (ctr + 0x9E3779B97F4A7C15) & mask
-            z = ((ctr ^ (ctr >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            x = ((z ^ (z >> 31)) >> 11) * norm
-            acc = 0.0
-            t = succs[-1]
-            for u, p in zip(succs, probs):
-                acc += p
-                if x < acc:
-                    t = u
-                    break
-            s = t
-            visits[s] = visits.get(s, 0) + 1
-            hit = s in target
-            steps += 1
-        if hit:
-            stats.target_runs += 1
-            for v, m in visits.items():
-                all_count[v] += 1
-                all_mult[v] += m
-                cond_count[v] += 1
-                cond_mult[v] += m
-        else:
-            for v, m in visits.items():
-                all_count[v] += 1
-                all_mult[v] += m
-    stats.visited_cond_count += np.asarray(cond_count, dtype=np.int64)
-    stats.visited_cond_mult += np.asarray(cond_mult, dtype=np.int64)
-    stats.visited_all_count += np.asarray(all_count, dtype=np.int64)
-    stats.visited_all_mult += np.asarray(all_mult, dtype=np.int64)
+    P = induce_chain(mdp, strategy).P
+    live = reachable(P.T, mdp.target) & ~mdp.sparse.is_target  # a run at s moves on
+    # running sums along each row, added left to right as `acc += p` would
+    cum, rows, width = P.data.copy(), np.flatnonzero(np.diff(P.indptr) > 1), 1
+    while len(rows):
+        at = P.indptr[rows] + width
+        cum[at] += cum[at - 1]
+        width += 1
+        rows = rows[P.indptr[rows + 1] - P.indptr[rows] > width]
+    stats = RunStats(mdp.n_states)
+    for lo in range(0, runs, _BLOCK):
+        stats = stats.merge(_walk(mdp, P, cum, width, live, seed, first_run + lo,
+                                  min(_BLOCK, runs - lo), max_steps))
     return stats
 
 
-def simulate_batched(mdp: Mdp, strategy: LiberalStrategy, runs: int, *,
-                     seed: int = 0, max_steps: int = 1_000_000,
-                     threads: int = 1) -> RunStats:
-    """Same result as simulate(), optionally spread over worker threads.
+def _walk(mdp, P, cum, width, live, seed, first, n, max_steps) -> RunStats:
+    """Runs first..first+n-1, every run still going moved once per step:
+    a run at s draws x in [0, 1) and moves to the first successor whose
+    running sum exceeds x, or to the last one. A binary search over the
+    row's slice of `cum`, at most `width` long, finds it."""
+    run, s = np.arange(n), np.full(n, mdp.initial)
+    ctr = derive_seed(seed, np.arange(first, first + n, dtype=np.uint64))
+    tally, pending = (np.zeros(0, np.int64), np.zeros(0)), [run * mdp.n_states + s]
+    for _ in range(max_steps):
+        go = live[s]
+        if not go.all():
+            run, s, ctr = run[go], s[go], ctr[go]
+            if not len(run):
+                break
+        ctr += GOLDEN64
+        x = (splitmix64(ctr) >> 11) * 2.0 ** -53
+        lo, hi = P.indptr[s], P.indptr[s + 1] - 1
+        for _ in range((width - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            right = (cum[mid] <= x) & (mid < hi)
+            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        s = P.indices[lo]
+        pending.append(run * mdp.n_states + s)
+        if len(pending) > _PENDING:
+            tally, pending = _tally(tally, pending), []
+    truncated = int(np.count_nonzero(live[s]))
+    keys, mult = _tally(tally, pending)
+    run, state = np.divmod(keys, mdp.n_states)
+    hit = np.bincount(run[mdp.sparse.is_target[state]], minlength=n) > 0
+    cond = hit[run]
 
-    Each run's generator depends only on (seed, run index), so splitting
-    the batch cannot change the merged statistics.
-    """
-    if threads <= 1 or runs < 2 * threads:
-        return simulate(mdp, strategy, runs, seed=seed, max_steps=max_steps)
-    from concurrent.futures import ThreadPoolExecutor
+    def counts(at, weights=None):
+        return np.bincount(at, weights, minlength=mdp.n_states).astype(np.int64)
 
-    chunk = (runs + threads - 1) // threads
-    spans = [(off, min(chunk, runs - off)) for off in range(0, runs, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda span: simulate(mdp, strategy, span[1], seed=seed,
-                                  max_steps=max_steps, first_run=span[0]),
-            spans))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.merge(p)
-    return out
+    return RunStats(mdp.n_states, n, int(np.count_nonzero(hit)), truncated,
+                    counts(state[cond]), counts(state[cond], mult[cond]),
+                    counts(state), counts(state, mult))
+
+
+def _tally(tally, pending):
+    """Merge visit keys (run * n_states + state) into (distinct keys, counts)."""
+    keys, mult = tally
+    fresh = np.concatenate(pending) if pending else keys[:0]
+    keys, inv = np.unique(np.concatenate((keys, fresh)), return_inverse=True)
+    return keys, np.bincount(inv, np.concatenate((mult, np.ones(len(fresh)))))
+
+
+def simulate_batched(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
+                     max_steps: int = 1_000_000, threads: int = 1) -> RunStats:
+    """simulate() from run 0, the CLI's entry point; `threads` is ignored."""
+    return simulate(mdp, strategy, runs, seed=seed, max_steps=max_steps)
 
 
 @dataclass
@@ -191,8 +182,6 @@ def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     the target from s. Both factors are plain reachability problems (the
     first one in the chain with s made absorbing).
     """
-    from .core import MarkovChain, reach_exact
-
     chain = induce_chain(mdp, strategy)
     b = reach_exact(chain, mdp.target)
     if b[mdp.initial] <= 0.0:
@@ -253,6 +242,18 @@ class TrainingSet:
     @property
     def total_weight(self) -> int:
         return sum(r.weight for r in self.rows)
+
+    @cached_property
+    def features(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature matrix (variables, action name index, module; -1 without
+        an attribute), labels and weights; built once, so `rows` is fixed."""
+        d = self.domain
+        F = np.array([tuple(r.x) + ((d.action_index(r.attr.name), r.attr.module)
+                             if r.attr is not None else (-1, -1)) for r in self.rows],
+                     dtype=np.int64).reshape(len(self.rows), d.n_vars + 2)
+        y = np.array([r.good for r in self.rows], dtype=bool)
+        w = np.array([r.weight for r in self.rows], dtype=np.float64)
+        return F, y, w
 
 
 def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,

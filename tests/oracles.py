@@ -7,24 +7,30 @@ rational path summation. Only usable on tiny models; the tests freeze the
 numbers these produce.
 
 The per-state loops at the end (`induce_rows`, `reach_rows`,
-`evaluate_rows`, `induce_by_classify`) are the plain-Python forms of the
-array code in `core`, `strategy` and `dtree`. They add in the same order,
-so the tests compare against them with `==`.
+`evaluate_rows`, `induce_by_classify`, `simulate_rows`, `learn_masks`) are
+the plain-Python forms of the array code in `core`, `strategy`,
+`importance` and `dtree`. They add in the same order, so the tests compare
+against them with `==`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mdpdistill.core import (LiberalStrategy, MarkovChain, Mdp, MdpError,
-                             induce_chain, reach_exact)
+from mdpdistill.core import (_MASK64, LiberalStrategy, MarkovChain, Mdp,
+                             MdpError, derive_seed, induce_chain, reach_exact,
+                             reachable)
+from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
+                              _prune, _upper_z)
+from mdpdistill.importance import Domain, RunStats, TrainingSet
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -256,3 +262,153 @@ def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[
         else:
             fallback.append(s)
     return choice, fallback
+
+
+def simulate_rows(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
+                  max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
+    """`importance.simulate`, one run after another with a visit dict per run."""
+    chain = induce_chain(mdp, strategy)
+    can = list(reachable(chain.P.T, mdp.target))
+    stats = RunStats(mdp.n_states, total_runs=runs)
+    cond_count = [0] * mdp.n_states
+    cond_mult = [0] * mdp.n_states
+    all_count = [0] * mdp.n_states
+    all_mult = [0] * mdp.n_states
+    rows, target, initial = chain.rows, mdp.target, mdp.initial
+    mask, norm = _MASK64, 2.0 ** -53
+    for r in range(runs):
+        ctr = derive_seed(seed, first_run + r)
+        visits: Dict[int, int] = {}
+        s = initial
+        visits[s] = 1
+        hit = s in target
+        steps = 0
+        while not hit and can[s] and steps < max_steps:
+            succs, probs = rows[s]
+            ctr = (ctr + 0x9E3779B97F4A7C15) & mask
+            z = ((ctr ^ (ctr >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            x = ((z ^ (z >> 31)) >> 11) * norm
+            acc = 0.0
+            t = succs[-1]
+            for u, p in zip(succs, probs):
+                acc += p
+                if x < acc:
+                    t = u
+                    break
+            s = t
+            visits[s] = visits.get(s, 0) + 1
+            hit = s in target
+            steps += 1
+        if hit:
+            stats.target_runs += 1
+        elif can[s]:
+            stats.truncated_runs += 1
+        for v, m in visits.items():
+            all_count[v] += 1
+            all_mult[v] += m
+            if hit:
+                cond_count[v] += 1
+                cond_mult[v] += m
+    stats.visited_cond_count += np.asarray(cond_count, dtype=np.int64)
+    stats.visited_cond_mult += np.asarray(cond_mult, dtype=np.int64)
+    stats.visited_all_count += np.asarray(all_count, dtype=np.int64)
+    stats.visited_all_mult += np.asarray(all_mult, dtype=np.int64)
+    return stats
+
+
+def _entropy(wg: float, wb: float) -> float:
+    n = wg + wb
+    if n <= 0 or wg <= 0 or wb <= 0:
+        return 0.0
+    pg, pb = wg / n, wb / n
+    return -(pg * math.log2(pg) + pb * math.log2(pb))
+
+
+def _coord_key(p: Pred, domain: Domain) -> Tuple[int, int, int]:
+    if p.kind == "le":
+        return (p.coord, 0, int(p.k))
+    if p.kind == COORD_ACTION:
+        return (domain.n_vars, 1, domain.action_index(p.k))
+    return (domain.n_vars + 1, 1, int(p.k))
+
+
+def learn_masks(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
+                prune: bool = True) -> DTree:
+    """`dtree.learn`, one boolean mask per candidate split."""
+    if not ts.rows:
+        return DTree(Leaf(True), ts.domain)
+    domain = ts.domain
+    nv = domain.n_vars
+    m = len(ts.rows)
+    X = np.array([r.x for r in ts.rows], dtype=np.int64).reshape(m, nv)
+    act = np.array([domain.action_index(r.attr.name) if r.attr is not None else -1
+                    for r in ts.rows], dtype=np.int64)
+    mod = np.array([r.attr.module if r.attr is not None else -1
+                    for r in ts.rows], dtype=np.int64)
+    y = np.array([r.good for r in ts.rows], dtype=bool)
+    w = np.array([r.weight for r in ts.rows], dtype=np.float64)
+
+    def masked(p: Pred, idx: np.ndarray) -> np.ndarray:
+        if p.kind == "le":
+            return X[idx, p.coord] <= p.k
+        if p.kind == COORD_ACTION:
+            return act[idx] == domain.action_index(p.k)
+        return mod[idx] == p.k
+
+    def candidates(idx: np.ndarray) -> List[Pred]:
+        out: List[Pred] = []
+        for j in range(nv):
+            vals = np.unique(X[idx, j])
+            for a, b in zip(vals, vals[1:]):
+                out.append(Pred("le", j, int((int(a) + int(b)) // 2)))
+        names = sorted({int(v) for v in np.unique(act[idx]) if v >= 0})
+        out.extend(Pred(COORD_ACTION, 0, domain.action_names[v]) for v in names)
+        mods = sorted({int(v) for v in np.unique(mod[idx]) if v >= 0})
+        out.extend(Pred("module", 0, v) for v in mods)
+        return out
+
+    def grow(idx: np.ndarray) -> Node:
+        wg = float(w[idx][y[idx]].sum())
+        wb = float(w[idx][~y[idx]].sum())
+        total = wg + wb
+        majority = wg >= wb
+        err = min(wg, wb)
+        if wg == 0.0 or wb == 0.0:
+            return Leaf(majority, total, err)
+        parent_h = _entropy(wg, wb)
+        best: Optional[Tuple[float, Tuple[int, int, int], Pred, np.ndarray]] = None
+        for p in candidates(idx):
+            mask = masked(p, idx)
+            wl = float(w[idx][mask].sum())
+            wr = total - wl
+            if wl < min_leaf or wr < min_leaf:
+                continue
+            wlg = float(w[idx][mask & y[idx]].sum())
+            wrg = wg - wlg
+            gain = parent_h - (wl * _entropy(wlg, wl - wlg)
+                               + wr * _entropy(wrg, wr - wrg)) / total
+            if gain <= 1e-12:
+                continue
+            key = _coord_key(p, domain)
+            if best is None or gain > best[0] + 1e-12 or (
+                    abs(gain - best[0]) <= 1e-12 and key < best[1]):
+                best = (gain, key, p, mask)
+        if best is None:
+            for p in sorted(candidates(idx),
+                            key=lambda c: _coord_key(c, domain)):
+                mask = masked(p, idx)
+                wl = float(w[idx][mask].sum())
+                if wl < min_leaf or total - wl < min_leaf:
+                    continue
+                if not mask.any() or mask.all():
+                    continue
+                return Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
+            return Leaf(majority, total, err)
+        _, _, p, mask = best
+        return Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
+
+    root = grow(np.arange(m))
+    if prune:
+        root, _ = _prune(root, _upper_z(confidence))
+    return DTree(root, domain)

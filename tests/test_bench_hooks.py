@@ -58,3 +58,26 @@ def test_distill_opens_every_layer_span():
     for name in ("strategy.evaluate", "core.induce_chain", "core.reach_exact",
                  "dtree.induce", "dtree.learn", "importance.simulate"):
         assert name in opened, name
+
+
+def test_capture_hook_sees_one_simulation(monkeypatch):
+    # perfbench/run.py reads the RunStats by wrapping cli.simulate_batched
+    from mdpdistill import cli
+    from mdpdistill.importance import RunStats
+    simulate = cli.simulate_batched
+    captured = []
+
+    def capture(*a, **kw):
+        stats = simulate(*a, **kw)
+        captured.append(stats)
+        return stats
+
+    monkeypatch.setattr(cli, "simulate_batched", capture)
+    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["distill", "--model", str(model), "--runs", "700",
+                       "--threads", "1"])
+    assert rc == 0
+    assert len(captured) == 1
+    assert isinstance(captured[0], RunStats)
+    assert captured[0].total_runs == 700

@@ -318,7 +318,10 @@ def test_unknown_flag_exits_two(models, capsys):
     ["distill", "--min-leaf", "abc"],
     ["distill", "--min-leaf", "0"],
     ["solve", "--model", "."],
-], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory"])
+    ["distill", "--threads", "0"],
+    ["distill", "--threads", "-3"],
+], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
+        "threads-zero", "threads-negative"])
 def test_bad_input_exits_two_without_traceback(models, argv):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]

@@ -1,6 +1,7 @@
 """Decision-tree learning, pruning, serialization and the size search."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal
 
 from conftest import random_mdp
-from oracles import induce_by_classify
+from oracles import induce_by_classify, learn_masks
 
 
 def membership_set(domain_hi, positives, lo=1):
@@ -304,6 +305,72 @@ def test_induce_skips_target(fig1):
     assert fallback == []
     assert 1 not in induced.choice
     assert set(induced.choice) == set(range(9)) - {1}
+
+
+# ------------------------------------------------- split scan vs mask loop
+
+def _distill_set(mdp):
+    sigma = extract_liberal(mdp, value_iteration(mdp, 1e-6))
+    stats = simulate(mdp, sigma, 10000, seed=1)
+    return sigma, build_training_set(mdp, sigma, importance_of(stats, "DP").weights,
+                                     runs=10000)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_learn_matches_mask_loop_on_every_probe(name, request):
+    mdp = request.getfixturevalue(name)
+    sigma, ts = _distill_set(mdp)
+    reference = evaluate(mdp, sigma)
+    fit = fit_max_leaf(
+        ts, lambda t: evaluate(mdp, induce_strategy(mdp, t)[0]) >= 0.99 * reference)
+    assert len(fit.tried) > 1 or name == "sync2"
+    for leaf, _ in fit.tried:
+        for prune in (True, False):
+            assert export_json(learn(ts, min_leaf=leaf, prune=prune)) == export_json(
+                learn_masks(ts, min_leaf=leaf, prune=prune)), (leaf, prune)
+
+
+def _random_set(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(1, 3)
+    names = ("a", "b", "c")[:rng.randint(1, 3)]
+    modules = rng.randint(1, 3)
+    dom = Domain(tuple((f"x{j}", 0, 5) for j in range(nv)), names, modules)
+    rows = []
+    for _ in range(rng.randint(1, 30)):
+        attr = (None if rng.random() < 0.2 else
+                ActionAttr(rng.choice(names), rng.randrange(modules)))
+        rows.append(TrainRow(tuple(rng.randint(0, 5) for _ in range(nv)), attr,
+                             rng.random() < 0.5, rng.randint(1, 4)))
+    if seed % 3 == 0:
+        # an XOR pattern on x0 and a second coordinate: every single split
+        # has zero gain, so the grower falls back to the first valid split
+        other = 1 if nv > 1 else None
+        rows = [TrainRow(tuple(a if j == 0 else (b if j == other else 0)
+                               for j in range(nv)), attr, (a != b), 2)
+                for a in (0, 1) for b in (0, 1)
+                for attr in (ActionAttr("a", 0), None)]
+        dom = Domain(dom.var_decls, ("a",), 1)
+    return TrainingSet(dom, rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_learn_matches_mask_loop_on_random_sets(seed):
+    ts = _random_set(seed)
+    for leaf in (1, 2, 3, 5, 9):
+        for prune in (True, False):
+            assert export_json(learn(ts, min_leaf=leaf, prune=prune)) == export_json(
+                learn_masks(ts, min_leaf=leaf, prune=prune)), (leaf, prune)
+
+
+def test_balanced_boundary_takes_the_fallback_split():
+    # x0 xor x1, equal weights: no split gains, yet the rows are separable
+    dom = Domain((("x0", 0, 1), ("x1", 0, 1)), (), 1)
+    rows = [TrainRow((a, b), None, a != b, 2) for a in (0, 1) for b in (0, 1)]
+    t = learn(TrainingSet(dom, rows), prune=False)
+    assert t.root.pred == Pred("le", 0, 0)
+    assert [t.classify((a, b)) for a in (0, 1) for b in (0, 1)] == [
+        False, True, True, False]
 
 
 # ------------------------------------------------------------- size search

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mdpdistill import importance
 from mdpdistill.core import (ActionAttr, LiberalStrategy, MdpError,
                              reach_exact, induce_chain)
 from mdpdistill.importance import (Domain, ImportanceResult, RunStats,
@@ -12,7 +13,7 @@ from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal
 
 from conftest import random_mdp
-from oracles import horizon_importance
+from oracles import horizon_importance, simulate_rows
 
 
 def _opt(mdp):
@@ -121,6 +122,67 @@ def test_simulate_step_cap():
     assert capped.target_runs == 0
     assert capped.visited_all_count[m.initial] == 100
     assert capped.visited_all_count.sum() == 100  # nothing else visited
+
+
+def test_truncated_runs_all_at_zero_cap(fig1):
+    stats = simulate(fig1, _opt(fig1), 100, seed=3, max_steps=0)
+    assert stats.truncated_runs == 100
+
+
+def test_truncated_runs_some_at_small_cap(mutex):
+    strat = _opt(mutex)
+    capped = simulate(mutex, strat, 1000, seed=3, max_steps=4)
+    # at 4 steps some runs are cut, some hit, and some are already doomed
+    assert 0 < capped.truncated_runs < capped.total_runs - capped.target_runs
+    assert simulate(mutex, strat, 1000, seed=3).truncated_runs == 0
+    front = simulate(mutex, strat, 400, seed=3, max_steps=4)
+    back = simulate(mutex, strat, 600, seed=3, max_steps=4, first_run=400)
+    assert front.merge(back).truncated_runs == capped.truncated_runs
+
+
+def _same_stats(a, b):
+    assert (a.n_states, a.total_runs, a.target_runs, a.truncated_runs) == (
+        b.n_states, b.total_runs, b.target_runs, b.truncated_runs)
+    for f in ("visited_cond_count", "visited_cond_mult",
+              "visited_all_count", "visited_all_mult"):
+        assert getattr(a, f).dtype == getattr(b, f).dtype == np.int64
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_simulate_matches_run_loop(name, request):
+    m = request.getfixturevalue(name)
+    strat = _opt(m)
+    _same_stats(simulate(m, strat, 10000, seed=1),
+                simulate_rows(m, strat, 10000, seed=1))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_simulate_matches_run_loop_on_random_models(seed):
+    m = random_mdp(seed)
+    strat = LiberalStrategy({})  # uniform everywhere
+    _same_stats(simulate(m, strat, 300, seed=seed),
+                simulate_rows(m, strat, 300, seed=seed))
+
+
+@pytest.mark.parametrize("runs,first_run,max_steps", [
+    (0, 0, 1_000_000), (1, 0, 1_000_000), (2047, 3, 1_000_000),
+    (2048, 0, 1_000_000), (2049, 2048, 1_000_000), (4097, 11, 1_000_000),
+    (3000, 5, 0), (3000, 5, 1), (3000, 5, 3)])
+def test_simulate_matches_run_loop_across_blocks(mutex, runs, first_run, max_steps):
+    strat = _opt(mutex)
+    _same_stats(simulate(mutex, strat, runs, seed=6, first_run=first_run,
+                         max_steps=max_steps),
+                simulate_rows(mutex, strat, runs, seed=6, first_run=first_run,
+                              max_steps=max_steps))
+
+
+def test_simulate_matches_run_loop_when_visits_are_tallied_early(sync2, monkeypatch):
+    # a tiny limit tallies the held visits every few steps
+    monkeypatch.setattr(importance, "_PENDING", 2)
+    strat = _opt(sync2)
+    _same_stats(simulate(sync2, strat, 2500, seed=2),
+                simulate_rows(sync2, strat, 2500, seed=2))
 
 
 def test_simulated_importance_near_exact(fig1):
