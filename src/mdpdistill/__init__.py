@@ -10,8 +10,8 @@ representations (`bdd`).
 
 from .build import build_mdp, export_flat, load_model, parse_flat, sniff_and_load
 from .core import (Action, ActionAttr, LiberalStrategy, MarkovChain, Mdp,
-                   MdpError, Mec, induce_chain, max_reach_exact, mec_decompose,
-                   reach_exact)
+                   MdpError, Mec, MecDecomposition, induce_chain, max_reach_exact,
+                   mec_decompose, reach_exact)
 from .dtree import DTree, export_dot, export_json, fit_max_leaf, import_json, learn
 from .importance import (Domain, ImportanceResult, RunStats, TrainingSet,
                          build_training_set, exact_importance, importance_of,
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "ActionAttr", "BitLayout", "DTree", "Domain", "ImportanceResult",
-    "LiberalStrategy", "MarkovChain", "Mdp", "MdpError", "Mec", "ModelError",
-    "RunStats", "StrategyStore", "TrainingSet", "ValidityReport", "ValueApprox",
+    "LiberalStrategy", "MarkovChain", "Mdp", "MdpError", "Mec", "MecDecomposition",
+    "ModelError", "RunStats", "StrategyStore", "TrainingSet", "ValidityReport", "ValueApprox",
     "brtdp", "build_mdp", "build_training_set", "check_valid",
     "consulted_dont_care", "dump_tsv", "evaluate", "exact_importance",
     "explicit_size", "export_dot", "export_flat", "export_json",

@@ -73,8 +73,8 @@ def cmd_solve(args) -> int:
         ("states", mdp.n_states),
         ("target states", len(mdp.target)),
         ("engine", va.engine),
-        ("lower", f"{va.lower_at(mdp.initial, mdp.target):.10g}"),
-        ("upper", f"{va.upper_at(mdp.initial, mdp.target):.10g}"),
+        ("lower", f"{va.state_lower[mdp.initial]:.10g}"),
+        ("upper", f"{va.state_upper[mdp.initial]:.10g}"),
         ("gap", f"{va.gap:.3g}"),
         ("explored", f"{len(va.explored)} ({100.0 * len(va.explored) / mdp.n_states:.1f}%)"),
         ("converged", "yes" if va.converged else "no"),
@@ -110,14 +110,20 @@ def _fit_tree(mdp, ts, reference, args):
     """Learn at a fixed leaf size, or search for the largest one in budget.
 
     Returns the tree, its leaf size, and the value and fallback states of
-    the strategy it induces, each tree being induced and evaluated once.
+    the strategy it induces. Each tree is induced once, and each distinct
+    induced strategy evaluated once: the value depends only on the row mask,
+    which is all that `induce_chain` reads.
     """
     probed = []
+    values = {}
 
     def probe(t: dtree.DTree) -> float:
         induced, fallback = dtree.induce_strategy(mdp, t)
-        probed.append((t, strat.evaluate(mdp, induced), fallback))
-        return probed[-1][1]
+        key = induced.row_mask(mdp).tobytes()
+        if key not in values:
+            values[key] = strat.evaluate(mdp, induced)
+        probed.append((t, values[key], fallback))
+        return values[key]
 
     if args.min_leaf != "auto":
         tree = dtree.learn(ts, min_leaf=args.min_leaf,
@@ -144,7 +150,7 @@ def cmd_distill(args) -> int:
     _print_kv([
         ("states", mdp.n_states),
         ("engine", va.engine),
-        ("value bound", f"{va.lower_at(mdp.initial, mdp.target):.10g}"),
+        ("value bound", f"{va.state_lower[mdp.initial]:.10g}"),
         ("strategy value", f"{reference:.10g}"),
         ("kept states", len(trunc.choice)),
         ("training rows", len(ts.rows)),
@@ -179,7 +185,7 @@ def cmd_compare(args) -> int:
         ("dtree", tree.size, tree_value),
     ]
     print(f"model: {args.model}  states: {mdp.n_states}  "
-          f"value: {va.lower_at(mdp.initial, mdp.target):.6g}  min leaf: {used_leaf}")
+          f"value: {va.state_lower[mdp.initial]:.6g}  min leaf: {used_leaf}")
     print(f"{'store':<10} {'size':>8} {'value':>14} {'rel error':>10}")
     lines = ["store,size,value,rel_error"]
     for name, size, value in rows:

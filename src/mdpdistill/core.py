@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,11 +140,6 @@ class Mdp:
                                   n * width).reshape(n, width),
             is_target=is_target,
         )
-
-    def predecessors(self) -> List[List[int]]:
-        """preds[t] = states with some action giving positive mass to t."""
-        # the uniform strategy's chain has an edge wherever some action does
-        return induce_chain(self, LiberalStrategy()).P.T.tolil().rows.tolist()
 
 
 @dataclass(frozen=True)
@@ -305,109 +300,100 @@ def reachable(graph: sp.spmatrix, sources) -> np.ndarray:
     return mask[:n]
 
 
-# --------------------------------------------------------------------------
-# Strongly connected components (iterative Tarjan; grid-sized graphs blow the
-# recursion limit otherwise).
-
-def strongly_connected_components(n: int, succ: Sequence[Sequence[int]]) -> List[List[int]]:
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
+def strong_components(graph: sp.csr_matrix) -> np.ndarray:
+    """Strongly connected component of each node, numbered by smallest member."""
+    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    first = np.unique(labels, return_index=True)[1]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]
 
 
-def mec_decompose(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
-    """Maximal end components, sorted by smallest member state.
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(a, b) over the pairs of starts and stops."""
+    lengths = stops - starts
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
-    Standard fixpoint: restrict to candidate state sets, drop actions leaving
-    the candidate, drop states left with no action, split along SCCs of the
-    remaining graph, repeat.  `restrict` limits the search to a state subset
-    (actions touching outside states count as leaving).
+
+@dataclass(frozen=True)
+class MecDecomposition:
+    """Maximal end components of one model, as arrays over its SparseView.
+
+    MECs are numbered by their smallest member state. A row is internal when
+    its state lies in a MEC and every successor lies in the same MEC; these
+    are the actions that keep a run inside the component.
     """
-    if restrict is None:
-        universe = list(range(mdp.n_states))
-    else:
-        universe = sorted(restrict)
-    work = [universe]
-    mecs: List[Mec] = []
-    while work:
-        cand = work.pop()
-        members = set(cand)
-        # prune to the sub-MDP fully inside `members`
+
+    mec_of: np.ndarray  # (states,) MEC id of each state, -1 outside every MEC
+    internal: np.ndarray  # (rows,) bool
+    count: int
+
+    def touching(self, states: np.ndarray) -> np.ndarray:
+        """(count,) bool: the MECs holding one of the states in the mask."""
+        return np.bincount(self.mec_of[states & (self.mec_of >= 0)],
+                           minlength=self.count) > 0
+
+    def to_list(self, mdp: Mdp) -> List[Mec]:
+        """The MECs as `Mec` objects, in id order."""
+        v = mdp.sparse
+        members: List[List[int]] = [[] for _ in range(self.count)]
+        for s in np.flatnonzero(self.mec_of >= 0).tolist():
+            members[self.mec_of[s]].append(s)
+        rows = np.flatnonzero(self.internal)
+        owner = v.row_state[rows]
         acts: Dict[int, List[int]] = {}
-        changed = True
-        while changed:
-            changed = False
-            for s in list(members):
-                keep = [i for i, a in enumerate(mdp.actions[s])
-                        if all(t in members for t in a.succs)]
-                acts[s] = keep
-                if not keep:
-                    members.discard(s)
-                    changed = True
-        if not members:
-            continue
-        order = sorted(members)
-        pos = {s: k for k, s in enumerate(order)}
-        succ = [[] for _ in order]
-        for s in order:
-            nbrs = set()
-            for i in acts[s]:
-                nbrs.update(mdp.actions[s][i].succs)
-            succ[pos[s]] = sorted(pos[t] for t in nbrs)
-        comps = strongly_connected_components(len(order), succ)
-        if len(comps) == 1 and len(comps[0]) == len(order):
-            mecs.append(Mec(frozenset(order), {s: tuple(acts[s]) for s in order}))
-        else:
-            for comp in comps:
-                sub = [order[k] for k in comp]
-                # singleton without a self-looping action can never be an EC
-                if len(sub) == 1:
-                    s = sub[0]
-                    if not any(all(t == s for t in mdp.actions[s][i].succs) for i in acts[s]):
-                        continue
-                work.append(sub)
-    mecs.sort(key=lambda m: min(m.states))
-    return mecs
+        for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+            acts.setdefault(s, []).append(i)
+        return [Mec(frozenset(m), {s: tuple(acts[s]) for s in m}) for m in members]
+
+
+def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
+    """Maximal end components, by the fixpoint of de Alfaro (1997).
+
+    Every state starts in one candidate. Each round keeps the rows whose
+    successors all share their state's candidate, drops states left with no
+    such row, and splits the candidates into the strongly connected
+    components of the kept rows; it stops when a round changes nothing. A
+    singleton without a self-looping row loses its rows in the next round.
+    `restrict` limits the search to a set of states (rows reaching outside
+    it count as leaving), and the work to their rows.
+    """
+    v = mdp.sparse
+    if restrict is None:
+        states = np.arange(mdp.n_states)
+    else:
+        states = np.unique(np.fromiter(restrict, np.int64))
+    m = len(states)
+    rows = _ranges(v.row_start[states], v.row_start[states + 1])
+    owner = np.repeat(np.arange(m), v.row_start[states + 1] - v.row_start[states])
+    ptr = v.branches.indptr
+    entry_row = np.repeat(np.arange(len(rows)), ptr[rows + 1] - ptr[rows])
+    entry_owner = owner[entry_row]
+    local = np.full(mdp.n_states, m)  # m stands for every state outside `states`
+    local[states] = np.arange(m)
+    col = local[v.branches.indices[_ranges(ptr[rows], ptr[rows + 1])]]
+    cand = np.zeros(m, dtype=np.int64)
+    while True:
+        padded = np.append(cand, -2)  # the outside never matches a candidate
+        leaving = padded[col] != cand[entry_owner]
+        keep = (cand[owner] >= 0) & (np.bincount(entry_row[leaving], minlength=len(rows)) == 0)
+        alive = np.bincount(owner[keep], minlength=m) > 0
+        kept = keep[entry_row]
+        # rows and their entries are in state order, so the kept entries form CSR rows
+        graph = sp.csr_matrix(
+            (np.ones(int(kept.sum()), dtype=bool), col[kept],
+             np.concatenate(([0], np.cumsum(np.bincount(entry_owner[kept], minlength=m))))),
+            shape=(m, m))
+        new = np.where(alive, strong_components(graph), -1)
+        if np.array_equal(new, cand):
+            break
+        cand = new
+    ids = np.unique(cand[cand >= 0])
+    mec_of = np.full(mdp.n_states, -1, dtype=np.int64)
+    mec_of[states] = np.where(cand >= 0, np.searchsorted(ids, cand), -1)
+    internal = np.zeros(len(v.row_state), dtype=bool)
+    internal[rows] = keep
+    return MecDecomposition(mec_of, internal, len(ids))
 
 
 def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
@@ -492,60 +478,46 @@ class Quotient:
     zero_nodes: np.ndarray  # bool mask: no path to a target node
 
 
-def build_quotient(mdp: Mdp, mecs: List[Mec]) -> Quotient:
+def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
+    """Collapse every MEC into one node; its internal rows vanish.
+
+    Nodes are numbered in order of their smallest state. The rows of R are
+    the external rows grouped by owner node, in state and action order
+    within a node; branches into one node are added in declaration order.
+    """
+    v = mdp.sparse
     n = mdp.n_states
-    node_of = np.full(n, -1, dtype=np.int64)
-    mec_of: Dict[int, int] = {}
-    for k, mec in enumerate(mecs):
-        for s in mec.states:
-            mec_of[s] = k
-    nxt = 0
-    mec_node = [-1] * len(mecs)
-    for s in range(n):
-        if s in mec_of:
-            k = mec_of[s]
-            if mec_node[k] == -1:
-                mec_node[k] = nxt
-                nxt += 1
-            node_of[s] = mec_node[k]
-        else:
-            node_of[s] = nxt
-            nxt += 1
-    q = nxt
+    members = np.flatnonzero(mecs.mec_of >= 0)
+    # MECs are numbered by smallest member, so their first members come in id order
+    first = members[np.unique(mecs.mec_of[members], return_index=True)[1]]
+    rep = np.arange(n)
+    rep[members] = first[mecs.mec_of[members]]
+    head = rep == np.arange(n)
+    node_of = (np.cumsum(head) - 1)[rep]
+    q = int(head.sum())
 
     target_nodes = np.zeros(q, dtype=bool)
-    for t in mdp.target:
-        target_nodes[node_of[t]] = True
+    target_nodes[node_of[v.is_target]] = True
 
-    # external rows per node (internal MEC actions vanish in the quotient)
-    rows_by_node: List[List[Tuple[Tuple[int, ...], Tuple[float, ...]]]] = [[] for _ in range(q)]
-    for s in range(n):
-        in_mec = s in mec_of
-        mec = mecs[mec_of[s]] if in_mec else None
-        for i, a in enumerate(mdp.actions[s]):
-            if in_mec and all(t in mec.states for t in a.succs):
-                continue
-            mass: Dict[int, float] = {}
-            for t, p in zip(a.succs, a.probs):
-                u = int(node_of[t])
-                mass[u] = mass.get(u, 0.0) + p
-            succs = tuple(sorted(mass))
-            rows_by_node[node_of[s]].append((succs, tuple(mass[u] for u in succs)))
-
-    data, ind, indptr = [], [], [0]
-    starts, owners = [], []
-    row_count = 0
-    for u in range(q):
-        if target_nodes[u] or not rows_by_node[u]:
-            continue
-        owners.append(u)
-        starts.append(row_count)
-        for succs, probs in rows_by_node[u]:
-            ind.extend(succs)
-            data.extend(probs)
-            indptr.append(len(ind))
-            row_count += 1
-    R = sp.csr_matrix((data, ind, indptr), shape=(row_count, q))
+    row_node = node_of[v.row_state]
+    sel = np.flatnonzero(~mecs.internal & ~target_nodes[row_node])
+    sel = sel[np.argsort(row_node[sel], kind="stable")]
+    ptr = v.branches.indptr
+    entries = _ranges(ptr[sel], ptr[sel + 1])
+    row = np.repeat(np.arange(len(sel)), ptr[sel + 1] - ptr[sel])
+    key = row * q + node_of[v.branches.indices[entries]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first_of_group = np.ones(len(key), dtype=bool)
+    first_of_group[1:] = key[1:] != key[:-1]
+    group_key = key[first_of_group]
+    # bincount adds the branches of each (row, node) group in the stable order
+    R = sp.csr_matrix(
+        (np.bincount(np.cumsum(first_of_group) - 1, weights=v.branches.data[entries[order]]),
+         group_key % q,
+         np.concatenate(([0], np.cumsum(np.bincount(group_key // q, minlength=len(sel)))))),
+        shape=(len(sel), q))
+    owners, starts = np.unique(row_node[sel], return_index=True)
     has_rows = np.zeros(q, dtype=bool)
     has_rows[owners] = True
 
@@ -555,8 +527,7 @@ def build_quotient(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     # nodes that cannot reach a target node under any action get upper bound 0;
     # rows of target nodes are left out of R, which a backward search from
     # the targets never needs
-    row_owner = np.repeat(np.array(owners, dtype=np.int64), np.diff(starts + [row_count]))
-    edges = sp.csr_matrix((R.data, (np.repeat(row_owner, np.diff(R.indptr)), R.indices)),
+    edges = sp.csr_matrix((R.data, (np.repeat(row_node[sel], np.diff(R.indptr)), R.indices)),
                           shape=(q, q))
     reach_mask = reachable(edges.T, np.flatnonzero(target_nodes))
 
@@ -564,8 +535,8 @@ def build_quotient(mdp: Mdp, mecs: List[Mec]) -> Quotient:
         num_nodes=q,
         node_of=node_of,
         R=R,
-        row_starts=np.array(starts, dtype=np.int64),
-        nodes_with_rows=np.array(owners, dtype=np.int64),
+        row_starts=starts.astype(np.int64),
+        nodes_with_rows=owners.astype(np.int64),
         frozen_value=frozen,
         has_rows=has_rows,
         target_nodes=target_nodes,

@@ -12,44 +12,39 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import (Mdp, MdpError, build_quotient, derive_seed, interval_iterate,
+from .core import (Mdp, MecDecomposition, build_quotient, derive_seed, interval_iterate,
                    mec_decompose)
 
 
 @dataclass
 class ValueApprox:
-    """Reachability bounds: lower per state-action pair, lower and upper per state.
+    """Reachability bounds: lower per action row, lower and upper per state.
 
-    The per-pair lower table is the object downstream steps consume: it is a
-    valid eps-underapproximation of the optimal pair values (see check_valid
-    for the individual conditions). `explored` lists the states the engine
-    actually computed bounds for; with value iteration that is every state.
+    The per-pair lower table, one entry per row of `mdp.sparse`, is the
+    object downstream steps consume: it is a valid eps-underapproximation
+    of the optimal pair values (see check_valid for the individual
+    conditions). `explored` lists, in ascending order, the states the
+    engine actually computed bounds for; with value iteration that is
+    every state. Elsewhere the tables hold the defaults: pair value 0,
+    state lower bound 1 at targets and 0 otherwise, state upper bound 1.
+    `mecs` are the model's MECs when the engine built them.
     """
 
-    pair_lower: Dict[Tuple[int, int], float]
-    state_lower: Dict[int, float]
-    state_upper: Dict[int, float]
+    pair_lower: np.ndarray
+    state_lower: np.ndarray
+    state_upper: np.ndarray
     epsilon: float
-    explored: FrozenSet[int]
+    explored: np.ndarray
     converged: bool
     gap: float
     engine: str
     episodes: int = 0
     sweeps: int = 0
-
-    def lower_at(self, s: int, target: FrozenSet[int] = frozenset()) -> float:
-        if s in self.state_lower:
-            return self.state_lower[s]
-        return 1.0 if s in target else 0.0
-
-    def upper_at(self, s: int, target: FrozenSet[int] = frozenset()) -> float:
-        if s in self.state_upper:
-            return self.state_upper[s]
-        return 1.0
+    mecs: Optional[MecDecomposition] = None
 
 
 def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
@@ -59,29 +54,18 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
     mecs = mec_decompose(mdp)
     q = build_quotient(mdp, mecs)
     L, U, sweeps = interval_iterate(q, eps=eps, stop_node=int(q.node_of[mdp.initial]))
-    Ls = L[q.node_of]
-    Us = U[q.node_of]
-
-    pair_lower: Dict[Tuple[int, int], float] = {}
-    state_lower: Dict[int, float] = {}
-    state_upper: Dict[int, float] = {}
-    for s in range(mdp.n_states):
-        best_l = 0.0
-        best_u = 0.0
-        for i, a in enumerate(mdp.actions[s]):
-            lv = sum(p * Ls[t] for t, p in zip(a.succs, a.probs))
-            uv = sum(p * Us[t] for t, p in zip(a.succs, a.probs))
-            pair_lower[(s, i)] = lv
-            best_l = max(best_l, lv)
-            best_u = max(best_u, uv)
-        state_lower[s] = best_l
-        state_upper[s] = best_u
-
+    v = mdp.sparse
+    # one CSR mat-vec per bound adds each row's branches left to right
+    pair_lower = v.branches @ L[q.node_of]
+    pair_upper = v.branches @ U[q.node_of]
+    first_rows = v.row_start[:-1]
     gap = float(U[q.node_of[mdp.initial]] - L[q.node_of[mdp.initial]])
     return ValueApprox(
-        pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
-        epsilon=eps, explored=frozenset(range(mdp.n_states)),
-        converged=True, gap=gap, engine="vi", sweeps=sweeps)
+        pair_lower=pair_lower,
+        state_lower=np.maximum(np.maximum.reduceat(pair_lower, first_rows), 0.0),
+        state_upper=np.maximum(np.maximum.reduceat(pair_upper, first_rows), 0.0),
+        epsilon=eps, explored=np.arange(mdp.n_states),
+        converged=True, gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
 
 
 def _is_sink(mdp: Mdp, s: int) -> bool:
@@ -137,8 +121,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         U[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
 
     def deflate():
-        sub = frozenset(explored)
-        for mec in mec_decompose(mdp, restrict=sub):
+        for mec in mec_decompose(mdp, restrict=explored).to_list(mdp):
             if mec.states & target:
                 continue
             best = 0.0
@@ -195,22 +178,21 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
             for v in reversed(path):
                 backup(v)
 
-    pair_lower: Dict[Tuple[int, int], float] = {}
-    state_lower: Dict[int, float] = {}
-    state_upper: Dict[int, float] = {}
+    view = mdp.sparse
+    pair_lower = np.zeros(len(view.row_state))
+    state_lower = view.is_target.astype(np.float64)
+    state_upper = np.ones(mdp.n_states)
     for s in sorted(explored):
-        for i, a in enumerate(mdp.actions[s]):
-            pair_lower[(s, i)] = pair_l(s, a)
-        if s in target:
-            state_lower[s] = state_upper[s] = 1.0
-        else:
-            state_lower[s] = max(pair_lower[(s, i)] for i in range(len(mdp.actions[s])))
+        vals = [pair_l(s, a) for a in mdp.actions[s]]
+        pair_lower[view.row_start[s]:view.row_start[s + 1]] = vals
+        if s not in target:
+            state_lower[s] = max(vals)
             state_upper[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
 
     gap = uval(s0) - lval(s0)
     return ValueApprox(
         pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
-        epsilon=eps, explored=frozenset(explored),
+        epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
         converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
 
 
@@ -243,47 +225,47 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray,
        components with value zero need no exit.
     """
     rep = ValidityReport()
-    target = mdp.target
+    v = mdp.sparse
+    explored = np.zeros(mdp.n_states, dtype=bool)
+    explored[va.explored] = True
+    recorded = explored[v.row_state]
+    pl = va.pair_lower
 
-    for (s, i), v in va.pair_lower.items():
-        a = mdp.actions[s][i]
-        opt = sum(p * exact[t] for t, p in zip(a.succs, a.probs))
-        if v > opt + tol:
-            rep.lower_bound_ok = False
-            rep.messages.append(
-                f"pair ({s},{i}): lower bound {v:.12g} exceeds optimum {opt:.12g}")
+    def pair(r: int) -> str:
+        s = int(v.row_state[r])
+        return f"({s},{r - v.row_start[s]})"
 
-    v0 = va.lower_at(mdp.initial, target)
+    opt = v.branches @ exact
+    for r in np.flatnonzero(recorded & (pl > opt + tol)):
+        rep.lower_bound_ok = False
+        rep.messages.append(
+            f"pair {pair(r)}: lower bound {pl[r]:.12g} exceeds optimum {opt[r]:.12g}")
+
+    v0 = va.state_lower[mdp.initial]
     if exact[mdp.initial] - v0 > va.epsilon + tol:
         rep.initial_gap_ok = False
         rep.messages.append(
             f"initial state: optimum {exact[mdp.initial]:.12g} minus bound "
             f"{v0:.12g} exceeds eps={va.epsilon}")
 
-    for (s, i), v in va.pair_lower.items():
-        a = mdp.actions[s][i]
-        succ_val = sum(p * va.lower_at(t, target) for t, p in zip(a.succs, a.probs))
-        if v > succ_val + tol:
-            rep.bellman_ok = False
-            rep.messages.append(
-                f"pair ({s},{i}): value {v:.12g} above successor combination {succ_val:.12g}")
+    succ_val = v.branches @ va.state_lower
+    for r in np.flatnonzero(recorded & (pl > succ_val + tol)):
+        rep.bellman_ok = False
+        rep.messages.append(
+            f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
 
-    for mec in mec_decompose(mdp):
-        if mec.states & target:
-            continue
-        pairs = [(s, i) for s in mec.states
-                 for i in range(len(mdp.actions[s])) if (s, i) in va.pair_lower]
-        if not pairs:
-            continue
-        best = max(va.pair_lower[p] for p in pairs)
-        if best <= tol:
-            continue
-        has_exit = any(
-            i not in set(mec.actions.get(s, ())) and va.pair_lower[(s, i)] >= best - tol
-            for s, i in pairs)
-        if not has_exit:
-            rep.mec_exit_ok = False
-            rep.messages.append(
-                f"end component {sorted(mec.states)[:8]}: no exiting pair matches "
-                f"best value {best:.12g}")
+    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
+    k_of = mecs.mec_of[v.row_state]
+    rows = recorded & (k_of >= 0)
+    rows[rows] = ~mecs.touching(v.is_target)[k_of[rows]]
+    best = np.full(mecs.count, -np.inf)
+    np.maximum.at(best, k_of[rows], pl[rows])
+    exits = np.flatnonzero(rows & ~mecs.internal)
+    exits = exits[pl[exits] >= best[k_of[exits]] - tol]
+    has_exit = np.bincount(k_of[exits], minlength=mecs.count) > 0
+    for k in np.flatnonzero((best > tol) & ~has_exit):
+        rep.mec_exit_ok = False
+        rep.messages.append(
+            f"end component {np.flatnonzero(mecs.mec_of == k)[:8].tolist()}: no exiting "
+            f"pair matches best value {best[k]:.12g}")
     return rep

@@ -11,92 +11,62 @@ run to an exit almost surely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, Mec,
-                   induce_chain, mec_decompose, reach_exact, reachable)
+from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, induce_chain,
+                   mec_decompose, reach_exact, reachable)
 from .solver import ValueApprox
 
 
-def extract_liberal(mdp: Mdp, va: ValueApprox, *, mecs: Optional[List[Mec]] = None,
-                    tie_tol: float = 1e-9, exit_union: bool = False) -> LiberalStrategy:
+def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
+                    exit_union: bool = False) -> LiberalStrategy:
     """Liberal strategy over the explored states of a value approximation.
 
     Non-member states pick all value-maximal actions. For each end component
-    (computed within the explored set, matching what the engines deflate):
-    with `exit_union` every member state keeps its internal actions plus any
-    maximal exits it owns; otherwise only the states owning a maximal exit
-    are defined by it, and the rest keep their internal actions.
+    (the engine's own when it built them, else computed within the explored
+    set, matching what the engines deflate): with `exit_union` every member
+    state keeps its internal actions plus any maximal exits it owns;
+    otherwise only the states owning a maximal exit are defined by it, and
+    the rest keep their internal actions. Target states are absorbing;
+    leaving them open keeps the placeholder self-loop out of the explicit
+    description.
     """
-    explored = va.explored
-    if mecs is None:
-        if len(explored) == mdp.n_states:
-            mecs = mec_decompose(mdp)
-        else:
-            mecs = mec_decompose(mdp, restrict=explored)
-    member: Dict[int, int] = {}
-    for k, mec in enumerate(mecs):
-        for s in mec.states:
-            member[s] = k
+    v = mdp.sparse
+    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp, restrict=va.explored)
+    explored = np.zeros(mdp.n_states, dtype=bool)
+    explored[va.explored] = True
+    pl = va.pair_lower
+    owner = v.row_state
 
-    choice: Dict[int, FrozenSet[int]] = {}
+    free = explored & (mecs.mec_of < 0)
+    best = np.maximum.reduceat(pl, v.row_start[:-1])
+    selected = free[owner] & (pl >= best[owner] - tie_tol)
 
-    def pl(s: int, i: int) -> float:
-        return va.pair_lower.get((s, i), 0.0)
-
-    for s in sorted(explored):
-        if s in member:
-            continue
-        vals = [pl(s, i) for i in range(len(mdp.actions[s]))]
-        best = max(vals)
-        choice[s] = frozenset(i for i, v in enumerate(vals) if v >= best - tie_tol)
-
-    for k, mec in enumerate(mecs):
-        if mec.states & mdp.target:
-            # target states are absorbing; leaving them open keeps the
-            # placeholder self-loop out of the explicit description
-            continue
-        states = sorted(mec.states & explored)
-        if not states:
-            continue
-        external: List[Tuple[int, int]] = []
-        best_val = 0.0
-        for s in states:
-            internal = set(mec.actions.get(s, ()))
-            for i in range(len(mdp.actions[s])):
-                if i in internal:
-                    continue
-                external.append((s, i))
-                best_val = max(best_val, pl(s, i))
-        positive = any(pl(s, i) > tie_tol
-                       for s in states for i in range(len(mdp.actions[s])))
-        if positive and not external:
-            raise MdpError(
-                f"end component {k} ({sorted(mec.states)[:8]}) carries positive "
-                "value but has no exiting action; bounds are not usable")
-        exits: Dict[int, List[int]] = {}
-        for s, i in external:
-            if pl(s, i) >= best_val - tie_tol:
-                exits.setdefault(s, []).append(i)
-        for s in states:
-            internal = tuple(mec.actions.get(s, ()))
-            if exit_union:
-                picked = set(internal) | set(exits.get(s, ()))
-            elif s in exits:
-                picked = set(exits[s])
-            else:
-                picked = set(internal)
-            if not picked:
-                # member state with no internal action can only happen for
-                # partially explored components; fall back to value argmax
-                vals = [pl(s, i) for i in range(len(mdp.actions[s]))]
-                best = max(vals)
-                picked = {i for i, v in enumerate(vals) if v >= best - tie_tol}
-            choice[s] = frozenset(picked)
-
-    return LiberalStrategy(choice)
+    member = explored & (mecs.mec_of >= 0)
+    member[member] = ~mecs.touching(v.is_target)[mecs.mec_of[member]]
+    in_mec = member[owner]
+    k_of = mecs.mec_of[owner]
+    external = in_mec & ~mecs.internal
+    best_exit = np.zeros(mecs.count)
+    np.maximum.at(best_exit, k_of[external], pl[external])
+    positive = np.bincount(k_of[in_mec & (pl > tie_tol)], minlength=mecs.count) > 0
+    stuck = np.flatnonzero(positive & (np.bincount(k_of[external], minlength=mecs.count) == 0))
+    if len(stuck):
+        k = int(stuck[0])
+        raise MdpError(
+            f"end component {k} ({np.flatnonzero(mecs.mec_of == k)[:8].tolist()}) carries "
+            "positive value but has no exiting action; bounds are not usable")
+    exits = external.copy()
+    exits[external] = pl[external] >= best_exit[k_of[external]] - tie_tol
+    internal = in_mec & mecs.internal
+    if exit_union:
+        selected |= internal | exits
+    else:
+        owns_exit = np.bincount(owner[exits], minlength=mdp.n_states) > 0
+        selected |= np.where(owns_exit[owner], exits, internal)
+    return LiberalStrategy.from_rows(mdp, selected, free | member)
 
 
 def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:

@@ -7,8 +7,9 @@ rational path summation. Only usable on tiny models; the tests freeze the
 numbers these produce.
 
 The per-state loops at the end (`induce_rows`, `reach_rows`,
-`evaluate_rows`, `induce_by_classify`, `simulate_rows`, `learn_masks`) are
-the plain-Python forms of the array code in `core`, `strategy`,
+`evaluate_rows`, `induce_by_classify`, `simulate_rows`, `learn_masks`,
+`tarjan`, `mecs_dict`, `quotient_dict`, `tables_dict`, `extract_dict`) are
+the plain-Python forms of the array code in `core`, `solver`, `strategy`,
 `importance` and `dtree`. They add in the same order, so the tests compare
 against them with `==`.
 """
@@ -25,9 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mdpdistill.core import (_MASK64, LiberalStrategy, MarkovChain, Mdp,
-                             MdpError, derive_seed, induce_chain, reach_exact,
-                             reachable)
+from mdpdistill.core import (_MASK64, LiberalStrategy, MarkovChain, Mdp, Mec,
+                             MdpError, Quotient, derive_seed, induce_chain,
+                             reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
 from mdpdistill.importance import Domain, RunStats, TrainingSet
@@ -412,3 +413,255 @@ def learn_masks(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0
     if prune:
         root, _ = _prune(root, _upper_z(confidence))
     return DTree(root, domain)
+
+
+# --------------------------------------------------------------------------
+# Per-state reference loops for the solver: MECs, quotient, pair tables and
+# extraction, as dicts over `mdp.actions`.
+
+def tarjan(n: int, succ: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Strongly connected components by iterative Tarjan."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    sccs: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for j in range(pi, len(succ[v])):
+                w = succ[v][j]
+                if index[w] == -1:
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return sccs
+
+
+def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
+    """`core.mec_decompose` as a work list of candidate state sets."""
+    if restrict is None:
+        universe = list(range(mdp.n_states))
+    else:
+        universe = sorted(restrict)
+    work = [universe]
+    mecs: List[Mec] = []
+    while work:
+        cand = work.pop()
+        members = set(cand)
+        # prune to the sub-MDP fully inside `members`
+        acts: Dict[int, List[int]] = {}
+        changed = True
+        while changed:
+            changed = False
+            for s in list(members):
+                keep = [i for i, a in enumerate(mdp.actions[s])
+                        if all(t in members for t in a.succs)]
+                acts[s] = keep
+                if not keep:
+                    members.discard(s)
+                    changed = True
+        if not members:
+            continue
+        order = sorted(members)
+        pos = {s: k for k, s in enumerate(order)}
+        succ = [[] for _ in order]
+        for s in order:
+            nbrs = set()
+            for i in acts[s]:
+                nbrs.update(mdp.actions[s][i].succs)
+            succ[pos[s]] = sorted(pos[t] for t in nbrs)
+        comps = tarjan(len(order), succ)
+        if len(comps) == 1 and len(comps[0]) == len(order):
+            mecs.append(Mec(frozenset(order), {s: tuple(acts[s]) for s in order}))
+        else:
+            for comp in comps:
+                sub = [order[k] for k in comp]
+                # singleton without a self-looping action can never be an EC
+                if len(sub) == 1:
+                    s = sub[0]
+                    if not any(all(t == s for t in mdp.actions[s][i].succs) for i in acts[s]):
+                        continue
+                work.append(sub)
+    mecs.sort(key=lambda m: min(m.states))
+    return mecs
+
+
+def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
+    """`core.build_quotient` with a successor dict per row."""
+    n = mdp.n_states
+    node_of = np.full(n, -1, dtype=np.int64)
+    mec_of: Dict[int, int] = {}
+    for k, mec in enumerate(mecs):
+        for s in mec.states:
+            mec_of[s] = k
+    nxt = 0
+    mec_node = [-1] * len(mecs)
+    for s in range(n):
+        if s in mec_of:
+            k = mec_of[s]
+            if mec_node[k] == -1:
+                mec_node[k] = nxt
+                nxt += 1
+            node_of[s] = mec_node[k]
+        else:
+            node_of[s] = nxt
+            nxt += 1
+    q = nxt
+
+    target_nodes = np.zeros(q, dtype=bool)
+    for t in mdp.target:
+        target_nodes[node_of[t]] = True
+
+    rows_by_node: List[List[Tuple[Tuple[int, ...], Tuple[float, ...]]]] = [[] for _ in range(q)]
+    for s in range(n):
+        in_mec = s in mec_of
+        mec = mecs[mec_of[s]] if in_mec else None
+        for i, a in enumerate(mdp.actions[s]):
+            if in_mec and all(t in mec.states for t in a.succs):
+                continue
+            mass: Dict[int, float] = {}
+            for t, p in zip(a.succs, a.probs):
+                u = int(node_of[t])
+                mass[u] = mass.get(u, 0.0) + p
+            succs = tuple(sorted(mass))
+            rows_by_node[node_of[s]].append((succs, tuple(mass[u] for u in succs)))
+
+    data, ind, indptr = [], [], [0]
+    starts, owners = [], []
+    row_count = 0
+    for u in range(q):
+        if target_nodes[u] or not rows_by_node[u]:
+            continue
+        owners.append(u)
+        starts.append(row_count)
+        for succs, probs in rows_by_node[u]:
+            ind.extend(succs)
+            data.extend(probs)
+            indptr.append(len(ind))
+            row_count += 1
+    R = sp.csr_matrix((data, ind, indptr), shape=(row_count, q))
+    has_rows = np.zeros(q, dtype=bool)
+    has_rows[owners] = True
+    frozen = np.zeros(q)
+    frozen[target_nodes] = 1.0
+    pred: List[List[int]] = [[] for _ in range(q)]
+    for u, start, stop in zip(owners, starts, starts[1:] + [row_count]):
+        for r in range(start, stop):
+            for t in ind[indptr[r]:indptr[r + 1]]:
+                pred[t].append(u)
+    reach = _search(pred, np.flatnonzero(target_nodes).tolist())
+    return Quotient(
+        num_nodes=q, node_of=node_of, R=R,
+        row_starts=np.array(starts, dtype=np.int64),
+        nodes_with_rows=np.array(owners, dtype=np.int64),
+        frozen_value=frozen, has_rows=has_rows, target_nodes=target_nodes,
+        zero_nodes=~np.array(reach, dtype=bool))
+
+
+def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):
+    """`value_iteration`'s pair and state tables, one generator sum per pair."""
+    pair_lower: Dict[Tuple[int, int], float] = {}
+    state_lower: Dict[int, float] = {}
+    state_upper: Dict[int, float] = {}
+    for s in range(mdp.n_states):
+        best_l = 0.0
+        best_u = 0.0
+        for i, a in enumerate(mdp.actions[s]):
+            lv = 0.0
+            uv = 0.0
+            for t, p in zip(a.succs, a.probs):
+                lv += p * Ls[t]
+                uv += p * Us[t]
+            pair_lower[(s, i)] = lv
+            best_l = max(best_l, lv)
+            best_u = max(best_u, uv)
+        state_lower[s] = best_l
+        state_upper[s] = best_u
+    return pair_lower, state_lower, state_upper
+
+
+def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
+                 mecs: List[Mec], *, tie_tol: float = 1e-9,
+                 exit_union: bool = False) -> LiberalStrategy:
+    """`strategy.extract_liberal` over a pair dict and a list of MECs."""
+    member: Dict[int, int] = {}
+    for k, mec in enumerate(mecs):
+        for s in mec.states:
+            member[s] = k
+
+    choice: Dict[int, FrozenSet[int]] = {}
+
+    def pl(s: int, i: int) -> float:
+        return pair_lower.get((s, i), 0.0)
+
+    for s in sorted(explored):
+        if s in member:
+            continue
+        vals = [pl(s, i) for i in range(len(mdp.actions[s]))]
+        best = max(vals)
+        choice[s] = frozenset(i for i, v in enumerate(vals) if v >= best - tie_tol)
+
+    for k, mec in enumerate(mecs):
+        if mec.states & mdp.target:
+            continue
+        states = sorted(mec.states & set(explored))
+        if not states:
+            continue
+        external: List[Tuple[int, int]] = []
+        best_val = 0.0
+        for s in states:
+            internal = set(mec.actions.get(s, ()))
+            for i in range(len(mdp.actions[s])):
+                if i in internal:
+                    continue
+                external.append((s, i))
+                best_val = max(best_val, pl(s, i))
+        positive = any(pl(s, i) > tie_tol
+                       for s in states for i in range(len(mdp.actions[s])))
+        if positive and not external:
+            raise MdpError(
+                f"end component {k} ({sorted(mec.states)[:8]}) carries positive "
+                "value but has no exiting action; bounds are not usable")
+        exits: Dict[int, List[int]] = {}
+        for s, i in external:
+            if pl(s, i) >= best_val - tie_tol:
+                exits.setdefault(s, []).append(i)
+        for s in states:
+            internal = tuple(mec.actions.get(s, ()))
+            if exit_union:
+                picked = set(internal) | set(exits.get(s, ()))
+            elif s in exits:
+                picked = set(exits[s])
+            else:
+                picked = set(internal)
+            choice[s] = frozenset(picked)
+    return LiberalStrategy(choice)

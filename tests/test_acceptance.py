@@ -87,8 +87,8 @@ def test_criterion_01_fig1_values_and_extraction():
     fig1 = fixtures.load("fig1")
     q = fig1.states.index((1, 2))
     va = value_iteration(fig1, 1e-9)
-    v0 = va.lower_at(fig1.initial, fig1.target)
-    vq = va.lower_at(q, fig1.target)
+    v0 = va.state_lower[fig1.initial]
+    vq = va.state_lower[q]
     brute = max_reach_exact(fig1)
     sigma = strat.extract_liberal(fig1, va)
     picks0 = {fig1.actions[0][i].attr.name for i in sigma.choice[0]}
@@ -271,8 +271,7 @@ def test_criterion_10_partial_exploration():
     va_b = brtdp(big, 0.02, seed=0)
     va_v = value_iteration(big, 0.02)
     frac = len(va_b.explored) / big.n_states
-    diff = abs(va_b.lower_at(big.initial, big.target)
-               - va_v.lower_at(big.initial, big.target))
+    diff = abs(va_b.state_lower[big.initial] - va_v.state_lower[big.initial])
     ok = va_b.converged and frac < 0.05 and diff <= 2 * 0.02
     assert _report(10, ok, f"explored {len(va_b.explored)}/{big.n_states} "
                            f"({frac:.2%}), engines differ by {diff:.4f}")

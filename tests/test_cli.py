@@ -189,10 +189,12 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
 
 @pytest.mark.parametrize("min_leaf", ["auto", "3"])
 def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
-    # one evaluate for the liberal strategy's reference value, then one
-    # induce and one evaluate per tree; the chosen tree is not redone
+    # one evaluate for the liberal strategy's reference value, one induce
+    # per tree, and one evaluate per distinct induced strategy (its row
+    # mask); the chosen tree is not redone
     from mdpdistill import dtree, strategy
     calls = {"evaluate": 0, "induce": 0}
+    masks = []
     fits = []
     real_evaluate, real_induce = strategy.evaluate, dtree.induce_strategy
     real_fit = dtree.fit_max_leaf
@@ -201,9 +203,11 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         calls["evaluate"] += 1
         return real_evaluate(*a)
 
-    def induce(*a):
+    def induce(mdp, tree):
         calls["induce"] += 1
-        return real_induce(*a)
+        induced, fallback = real_induce(mdp, tree)
+        masks.append(induced.row_mask(mdp).tobytes())
+        return induced, fallback
 
     def fit(*a, **kw):
         fits.append(real_fit(*a, **kw))
@@ -218,7 +222,10 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
     capsys.readouterr()
     probes = len(fits[0].tried) if fits else 1
     assert probes > 1 or min_leaf != "auto"
-    assert calls == {"evaluate": probes + 1, "induce": probes}
+    assert calls == {"evaluate": len(set(masks)) + 1, "induce": probes}
+    if min_leaf == "auto":
+        # on fig1 several trees induce the same strategy
+        assert len(set(masks)) < probes
 
 
 def test_distill_exit_union_and_modes(models, capsys):

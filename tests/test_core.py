@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
                              MarkovChain, Mdp, MdpError, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
                              make_absorbing, max_reach_exact, mec_decompose,
-                             reach_exact, strongly_connected_components)
+                             reach_exact, strong_components)
 
 from conftest import random_mdp
-from oracles import acyclic_value, brute_mecs, brute_val, induce_rows
+from oracles import (acyclic_value, brute_mecs, brute_val, induce_rows,
+                     mecs_dict, quotient_dict, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -79,6 +81,21 @@ def test_state_vector_bounds_checked():
 
 
 # ----------------------------------------------------------------------- SCC
+# `strong_components` is the SCC step of `mec_decompose`; scipy runs it with
+# Pearce's iterative variant of Tarjan's algorithm.
+
+def _graph(n, succ):
+    return sp.csr_matrix(
+        (np.ones(sum(map(len, succ)), dtype=bool), [t for row in succ for t in row],
+         np.concatenate(([0], np.cumsum([len(row) for row in succ])))), shape=(n, n))
+
+
+def _components(labels):
+    comps = {}
+    for node, label in enumerate(labels.tolist()):
+        comps.setdefault(label, set()).add(node)
+    return {frozenset(c) for c in comps.values()}
+
 
 def _brute_sccs(n, succ):
     reach = [{i} for i in range(n)]
@@ -101,8 +118,12 @@ def test_tarjan_matches_brute_force(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 9)
     succ = [[t for t in range(n) if rng.random() < 0.3] for _ in range(n)]
-    got = {frozenset(c) for c in strongly_connected_components(n, succ)}
-    assert got == _brute_sccs(n, succ)
+    labels = strong_components(_graph(n, succ))
+    assert _components(labels) == _brute_sccs(n, succ)
+    assert {frozenset(c) for c in tarjan(n, succ)} == _brute_sccs(n, succ)
+    # numbered by smallest member: each label first appears in order
+    firsts = [labels.tolist().index(k) for k in range(labels.max() + 1)]
+    assert firsts == sorted(firsts)
 
 
 def test_tarjan_is_iterative():
@@ -110,17 +131,8 @@ def test_tarjan_is_iterative():
     # implementation recurses
     n = 50000
     succ = [[(i + 1) % n] for i in range(n)]
-    comps = strongly_connected_components(n, succ)
-    assert len(comps) == 1 and len(comps[0]) == n
-
-
-def test_tarjan_reverse_topological_order():
-    # components come out with successors before predecessors
-    succ = [[1], [2], [], [2]]
-    comps = strongly_connected_components(4, succ)
-    pos = {s: i for i, c in enumerate(comps) for s in c}
-    assert pos[2] < pos[1] < pos[0]
-    assert pos[2] < pos[3]
+    labels = strong_components(_graph(n, succ))
+    assert not labels.any()
 
 
 # ----------------------------------------------------------------------- MEC
@@ -133,14 +145,47 @@ def _as_set(mecs):
 @pytest.mark.parametrize("seed", range(40))
 def test_mec_decompose_matches_brute(seed):
     m = random_mdp(seed)
-    got = _as_set(mec_decompose(m))
+    got = _as_set(mec_decompose(m).to_list(m))
     want = {(states, tuple(sorted(acts.items())))
             for states, acts in brute_mecs(m)}
     assert got == want
 
 
+def _restrict(m, seed):
+    rng = random.Random(seed + 5)
+    return frozenset(s for s in range(m.n_states) if rng.random() < 0.7)
+
+
+def _assert_mecs_match_dict_loop(m, restrict=None):
+    dec = mec_decompose(m, restrict=restrict)
+    want = mecs_dict(m, restrict)
+    assert [(x.states, x.actions) for x in dec.to_list(m)] == \
+        [(x.states, x.actions) for x in want]
+    assert dec.count == len(want)
+    # the arrays agree with the list they were read into
+    v = m.sparse
+    for k, mec in enumerate(want):
+        assert np.flatnonzero(dec.mec_of == k).tolist() == sorted(mec.states)
+    internal = [v.row_start[s] + i for mec in want for s in mec.states for i in mec.actions[s]]
+    assert np.flatnonzero(dec.internal).tolist() == sorted(internal)
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_mec_decompose_matches_dict_loop(seed):
+    m = random_mdp(seed, max_states=12, max_actions=4)
+    _assert_mecs_match_dict_loop(m)
+    _assert_mecs_match_dict_loop(m, _restrict(m, seed))
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_mec_decompose_matches_dict_loop_on_models(name, request):
+    m = request.getfixturevalue(name)
+    _assert_mecs_match_dict_loop(m)
+    _assert_mecs_match_dict_loop(m, _restrict(m, 0))
+
+
 def test_mec_on_two_state_component(tiny_mec_mdp):
-    mecs = mec_decompose(tiny_mec_mdp)
+    mecs = mec_decompose(tiny_mec_mdp).to_list(tiny_mec_mdp)
     by_states = {m.states: m for m in mecs}
     assert frozenset({1, 2}) in by_states
     spin = by_states[frozenset({1, 2})]
@@ -153,18 +198,20 @@ def test_mec_on_two_state_component(tiny_mec_mdp):
 
 def test_mec_restrict(tiny_mec_mdp):
     # restricting away state 2 breaks the spin loop
-    mecs = mec_decompose(tiny_mec_mdp, restrict=frozenset({0, 1, 3, 4}))
-    assert frozenset({1, 2}) not in {m.states for m in mecs}
-    assert frozenset({3}) in {m.states for m in mecs}
+    m = tiny_mec_mdp
+    mecs = mec_decompose(m, restrict=frozenset({0, 1, 3, 4})).to_list(m)
+    assert frozenset({1, 2}) not in {x.states for x in mecs}
+    assert frozenset({3}) in {x.states for x in mecs}
 
 
 def test_fig1_mecs_frozen(fig1):
-    got = {m.states for m in mec_decompose(fig1)}
+    mecs = mec_decompose(fig1).to_list(fig1)
+    got = {m.states for m in mecs}
     # target, the st-loop pair of waiting rooms, and four dead ends
     assert got == {frozenset({1}), frozenset({3}), frozenset({4}),
                    frozenset({5}), frozenset({6}), frozenset({7}),
                    frozenset({8})}
-    st3 = next(m for m in mec_decompose(fig1) if m.states == frozenset({3}))
+    st3 = next(m for m in mecs if m.states == frozenset({3}))
     names = [fig1.actions[3][i].attr.name for i in st3.actions[3]]
     assert names == ["st"]
 
@@ -253,6 +300,29 @@ def test_interval_iterate_stop_node(tiny_mec_mdp):
     assert abs(L[node] - 0.5) <= 1e-6
 
 
+def _assert_same_quotient(got, want):
+    assert got.num_nodes == want.num_nodes
+    for field in ("node_of", "row_starts", "nodes_with_rows", "frozen_value",
+                  "has_rows", "target_nodes", "zero_nodes"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.R.shape == want.R.shape
+    assert np.array_equal(got.R.indptr, want.R.indptr)
+    assert np.array_equal(got.R.indices, want.R.indices)
+    assert got.R.data.tobytes() == want.R.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_quotient_matches_dict_loop(seed):
+    m = random_mdp(seed, max_states=12, max_actions=4)
+    _assert_same_quotient(build_quotient(m, mec_decompose(m)), quotient_dict(m, mecs_dict(m)))
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_quotient_matches_dict_loop_on_models(name, request):
+    m = request.getfixturevalue(name)
+    _assert_same_quotient(build_quotient(m, mec_decompose(m)), quotient_dict(m, mecs_dict(m)))
+
+
 def test_quotient_freezes_targets_and_traps(tiny_mec_mdp):
     m = tiny_mec_mdp
     q = build_quotient(m, mec_decompose(m))
@@ -317,12 +387,6 @@ def test_induce_chain_rejects_bad_choices(fig1):
     # index 2 at state 0 would be the first row of state 1
     with pytest.raises(MdpError, match="out of range"):
         induce_chain(fig1, LiberalStrategy({0: frozenset({len(fig1.actions[0])})}))
-
-
-def test_predecessors(fig1):
-    preds = fig1.predecessors()
-    assert set(preds[1]) == {0, 1, 2}  # a from 0, c from 2, tau loop
-    assert preds[0] == []
 
 
 def test_derive_seed_distinct_and_stable():

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from mdpdistill.core import (LiberalStrategy, MdpError, max_reach_exact,
-                             mec_decompose)
+from mdpdistill.core import LiberalStrategy, MdpError, max_reach_exact
 from mdpdistill.dtree import fit_max_leaf, induce_strategy
 from mdpdistill.importance import (build_training_set, exact_importance,
                                    importance_of, simulate)
-from mdpdistill.solver import value_iteration
+from mdpdistill.solver import brtdp, value_iteration
 from mdpdistill.strategy import (consulted_dont_care, dump_tsv, evaluate,
                                  explicit_size, extract_liberal,
                                  reachable_under, truncate)
 
 from conftest import random_mdp
-from oracles import evaluate_rows
+from oracles import evaluate_rows, extract_dict, mecs_dict
 
 
 def _names(mdp, s, acts):
@@ -51,6 +50,42 @@ def test_extract_is_optimal_on_random_models(seed):
     strat = extract_liberal(m, va)
     assert evaluate(m, strat) == pytest.approx(
         max_reach_exact(m)[m.initial], abs=1e-6)
+
+
+def _extracted(fn):
+    try:
+        return fn().choice
+    except MdpError as e:
+        return str(e)
+
+
+def _assert_extract_matches_dict_loop(m, va):
+    v = m.sparse
+    explored = va.explored.tolist()
+    pair_lower = {(s, i): va.pair_lower[v.row_start[s] + i]
+                  for s in explored for i in range(len(m.actions[s]))}
+    mecs = mecs_dict(m, None if len(explored) == m.n_states else frozenset(explored))
+    for exit_union in (False, True):
+        want = _extracted(lambda: extract_dict(m, pair_lower, explored, mecs,
+                                               exit_union=exit_union))
+        assert _extracted(lambda: extract_liberal(m, va, exit_union=exit_union)) == want
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_extract_matches_dict_loop(seed):
+    m = random_mdp(seed, max_states=12, max_actions=4)
+    _assert_extract_matches_dict_loop(m, value_iteration(m, 1e-6))
+    # a short episode budget leaves part of the model unexplored
+    _assert_extract_matches_dict_loop(m, brtdp(m, 1e-6, seed=seed, max_episodes=3))
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_extract_matches_dict_loop_on_models(name, request):
+    m = request.getfixturevalue(name)
+    _assert_extract_matches_dict_loop(m, value_iteration(m, 1e-6))
+    if name != "grid":  # brtdp does not converge on grid within its budget
+        _assert_extract_matches_dict_loop(m, brtdp(m, 1e-6, seed=0))
+        _assert_extract_matches_dict_loop(m, brtdp(m, 1e-6, seed=0, max_episodes=2))
 
 
 def test_extract_ties_kept(mutex):
@@ -90,14 +125,16 @@ def test_positive_mec_without_exit_rejected():
     actions = ((A("go", (1,)),), (A("spin", (2,)),), (A("spin", (1,)),), ())
     m = Mdp((("x", 0, 3),), states,
             make_absorbing(actions, {3}), 0, frozenset({3})).validate()
+    # one row per state, so pair (s, 0) is row s; state 3 is unexplored
     fake = ValueApprox(
-        pair_lower={(0, 0): 0.5, (1, 0): 0.5, (2, 0): 0.5},
-        state_lower={0: 0.5, 1: 0.5, 2: 0.5},
-        state_upper={0: 1.0, 1: 1.0, 2: 1.0},
-        epsilon=0.1, explored=frozenset({0, 1, 2}),
+        pair_lower=np.array([0.5, 0.5, 0.5, 0.0]),
+        state_lower=np.array([0.5, 0.5, 0.5, 1.0]),
+        state_upper=np.array([1.0, 1.0, 1.0, 1.0]),
+        epsilon=0.1, explored=np.array([0, 1, 2]),
         converged=True, gap=0.0, engine="vi")
     with pytest.raises(MdpError, match="no exiting action"):
         extract_liberal(m, fake)
+    _assert_extract_matches_dict_loop(m, fake)
 
 
 def test_evaluate_ignores_unreachable_choices(fig1):
