@@ -155,6 +155,6 @@ def store_strategy(mdp: Mdp, strategy: LiberalStrategy) -> StrategyStore:
     """Encode the strategy's distinct (state, attribute) pairs."""
     layout = BitLayout.of(Domain.of(mdp))
     bdd = Bdd(layout.n_bits)
-    items = [layout.encode(mdp.states[s], attr)
-             for s, attr in strategy.good_pairs(mdp)]
+    vals = mdp.sparse.valuation
+    items = [layout.encode(vals[s].tolist(), attr) for s, attr in strategy.good_pairs(mdp)]
     return StrategyStore(bdd, bdd.encode_set(items), layout)

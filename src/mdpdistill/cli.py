@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 from . import bdd, dtree, strategy as strat
-from .build import DEFAULT_STATE_CAP, build_mdp, export_flat, is_flat, parse_flat
-from .core import Mdp, MdpError, make_absorbing
+from .build import (DEFAULT_STATE_CAP, build_mdp, export_flat, is_flat, parse_flat,
+                    retarget)
+from .core import Mdp, MdpError
 from .importance import (build_training_set, importance_of, simulate_batched)
 from .lang import ModelError, parse_model, parse_predicate
 from .solver import brtdp, value_iteration
@@ -35,16 +36,7 @@ def _load(args) -> Mdp:
     text = Path(args.model).read_text()
     if is_flat(text):
         mdp = parse_flat(text)
-        if args.target_expr:
-            names = [n for n, _, _ in mdp.var_decls]
-            pred = parse_predicate(args.target_expr, names)
-            target = frozenset(
-                s for s, vec in enumerate(mdp.states)
-                if pred.eval(dict(zip(names, vec))))
-            mdp = Mdp(mdp.var_decls, mdp.states,
-                      make_absorbing(mdp.actions, target),
-                      mdp.initial, target, mdp.module_count).validate()
-        return mdp
+        return retarget(mdp, args.target_expr) if args.target_expr else mdp
     ast = parse_model(text)
     if args.target_expr:
         names = [d.name for d in ast.var_decls()]

@@ -2,12 +2,13 @@
 
 States are integer vectors over declared variables, stored by index. Actions
 carry an attribute (name, module); module 0 marks synchronizing actions.
-Target states are absorbing by construction (single self-loop), which every
-constructor here enforces.
+Target states are absorbing (a single self-loop); the row assembly in
+`build` enforces it and `Mdp.validate` checks it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -21,6 +22,7 @@ import scipy.sparse.linalg as spla
 TAU = "tau"  # attribute name of the self-loop placed on absorbing target states
 
 _MASK64 = (1 << 64) - 1
+_INT64 = np.iinfo(np.int64)
 GOLDEN64 = 0x9E3779B97F4A7C15  # splitmix64 counter increment
 
 
@@ -55,91 +57,160 @@ class Action(NamedTuple):
     probs: Tuple[float, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Mdp:
-    """Explicit MDP over vector-valued states with an absorbing target set."""
+    """Explicit MDP over vector-valued states with an absorbing target set.
+
+    The model is stored once, as its SparseView. `states`, `actions` and
+    `target` are derived from the view on first use.
+    """
 
     var_decls: Tuple[Tuple[str, int, int], ...]  # (name, lo, hi) per coordinate
-    states: Tuple[Tuple[int, ...], ...]
-    actions: Tuple[Tuple[Action, ...], ...]  # Act(s) per state, declaration order
+    sparse: "SparseView"
+    action_names: Tuple[str, ...]  # sorted names of the actions that occur
     initial: int
-    target: FrozenSet[int]
     module_count: int = 1
-
-    def __post_init__(self):
-        self.target = frozenset(self.target)
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.sparse.row_start) - 1
 
     @cached_property
-    def action_names(self) -> Tuple[str, ...]:
-        names = {a.attr.name for acts in self.actions for a in acts}
-        return tuple(sorted(names))
+    def target(self) -> FrozenSet[int]:
+        return frozenset(np.flatnonzero(self.sparse.is_target).tolist())
+
+    @cached_property
+    def states(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(tuple, self.sparse.valuation.tolist()))
+
+    @cached_property
+    def actions(self) -> Tuple["StateActions", ...]:
+        """Act(s) per state, in declaration order."""
+        return tuple(StateActions(self, s) for s in range(self.n_states))
 
     def validate(self, tol: float = 1e-9):
+        """Check the view's structure; report the first offending state.
+
+        Every check runs on whole arrays. The message is then worked out for
+        the first state that fails one, in the order: variable ranges,
+        deadlock, each action's distribution, absorbing targets.
+        """
+        v = self.sparse
         n = self.n_states
         if not (0 <= self.initial < n):
             raise MdpError("initial state out of range")
         width = len(self.var_decls)
-        for s, vec in enumerate(self.states):
-            if len(vec) != width:
-                raise MdpError(f"state {s}: vector width {len(vec)} != {width}")
-            for (name, lo, hi), v in zip(self.var_decls, vec):
-                if not (lo <= v <= hi):
-                    raise MdpError(f"state {s}: {name}={v} outside [{lo}..{hi}]")
-            acts = self.actions[s]
-            if not acts:
-                raise MdpError(f"state {s} has no enabled action (deadlock)")
-            for a in acts:
-                if len(a.succs) != len(a.probs) or not a.succs:
-                    raise MdpError(f"state {s}: malformed distribution")
-                if abs(sum(a.probs) - 1.0) > tol:
-                    raise MdpError(
-                        f"state {s}, action {a.attr.name}: probabilities sum to {sum(a.probs)}")
-                if any(p <= 0 for p in a.probs):
-                    raise MdpError(f"state {s}: non-positive branch probability")
-                if len(set(a.succs)) != len(a.succs):
-                    raise MdpError(f"state {s}: duplicate successor in distribution")
-                if any(not (0 <= t < n) for t in a.succs):
-                    raise MdpError(f"state {s}: successor out of range")
-            if s in self.target:
-                if len(acts) != 1 or acts[0].succs != (s,):
-                    raise MdpError(f"target state {s} is not absorbing")
-        return self
+        if v.valuation.shape != (n, width):
+            raise MdpError(f"valuation of shape {v.valuation.shape}, not ({n}, {width})")
+        # the valuation is int64, so bounds past that range constrain nothing
+        lo = np.array([max(lo, _INT64.min) for _, lo, _ in self.var_decls], dtype=np.int64)
+        hi = np.array([min(hi, _INT64.max) for _, _, hi in self.var_decls], dtype=np.int64)
+        outside = (v.valuation < lo) | (v.valuation > hi)
+        counts = np.diff(v.row_start)
+        ptr, succ, prob = v.branches.indptr, v.branches.indices, v.branches.data
+        lengths = np.diff(ptr)
+        rows = len(lengths)
+        entry_row = np.repeat(np.arange(rows), lengths)
+        # a mat-vec adds each row left to right, as sum() does; a single
+        # column keeps out-of-range successors from being read
+        total = sp.csr_matrix((prob, np.zeros_like(succ), ptr), shape=(rows, 1)) @ np.ones(1)
+        order, first_of = branch_groups(entry_row, succ)
+        row_bad = ((lengths == 0) | (np.abs(total - 1.0) > tol)
+                   | _hits(entry_row[prob <= 0], rows)
+                   | _hits(entry_row[order[~first_of]], rows)
+                   | _hits(entry_row[(succ < 0) | (succ >= n)], rows))
+        first = v.row_start[:-1]
+        one = np.flatnonzero(counts == 1)
+        single = one[lengths[first[one]] == 1]
+        absorbing = np.zeros(n, dtype=bool)
+        absorbing[single] = succ[ptr[first[single]]] == single
+        bad = (outside.any(axis=1) | (counts == 0) | _hits(v.row_state[row_bad], n)
+               | (v.is_target & ~absorbing))
+        if not bad.any():
+            return self
+        s = int(np.flatnonzero(bad)[0])
+        if outside[s].any():
+            j = int(np.flatnonzero(outside[s])[0])
+            name, lo, hi = self.var_decls[j]
+            raise MdpError(f"state {s}: {name}={v.valuation[s, j]} outside [{lo}..{hi}]")
+        if counts[s] == 0:
+            raise MdpError(f"state {s} has no enabled action (deadlock)")
+        for r in range(v.row_start[s], v.row_start[s + 1]):
+            a, b = ptr[r], ptr[r + 1]
+            if a == b:
+                raise MdpError(f"state {s}: malformed distribution")
+            if abs(total[r] - 1.0) > tol:
+                raise MdpError(f"state {s}, action {self.action_names[v.action_id[r]]}: "
+                               f"probabilities sum to {float(total[r])}")
+            if (prob[a:b] <= 0).any():
+                raise MdpError(f"state {s}: non-positive branch probability")
+            if len(np.unique(succ[a:b])) < b - a:
+                raise MdpError(f"state {s}: duplicate successor in distribution")
+            if ((succ[a:b] < 0) | (succ[a:b] >= n)).any():
+                raise MdpError(f"state {s}: successor out of range")
+        raise MdpError(f"target state {s} is not absorbing")
 
-    @cached_property
-    def sparse(self) -> "SparseView":
-        """The compiled row-grouped arrays of this model (see SparseView)."""
-        n, width = self.n_states, len(self.var_decls)
 
-        def all_actions():
-            return chain.from_iterable(self.actions)
 
-        counts = np.fromiter(map(len, self.actions), np.int64, n)
-        row_start = np.concatenate(([0], np.cumsum(counts)))
-        n_rows = int(row_start[-1])
-        indptr = np.concatenate(([0], np.cumsum(np.fromiter(
-            (len(a.succs) for a in all_actions()), np.int64, n_rows))))
-        nnz = int(indptr[-1])
-        branches = sp.csr_matrix(
-            (np.fromiter(chain.from_iterable(a.probs for a in all_actions()), np.float64, nnz),
-             np.fromiter(chain.from_iterable(a.succs for a in all_actions()), np.int64, nnz),
-             indptr), shape=(n_rows, n))
-        name_id = {name: k for k, name in enumerate(self.action_names)}
-        is_target = np.zeros(n, dtype=bool)
-        is_target[np.fromiter(self.target, np.int64, len(self.target))] = True
-        return SparseView(
-            row_start=row_start,
-            row_state=np.repeat(np.arange(n), counts),
-            branches=branches,
-            action_id=np.fromiter((name_id[a.attr.name] for a in all_actions()), np.int64, n_rows),
-            module=np.fromiter((a.attr.module for a in all_actions()), np.int64, n_rows),
-            valuation=np.fromiter(chain.from_iterable(self.states), np.int64,
-                                  n * width).reshape(n, width),
-            is_target=is_target,
-        )
+def _hits(items: np.ndarray, size: int) -> np.ndarray:
+    """(size,) bool: the indices that occur in `items`."""
+    return np.bincount(items, minlength=size) > 0
+
+
+def branch_groups(entry_row: np.ndarray, succ: np.ndarray):
+    """Branches sorted by (row, successor), stably, and the first of each group.
+
+    Returns the sort order and a mask over it that marks where each
+    (row, successor) pair starts; a repeated successor keeps branch order.
+    """
+    order = np.lexsort((succ, entry_row))
+    first_of = np.ones(len(order), dtype=bool)
+    first_of[1:] = (np.diff(entry_row[order]) != 0) | (np.diff(succ[order]) != 0)
+    return order, first_of
+
+
+class StateActions(Sequence):
+    """Act(s) of one state, read from the view of its Mdp.
+
+    The length is read from row_start; the Action tuples are built on first
+    access to an item, and kept.
+    """
+
+    __slots__ = ("_mdp", "_s", "_built")
+
+    def __init__(self, mdp: Mdp, s: int):
+        self._mdp = mdp
+        self._s = s
+        self._built = None
+
+    def __len__(self) -> int:
+        start = self._mdp.sparse.row_start
+        return int(start[self._s + 1] - start[self._s])
+
+    def _acts(self) -> Tuple[Action, ...]:
+        if self._built is None:
+            mdp, v = self._mdp, self._mdp.sparse
+            ptr = v.branches.indptr
+            self._built = tuple(
+                Action(ActionAttr(mdp.action_names[v.action_id[r]], int(v.module[r])),
+                       tuple(v.branches.indices[ptr[r]:ptr[r + 1]].tolist()),
+                       tuple(v.branches.data[ptr[r]:ptr[r + 1]].tolist()))
+                for r in range(v.row_start[self._s], v.row_start[self._s + 1]))
+        return self._built
+
+    def __getitem__(self, i):
+        return self._acts()[i]
+
+    def __iter__(self):
+        return iter(self._acts())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, StateActions)) and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._acts())
 
 
 @dataclass(frozen=True)
@@ -160,12 +231,23 @@ class SparseView:
     is_target: np.ndarray  # (states,) bool
 
 
-def make_absorbing(actions, target) -> tuple:
-    """Replace Act(s) of every target state with the single tau self-loop."""
-    out = list(actions)
-    for t in target:
-        out[t] = (Action(ActionAttr(TAU, 0), (t,), (1.0,)),)
-    return tuple(out)
+def distinct_attrs(mdp: Mdp, states: np.ndarray, good: np.ndarray):
+    """The distinct (state, action id, module) triples of the rows of `states`.
+
+    `states` is a mask over states and `good` one over rows. Returns four
+    arrays sorted by state, then action name, then module; the last tells
+    whether a `good` row carries the triple. Action ids rank the names, so
+    sorting ids sorts names.
+    """
+    v = mdp.sparse
+    rows = np.flatnonzero(states[v.row_state])
+    rows = rows[np.lexsort((v.module[rows], v.action_id[rows], v.row_state[rows]))]
+    keys = np.stack((v.row_state[rows], v.action_id[rows], v.module[rows]))
+    starts = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=1) != 0).any(axis=0))))
+    if not len(rows):
+        return keys[0], keys[1], keys[2], np.zeros(0, dtype=bool)
+    return (keys[0, starts], keys[1, starts], keys[2, starts],
+            np.logical_or.reduceat(good[rows], starts))
 
 
 class MarkovChain:
@@ -270,16 +352,17 @@ class LiberalStrategy:
     def actions_at(self, mdp: Mdp, s: int) -> Tuple[int, ...]:
         got = self.choice.get(s)
         if got is None:
-            return tuple(range(len(mdp.actions[s])))
+            return tuple(range(mdp.sparse.row_start[s + 1] - mdp.sparse.row_start[s]))
         return tuple(sorted(got))
 
     def good_pairs(self, mdp: Mdp) -> List[Tuple[int, ActionAttr]]:
         """Distinct (state, attribute) pairs selected at defined states."""
-        out = []
-        for s in sorted(self.choice):
-            attrs = sorted({mdp.actions[s][i].attr for i in self.choice[s]})
-            out.extend((s, attr) for attr in attrs)
-        return out
+        self.row_mask(mdp)
+        state, name, module, good = distinct_attrs(mdp, self._rows[2], self._rows[1])
+        names = mdp.action_names
+        return [(s, ActionAttr(names[a], m))
+                for s, a, m in zip(state[good].tolist(), name[good].tolist(),
+                                   module[good].tolist())]
 
 
 # --------------------------------------------------------------------------

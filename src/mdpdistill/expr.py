@@ -1,13 +1,15 @@
 """Integer/boolean expression trees used by guards, updates and target predicates.
 
-Expressions are evaluated over valuations mapping variable names to ints.
-Evaluation is total on type-correct expressions; there is no division.
+Expressions are not interpreted: `Expr.py` writes each one as Python source
+over positional slots v0, v1, ..., and `define` compiles that source once.
+Python ints do not overflow, and evaluation is total on type-correct
+expressions; there is no division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Callable, Mapping, Sequence, Tuple
 
 
 class ExprError(Exception):
@@ -16,16 +18,30 @@ class ExprError(Exception):
 
 @dataclass(frozen=True)
 class Expr:
-    def eval(self, env: Mapping[str, int]):
+    # binding strength of the node's Python source, as in Python's grammar:
+    # or 1, and 2, not 3, comparisons 4, + - 5, * 6, unary minus 7, atoms 8
+    prec = 8
+
+    def py(self, slot: Mapping[str, str]) -> str:
+        """Python source of the expression; `slot` names each variable's value."""
         raise NotImplementedError
+
+
+def _operand(e: Expr, slot: Mapping[str, str], prec: int) -> str:
+    src = e.py(slot)
+    return src if e.prec >= prec else f"({src})"
 
 
 @dataclass(frozen=True)
 class IntLit(Expr):
     value: int
 
-    def eval(self, env):
-        return self.value
+    @property
+    def prec(self):
+        return 8 if self.value >= 0 else 7
+
+    def py(self, slot):
+        return repr(int(self.value))
 
     def __str__(self):
         return str(self.value)
@@ -35,8 +51,8 @@ class IntLit(Expr):
 class BoolLit(Expr):
     value: bool
 
-    def eval(self, env):
-        return self.value
+    def py(self, slot):
+        return "True" if self.value else "False"
 
     def __str__(self):
         return "true" if self.value else "false"
@@ -46,8 +62,8 @@ class BoolLit(Expr):
 class Var(Expr):
     name: str
 
-    def eval(self, env):
-        return env[self.name]
+    def py(self, slot):
+        return slot[self.name]
 
     def __str__(self):
         return self.name
@@ -56,9 +72,10 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
+    prec = 7
 
-    def eval(self, env):
-        return -self.arg.eval(env)
+    def py(self, slot):
+        return "-" + _operand(self.arg, slot, 7)
 
     def __str__(self):
         return f"-{self.arg}"
@@ -70,14 +87,14 @@ class Arith(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        return a * b
+    @property
+    def prec(self):
+        return 6 if self.op == "*" else 5
+
+    def py(self, slot):
+        # left-associative: only a right operand of equal strength needs parentheses
+        return (f"{_operand(self.left, slot, self.prec)} {self.op} "
+                f"{_operand(self.right, slot, self.prec + 1)}")
 
     def __str__(self):
         return f"({self.left}{self.op}{self.right})"
@@ -88,22 +105,14 @@ class MinMax(Expr):
     op: str  # "min" or "max"
     args: Tuple[Expr, ...]
 
-    def eval(self, env):
-        vals = [a.eval(env) for a in self.args]
-        return min(vals) if self.op == "min" else max(vals)
+    def py(self, slot):
+        return f"{self.op}({', '.join(a.py(slot) for a in self.args)})"
 
     def __str__(self):
         return f"{self.op}({','.join(str(a) for a in self.args)})"
 
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_PY_CMP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,11 @@ class Cmp(Expr):
     op: str
     left: Expr
     right: Expr
+    prec = 4
 
-    def eval(self, env):
-        return _CMP[self.op](self.left.eval(env), self.right.eval(env))
+    def py(self, slot):
+        # both operands bind tighter, so comparisons never chain
+        return f"{_operand(self.left, slot, 5)} {_PY_CMP[self.op]} {_operand(self.right, slot, 5)}"
 
     def __str__(self):
         return f"{self.left}{self.op}{self.right}"
@@ -122,9 +133,10 @@ class Cmp(Expr):
 @dataclass(frozen=True)
 class Not(Expr):
     arg: Expr
+    prec = 3
 
-    def eval(self, env):
-        return not self.arg.eval(env)
+    def py(self, slot):
+        return "not " + _operand(self.arg, slot, 3)
 
     def __str__(self):
         return f"!({self.arg})"
@@ -134,9 +146,10 @@ class Not(Expr):
 class And(Expr):
     left: Expr
     right: Expr
+    prec = 2
 
-    def eval(self, env):
-        return self.left.eval(env) and self.right.eval(env)
+    def py(self, slot):
+        return f"{_operand(self.left, slot, 2)} and {_operand(self.right, slot, 3)}"
 
     def __str__(self):
         return f"({self.left}&{self.right})"
@@ -146,12 +159,36 @@ class And(Expr):
 class Or(Expr):
     left: Expr
     right: Expr
+    prec = 1
 
-    def eval(self, env):
-        return self.left.eval(env) or self.right.eval(env)
+    def py(self, slot):
+        return f"{_operand(self.left, slot, 1)} or {_operand(self.right, slot, 2)}"
 
     def __str__(self):
         return f"({self.left}|{self.right})"
+
+
+def define(name: str, arity: int, body: Sequence[str]) -> Callable:
+    """Compile a function of `arity` positional values v0, v1, ... from body lines.
+
+    The body is generated from expressions, so it holds only slot names,
+    integer literals, operators and the builtins `min` and `max`; it runs
+    with no other builtins. The function's text is kept as its `source`.
+    """
+    params = ", ".join(f"v{i}" for i in range(arity))
+    src = "".join(f"{line}\n" for line in [f"def {name}({params}):"]
+                  + ["    " + line for line in body])
+    scope = {"__builtins__": {}, "min": min, "max": max}
+    exec(compile(src, f"<{name}>", "exec"), scope)
+    fn = scope[name]
+    fn.source = src
+    return fn
+
+
+def compile_expr(e: Expr, names: Sequence[str]) -> Callable:
+    """`e` as a Python function of the variables' values, in the order of `names`."""
+    slot = {n: f"v{i}" for i, n in enumerate(names)}
+    return define("expr", len(names), [f"return {e.py(slot)}"])
 
 
 def infer_type(e: Expr, var_names) -> str:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .core import (GOLDEN64, ActionAttr, LiberalStrategy, MarkovChain, Mdp, MdpError,
-                   derive_seed, induce_chain, reach_exact, reachable, splitmix64)
+                   derive_seed, distinct_attrs, induce_chain, reach_exact, reachable,
+                   splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -270,15 +271,16 @@ def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
     """
     if mode not in ("repeat", "once"):
         raise ValueError(f"unknown training mode {mode!r}")
+    v = mdp.sparse
+    kept = ~v.is_target & ~(np.asarray(weights) <= delta)
+    state, action, module, good = distinct_attrs(mdp, kept, strategy.row_mask(mdp))
+    names, vals = mdp.action_names, v.valuation
     rows: List[TrainRow] = []
-    for s in range(mdp.n_states):
-        if s in mdp.target or weights[s] <= delta:
-            continue
-        chosen = set(strategy.actions_at(mdp, s))
-        attrs: Dict[ActionAttr, bool] = {}
-        for i, a in enumerate(mdp.actions[s]):
-            attrs[a.attr] = attrs.get(a.attr, False) or (i in chosen)
-        repeat = 1 if mode == "once" else max(1, int(runs * float(weights[s]) + 0.5))
-        for attr in sorted(attrs):
-            rows.append(TrainRow(mdp.states[s], attr, attrs[attr], repeat))
+    last = -1
+    for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
+        if s != last:
+            x = tuple(vals[s].tolist())
+            repeat = 1 if mode == "once" else max(1, int(runs * float(weights[s]) + 0.5))
+            last = s
+        rows.append(TrainRow(x, ActionAttr(names[a], m), g, repeat))
     return TrainingSet(Domain.of(mdp), rows)

@@ -361,23 +361,28 @@ def _substitute_consts(e: Expr, consts: dict) -> Expr:
 
 def parse_model(src: str) -> ModelAst:
     """Parse and validate model text; returns the AST or raises ModelError."""
-    ast = _Parser(_tokenize(src)).model()
-    _validate(ast)
+    try:
+        ast = _Parser(_tokenize(src)).model()
+        _validate(ast)
+    except RecursionError:
+        raise ModelError("expression nested too deeply") from None
     return ast
 
 
 def parse_predicate(src: str, var_names, consts=None) -> Expr:
     """Parse a standalone boolean expression over the given variables."""
     p = _Parser(_tokenize(src))
-    e = p.expr()
-    if p.peek().kind != "eof":
-        p.fail("expected end of expression")
-    e = _substitute_consts(e, consts or {})
     try:
+        e = p.expr()
+        if p.peek().kind != "eof":
+            p.fail("expected end of expression")
+        e = _substitute_consts(e, consts or {})
         if infer_type(e, set(var_names)) != "bool":
             raise ModelError("expression must be boolean")
     except ExprError as err:
         raise ModelError(str(err)) from None
+    except RecursionError:
+        raise ModelError("expression nested too deeply") from None
     return e
 
 

@@ -15,8 +15,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, induce_chain,
-                   mec_decompose, reach_exact, reachable)
+from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, distinct_attrs,
+                   induce_chain, mec_decompose, reach_exact, reachable)
 from .solver import ValueApprox
 
 
@@ -127,11 +127,16 @@ def dump_tsv(mdp: Mdp, strategy: LiberalStrategy,
     """Tab-separated listing of the decisions at every defined state."""
     names = [n for n, _, _ in mdp.var_decls]
     out = ["\t".join(["state", "valuation", "action", "module", "label", "importance"])]
-    for s in sorted(strategy.choice):
-        chosen = {mdp.actions[s][i].attr for i in strategy.choice[s]}
-        valuation = ",".join(f"{n}={v}" for n, v in zip(names, mdp.states[s]))
-        w = "" if weights is None else f"{weights[s]:.9g}"
-        for attr in sorted({a.attr for a in mdp.actions[s]}):
-            mark = "good" if attr in chosen else "bad"
-            out.append("\t".join([str(s), valuation, attr.name, str(attr.module), mark, w]))
+    defined = np.zeros(mdp.n_states, dtype=bool)
+    defined[list(strategy.choice)] = True
+    state, action, module, good = distinct_attrs(mdp, defined, strategy.row_mask(mdp))
+    vals = mdp.sparse.valuation
+    last = -1
+    for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
+        if s != last:
+            valuation = ",".join(f"{n}={v}" for n, v in zip(names, vals[s].tolist()))
+            w = "" if weights is None else f"{weights[s]:.9g}"
+            last = s
+        out.append("\t".join([str(s), valuation, mdp.action_names[a], str(m),
+                              "good" if g else "bad", w]))
     return "\n".join(out) + "\n"

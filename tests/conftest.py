@@ -11,7 +11,9 @@ import random
 import pytest
 
 from mdpdistill import fixtures
-from mdpdistill.core import TAU, Action, ActionAttr, Mdp, make_absorbing
+from mdpdistill.core import TAU, Action, ActionAttr
+
+from oracles import make_absorbing, mdp_of
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +68,7 @@ def random_mdp(seed, max_states=7, max_actions=3, acyclic=False):
         actions.append(tuple(row))
 
     states = tuple((s,) for s in range(n))
-    mdp = Mdp(
+    mdp = mdp_of(
         var_decls=(("x", 0, n - 1),),
         states=states,
         actions=make_absorbing(actions, target),
@@ -94,7 +96,7 @@ def tiny_mec_mdp():
         (),
         (A("stay", (4,), (1.0,)),),
     )
-    mdp = Mdp(
+    mdp = mdp_of(
         var_decls=(("x", 0, 4),),
         states=states,
         actions=make_absorbing(actions, frozenset({3})),

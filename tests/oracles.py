@@ -11,27 +11,33 @@ The per-state loops at the end (`induce_rows`, `reach_rows`,
 `tarjan`, `mecs_dict`, `quotient_dict`, `tables_dict`, `extract_dict`) are
 the plain-Python forms of the array code in `core`, `solver`, `strategy`,
 `importance` and `dtree`. They add in the same order, so the tests compare
-against them with `==`.
+against them with `==`. `build_dict` is the interpreted build, over
+`eval_expr`, that the compiled one in `build` replaced; with `view_dict`,
+`validate_dict` and `export_dict` it keeps a model as Python tuples.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mdpdistill.core import (_MASK64, LiberalStrategy, MarkovChain, Mdp, Mec,
-                             MdpError, Quotient, derive_seed, induce_chain,
-                             reach_exact, reachable)
+from mdpdistill.core import (_MASK64, TAU, Action, ActionAttr, LiberalStrategy,
+                             MarkovChain, Mdp, Mec, MdpError, Quotient, SparseView,
+                             derive_seed, induce_chain, reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
+from mdpdistill.expr import (And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg, Not,
+                             Var)
 from mdpdistill.importance import Domain, RunStats, TrainingSet
+from mdpdistill.lang import ModelAst, ModelError
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -665,3 +671,265 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
                 picked = set(internal)
             choice[s] = frozenset(picked)
     return LiberalStrategy(choice)
+
+
+# --------------------------------------------------------------------------
+# The model as Python tuples: the interpreted breadth-first build, the
+# tuple-to-array conversion, validation and flat export that the compiled
+# build and the SparseView-backed Mdp replaced.
+
+class DictModel(NamedTuple):
+    var_decls: Tuple[Tuple[str, int, int], ...]
+    states: Tuple[Tuple[int, ...], ...]
+    actions: Tuple[Tuple[Action, ...], ...]  # Act(s) per state, targets absorbing
+    initial: int
+    target: FrozenSet[int]
+    module_count: int = 1
+
+
+_CMP = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def eval_expr(e: Expr, env: Dict[str, int]):
+    """Interpret an expression over a valuation dict."""
+    if isinstance(e, (IntLit, BoolLit)):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -eval_expr(e.arg, env)
+    if isinstance(e, Arith):
+        a, b = eval_expr(e.left, env), eval_expr(e.right, env)
+        return a + b if e.op == "+" else a - b if e.op == "-" else a * b
+    if isinstance(e, MinMax):
+        vals = [eval_expr(a, env) for a in e.args]
+        return min(vals) if e.op == "min" else max(vals)
+    if isinstance(e, Cmp):
+        return _CMP[e.op](eval_expr(e.left, env), eval_expr(e.right, env))
+    if isinstance(e, Not):
+        return not eval_expr(e.arg, env)
+    if isinstance(e, And):
+        return eval_expr(e.left, env) and eval_expr(e.right, env)
+    return eval_expr(e.left, env) or eval_expr(e.right, env)
+
+
+def make_absorbing(actions, target) -> tuple:
+    """Replace Act(s) of every target state with the single tau self-loop."""
+    out = list(actions)
+    for t in target:
+        out[t] = (Action(ActionAttr(TAU, 0), (t,), (1.0,)),)
+    return tuple(out)
+
+
+def build_dict(ast: ModelAst, *, state_cap: int = 1_000_000) -> DictModel:
+    """Breadth-first exploration that interprets every guard and update."""
+    decls = ast.var_decls()
+    names = [d.name for d in decls]
+    bounds = {d.name: (d.lo, d.hi) for d in decls}
+    init_vec = tuple(d.init for d in decls)
+
+    # label -> ordered list of (module_index, commands); module indices are 1-based
+    participants: Dict[str, List[Tuple[int, List]]] = {}
+    solo: List[Tuple[int, object]] = []
+    for mi, mod in enumerate(ast.modules, start=1):
+        for cmd in mod.commands:
+            if cmd.label is None:
+                solo.append((mi, cmd))
+            else:
+                slot = participants.setdefault(cmd.label, [])
+                if slot and slot[-1][0] == mi:
+                    slot[-1][1].append(cmd)
+                else:
+                    slot.append((mi, [cmd]))
+    labels_in_order = []
+    for mod in ast.modules:
+        for cmd in mod.commands:
+            if cmd.label is not None and cmd.label not in labels_in_order:
+                labels_in_order.append(cmd.label)
+
+    index: Dict[Tuple[int, ...], int] = {init_vec: 0}
+    states: List[Tuple[int, ...]] = [init_vec]
+    actions: List[Tuple[Action, ...]] = [()]
+    target: List[int] = []
+    queue = deque([0])
+
+    def resolve(env, updates, cmd, vec):
+        done = []
+        for tgt, rhs in updates:
+            v = eval_expr(rhs, env)
+            lo, hi = bounds[tgt]
+            if not (lo <= v <= hi):
+                raise ModelError(
+                    f"update drives {tgt} to {v}, outside [{lo}..{hi}], in state "
+                    f"{dict(zip(names, vec))}", cmd.line)
+            done.append((names.index(tgt), v))
+        return done
+
+    def apply(vec, resolved):
+        out = list(vec)
+        for pos, v in resolved:
+            out[pos] = v
+        return tuple(out)
+
+    def intern(vec) -> int:
+        got = index.get(vec)
+        if got is not None:
+            return got
+        if len(states) >= state_cap:
+            raise ModelError(f"state cap exceeded ({state_cap} states explored)")
+        index[vec] = len(states)
+        states.append(vec)
+        actions.append(())
+        queue.append(len(states) - 1)
+        return len(states) - 1
+
+    while queue:
+        s = queue.popleft()
+        vec = states[s]
+        env = dict(zip(names, vec))
+        if eval_expr(ast.target, env):
+            target.append(s)
+            continue
+        acts: List[Action] = []
+
+        def add_action(attr, branches):
+            # branches: list of (Fraction prob, vec); merge mass per successor
+            mass: Dict[int, float] = {}
+            order: List[int] = []
+            for p, nvec in branches:
+                t = intern(nvec)
+                if t not in mass:
+                    mass[t] = 0.0
+                    order.append(t)
+                mass[t] += float(p)
+            acts.append(Action(attr, tuple(order), tuple(mass[t] for t in order)))
+
+        for mi, cmd in solo:
+            if eval_expr(cmd.guard, env):
+                branches = [(alt.prob, apply(vec, resolve(env, alt.updates, cmd, vec)))
+                            for alt in cmd.alts]
+                add_action(ActionAttr(cmd.name, mi), branches)
+
+        for label in labels_in_order:
+            parts_of = participants[label]
+            owner = parts_of[0][0] if len(parts_of) == 1 else 0
+            groups = []
+            for _, cmds in parts_of:
+                enabled = [c for c in cmds if eval_expr(c.guard, env)]
+                if not enabled:
+                    break
+                groups.append(enabled)
+            else:
+                combos = [[]]
+                for grp in groups:
+                    combos = [pre + [c] for pre in combos for c in grp]
+                for combo in combos:
+                    parts = [[(alt.prob, resolve(env, alt.updates, cmd, vec))
+                              for alt in cmd.alts] for cmd in combo]
+                    branches = [(1, ())]
+                    for alts in parts:
+                        branches = [(p * q, ups + tuple(r))
+                                    for p, ups in branches for q, r in alts]
+                    add_action(ActionAttr(label, owner),
+                               [(p, apply(vec, ups)) for p, ups in branches])
+
+        if not acts:
+            raise ModelError(f"deadlock: no enabled command in state {dict(zip(names, vec))}")
+        actions[s] = tuple(acts)
+
+    model = DictModel(tuple((d.name, d.lo, d.hi) for d in decls), tuple(states),
+                      make_absorbing(actions, target), 0, frozenset(target),
+                      len(ast.modules))
+    validate_dict(model)
+    return model
+
+
+def validate_dict(model: DictModel, tol: float = 1e-9) -> DictModel:
+    """The per-state structural checks, raising for the first offending state."""
+    n = len(model.states)
+    if not (0 <= model.initial < n):
+        raise MdpError("initial state out of range")
+    width = len(model.var_decls)
+    for s, vec in enumerate(model.states):
+        if len(vec) != width:
+            raise MdpError(f"state {s}: vector width {len(vec)} != {width}")
+        for (name, lo, hi), v in zip(model.var_decls, vec):
+            if not (lo <= v <= hi):
+                raise MdpError(f"state {s}: {name}={v} outside [{lo}..{hi}]")
+        acts = model.actions[s]
+        if not acts:
+            raise MdpError(f"state {s} has no enabled action (deadlock)")
+        for a in acts:
+            if len(a.succs) != len(a.probs) or not a.succs:
+                raise MdpError(f"state {s}: malformed distribution")
+            total = 0.0
+            for p in a.probs:
+                total += p
+            if abs(total - 1.0) > tol:
+                raise MdpError(
+                    f"state {s}, action {a.attr.name}: probabilities sum to {total}")
+            if any(p <= 0 for p in a.probs):
+                raise MdpError(f"state {s}: non-positive branch probability")
+            if len(set(a.succs)) != len(a.succs):
+                raise MdpError(f"state {s}: duplicate successor in distribution")
+            if any(not (0 <= t < n) for t in a.succs):
+                raise MdpError(f"state {s}: successor out of range")
+        if s in model.target:
+            if len(acts) != 1 or acts[0].succs != (s,):
+                raise MdpError(f"target state {s} is not absorbing")
+    return model
+
+
+def view_dict(model: DictModel) -> Tuple[SparseView, Tuple[str, ...]]:
+    """The row-grouped arrays of a tuple model, and its sorted action names."""
+    n, width = len(model.states), len(model.var_decls)
+    all_actions = [a for acts in model.actions for a in acts]
+    names = tuple(sorted({a.attr.name for a in all_actions}))
+    name_id = {name: k for k, name in enumerate(names)}
+    counts = np.array([len(acts) for acts in model.actions], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.array(
+        [len(a.succs) for a in all_actions], dtype=np.int64))))
+    is_target = np.zeros(n, dtype=bool)
+    is_target[sorted(model.target)] = True
+    view = SparseView(
+        row_start=np.concatenate(([0], np.cumsum(counts))),
+        row_state=np.repeat(np.arange(n), counts),
+        branches=sp.csr_matrix(
+            (np.array([p for a in all_actions for p in a.probs], dtype=np.float64),
+             np.array([t for a in all_actions for t in a.succs], dtype=np.int64),
+             indptr), shape=(len(all_actions), n)),
+        action_id=np.array([name_id[a.attr.name] for a in all_actions], dtype=np.int64),
+        module=np.array([a.attr.module for a in all_actions], dtype=np.int64),
+        valuation=np.array(model.states, dtype=np.int64).reshape(n, width),
+        is_target=is_target,
+    )
+    return view, names
+
+
+def mdp_of(var_decls, states, actions, initial, target, module_count: int = 1) -> Mdp:
+    """An Mdp from explicit Act(s) tuples; call `validate` to check it."""
+    view, names = view_dict(DictModel(tuple(var_decls), tuple(states), tuple(actions),
+                                      initial, frozenset(target), module_count))
+    return Mdp(tuple(var_decls), view, names, initial, module_count)
+
+
+def export_dict(model: DictModel) -> str:
+    """The flat explicit text of a tuple model."""
+    out = ["vars " + " ".join(f"{n}:{lo}..{hi}" for n, lo, hi in model.var_decls)]
+    for i, vec in enumerate(model.states):
+        out.append(f"state {i} " + " ".join(str(v) for v in vec))
+    for s, acts in enumerate(model.actions):
+        for a in acts:
+            pairs = " ".join(f"{p!r} {t}" for t, p in zip(a.succs, a.probs))
+            out.append(f"act {s} {a.attr.name} {a.attr.module} {pairs}")
+    out.append(f"init {model.initial}")
+    if model.target:
+        out.append("target " + " ".join(str(t) for t in sorted(model.target)))
+    return "\n".join(out) + "\n"

@@ -141,6 +141,8 @@ def test_sniff_both_formats(fig1):
         ("vars x:0..1\nstate 0 0\nact 0 a 1 1.0\ninit 0", "pairs"),
         ("vars x:0..1\nstate 0 0\nwhat 1\ninit 0", "unknown directive"),
         ("vars x:0..1\nstate 0 0\nstate 0 1\ninit 0", "duplicate state"),
+        ("vars x:0..1\nstate 0 0\nact 0 a 1 1.0 0\ninit 0\ntarget 9",
+         "target references unknown state"),
     ],
 )
 def test_flat_errors(text, fragment):

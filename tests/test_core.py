@@ -8,21 +8,21 @@ import pytest
 import scipy.sparse as sp
 
 from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
-                             MarkovChain, Mdp, MdpError, build_quotient,
+                             MarkovChain, MdpError, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
-                             make_absorbing, max_reach_exact, mec_decompose,
+                             max_reach_exact, mec_decompose,
                              reach_exact, strong_components)
 
 from conftest import random_mdp
 from oracles import (acyclic_value, brute_mecs, brute_val, induce_rows,
-                     mecs_dict, quotient_dict, tarjan)
+                     make_absorbing, mdp_of, mecs_dict, quotient_dict, tarjan)
 
 
 def _mdp(actions, target, n=None):
     """Assemble a one-variable MDP from raw action rows."""
     n = n if n is not None else len(actions)
     states = tuple((s,) for s in range(n))
-    return Mdp(
+    return mdp_of(
         var_decls=(("x", 0, n - 1),),
         states=states,
         actions=make_absorbing(tuple(tuple(r) for r in actions), target),
@@ -50,32 +50,33 @@ def test_validate_accepts_fixtures(fig1, mutex, sync2):
         (lambda rows: rows.__setitem__(0, (A("a", [0, 0], [0.5, 0.5]),)),
          "duplicate successor"),
         (lambda rows: rows.__setitem__(0, (A("a", [7], [1.0]),)), "out of range"),
-        (lambda rows: rows.__setitem__(0, (A("a", [1], [-1.0, 2.0]),)),
+        (lambda rows: rows.__setitem__(0, (A("a", [1, 0], [-1.0, 2.0]),)),
          "malformed|non-positive"),
+        (lambda rows: rows.__setitem__(0, (A("a", [], []),)), "malformed"),
     ],
 )
 def test_validate_rejects(mutation, fragment):
     good = _mdp([[A("a", [1], [1.0])], []], {1})
     rows = [list(r) for r in good.actions]
     mutation(rows)
-    bad = Mdp(good.var_decls, good.states,
-              tuple(tuple(r) for r in rows), 0, good.target)
+    bad = mdp_of(good.var_decls, good.states,
+                 tuple(tuple(r) for r in rows), 0, good.target)
     with pytest.raises(MdpError, match=fragment):
         bad.validate()
 
 
 def test_validate_rejects_nonabsorbing_target():
-    m = Mdp((("x", 0, 1),), ((0,), (1,)),
-            ((A("a", [1], [1.0]),), (A("b", [0], [1.0]),)),
-            0, frozenset({1}))
+    m = mdp_of((("x", 0, 1),), ((0,), (1,)),
+               ((A("a", [1], [1.0]),), (A("b", [0], [1.0]),)),
+               0, frozenset({1}))
     with pytest.raises(MdpError, match="not absorbing"):
         m.validate()
 
 
 def test_state_vector_bounds_checked():
-    m = Mdp((("x", 0, 0),), ((0,), (5,)),
-            ((A("a", [1], [1.0]),), (A(TAU, [1], [1.0], 0),)),
-            0, frozenset({1}))
+    m = mdp_of((("x", 0, 0),), ((0,), (5,)),
+               ((A("a", [1], [1.0]),), (A(TAU, [1], [1.0], 0),)),
+               0, frozenset({1}))
     with pytest.raises(MdpError, match="outside"):
         m.validate()
 

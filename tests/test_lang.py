@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdpdistill.expr import compile_expr
 from mdpdistill.lang import ModelError, parse_model, parse_predicate
 
 GOOD = """
@@ -34,8 +35,8 @@ def test_parse_good_model():
 def test_constants_substituted():
     ast = parse_model(GOOD)
     guard = ast.modules[0].commands[0].guard
-    assert guard.eval({"x": 2}) is True
-    assert guard.eval({"x": 3}) is False  # K was replaced by 3
+    assert compile_expr(guard, ["x"])(2) is True
+    assert compile_expr(guard, ["x"])(3) is False  # K was replaced by 3
 
 
 def test_probabilities_are_fractions():
@@ -123,14 +124,14 @@ def test_min_max_and_arith():
     """
     ast = parse_model(src)
     alt0, alt1 = ast.modules[0].commands[0].alts
-    assert alt0.updates[0][1].eval({"x": 8}) == 9
-    assert alt1.updates[0][1].eval({"x": 1}) == 0
+    assert compile_expr(alt0.updates[0][1], ["x"])(8) == 9
+    assert compile_expr(alt1.updates[0][1], ["x"])(1) == 0
 
 
 def test_parse_predicate():
     p = parse_predicate("x = W & y > 1", ["x", "y"], consts={"W": 4})
-    assert p.eval({"x": 4, "y": 2}) is True
-    assert p.eval({"x": 4, "y": 1}) is False
+    assert compile_expr(p, ["x", "y"])(4, 2) is True
+    assert compile_expr(p, ["x", "y"])(4, 1) is False
     with pytest.raises(ModelError):
         parse_predicate("x + 1", ["x"])  # not boolean
     with pytest.raises(ModelError):
@@ -139,6 +140,6 @@ def test_parse_predicate():
 
 def test_negation_and_or():
     p = parse_predicate("!(x = 0) | x = 2", ["x"])
-    assert p.eval({"x": 1}) is True
-    assert p.eval({"x": 0}) is False
-    assert p.eval({"x": 2}) is True
+    assert compile_expr(p, ["x"])(1) is True
+    assert compile_expr(p, ["x"])(0) is False
+    assert compile_expr(p, ["x"])(2) is True

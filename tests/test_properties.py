@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from mdpdistill.bdd import Bdd
 from mdpdistill.build import export_flat, parse_flat
-from mdpdistill.core import (Action, ActionAttr, LiberalStrategy, Mdp,
-                             make_absorbing, max_reach_exact)
+from mdpdistill.core import Action, ActionAttr, LiberalStrategy, max_reach_exact
 from mdpdistill.dtree import learn, tree_size
 from mdpdistill.importance import Domain, RunStats, TrainRow, TrainingSet
 from mdpdistill.solver import check_valid, value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal, truncate
+
+from oracles import make_absorbing, mdp_of
 
 
 @st.composite
@@ -35,9 +36,9 @@ def mdps(draw, max_states=6):
                               tuple(w / 8 for w in weights)))
         actions.append(tuple(row))
     states = tuple((s,) for s in range(n))
-    m = Mdp((("x", 0, n - 1),), states,
-            make_absorbing(tuple(actions), {target}),
-            0, frozenset({target}))
+    m = mdp_of((("x", 0, n - 1),), states,
+               make_absorbing(tuple(actions), {target}),
+               0, frozenset({target}))
     return m.validate()
 
 

@@ -118,13 +118,14 @@ def test_exit_union_keeps_internal(tiny_mec_mdp):
 def test_positive_mec_without_exit_rejected():
     # two states spin forever with no way out; bounds claiming value there
     # cannot be turned into a strategy
-    from mdpdistill.core import Action, ActionAttr, Mdp, make_absorbing
+    from mdpdistill.core import Action, ActionAttr
     from mdpdistill.solver import ValueApprox
+    from oracles import make_absorbing, mdp_of
     A = lambda name, succs: Action(ActionAttr(name, 1), succs, (1.0,))
     states = ((0,), (1,), (2,), (3,))
     actions = ((A("go", (1,)),), (A("spin", (2,)),), (A("spin", (1,)),), ())
-    m = Mdp((("x", 0, 3),), states,
-            make_absorbing(actions, {3}), 0, frozenset({3})).validate()
+    m = mdp_of((("x", 0, 3),), states,
+               make_absorbing(actions, {3}), 0, frozenset({3})).validate()
     # one row per state, so pair (s, 0) is row s; state 3 is unexplored
     fake = ValueApprox(
         pair_lower=np.array([0.5, 0.5, 0.5, 0.0]),
