@@ -10,7 +10,7 @@ representations (`bdd`).
 
 from .build import build_mdp, export_flat, load_model, parse_flat, sniff_and_load
 from .core import (Action, ActionAttr, LiberalStrategy, MarkovChain, Mdp,
-                   MdpError, Mec, MecDecomposition, induce_chain, max_reach_exact,
+                   MdpError, MecDecomposition, induce_chain, max_reach_exact,
                    mec_decompose, reach_exact)
 from .dtree import DTree, export_dot, export_json, fit_max_leaf, import_json, learn
 from .importance import (Domain, ImportanceResult, RunStats, TrainingSet,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "ActionAttr", "BitLayout", "DTree", "Domain", "ImportanceResult",
-    "LiberalStrategy", "MarkovChain", "Mdp", "MdpError", "Mec", "MecDecomposition",
+    "LiberalStrategy", "MarkovChain", "Mdp", "MdpError", "MecDecomposition",
     "ModelError", "RunStats", "StrategyStore", "TrainingSet", "ValidityReport", "ValueApprox",
     "brtdp", "build_mdp", "build_training_set", "check_valid",
     "consulted_dont_care", "dump_tsv", "evaluate", "exact_importance",

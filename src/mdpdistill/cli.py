@@ -50,6 +50,13 @@ def _solve(mdp: Mdp, args):
     return brtdp(mdp, args.eps, seed=args.seed, max_steps=args.max_steps)
 
 
+def _converged(va) -> bool:
+    """Whether the engine met its gap; if not, say so on stderr."""
+    if not va.converged:
+        print(f"error: {va.engine} did not converge (gap {va.gap:.3g})", file=sys.stderr)
+    return va.converged
+
+
 def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
@@ -76,7 +83,7 @@ def cmd_solve(args) -> int:
     ])
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(mdp, sigma))
-    return 0 if va.converged else 1
+    return 0 if _converged(va) else 1
 
 
 def _pipeline(args):
@@ -161,7 +168,7 @@ def cmd_distill(args) -> int:
         Path(args.dot).write_text(dtree.export_dot(tree))
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(mdp, trunc, imp.weights))
-    return 0 if budget_met else 1
+    return 0 if _converged(va) and budget_met else 1
 
 
 def cmd_compare(args) -> int:
@@ -186,7 +193,7 @@ def cmd_compare(args) -> int:
         lines.append(f"{name},{size},{value!r},{rel!r}")
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    return 0
+    return 0 if _converged(va) else 1
 
 
 def cmd_export(args) -> int:
@@ -234,13 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="certified gap at the initial state")
     solveopts.add_argument("--engine", choices=("vi", "brtdp"), default="vi")
     solveopts.add_argument("--seed", type=int, default=0)
-    solveopts.add_argument("--max-steps", type=int, default=None,
+    solveopts.add_argument("--max-steps", type=_positive_int, default=None,
                            help="per-episode step cap for brtdp")
     solveopts.add_argument("--exit-union", action="store_true",
                            help="keep internal actions alongside end component exits")
 
     learnopts = argparse.ArgumentParser(add_help=False)
-    learnopts.add_argument("--runs", type=int, default=10000,
+    learnopts.add_argument("--runs", type=_positive_int, default=10000,
                            help="simulation runs for importance")
     learnopts.add_argument("--threads", type=_positive_int, default=1,
                            help="ignored; results do not depend on it")

@@ -115,8 +115,9 @@ class Mdp:
         # column keeps out-of-range successors from being read
         total = sp.csr_matrix((prob, np.zeros_like(succ), ptr), shape=(rows, 1)) @ np.ones(1)
         order, first_of = branch_groups(entry_row, succ)
-        row_bad = ((lengths == 0) | (np.abs(total - 1.0) > tol)
-                   | _hits(entry_row[prob <= 0], rows)
+        # written so that a NaN probability fails both checks
+        row_bad = ((lengths == 0) | ~(np.abs(total - 1.0) <= tol)
+                   | _hits(entry_row[~(prob > 0)], rows)
                    | _hits(entry_row[order[~first_of]], rows)
                    | _hits(entry_row[(succ < 0) | (succ >= n)], rows))
         first = v.row_start[:-1]
@@ -139,10 +140,10 @@ class Mdp:
             a, b = ptr[r], ptr[r + 1]
             if a == b:
                 raise MdpError(f"state {s}: malformed distribution")
-            if abs(total[r] - 1.0) > tol:
+            if not abs(total[r] - 1.0) <= tol:
                 raise MdpError(f"state {s}, action {self.action_names[v.action_id[r]]}: "
                                f"probabilities sum to {float(total[r])}")
-            if (prob[a:b] <= 0).any():
+            if not (prob[a:b] > 0).all():
                 raise MdpError(f"state {s}: non-positive branch probability")
             if len(np.unique(succ[a:b])) < b - a:
                 raise MdpError(f"state {s}: duplicate successor in distribution")
@@ -278,17 +279,6 @@ class MarkovChain:
         return tuple((tuple(ind[a:b]), tuple(data[a:b])) for a, b in zip(ptr, ptr[1:]))
 
 
-@dataclass
-class Mec:
-    """Maximal end component: states plus, per state, its internal actions."""
-
-    states: FrozenSet[int]
-    actions: Dict[int, Tuple[int, ...]]  # state -> indices into mdp.actions[s]
-
-    def __post_init__(self):
-        self.states = frozenset(self.states)
-
-
 class LiberalStrategy:
     """Partial map state -> non-empty set of action indices; absent = don't-care.
 
@@ -415,19 +405,6 @@ class MecDecomposition:
         """(count,) bool: the MECs holding one of the states in the mask."""
         return np.bincount(self.mec_of[states & (self.mec_of >= 0)],
                            minlength=self.count) > 0
-
-    def to_list(self, mdp: Mdp) -> List[Mec]:
-        """The MECs as `Mec` objects, in id order."""
-        v = mdp.sparse
-        members: List[List[int]] = [[] for _ in range(self.count)]
-        for s in np.flatnonzero(self.mec_of >= 0).tolist():
-            members[self.mec_of[s]].append(s)
-        rows = np.flatnonzero(self.internal)
-        owner = v.row_state[rows]
-        acts: Dict[int, List[int]] = {}
-        for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
-            acts.setdefault(s, []).append(i)
-        return [Mec(frozenset(m), {s: tuple(acts[s]) for s in m}) for m in members]
 
 
 def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -68,10 +68,6 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
         converged=True, gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
 
 
-def _is_sink(mdp: Mdp, s: int) -> bool:
-    return all(a.succs == (s,) for a in mdp.actions[s])
-
-
 def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
           max_steps: Optional[int] = None,
           max_episodes: int = 100_000) -> ValueApprox:
@@ -83,64 +79,69 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     with the explored set). Bounds are backed up along the path in reverse.
     End components discovered inside the explored set would keep both bounds
     at 1 forever, so their internal upper bounds get capped by the best pair
-    leaving the component. Returns partial tables over the explored states,
-    with `converged` False if the episode budget ran out first.
+    leaving the component; the decomposition is redone only when the
+    explored set has grown. Bounds are per-state lists over `mdp.sparse`,
+    and each pair value is summed over its row in declaration order. Returns
+    partial tables over the explored states, with `converged` False if the
+    episode budget ran out first.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    target = mdp.target
-    L: Dict[int, float] = {}
-    U: Dict[int, float] = {}
+    v = mdp.sparse
+    start = v.row_start.tolist()
+    ptr = v.branches.indptr.tolist()
+    succ = v.branches.indices.tolist()
+    prob = v.branches.data.tolist()
+    is_target = v.is_target.tolist()
+    # a sink's every row is a single branch back to itself (targets are sinks too)
+    loop = np.diff(v.branches.indptr) == 1
+    loop[loop] = v.branches.indices[v.branches.indptr[:-1][loop]] == v.row_state[loop]
+    stop = (np.bincount(v.row_state[~loop], minlength=mdp.n_states) == 0).tolist()
+    L = v.is_target.astype(np.float64).tolist()  # unexplored states hold the defaults
+    U = [1.0] * mdp.n_states
     explored = set()
     rng = random.Random(derive_seed(seed, 0))
 
-    def lval(s: int) -> float:
-        if s in target:
-            return 1.0
-        return L.get(s, 0.0)
-
-    def uval(s: int) -> float:
-        if s in target:
-            return 1.0
-        return U.get(s, 1.0)
-
-    def pair_l(s: int, a) -> float:
-        return sum(p * lval(t) for t, p in zip(a.succs, a.probs))
-
-    def pair_u(s: int, a) -> float:
-        return sum(p * uval(t) for t, p in zip(a.succs, a.probs))
+    def pair(V: List[float], r: int) -> float:
+        # sum() adds the branches in declaration order, as the mat-vec below does
+        return sum(p * V[t] for t, p in zip(succ[ptr[r]:ptr[r + 1]], prob[ptr[r]:ptr[r + 1]]))
 
     def backup(s: int):
-        if s in target:
+        if is_target[s]:
             return
-        if _is_sink(mdp, s):
-            L[s] = 0.0
-            U[s] = 0.0
+        if stop[s]:
+            L[s] = U[s] = 0.0
             return
-        L[s] = max(lval(s), max(pair_l(s, a) for a in mdp.actions[s]))
-        U[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
+        rows = range(start[s], start[s + 1])
+        L[s] = max(L[s], max(pair(L, r) for r in rows))
+        U[s] = min(U[s], max(pair(U, r) for r in rows))
+
+    groups = []  # (member states, exit rows) of each MEC away from the target
+    grouped_at = -1  # size of the explored set `groups` was read from
 
     def deflate():
-        for mec in mec_decompose(mdp, restrict=explored).to_list(mdp):
-            if mec.states & target:
-                continue
-            best = 0.0
-            found = False
-            for s in mec.states:
-                internal = set(mec.actions.get(s, ()))
-                for i, a in enumerate(mdp.actions[s]):
-                    if i in internal:
-                        continue
-                    best = max(best, pair_u(s, a))
-                    found = True
-            cap = best if found else 0.0
-            for s in mec.states:
-                U[s] = min(uval(s), cap)
+        # MECs in id order: one's new upper bound feeds the exits of later ones
+        nonlocal groups, grouped_at
+        if grouped_at != len(explored):  # explored only grows, so its size names it
+            mecs = mec_decompose(mdp, restrict=explored)
+            groups = [([], []) for _ in range(mecs.count)]
+            states = np.flatnonzero(mecs.mec_of >= 0)
+            for s, k in zip(states.tolist(), mecs.mec_of[states].tolist()):
+                groups[k][0].append(s)
+            rows = np.flatnonzero((mecs.mec_of[v.row_state] >= 0) & ~mecs.internal)
+            for r, k in zip(rows.tolist(), mecs.mec_of[v.row_state[rows]].tolist()):
+                groups[k][1].append(r)
+            groups = [groups[k] for k in np.flatnonzero(~mecs.touching(v.is_target))]
+            grouped_at = len(explored)
+        for members, exits in groups:
+            cap = max([0.0] + [pair(U, r) for r in exits])
+            for s in members:
+                U[s] = min(U[s], cap)
 
     s0 = mdp.initial
     explored.add(s0)
     episodes = 0
-    while uval(s0) - lval(s0) >= eps:
+    while U[s0] - L[s0] >= eps:
         if episodes >= max_episodes:
             break
         episodes += 1
@@ -148,51 +149,45 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         path = [s0]
         s = s0
         hit_cap = False
-        while True:
-            if s in target or _is_sink(mdp, s):
-                break
+        while not stop[s]:
             if len(path) > cap:
                 hit_cap = True
                 break
-            acts = mdp.actions[s]
-            vals = [pair_u(s, a) for a in acts]
+            rows = range(start[s], start[s + 1])
+            vals = [pair(U, r) for r in rows]
             best = max(vals)
-            cands = [i for i, v in enumerate(vals) if v >= best - 1e-12]
-            i = cands[0] if len(cands) == 1 else rng.choice(cands)
-            a = acts[i]
-            r = rng.random()
+            cands = [r for r, x in zip(rows, vals) if x >= best - 1e-12]
+            r = cands[0] if len(cands) == 1 else rng.choice(cands)
+            x = rng.random()
             acc = 0.0
-            t = a.succs[-1]
-            for u, p in zip(a.succs, a.probs):
+            t = succ[ptr[r + 1] - 1]
+            for u, p in zip(succ[ptr[r]:ptr[r + 1]], prob[ptr[r]:ptr[r + 1]]):
                 acc += p
-                if r < acc:
+                if x < acc:
                     t = u
                     break
             path.append(t)
             explored.add(t)
             s = t
-        for v in reversed(path):
-            backup(v)
+        for u in reversed(path):
+            backup(u)
         if hit_cap or episodes % 50 == 0:
             deflate()
-            for v in reversed(path):
-                backup(v)
+            for u in reversed(path):
+                backup(u)
 
-    view = mdp.sparse
-    pair_lower = np.zeros(len(view.row_state))
-    state_lower = view.is_target.astype(np.float64)
-    state_upper = np.ones(mdp.n_states)
-    for s in sorted(explored):
-        vals = [pair_l(s, a) for a in mdp.actions[s]]
-        pair_lower[view.row_start[s]:view.row_start[s + 1]] = vals
-        if s not in target:
-            state_lower[s] = max(vals)
-            state_upper[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
-
-    gap = uval(s0) - lval(s0)
+    seen = np.zeros(mdp.n_states, dtype=bool)
+    seen[list(explored)] = True
+    first_rows = v.row_start[:-1]
+    pair_lower = np.where(seen[v.row_state], v.branches @ np.array(L), 0.0)
+    upper = np.minimum(U, np.maximum.reduceat(v.branches @ np.array(U), first_rows))
+    open_ = seen & ~v.is_target
+    gap = U[s0] - L[s0]
     return ValueApprox(
-        pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
-        epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
+        pair_lower=pair_lower,
+        state_lower=np.where(open_, np.maximum.reduceat(pair_lower, first_rows), L),
+        state_upper=np.where(open_, upper, 1.0),
+        epsilon=eps, explored=np.flatnonzero(seen),
         converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
 
 

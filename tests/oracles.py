@@ -8,18 +8,22 @@ numbers these produce.
 
 The per-state loops at the end (`induce_rows`, `reach_rows`,
 `evaluate_rows`, `induce_by_classify`, `simulate_rows`, `learn_masks`,
-`tarjan`, `mecs_dict`, `quotient_dict`, `tables_dict`, `extract_dict`) are
-the plain-Python forms of the array code in `core`, `solver`, `strategy`,
-`importance` and `dtree`. They add in the same order, so the tests compare
-against them with `==`. `build_dict` is the interpreted build, over
-`eval_expr`, that the compiled one in `build` replaced; with `view_dict`,
-`validate_dict` and `export_dict` it keeps a model as Python tuples.
+`tarjan`, `mecs_dict`, `quotient_dict`, `brtdp_dict`, `tables_dict`,
+`extract_dict`) are the plain-Python forms of the array code in `core`,
+`solver`, `strategy`, `importance` and `dtree`. They add in the same order,
+so the tests compare against them with `==`. `mec_list` reads a
+`MecDecomposition` into the `Mec` objects `mecs_dict` returns.
+`build_dict` is the interpreted build, over `eval_expr`, that the compiled
+one in `build` replaced; with `view_dict`, `validate_dict` and
+`export_dict` it keeps a model as Python tuples.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -30,14 +34,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mdpdistill.core import (_MASK64, TAU, Action, ActionAttr, LiberalStrategy,
-                             MarkovChain, Mdp, Mec, MdpError, Quotient, SparseView,
-                             derive_seed, induce_chain, reach_exact, reachable)
+                             MarkovChain, Mdp, MdpError, MecDecomposition, Quotient,
+                             SparseView, derive_seed, induce_chain, reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
 from mdpdistill.expr import (And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg, Not,
                              Var)
 from mdpdistill.importance import Domain, RunStats, TrainingSet
 from mdpdistill.lang import ModelAst, ModelError
+from mdpdistill.solver import ValueApprox
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -472,6 +477,31 @@ def tarjan(n: int, succ: Sequence[Sequence[int]]) -> List[List[int]]:
     return sccs
 
 
+@dataclass
+class Mec:
+    """Maximal end component: states plus, per state, its internal actions."""
+
+    states: FrozenSet[int]
+    actions: Dict[int, Tuple[int, ...]]  # state -> indices into mdp.actions[s]
+
+    def __post_init__(self):
+        self.states = frozenset(self.states)
+
+
+def mec_list(mecs: MecDecomposition, mdp: Mdp) -> List[Mec]:
+    """The MECs of a `core.MecDecomposition` as `Mec` objects, in id order."""
+    v = mdp.sparse
+    members: List[List[int]] = [[] for _ in range(mecs.count)]
+    for s in np.flatnonzero(mecs.mec_of >= 0).tolist():
+        members[mecs.mec_of[s]].append(s)
+    rows = np.flatnonzero(mecs.internal)
+    owner = v.row_state[rows]
+    acts: Dict[int, List[int]] = {}
+    for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+        acts.setdefault(s, []).append(i)
+    return [Mec(frozenset(m), {s: tuple(acts[s]) for s in m}) for m in members]
+
+
 def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
     """`core.mec_decompose` as a work list of candidate state sets."""
     if restrict is None:
@@ -591,6 +621,128 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
         nodes_with_rows=np.array(owners, dtype=np.int64),
         frozen_value=frozen, has_rows=has_rows, target_nodes=target_nodes,
         zero_nodes=~np.array(reach, dtype=bool))
+
+
+def _is_sink(mdp: Mdp, s: int) -> bool:
+    return all(a.succs == (s,) for a in mdp.actions[s])
+
+
+def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
+               max_steps: Optional[int] = None,
+               max_episodes: int = 100_000) -> ValueApprox:
+    """`solver.brtdp` over dict bounds and the `Action` tuples of each state.
+
+    The same episodes, random draws, backups and deflations, with `mecs_dict`
+    in place of `mec_decompose`; every float is added in the same order.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    target = mdp.target
+    L: Dict[int, float] = {}
+    U: Dict[int, float] = {}
+    explored = set()
+    rng = random.Random(derive_seed(seed, 0))
+
+    def lval(s: int) -> float:
+        if s in target:
+            return 1.0
+        return L.get(s, 0.0)
+
+    def uval(s: int) -> float:
+        if s in target:
+            return 1.0
+        return U.get(s, 1.0)
+
+    def pair_l(s: int, a) -> float:
+        return sum(p * lval(t) for t, p in zip(a.succs, a.probs))
+
+    def pair_u(s: int, a) -> float:
+        return sum(p * uval(t) for t, p in zip(a.succs, a.probs))
+
+    def backup(s: int):
+        if s in target:
+            return
+        if _is_sink(mdp, s):
+            L[s] = 0.0
+            U[s] = 0.0
+            return
+        L[s] = max(lval(s), max(pair_l(s, a) for a in mdp.actions[s]))
+        U[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
+
+    def deflate():
+        for mec in mecs_dict(mdp, restrict=explored):
+            if mec.states & target:
+                continue
+            best = 0.0
+            found = False
+            for s in mec.states:
+                internal = set(mec.actions.get(s, ()))
+                for i, a in enumerate(mdp.actions[s]):
+                    if i in internal:
+                        continue
+                    best = max(best, pair_u(s, a))
+                    found = True
+            cap = best if found else 0.0
+            for s in mec.states:
+                U[s] = min(uval(s), cap)
+
+    s0 = mdp.initial
+    explored.add(s0)
+    episodes = 0
+    while uval(s0) - lval(s0) >= eps:
+        if episodes >= max_episodes:
+            break
+        episodes += 1
+        cap = max_steps if max_steps is not None else 10 * len(explored) + 1000
+        path = [s0]
+        s = s0
+        hit_cap = False
+        while True:
+            if s in target or _is_sink(mdp, s):
+                break
+            if len(path) > cap:
+                hit_cap = True
+                break
+            acts = mdp.actions[s]
+            vals = [pair_u(s, a) for a in acts]
+            best = max(vals)
+            cands = [i for i, v in enumerate(vals) if v >= best - 1e-12]
+            i = cands[0] if len(cands) == 1 else rng.choice(cands)
+            a = acts[i]
+            r = rng.random()
+            acc = 0.0
+            t = a.succs[-1]
+            for u, p in zip(a.succs, a.probs):
+                acc += p
+                if r < acc:
+                    t = u
+                    break
+            path.append(t)
+            explored.add(t)
+            s = t
+        for v in reversed(path):
+            backup(v)
+        if hit_cap or episodes % 50 == 0:
+            deflate()
+            for v in reversed(path):
+                backup(v)
+
+    view = mdp.sparse
+    pair_lower = np.zeros(len(view.row_state))
+    state_lower = view.is_target.astype(np.float64)
+    state_upper = np.ones(mdp.n_states)
+    for s in sorted(explored):
+        vals = [pair_l(s, a) for a in mdp.actions[s]]
+        pair_lower[view.row_start[s]:view.row_start[s + 1]] = vals
+        if s not in target:
+            state_lower[s] = max(vals)
+            state_upper[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
+
+    gap = uval(s0) - lval(s0)
+    return ValueApprox(
+        pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
+        epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
+        converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
 
 
 def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):

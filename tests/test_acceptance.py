@@ -152,7 +152,7 @@ def test_criterion_04_soundness_corpus(corpus):
                            ("brtdp", brtdp(m, 1e-6, seed=i))):
             rep = check_valid(m, va, exact, tol=1e-9)
             if not rep.ok:
-                bad.append((i, engine, rep.failures))
+                bad.append((i, engine, rep.messages))
                 continue
             val = strat.evaluate(m, strat.extract_liberal(m, va))
             gap = exact[m.initial] - val

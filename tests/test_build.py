@@ -143,6 +143,8 @@ def test_sniff_both_formats(fig1):
         ("vars x:0..1\nstate 0 0\nstate 0 1\ninit 0", "duplicate state"),
         ("vars x:0..1\nstate 0 0\nact 0 a 1 1.0 0\ninit 0\ntarget 9",
          "target references unknown state"),
+        ("vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\ninit 0",
+         "sum to nan"),
     ],
 )
 def test_flat_errors(text, fragment):

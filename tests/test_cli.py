@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import mdpdistill
 from mdpdistill.cli import main
+from mdpdistill.solver import brtdp
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +259,28 @@ def test_compare_table_and_csv(models, tmp_path, capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("command", ["distill", "compare"])
+def test_unconverged_engine_exits_one(models, tmp_path, monkeypatch, capsys, command):
+    # one episode leaves BRTDP's gap open on fig1; the command still prints
+    # and writes its usual output, and the exit status and stderr report it
+    from mdpdistill import cli, fixtures
+    short = functools.partial(brtdp, max_episodes=1)
+    monkeypatch.setattr(cli, "brtdp", short)
+    dest = tmp_path / "out"
+    rc = main([command, "--model", str(models / "fig1.mdp"), "--engine", "brtdp",
+               "--runs", "500", "--seed", "1",
+               "--out" if command == "distill" else "--csv", str(dest)])
+    out, err = capsys.readouterr()
+    gap = short(fixtures.load("fig1"), 1e-6, seed=1).gap
+    assert gap >= 1e-6
+    assert rc == 1
+    assert err == f"error: brtdp did not converge (gap {gap:.3g})\n"
+    assert "error:" not in out and dest.read_text()
+    if command == "distill":
+        # the tree meets its budget, so non-convergence alone sets the status
+        assert _kv(out)["budget met"] == "yes"
+
+
 # ------------------------------------------------------------------- export
 
 def test_export_round_trip(models, tmp_path, capsys):
@@ -327,14 +351,22 @@ def test_unknown_flag_exits_two(models, capsys):
     ["solve", "--model", "."],
     ["distill", "--threads", "0"],
     ["distill", "--threads", "-3"],
+    ["solve", "--engine", "brtdp", "--max-steps", "0"],
+    ["solve", "--engine", "brtdp", "--max-steps", "-2"],
+    ["distill", "--runs", "0"],
+    ["distill", "--runs", "-3"],
+    ["solve", "--model", "nan.flat"],
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
-        "threads-zero", "threads-negative"])
+        "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
+        "runs-zero", "runs-negative", "nan-probability"])
 def test_bad_input_exits_two_without_traceback(models, argv):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]
     src = Path(mdpdistill.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    (models / "nan.flat").write_text(
+        "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\ninit 0\n")
     proc = subprocess.run([sys.executable, "-m", "mdpdistill.cli", *argv],
                           cwd=models, env=env, capture_output=True, text=True,
                           timeout=60)

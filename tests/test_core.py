@@ -15,7 +15,7 @@ from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
 
 from conftest import random_mdp
 from oracles import (acyclic_value, brute_mecs, brute_val, induce_rows,
-                     make_absorbing, mdp_of, mecs_dict, quotient_dict, tarjan)
+                     make_absorbing, mdp_of, mec_list, mecs_dict, quotient_dict, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -146,7 +146,7 @@ def _as_set(mecs):
 @pytest.mark.parametrize("seed", range(40))
 def test_mec_decompose_matches_brute(seed):
     m = random_mdp(seed)
-    got = _as_set(mec_decompose(m).to_list(m))
+    got = _as_set(mec_list(mec_decompose(m), m))
     want = {(states, tuple(sorted(acts.items())))
             for states, acts in brute_mecs(m)}
     assert got == want
@@ -160,7 +160,7 @@ def _restrict(m, seed):
 def _assert_mecs_match_dict_loop(m, restrict=None):
     dec = mec_decompose(m, restrict=restrict)
     want = mecs_dict(m, restrict)
-    assert [(x.states, x.actions) for x in dec.to_list(m)] == \
+    assert [(x.states, x.actions) for x in mec_list(dec, m)] == \
         [(x.states, x.actions) for x in want]
     assert dec.count == len(want)
     # the arrays agree with the list they were read into
@@ -186,7 +186,7 @@ def test_mec_decompose_matches_dict_loop_on_models(name, request):
 
 
 def test_mec_on_two_state_component(tiny_mec_mdp):
-    mecs = mec_decompose(tiny_mec_mdp).to_list(tiny_mec_mdp)
+    mecs = mec_list(mec_decompose(tiny_mec_mdp), tiny_mec_mdp)
     by_states = {m.states: m for m in mecs}
     assert frozenset({1, 2}) in by_states
     spin = by_states[frozenset({1, 2})]
@@ -200,13 +200,13 @@ def test_mec_on_two_state_component(tiny_mec_mdp):
 def test_mec_restrict(tiny_mec_mdp):
     # restricting away state 2 breaks the spin loop
     m = tiny_mec_mdp
-    mecs = mec_decompose(m, restrict=frozenset({0, 1, 3, 4})).to_list(m)
+    mecs = mec_list(mec_decompose(m, restrict=frozenset({0, 1, 3, 4})), m)
     assert frozenset({1, 2}) not in {x.states for x in mecs}
     assert frozenset({3}) in {x.states for x in mecs}
 
 
 def test_fig1_mecs_frozen(fig1):
-    mecs = mec_decompose(fig1).to_list(fig1)
+    mecs = mec_list(mec_decompose(fig1), fig1)
     got = {m.states for m in mecs}
     # target, the st-loop pair of waiting rooms, and four dead ends
     assert got == {frozenset({1}), frozenset({3}), frozenset({4}),

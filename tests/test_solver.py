@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mdpdistill.core import interval_iterate, max_reach_exact
+from mdpdistill import solver
+from mdpdistill.core import MecDecomposition, interval_iterate, max_reach_exact, mec_decompose
 from mdpdistill.solver import brtdp, check_valid, value_iteration
 
 from conftest import random_mdp
-from oracles import brute_val, mecs_dict, quotient_dict, tables_dict
+import oracles
+from oracles import brtdp_dict, brute_val, mecs_dict, quotient_dict, tables_dict
 
 
 # --------------------------------------------------------------------- VI
@@ -205,3 +207,68 @@ def test_vi_tables_match_dict_loop(seed):
 @pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
 def test_vi_tables_match_dict_loop_on_models(name, request):
     _assert_vi_matches_dict_loop(request.getfixturevalue(name), 1e-6)
+
+
+# ------------------------------------------------- brtdp against the dict loop
+
+def _run_both(m, seed, monkeypatch, **budget):
+    """Run the engine and `oracles.brtdp_dict`, assert bit-equal results, and
+    return the engine's result and the oracle's number of deflations."""
+    va = brtdp(m, 1e-6, seed=seed, **budget)
+    deflations = []
+
+    def counted(mdp, restrict=None):
+        deflations.append(len(restrict))
+        return mecs_dict(mdp, restrict)
+
+    monkeypatch.setattr(oracles, "mecs_dict", counted)
+    want = brtdp_dict(m, 1e-6, seed=seed, **budget)
+    monkeypatch.undo()
+    for name in ("pair_lower", "state_lower", "state_upper", "explored"):
+        got, ref = getattr(va, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    assert (va.gap, va.converged, va.episodes) == (want.gap, want.converged, want.episodes)
+    return va, len(deflations)
+
+
+def _no_mecs(mdp, restrict=None):
+    return MecDecomposition(np.full(mdp.n_states, -1),
+                            np.zeros(len(mdp.sparse.row_state), dtype=bool), 0)
+
+
+@pytest.mark.parametrize("budget", [{}, {"max_episodes": 2},
+                                    {"max_steps": 3, "max_episodes": 300}],
+                         ids=["default", "two-episodes", "step-cap"])
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2"])
+def test_brtdp_matches_dict_loop_on_models(name, budget, request, monkeypatch):
+    m = request.getfixturevalue(name)
+    # mutex takes hundreds of episodes to converge; two seeds keep this short
+    for seed in range(2 if name == "mutex" and not budget else 4):
+        va, _ = _run_both(m, seed, monkeypatch, **budget)
+        if name != "sync2" and "max_steps" in budget:
+            # deflation only ever lowers the upper bounds of explored MECs away
+            # from the target, so an outcome that differs without it shows one
+            monkeypatch.setattr(solver, "mec_decompose", _no_mecs)
+            other = brtdp(m, 1e-6, seed=seed, **budget)
+            monkeypatch.undo()
+            assert (other.state_upper.tobytes(), other.episodes) != \
+                (va.state_upper.tobytes(), va.episodes)
+
+
+def test_brtdp_matches_dict_loop_on_long_chain(monkeypatch):
+    from mdpdistill.fixtures import fig1_extended
+    va, _ = _run_both(fig1_extended(2000), 0, monkeypatch)
+    assert va.converged
+
+
+def test_brtdp_matches_dict_loop_on_random_models(monkeypatch):
+    capped = unconverged = 0
+    for seed in range(100):
+        budget = ({"max_steps": 10, "max_episodes": 51} if seed % 2 else
+                  {"max_steps": 3, "max_episodes": 12})
+        va, deflations = _run_both(random_mdp(seed, max_states=50), seed, monkeypatch,
+                                   **budget)
+        # deflation comes every 50 episodes and after each that hit the cap
+        capped += deflations > va.episodes // 50
+        unconverged += not va.converged
+    assert capped >= 50 and unconverged >= 30, (capped, unconverged)
