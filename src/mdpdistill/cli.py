@@ -109,20 +109,26 @@ def _fit_tree(mdp, ts, reference, args):
     """Learn at a fixed leaf size, or search for the largest one in budget.
 
     Returns the tree, its leaf size, and the value and fallback states of
-    the strategy it induces. Each tree is induced once, and each distinct
-    induced strategy evaluated once: the value depends only on the row mask,
-    which is all that `induce_chain` reads.
+    the strategy it induces. Each distinct tree (same predicates and leaf
+    labels, hence the same JSON) is induced once, and each distinct induced
+    strategy evaluated once: the value depends only on the row mask, which
+    is all that `induce_chain` reads.
     """
     probed = []
+    induced = {}
     values = {}
 
     def probe(t: dtree.DTree) -> float:
-        induced, fallback = dtree.induce_strategy(mdp, t)
-        key = induced.row_mask(mdp).tobytes()
-        if key not in values:
-            values[key] = strat.evaluate(mdp, induced)
-        probed.append((t, values[key], fallback))
-        return values[key]
+        tree_key = dtree.export_json(t)
+        if tree_key not in induced:
+            sigma, fallback = dtree.induce_strategy(mdp, t)
+            key = sigma.row_mask(mdp).tobytes()
+            if key not in values:
+                values[key] = strat.evaluate(mdp, sigma)
+            induced[tree_key] = values[key], fallback
+        value, fallback = induced[tree_key]
+        probed.append((t, value, fallback))
+        return value
 
     if args.min_leaf != "auto":
         tree = dtree.learn(ts, min_leaf=args.min_leaf,

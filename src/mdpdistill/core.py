@@ -537,6 +537,21 @@ class Quotient:
     target_nodes: np.ndarray  # bool mask
     zero_nodes: np.ndarray  # bool mask: no path to a target node
 
+    @cached_property
+    def slots(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """The rows of R slot-major: nodes with rows ordered by descending
+        row count (ties by node), and block j holding the j-th row of every
+        node with more than j rows, which is a prefix of that order.
+        Returns the reordered R, the ordered nodes and the block offsets."""
+        counts = np.diff(np.append(self.row_starts, self.R.shape[0]))
+        order = np.argsort(-counts, kind="stable")
+        width = int(counts.max(initial=0))
+        # nodes with more than j rows, for each slot j
+        sizes = np.searchsorted(-counts[order], -np.arange(width), side="left")
+        slot = np.repeat(np.arange(width), sizes)
+        perm = self.row_starts[order][_ranges(np.zeros(width, dtype=np.int64), sizes)] + slot
+        return self.R[perm], self.nodes_with_rows[order], np.append(0, np.cumsum(sizes))
+
 
 def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     """Collapse every MEC into one node; its internal rows vanish.
@@ -623,17 +638,21 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
             return U[stop_node] - L[stop_node] < eps
         return np.max(U - L) < tol
 
+    def best(values: np.ndarray) -> np.ndarray:
+        """Largest row value per node, in the order of `nodes`."""
+        rows = R.dot(values)
+        out = rows[:len(nodes)]
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            np.maximum(out[:hi - lo], rows[lo:hi], out=out[:hi - lo])
+        return out
+
     sweeps = 0
-    nw = q.nodes_with_rows
+    R, nodes, bounds = q.slots
     while not done():
         if sweeps >= max_sweeps:
             raise MdpError("interval iteration exceeded sweep budget")
-        Lr = q.R.dot(L)
-        Ur = q.R.dot(U)
-        L = L.copy()
-        U = U.copy()
-        L[nw] = np.maximum(L[nw], np.maximum.reduceat(Lr, q.row_starts))
-        U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, q.row_starts))
+        L[nodes] = np.maximum(L[nodes], best(L))
+        U[nodes] = np.minimum(U[nodes], best(U))
         sweeps += 1
     return L, U, sweeps
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -104,6 +104,21 @@ def _entropies(wg: np.ndarray, wb: np.ndarray) -> np.ndarray:
     return out
 
 
+class _NodeTable(NamedTuple):
+    """What a node's split choice needs, whatever `min_leaf` is: its good and
+    bad weight and, per candidate split in tie-break order, the coordinate,
+    constant, lighter side's weight, whether the yes side is every row, and
+    the information gain."""
+
+    wg: float
+    wb: float
+    coord: Optional[np.ndarray] = None  # None: a pure node, no candidates
+    k: Optional[np.ndarray] = None
+    lighter: Optional[np.ndarray] = None
+    full: Optional[np.ndarray] = None
+    gain: Optional[np.ndarray] = None
+
+
 def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
           prune: bool = True) -> DTree:
     """Grow a tree on the training rows, then optionally prune it.
@@ -112,11 +127,14 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
     keep; raising it is the main lever for trading accuracy against size.
     A node scores all its splits at once from running sums of its rows'
     weights in each coordinate's order, exact as the weights are integers.
+    None of that depends on `min_leaf`, so each node's table is kept in
+    `ts.node_tables` and later calls only filter it.
     """
     domain = ts.domain
     nv = domain.n_vars
     F, y, w = ts.features
     wy = w * y
+    tables = ts.node_tables
 
     def candidates(idx: np.ndarray):
         """Coordinate, constant, yes-side weight, good weight and whether that
@@ -144,24 +162,36 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
         wl, wlg = sums[:, c, i + 1] - sums[:, c, lo]
         return c, k, wl, wlg, i + 1 - lo == n
 
-    def grow(idx: np.ndarray) -> Node:
+    def node_table(idx: np.ndarray) -> _NodeTable:
         wg = float(w[idx][y[idx]].sum())
         wb = float(w[idx][~y[idx]].sum())
-        total = wg + wb
-        majority = wg >= wb
-        err = min(wg, wb)
         if wg == 0.0 or wb == 0.0:
-            return Leaf(majority, total, err)
+            return _NodeTable(wg, wb)
+        total = wg + wb
         coord, k, wl, wlg, full = candidates(idx)
         wr = total - wl
-        ok = (wl >= min_leaf) & (wr >= min_leaf)
-        coord, k, wl, wlg, wr, full = coord[ok], k[ok], wl[ok], wlg[ok], wr[ok], full[ok]
         wrg = wg - wlg
         parent_h = _entropies(np.array([wg]), np.array([wb]))[0]
         gain = (parent_h - (wl * _entropies(wlg, wl - wlg)
-                            + wr * _entropies(wrg, wr - wrg)) / total).tolist()
+                            + wr * _entropies(wrg, wr - wrg)) / total)
+        return _NodeTable(wg, wb, coord, k, np.minimum(wl, wr), full, gain)
+
+    def grow(idx: np.ndarray) -> Node:
+        key = idx.tobytes()
+        t = tables.get(key)
+        if t is None:
+            t = tables[key] = node_table(idx)
+        total = t.wg + t.wb
+        majority = t.wg >= t.wb
+        err = min(t.wg, t.wb)
+        if t.gain is None:
+            return Leaf(majority, total, err)
+        ok = np.flatnonzero(t.lighter >= min_leaf)
+        gain = t.gain[ok]
         best = None
-        for i in np.flatnonzero(np.asarray(gain) > 1e-12).tolist():
+        positive = np.flatnonzero(gain > 1e-12).tolist()
+        gain = gain.tolist()
+        for i in positive:
             # a later split must win by more than the tolerance
             if best is None or gain[i] > gain[best] + 1e-12:
                 best = i
@@ -169,10 +199,11 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
             # a perfectly balanced boundary zeroes out every gain while the
             # rows stay separable; split anyway so an unrestricted tree
             # always fits its training set
+            full = t.full[ok]
             if full.all():
                 return Leaf(majority, total, err)
             best = int(np.argmin(full))
-        c, v = int(coord[best]), int(k[best])
+        c, v = int(t.coord[ok[best]]), int(t.k[ok[best]])
         yes = F[idx, c] <= v if c < nv else F[idx, c] == v
         pred = (Pred("le", c, v) if c < nv else
                 Pred(COORD_MODULE, 0, v) if c > nv else

@@ -256,6 +256,12 @@ class TrainingSet:
         w = np.array([r.weight for r in self.rows], dtype=np.float64)
         return F, y, w
 
+    @cached_property
+    def node_tables(self) -> dict:
+        """Split tables of tree nodes keyed on the bytes of their row indices,
+        filled by `dtree.learn`; like `features`, valid while `rows` is fixed."""
+        return {}
+
 
 def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
                        *, mode: str = "repeat", runs: int = 1,

@@ -13,6 +13,8 @@ The per-state loops at the end (`induce_rows`, `reach_rows`,
 `solver`, `strategy`, `importance` and `dtree`. They add in the same order,
 so the tests compare against them with `==`. `mec_list` reads a
 `MecDecomposition` into the `Mec` objects `mecs_dict` returns.
+`interval_iterate_reduceat` is the sweep loop over R in node-grouped
+order that `core.interval_iterate`'s slot-major layout replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
 one in `build` replaced; with `view_dict`, `validate_dict` and
 `export_dict` it keeps a model as Python tuples.
@@ -621,6 +623,37 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
         nodes_with_rows=np.array(owners, dtype=np.int64),
         frozen_value=frozen, has_rows=has_rows, target_nodes=target_nodes,
         zero_nodes=~np.array(reach, dtype=bool))
+
+
+def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
+                              stop_node: Optional[int] = None, tol: Optional[float] = None,
+                              max_sweeps: int = 5_000_000) -> Tuple[np.ndarray, np.ndarray, int]:
+    """`core.interval_iterate`, each node's best row taken by `np.maximum.reduceat`
+    over R in its node-grouped order."""
+    L = q.frozen_value.copy()
+    U = np.ones(q.num_nodes)
+    U[q.zero_nodes] = 0.0
+    U[q.target_nodes] = 1.0
+    U[~q.has_rows & ~q.target_nodes] = 0.0
+
+    def done():
+        if stop_node is not None and eps is not None:
+            return U[stop_node] - L[stop_node] < eps
+        return np.max(U - L) < tol
+
+    sweeps = 0
+    nw = q.nodes_with_rows
+    while not done():
+        if sweeps >= max_sweeps:
+            raise MdpError("interval iteration exceeded sweep budget")
+        Lr = q.R.dot(L)
+        Ur = q.R.dot(U)
+        L = L.copy()
+        U = U.copy()
+        L[nw] = np.maximum(L[nw], np.maximum.reduceat(Lr, q.row_starts))
+        U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, q.row_starts))
+        sweeps += 1
+    return L, U, sweeps
 
 
 def _is_sink(mdp: Mdp, s: int) -> bool:

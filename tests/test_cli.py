@@ -192,14 +192,15 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
 @pytest.mark.parametrize("min_leaf", ["auto", "3"])
 def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
     # one evaluate for the liberal strategy's reference value, one induce
-    # per tree, and one evaluate per distinct induced strategy (its row
-    # mask); the chosen tree is not redone
+    # per distinct tree (its JSON), and one evaluate per distinct induced
+    # strategy (its row mask); the chosen tree is not redone
     from mdpdistill import dtree, strategy
     calls = {"evaluate": 0, "induce": 0}
     masks = []
+    learned, induced = [], []
     fits = []
     real_evaluate, real_induce = strategy.evaluate, dtree.induce_strategy
-    real_fit = dtree.fit_max_leaf
+    real_fit, real_learn = dtree.fit_max_leaf, dtree.learn
 
     def evaluate(*a):
         calls["evaluate"] += 1
@@ -207,9 +208,15 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
 
     def induce(mdp, tree):
         calls["induce"] += 1
-        induced, fallback = real_induce(mdp, tree)
-        masks.append(induced.row_mask(mdp).tobytes())
-        return induced, fallback
+        induced.append(dtree.export_json(tree))
+        sigma, fallback = real_induce(mdp, tree)
+        masks.append(sigma.row_mask(mdp).tobytes())
+        return sigma, fallback
+
+    def learn(*a, **kw):
+        tree = real_learn(*a, **kw)
+        learned.append(dtree.export_json(tree))
+        return tree
 
     def fit(*a, **kw):
         fits.append(real_fit(*a, **kw))
@@ -217,6 +224,7 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
 
     monkeypatch.setattr(strategy, "evaluate", evaluate)
     monkeypatch.setattr(dtree, "induce_strategy", induce)
+    monkeypatch.setattr(dtree, "learn", learn)
     monkeypatch.setattr(dtree, "fit_max_leaf", fit)
     rc = main(["distill", "--model", str(models / "fig1.mdp"),
                "--runs", "2000", "--min-leaf", min_leaf])
@@ -224,9 +232,13 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
     capsys.readouterr()
     probes = len(fits[0].tried) if fits else 1
     assert probes > 1 or min_leaf != "auto"
-    assert calls == {"evaluate": len(set(masks)) + 1, "induce": probes}
+    assert len(learned) == probes
+    assert sorted(induced) == sorted(set(learned))
+    assert calls == {"evaluate": len(set(masks)) + 1, "induce": len(set(learned))}
     if min_leaf == "auto":
-        # on fig1 several trees induce the same strategy
+        # on fig1 several probes grow the same tree, so several probes
+        # share an induced strategy
+        assert len(set(learned)) < probes
         assert len(set(masks)) < probes
 
 
@@ -343,6 +355,9 @@ def test_unknown_flag_exits_two(models, capsys):
     capsys.readouterr()
 
 
+NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\ninit 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--eps", "0"],
     ["solve", "--eps", "-0.5"],
@@ -359,17 +374,30 @@ def test_unknown_flag_exits_two(models, capsys):
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
         "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
         "runs-zero", "runs-negative", "nan-probability"])
-def test_bad_input_exits_two_without_traceback(models, argv):
+def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]
+    (models / "nan.flat").write_text(NAN_FLAT)
+    monkeypatch.chdir(models)
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects the value
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "error" in err
+
+
+def test_module_entry_exits_two_without_traceback(models):
+    # the same checks through `python -m mdpdistill.cli` in a fresh interpreter
     src = Path(mdpdistill.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    (models / "nan.flat").write_text(
-        "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\ninit 0\n")
-    proc = subprocess.run([sys.executable, "-m", "mdpdistill.cli", *argv],
-                          cwd=models, env=env, capture_output=True, text=True,
-                          timeout=60)
+    (models / "nan.flat").write_text(NAN_FLAT)
+    proc = subprocess.run([sys.executable, "-m", "mdpdistill.cli", "solve", "--model",
+                           "nan.flat"], cwd=models, env=env, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr

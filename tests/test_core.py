@@ -13,9 +13,12 @@ from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
                              max_reach_exact, mec_decompose,
                              reach_exact, strong_components)
 
+from mdpdistill import fixtures
+
 from conftest import random_mdp
 from oracles import (acyclic_value, brute_mecs, brute_val, induce_rows,
-                     make_absorbing, mdp_of, mec_list, mecs_dict, quotient_dict, tarjan)
+                     interval_iterate_reduceat, make_absorbing, mdp_of, mec_list,
+                     mecs_dict, quotient_dict, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -299,6 +302,55 @@ def test_interval_iterate_stop_node(tiny_mec_mdp):
     node = q.node_of[m.initial]
     assert U[node] - L[node] <= 1e-6
     assert abs(L[node] - 0.5) <= 1e-6
+
+
+def _assert_same_sweeps(m):
+    q = build_quotient(m, mec_decompose(m))
+    for kw in (dict(eps=1e-6, stop_node=int(q.node_of[m.initial])), dict(tol=1e-12)):
+        L, U, sweeps = interval_iterate(q, **kw)
+        L0, U0, sweeps0 = interval_iterate_reduceat(q, **kw)
+        assert sweeps == sweeps0, kw
+        assert L.tobytes() == L0.tobytes(), kw
+        assert U.tobytes() == U0.tobytes(), kw
+    return q
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_sweeps_match_reduceat_on_models(name, request):
+    _assert_same_sweeps(request.getfixturevalue(name))
+
+
+def test_sweeps_match_reduceat_on_chain():
+    _assert_same_sweeps(fixtures.fig1_extended(2000))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_sweeps_match_reduceat_on_random_models(seed):
+    _assert_same_sweeps(random_mdp(seed, max_states=12, max_actions=4))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sweeps_match_reduceat_with_one_wide_node(seed):
+    # state 0 has dozens of actions, the others one to three, so the
+    # slot-major blocks shrink from every node down to node 0 alone; edges
+    # go forward, so there is no end component to collapse rows
+    rng = random.Random(seed)
+    n = 12
+
+    def row(s, k):
+        pool = range(s + 1, n)
+        succs = tuple(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        cuts = sorted(rng.sample(range(1, 8), len(succs) - 1))
+        probs = tuple((b - a) / 8 for a, b in zip([0] + cuts, cuts + [8]))
+        return Action(ActionAttr(f"a{k}", 1), succs, probs)
+
+    acts = [[row(s, k) for k in range(40 if s == 0 else rng.randint(1, 3))]
+            for s in range(n - 1)] + [[]]
+    q = _assert_same_sweeps(_mdp(acts, {n - 1}))
+    R, nodes, bounds = q.slots
+    counts = np.diff(bounds)
+    assert counts[0] == len(q.nodes_with_rows) and counts[-1] == 1
+    assert len(counts) == 40 and R.shape == q.R.shape
 
 
 def _assert_same_quotient(got, want):

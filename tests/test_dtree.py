@@ -363,6 +363,43 @@ def test_learn_matches_mask_loop_on_random_sets(seed):
                 learn_masks(ts, min_leaf=leaf, prune=prune)), (leaf, prune)
 
 
+def _assert_warm_tables_change_nothing(ts, leaves):
+    """Trees from `ts`, whose node tables fill up as `leaves` are visited in
+    order, equal trees from a fresh copy and from the mask loop, weights and
+    error counts included; a second visit adds no table."""
+    oracle = {}
+    for leaf in leaves:
+        for prune in (True, False):
+            if (leaf, prune) not in oracle:
+                oracle[leaf, prune] = learn_masks(ts, min_leaf=leaf, prune=prune)
+                cold = learn(TrainingSet(ts.domain, ts.rows), min_leaf=leaf, prune=prune)
+                assert cold == oracle[leaf, prune], (leaf, prune)
+            assert learn(ts, min_leaf=leaf, prune=prune) == oracle[leaf, prune], (leaf, prune)
+    tables = len(ts.node_tables)
+    for leaf in leaves:
+        assert learn(ts, min_leaf=leaf) == oracle[leaf, True], leaf
+    assert len(ts.node_tables) == tables > 0
+
+
+def _leaves_up_down_repeat(top):
+    up = sorted({1, 2, 3} | {max(1, top >> k) for k in range(0, 13, 3)})
+    return up + up[::-1] + up[1::2]
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_warm_node_tables_match_cold_and_mask_loop(name, request):
+    _, ts = _distill_set(request.getfixturevalue(name))
+    top = int(ts.features[2].sum()) // 2
+    leaves = _leaves_up_down_repeat(top)
+    assert leaves[0] < leaves[len(leaves) // 2 - 1] and len(set(leaves)) < len(leaves)
+    _assert_warm_tables_change_nothing(ts, leaves)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_warm_node_tables_match_cold_and_mask_loop_on_random_sets(seed):
+    _assert_warm_tables_change_nothing(_random_set(seed), [1, 2, 3, 5, 9, 5, 3, 2, 1, 3, 9, 1])
+
+
 def test_balanced_boundary_takes_the_fallback_split():
     # x0 xor x1, equal weights: no split gains, yet the rows are separable
     dom = Domain((("x0", 0, 1), ("x1", 0, 1)), (), 1)
