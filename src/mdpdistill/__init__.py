@@ -9,9 +9,9 @@ representations (`bdd`).
 """
 
 from .build import build_mdp, export_flat, load_model, parse_flat, sniff_and_load
-from .core import (Action, ActionAttr, LiberalStrategy, MarkovChain, Mdp,
-                   MdpError, MecDecomposition, induce_chain, max_reach_exact,
-                   mec_decompose, reach_exact)
+from .core import (Action, ActionAttr, LiberalStrategy, Mdp, MdpError,
+                   MecDecomposition, induce_chain, max_reach_exact, mec_decompose,
+                   reach_exact)
 from .dtree import DTree, export_dot, export_json, fit_max_leaf, import_json, learn
 from .importance import (Domain, ImportanceResult, RunStats, TrainingSet,
                          build_training_set, exact_importance, importance_of,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "ActionAttr", "BitLayout", "DTree", "Domain", "ImportanceResult",
-    "LiberalStrategy", "MarkovChain", "Mdp", "MdpError", "MecDecomposition",
+    "LiberalStrategy", "Mdp", "MdpError", "MecDecomposition",
     "ModelError", "RunStats", "StrategyStore", "TrainingSet", "ValidityReport", "ValueApprox",
     "brtdp", "build_mdp", "build_training_set", "check_valid",
     "consulted_dont_care", "dump_tsv", "evaluate", "exact_importance",

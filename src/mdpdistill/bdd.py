@@ -156,5 +156,5 @@ def store_strategy(mdp: Mdp, strategy: LiberalStrategy) -> StrategyStore:
     layout = BitLayout.of(Domain.of(mdp))
     bdd = Bdd(layout.n_bits)
     vals = mdp.sparse.valuation
-    items = [layout.encode(vals[s].tolist(), attr) for s, attr in strategy.good_pairs(mdp)]
+    items = [layout.encode(vals[s].tolist(), attr) for s, attr in strategy.good_pairs()]
     return StrategyStore(bdd, bdd.encode_set(items), layout)

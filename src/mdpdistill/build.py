@@ -412,8 +412,8 @@ def export_flat(mdp: Mdp) -> str:
                                                      prob[ptr[r]:ptr[r + 1]]))
         out.append(f"act {s} {mdp.action_names[a]} {m} {pairs}")
     out.append(f"init {mdp.initial}")
-    if mdp.target:
-        out.append("target " + " ".join(str(t) for t in sorted(mdp.target)))
+    if v.is_target.any():
+        out.append("target " + " ".join(map(str, np.flatnonzero(v.is_target).tolist())))
     return "\n".join(out) + "\n"
 
 

@@ -14,6 +14,7 @@ success, 1 when an engine did not converge or a quality budget was missed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -70,14 +71,14 @@ def cmd_solve(args) -> int:
     value = strat.evaluate(mdp, sigma)
     _print_kv([
         ("states", mdp.n_states),
-        ("target states", len(mdp.target)),
+        ("target states", int(mdp.sparse.is_target.sum())),
         ("engine", va.engine),
         ("lower", f"{va.state_lower[mdp.initial]:.10g}"),
         ("upper", f"{va.state_upper[mdp.initial]:.10g}"),
         ("gap", f"{va.gap:.3g}"),
         ("explored", f"{len(va.explored)} ({100.0 * len(va.explored) / mdp.n_states:.1f}%)"),
         ("converged", "yes" if va.converged else "no"),
-        ("defined states", len(sigma.choice)),
+        ("defined states", int(sigma.defined.sum())),
         ("explicit pairs", strat.explicit_size(mdp, sigma)),
         ("strategy value", f"{value:.10g}"),
     ])
@@ -122,7 +123,7 @@ def _fit_tree(mdp, ts, reference, args):
         tree_key = dtree.export_json(t)
         if tree_key not in induced:
             sigma, fallback = dtree.induce_strategy(mdp, t)
-            key = sigma.row_mask(mdp).tobytes()
+            key = sigma.rows.tobytes()
             if key not in values:
                 values[key] = strat.evaluate(mdp, sigma)
             induced[tree_key] = values[key], fallback
@@ -157,7 +158,7 @@ def cmd_distill(args) -> int:
         ("engine", va.engine),
         ("value bound", f"{va.state_lower[mdp.initial]:.10g}"),
         ("strategy value", f"{reference:.10g}"),
-        ("kept states", len(trunc.choice)),
+        ("kept states", int(trunc.defined.sum())),
         ("training rows", len(ts.rows)),
         ("training weight", ts.total_weight),
         ("clipped weights", imp.clipped_states),
@@ -219,6 +220,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    return value
+
+
+def _confidence(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -240,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--model", required=True, help="model file (guarded or flat)")
     model.add_argument("--target-expr", default=None,
                        help="boolean expression overriding the model's target")
-    model.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    model.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
 
     solveopts = argparse.ArgumentParser(add_help=False)
     solveopts.add_argument("--eps", type=_positive_float, default=1e-6,
@@ -259,16 +274,16 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="ignored; results do not depend on it")
     learnopts.add_argument("--variant", default="IDP",
                            help="importance variant: IDP IDE IAP IAE OD OA")
-    learnopts.add_argument("--delta", type=float, default=0.0,
+    learnopts.add_argument("--delta", type=_number, default=0.0,
                            help="drop states with importance at most this")
     learnopts.add_argument("--truncate-mode", choices=("keep-all", "keep-argmax"),
                            default="keep-all")
     learnopts.add_argument("--min-leaf", type=_min_leaf, default="auto",
                            help="minimum leaf weight, or 'auto' to search")
-    learnopts.add_argument("--confidence", type=float, default=0.25,
+    learnopts.add_argument("--confidence", type=_confidence, default=0.25,
                            help="pruning confidence (lower prunes harder)")
     learnopts.add_argument("--no-prune", action="store_true")
-    learnopts.add_argument("--budget", type=float, default=0.01,
+    learnopts.add_argument("--budget", type=_number, default=0.01,
                            help="relative value loss allowed by --min-leaf auto")
 
     p = sub.add_parser("solve", parents=[model, solveopts],

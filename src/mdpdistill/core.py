@@ -1,4 +1,4 @@
-"""MDP/Markov-chain types, MEC decomposition and exact reachability.
+"""MDP and strategy types, MEC decomposition and exact reachability.
 
 States are integer vectors over declared variables, stored by index. Actions
 carry an attribute (name, module); module 0 marks synchronizing actions.
@@ -251,105 +251,56 @@ def distinct_attrs(mdp: Mdp, states: np.ndarray, good: np.ndarray):
             np.logical_or.reduceat(good[rows], starts))
 
 
-class MarkovChain:
-    """Finite Markov chain; locations coincide with MDP state indices.
-
-    `P` holds the transitions as a CSR matrix, locations x locations. Build
-    a chain from `rows`, one (succs, probs) pair per location, or from `P`;
-    `rows` is derived from `P` on first use, in the order of its entries.
-    """
-
-    def __init__(self, n: int, rows=None, init: int = 0, *,
-                 P: Optional[sp.csr_matrix] = None):
-        self.n = n
-        self.init = init
-        if P is None:
-            lengths = np.fromiter((len(succs) for succs, _ in rows), np.int64, n)
-            nnz = int(lengths.sum())
-            P = sp.csr_matrix(
-                (np.fromiter(chain.from_iterable(p for _, p in rows), np.float64, nnz),
-                 np.fromiter(chain.from_iterable(s for s, _ in rows), np.int64, nnz),
-                 np.concatenate(([0], np.cumsum(lengths)))), shape=(n, n))
-        self.P = P
-
-    @cached_property
-    def rows(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]:
-        ptr = self.P.indptr.tolist()
-        ind, data = self.P.indices.tolist(), self.P.data.tolist()
-        return tuple((tuple(ind[a:b]), tuple(data[a:b])) for a, b in zip(ptr, ptr[1:]))
-
-
 class LiberalStrategy:
-    """Partial map state -> non-empty set of action indices; absent = don't-care.
+    """Partial map state -> non-empty set of action indices of one model;
+    absent = don't-care.
 
     Don't-care states are read as the uniform distribution over Act(s). The
-    map is held as the `choice` dict, or as masks over the action rows and
-    states of one model's SparseView (`from_rows`); either form is derived
-    from the other once, on first use, so the map must not change after it.
+    map is stored as two masks over the model's SparseView: `defined`, the
+    states it covers, and `rows`, the action rows in play, which are the
+    chosen rows of defined states and every row of an open state.
     """
 
-    def __init__(self, choice: Optional[Dict[int, FrozenSet[int]]] = None):
-        self._choice = {} if choice is None else choice
-        self._rows = None  # (mdp, row mask, defined-state mask)
+    def __init__(self, mdp: Mdp, selected: np.ndarray, defined: np.ndarray):
+        """Defined at the states in `defined`, choosing their `selected` rows."""
+        self.mdp = mdp
+        self.rows = selected | ~defined[mdp.sparse.row_state]
+        self.defined = defined
 
     @classmethod
-    def from_rows(cls, mdp: Mdp, selected: np.ndarray,
-                  defined: np.ndarray) -> "LiberalStrategy":
-        """Defined at the states in `defined`, choosing their `selected` rows."""
-        out = cls()
-        out._choice = None
-        out._rows = (mdp, selected | ~defined[mdp.sparse.row_state], defined)
-        return out
+    def from_choice(cls, mdp: Mdp, choice: Dict[int, FrozenSet[int]]) -> "LiberalStrategy":
+        """The strategy choosing local action indices `choice[s]` at each key s."""
+        v = mdp.sparse
+        states = np.fromiter(choice, np.int64, len(choice))
+        sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
+        local = np.fromiter(chain.from_iterable(choice.values()), np.int64, int(sizes.sum()))
+        owner = np.repeat(states, sizes)
+        if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
+            raise MdpError("strategy chooses an action index out of range")
+        defined = np.zeros(mdp.n_states, dtype=bool)
+        defined[states] = True
+        selected = np.zeros(len(v.row_state), dtype=bool)
+        selected[v.row_start[owner] + local] = True
+        return cls(mdp, selected, defined)
 
     @property
     def choice(self) -> Dict[int, FrozenSet[int]]:
-        if self._choice is None:
-            mdp, mask, defined = self._rows
-            v = mdp.sparse
-            rows = np.flatnonzero(mask & defined[v.row_state])
-            owner = v.row_state[rows]
-            picked: Dict[int, List[int]] = {}
-            for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
-                picked.setdefault(s, []).append(i)
-            self._choice = {s: frozenset(acts) for s, acts in picked.items()}
-        return self._choice
-
-    def row_mask(self, mdp: Mdp) -> np.ndarray:
-        """Rows of `mdp.sparse` in play: the chosen ones, all rows of open states."""
-        if self._rows is None or self._rows[0] is not mdp:
-            v = mdp.sparse
-            choice = self.choice
-            states = np.fromiter(choice, np.int64, len(choice))
-            sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
-            local = np.fromiter(chain.from_iterable(choice.values()), np.int64,
-                                int(sizes.sum()))
-            owner = np.repeat(states, sizes)
-            if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
-                raise MdpError("strategy chooses an action index out of range")
-            defined = np.zeros(mdp.n_states, dtype=bool)
-            defined[states] = True
-            mask = ~defined[v.row_state]
-            mask[v.row_start[owner] + local] = True
-            self._rows = (mdp, mask, defined)
-        return self._rows[1]
+        """The map as a dict, derived from the masks on each access."""
+        v = self.mdp.sparse
+        rows = np.flatnonzero(self.rows & self.defined[v.row_state])
+        owner = v.row_state[rows]
+        picked: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(self.defined).tolist()}
+        for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+            picked[s].append(i)
+        return {s: frozenset(acts) for s, acts in picked.items()}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LiberalStrategy) and self.choice == other.choice
 
-    def is_defined(self, s: int) -> bool:
-        return s in self.choice
-
-    def actions_at(self, mdp: Mdp, s: int) -> Tuple[int, ...]:
-        got = self.choice.get(s)
-        if got is None:
-            return tuple(range(mdp.sparse.row_start[s + 1] - mdp.sparse.row_start[s]))
-        return tuple(sorted(got))
-
-    def good_pairs(self, mdp: Mdp) -> List[Tuple[int, ActionAttr]]:
+    def good_pairs(self) -> List[Tuple[int, ActionAttr]]:
         """Distinct (state, attribute) pairs selected at defined states."""
-        self.row_mask(mdp)
-        state, name, module, good = distinct_attrs(mdp, self._rows[2], self._rows[1])
-        names = mdp.action_names
+        state, name, module, good = distinct_attrs(self.mdp, self.defined, self.rows)
+        names = self.mdp.action_names
         return [(s, ActionAttr(names[a], m))
                 for s, a, m in zip(state[good].tolist(), name[good].tolist(),
                                    module[good].tolist())]
@@ -456,15 +407,16 @@ def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
     return MecDecomposition(mec_of, internal, len(ids))
 
 
-def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
-    """Markov chain of the uniform randomization over the selected actions.
+def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> sp.csr_matrix:
+    """Transition matrix of the uniform randomization over the selected
+    actions, states x states, with the entries of each row sorted.
 
     One sparse product: row s of the selection matrix weighs each selected
     row of s by w = 1/|choice|, so entry (s, t) sums w*p over the selected
     rows in row order, the order a per-state accumulation would use.
     """
     v = mdp.sparse
-    rows = np.flatnonzero(strategy.row_mask(mdp))
+    rows = np.flatnonzero(strategy.rows)
     owner = v.row_state[rows]
     counts = np.bincount(owner, minlength=mdp.n_states)
     empty = np.flatnonzero(counts == 0)
@@ -474,29 +426,31 @@ def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> MarkovChain:
                            shape=(mdp.n_states, len(v.row_state)))
     P = select @ v.branches
     P.sort_indices()
-    return MarkovChain(mdp.n_states, init=mdp.initial, P=P)
+    return P
 
 
-def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
+def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 50000,
                 tol: float = 1e-12) -> np.ndarray:
-    """Exact reachability probabilities Pr_l[<> targets] for every location.
+    """Exact reachability probabilities Pr_l[<> targets] in the chain with
+    transition matrix P, for every location.
 
     Zero set by graph search, then a sparse linear solve on the remaining
     locations (direct below `direct_cutoff` unknowns, else Jacobi iteration
     to residual < tol; convergence is geometric since every non-zero-set
     location almost surely enters targets-or-zero-set). Each location's
-    target mass is summed in the order of its row in `chain.P`.
+    target mass is summed in the order of its row in P. Rows of targets
+    are never read.
     """
-    is_target = np.zeros(chain.n, dtype=bool)
+    is_target = np.zeros(P.shape[0], dtype=bool)
     is_target[np.fromiter(targets, np.int64)] = True
     vals = is_target.astype(np.float64)
     if not is_target.any():
         return vals
-    unknown = reachable(chain.P.T, np.flatnonzero(is_target)) & ~is_target
+    unknown = reachable(P.T, np.flatnonzero(is_target)) & ~is_target
     m = int(unknown.sum())
     if not m:
         return vals
-    rows = chain.P[np.flatnonzero(unknown)]
+    rows = P[np.flatnonzero(unknown)]
     owner = np.repeat(np.arange(m), np.diff(rows.indptr))
     hit, keep = is_target[rows.indices], unknown[rows.indices]
     b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
@@ -527,38 +481,30 @@ def reach_exact(chain: MarkovChain, targets, *, direct_cutoff: int = 50000,
 
 @dataclass
 class Quotient:
+    """The MEC quotient of a model, its action rows laid out slot-major.
+
+    `nodes` lists the nodes with rows by descending row count, ties by
+    node, and rows bounds[j]:bounds[j + 1] of R hold the j-th row of each
+    node with more than j rows, which is a prefix of `nodes`.
+    """
+
     num_nodes: int
     node_of: np.ndarray  # state -> node
-    R: sp.csr_matrix  # action rows x nodes, grouped by owner node
-    row_starts: np.ndarray  # group start offsets into the rows, per node with rows
-    nodes_with_rows: np.ndarray
+    R: sp.csr_matrix  # action rows x nodes, slot-major
+    nodes: np.ndarray
+    bounds: np.ndarray  # offsets of the slot blocks into the rows of R
     frozen_value: np.ndarray  # value of nodes without rows (targets 1, traps 0)
     has_rows: np.ndarray
     target_nodes: np.ndarray  # bool mask
     zero_nodes: np.ndarray  # bool mask: no path to a target node
-
-    @cached_property
-    def slots(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """The rows of R slot-major: nodes with rows ordered by descending
-        row count (ties by node), and block j holding the j-th row of every
-        node with more than j rows, which is a prefix of that order.
-        Returns the reordered R, the ordered nodes and the block offsets."""
-        counts = np.diff(np.append(self.row_starts, self.R.shape[0]))
-        order = np.argsort(-counts, kind="stable")
-        width = int(counts.max(initial=0))
-        # nodes with more than j rows, for each slot j
-        sizes = np.searchsorted(-counts[order], -np.arange(width), side="left")
-        slot = np.repeat(np.arange(width), sizes)
-        perm = self.row_starts[order][_ranges(np.zeros(width, dtype=np.int64), sizes)] + slot
-        return self.R[perm], self.nodes_with_rows[order], np.append(0, np.cumsum(sizes))
 
 
 def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     """Collapse every MEC into one node; its internal rows vanish.
 
     Nodes are numbered in order of their smallest state. The rows of R are
-    the external rows grouped by owner node, in state and action order
-    within a node; branches into one node are added in declaration order.
+    the external rows, a node's rows in state and action order across its
+    slots; branches into one node are added in declaration order.
     """
     v = mdp.sparse
     n = mdp.n_states
@@ -577,6 +523,13 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     row_node = node_of[v.row_state]
     sel = np.flatnonzero(~mecs.internal & ~target_nodes[row_node])
     sel = sel[np.argsort(row_node[sel], kind="stable")]
+    owners, starts, counts = np.unique(row_node[sel], return_index=True, return_counts=True)
+    by_count = np.argsort(-counts, kind="stable")
+    width = int(counts.max(initial=0))
+    # nodes with more than j rows, for each slot j
+    sizes = np.searchsorted(-counts[by_count], -np.arange(width), side="left")
+    sel = sel[starts[by_count][_ranges(np.zeros(width, dtype=np.int64), sizes)]
+              + np.repeat(np.arange(width), sizes)]
     ptr = v.branches.indptr
     entries = _ranges(ptr[sel], ptr[sel + 1])
     row = np.repeat(np.arange(len(sel)), ptr[sel + 1] - ptr[sel])
@@ -592,7 +545,6 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
          group_key % q,
          np.concatenate(([0], np.cumsum(np.bincount(group_key // q, minlength=len(sel)))))),
         shape=(len(sel), q))
-    owners, starts = np.unique(row_node[sel], return_index=True)
     has_rows = np.zeros(q, dtype=bool)
     has_rows[owners] = True
 
@@ -610,8 +562,8 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
         num_nodes=q,
         node_of=node_of,
         R=R,
-        row_starts=starts.astype(np.int64),
-        nodes_with_rows=owners.astype(np.int64),
+        nodes=owners[by_count],
+        bounds=np.append(0, np.cumsum(sizes)),
         frozen_value=frozen,
         has_rows=has_rows,
         target_nodes=target_nodes,
@@ -647,7 +599,7 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
         return out
 
     sweeps = 0
-    R, nodes, bounds = q.slots
+    R, nodes, bounds = q.R, q.nodes, q.bounds
     while not done():
         if sweeps >= max_sweeps:
             raise MdpError("interval iteration exceeded sweep budget")
@@ -663,7 +615,7 @@ def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:
     Interval iteration on the MEC quotient; both bounds converge there since
     collapsing MECs removes every end component.
     """
-    if not mdp.target:
+    if not mdp.sparse.is_target.any():
         return np.zeros(mdp.n_states)
     mecs = mec_decompose(mdp)
     q = build_quotient(mdp, mecs)

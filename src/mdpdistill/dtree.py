@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -285,7 +285,7 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
     walk(tree.root, np.flatnonzero(~v.is_target[v.row_state]))
     defined = np.bincount(v.row_state[good], minlength=mdp.n_states) > 0
     fallback = np.flatnonzero(~defined & ~v.is_target).tolist()
-    return LiberalStrategy.from_rows(mdp, good, defined), fallback
+    return LiberalStrategy(mdp, good, defined), fallback
 
 
 # --------------------------------------------------------------------------
@@ -380,26 +380,25 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     if hi is None:
         hi = max(1, min(wg, wb) if min(wg, wb) > 0 else max(wg, wb))
     tried: List[Tuple[int, bool]] = []
-    cache: Dict[int, DTree] = {}
 
-    def tree_at(m: int) -> DTree:
-        if m not in cache:
-            cache[m] = learn(ts, min_leaf=m, confidence=confidence, prune=prune)
-        return cache[m]
+    def probe(m: int) -> Tuple[DTree, bool]:
+        tree = learn(ts, min_leaf=m, confidence=confidence, prune=prune)
+        ok = accept(tree)
+        tried.append((m, ok))
+        return tree, ok
 
-    def ok(m: int) -> bool:
-        r = accept(tree_at(m))
-        tried.append((m, r))
-        return r
-
-    if not ok(1):
-        return FitResult(tree_at(1), 1, False, tried)
+    # each probe lies strictly between the last accepted leaf size and the
+    # smallest rejected one, so no leaf size is learned twice
+    tree, ok = probe(1)
+    if not ok:
+        return FitResult(tree, 1, False, tried)
     lo = 1
     top = max(1, hi)
     while lo < top:
         mid = (lo + top + 1) // 2
-        if ok(mid):
-            lo = mid
+        t, ok = probe(mid)
+        if ok:
+            lo, tree = mid, t
         else:
             top = mid - 1
-    return FitResult(tree_at(lo), lo, True, tried)
+    return FitResult(tree, lo, True, tried)

@@ -16,9 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (GOLDEN64, ActionAttr, LiberalStrategy, MarkovChain, Mdp, MdpError,
-                   derive_seed, distinct_attrs, induce_chain, reach_exact, reachable,
-                   splitmix64)
+from .core import (GOLDEN64, ActionAttr, LiberalStrategy, Mdp, MdpError, derive_seed,
+                   distinct_attrs, induce_chain, reach_exact, reachable, splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -69,8 +68,9 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     stats are identical however the batch is split across calls. Runs are
     walked in lockstep, `_BLOCK` at a time, and the blocks are merged.
     """
-    P = induce_chain(mdp, strategy).P
-    live = reachable(P.T, mdp.target) & ~mdp.sparse.is_target  # a run at s moves on
+    P = induce_chain(mdp, strategy)
+    is_target = mdp.sparse.is_target
+    live = reachable(P.T, np.flatnonzero(is_target)) & ~is_target  # a run at s moves on
     # running sums along each row, added left to right as `acc += p` would
     cum, rows, width = P.data.copy(), np.flatnonzero(np.diff(P.indptr) > 1), 1
     while len(rows):
@@ -180,22 +180,17 @@ def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     """P[visit s | target reached] in the induced chain, by linear algebra.
 
     The visit probability factors at the first visit: reach s, then reach
-    the target from s. Both factors are plain reachability problems (the
-    first one in the chain with s made absorbing).
+    the target from s. Both factors are plain reachability problems in the
+    induced chain; the first one, with s as the target, never reads the
+    row of s, so the chain needs no cut there.
     """
-    chain = induce_chain(mdp, strategy)
-    b = reach_exact(chain, mdp.target)
+    P = induce_chain(mdp, strategy)
+    b = reach_exact(P, np.flatnonzero(mdp.sparse.is_target))
     if b[mdp.initial] <= 0.0:
         raise MdpError("strategy cannot reach the target; importance undefined")
     imp = np.zeros(mdp.n_states)
-    for s in range(mdp.n_states):
-        if b[s] == 0.0:
-            continue
-        rows = list(chain.rows)
-        rows[s] = ((s,), (1.0,))
-        cut = MarkovChain(chain.n, tuple(rows), chain.init)
-        a = reach_exact(cut, [s])
-        imp[s] = a[mdp.initial] * b[s] / b[mdp.initial]
+    for s in np.flatnonzero(b != 0.0).tolist():
+        imp[s] = reach_exact(P, [s])[mdp.initial] * b[s] / b[mdp.initial]
     return np.clip(imp, 0.0, 1.0)
 
 
@@ -279,7 +274,7 @@ def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
         raise ValueError(f"unknown training mode {mode!r}")
     v = mdp.sparse
     kept = ~v.is_target & ~(np.asarray(weights) <= delta)
-    state, action, module, good = distinct_attrs(mdp, kept, strategy.row_mask(mdp))
+    state, action, module, good = distinct_attrs(mdp, kept, strategy.rows)
     names, vals = mdp.action_names, v.valuation
     rows: List[TrainRow] = []
     last = -1

@@ -10,13 +10,12 @@ run to an exit almost surely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (LiberalStrategy, MarkovChain, Mdp, MdpError, distinct_attrs,
-                   induce_chain, mec_decompose, reach_exact, reachable)
+from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, induce_chain,
+                   mec_decompose, reach_exact, reachable)
 from .solver import ValueApprox
 
 
@@ -66,13 +65,12 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
     else:
         owns_exit = np.bincount(owner[exits], minlength=mdp.n_states) > 0
         selected |= np.where(owns_exit[owner], exits, internal)
-    return LiberalStrategy.from_rows(mdp, selected, free | member)
+    return LiberalStrategy(mdp, selected, free | member)
 
 
 def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """States reachable from the initial state in the induced chain."""
-    chain = induce_chain(mdp, strategy)
-    return np.flatnonzero(reachable(chain.P, [mdp.initial])).tolist()
+    return np.flatnonzero(reachable(induce_chain(mdp, strategy), [mdp.initial])).tolist()
 
 
 def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
@@ -82,12 +80,10 @@ def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     the strategy, so changing choices anywhere else cannot perturb the
     result, not even in the last bit.
     """
-    chain = induce_chain(mdp, strategy)
-    states = np.flatnonzero(reachable(chain.P, [mdp.initial]))
-    sub = MarkovChain(len(states), init=int(np.searchsorted(states, mdp.initial)),
-                      P=chain.P[states][:, states])
-    vals = reach_exact(sub, np.flatnonzero(mdp.sparse.is_target[states]))
-    return float(vals[sub.init])
+    P = induce_chain(mdp, strategy)
+    states = np.flatnonzero(reachable(P, [mdp.initial]))
+    vals = reach_exact(P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]))
+    return float(vals[np.searchsorted(states, mdp.initial)])
 
 
 def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
@@ -101,25 +97,25 @@ def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
     """
     if mode not in ("keep-all", "keep-argmax"):
         raise ValueError(f"unknown truncation mode {mode!r}")
-    kept: Dict[int, FrozenSet[int]] = {}
-    for s, acts in strategy.choice.items():
-        if weights[s] > delta:
-            if mode == "keep-argmax":
-                kept[s] = frozenset({min(acts)})
-            else:
-                kept[s] = acts
-    return LiberalStrategy(kept)
+    owner = strategy.mdp.sparse.row_state
+    kept = strategy.defined & (np.asarray(weights) > delta)
+    selected = strategy.rows & kept[owner]
+    if mode == "keep-argmax":
+        rows = np.flatnonzero(selected)
+        selected[:] = False
+        selected[rows[np.unique(owner[rows], return_index=True)[1]]] = True
+    return LiberalStrategy(strategy.mdp, selected, kept)
 
 
 def consulted_dont_care(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """Reachable states the strategy leaves open (resolved uniformly)."""
-    return [s for s in reachable_under(mdp, strategy)
-            if not strategy.is_defined(s) and s not in mdp.target]
+    states = np.array(reachable_under(mdp, strategy), dtype=np.int64)
+    return states[~strategy.defined[states] & ~mdp.sparse.is_target[states]].tolist()
 
 
 def explicit_size(mdp: Mdp, strategy: LiberalStrategy) -> int:
     """Size of the explicit description: distinct (state, attribute) pairs."""
-    return len(strategy.good_pairs(mdp))
+    return len(strategy.good_pairs())
 
 
 def dump_tsv(mdp: Mdp, strategy: LiberalStrategy,
@@ -127,9 +123,7 @@ def dump_tsv(mdp: Mdp, strategy: LiberalStrategy,
     """Tab-separated listing of the decisions at every defined state."""
     names = [n for n, _, _ in mdp.var_decls]
     out = ["\t".join(["state", "valuation", "action", "module", "label", "importance"])]
-    defined = np.zeros(mdp.n_states, dtype=bool)
-    defined[list(strategy.choice)] = True
-    state, action, module, good = distinct_attrs(mdp, defined, strategy.row_mask(mdp))
+    state, action, module, good = distinct_attrs(mdp, strategy.defined, strategy.rows)
     vals = mdp.sparse.valuation
     last = -1
     for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):

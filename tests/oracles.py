@@ -7,14 +7,18 @@ rational path summation. Only usable on tiny models; the tests freeze the
 numbers these produce.
 
 The per-state loops at the end (`induce_rows`, `reach_rows`,
-`evaluate_rows`, `induce_by_classify`, `simulate_rows`, `learn_masks`,
-`tarjan`, `mecs_dict`, `quotient_dict`, `brtdp_dict`, `tables_dict`,
-`extract_dict`) are the plain-Python forms of the array code in `core`,
-`solver`, `strategy`, `importance` and `dtree`. They add in the same order,
-so the tests compare against them with `==`. `mec_list` reads a
+`evaluate_rows`, `truncate_dict`, `induce_by_classify`, `simulate_rows`,
+`learn_masks`, `tarjan`, `mecs_dict`, `quotient_dict`, `brtdp_dict`,
+`tables_dict`, `extract_dict`) are the plain-Python forms of the array code
+in `core`, `solver`, `strategy`, `importance` and `dtree`. They add in the
+same order, so the tests compare against them with `==`. `mec_list` reads a
 `MecDecomposition` into the `Mec` objects `mecs_dict` returns.
-`interval_iterate_reduceat` is the sweep loop over R in node-grouped
-order that `core.interval_iterate`'s slot-major layout replaced.
+`exact_importance_cut` is the `exact_importance` that rebuilt the chain
+with the row of each state cut to a self-loop before solving for it;
+`chain_rows` and `chain_matrix` convert between a chain's CSR matrix and
+its per-location (succs, probs) pairs. `interval_iterate_reduceat` is the
+sweep loop over R in node-grouped order (`node_grouped`) that
+`core.interval_iterate`'s slot-major layout replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
 one in `build` replaced; with `view_dict`, `validate_dict` and
 `export_dict` it keeps a model as Python tuples.
@@ -36,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mdpdistill.core import (_MASK64, TAU, Action, ActionAttr, LiberalStrategy,
-                             MarkovChain, Mdp, MdpError, MecDecomposition, Quotient,
+                             Mdp, MdpError, MecDecomposition, Quotient,
                              SparseView, derive_seed, induce_chain, reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
@@ -45,6 +49,37 @@ from mdpdistill.expr import (And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg
 from mdpdistill.importance import Domain, RunStats, TrainingSet
 from mdpdistill.lang import ModelAst, ModelError
 from mdpdistill.solver import ValueApprox
+
+
+Rows = Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
+
+
+def chain_matrix(rows: Rows) -> sp.csr_matrix:
+    """The transition matrix of a chain given as one (succs, probs) pair per
+    location, its entries in the order of the pairs."""
+    data, ind, indptr = [], [], [0]
+    for succs, probs in rows:
+        ind.extend(succs)
+        data.extend(probs)
+        indptr.append(len(ind))
+    return sp.csr_matrix((np.array(data, dtype=np.float64), np.array(ind, dtype=np.int64),
+                          np.array(indptr, dtype=np.int64)), shape=(len(rows), len(rows)))
+
+
+def chain_rows(P: sp.csr_matrix) -> Rows:
+    """The (succs, probs) pair of every row of a transition matrix, in the
+    order of its entries."""
+    ptr = P.indptr.tolist()
+    ind, data = P.indices.tolist(), P.data.tolist()
+    return tuple((tuple(ind[a:b]), tuple(data[a:b])) for a, b in zip(ptr, ptr[1:]))
+
+
+def actions_of(mdp: Mdp, strategy: LiberalStrategy) -> List[Tuple[int, ...]]:
+    """Per state, the sorted local action indices the strategy plays: its
+    choice where defined, every action elsewhere."""
+    choice = strategy.choice
+    return [tuple(sorted(choice[s])) if s in choice else tuple(range(len(mdp.actions[s])))
+            for s in range(mdp.n_states)]
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -59,8 +94,7 @@ def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
         for s in range(n):
             a = mdp.actions[s][pick[s]]
             rows.append((a.succs, a.probs))
-        chain = MarkovChain(n, tuple(rows), mdp.initial)
-        np.maximum(best, reach_exact(chain, mdp.target), out=best)
+        np.maximum(best, reach_exact(chain_matrix(rows), mdp.target), out=best)
     return best
 
 
@@ -107,14 +141,15 @@ def brute_mecs(mdp: Mdp, limit: int = 15) -> List[Tuple[FrozenSet[int], Dict[int
 def acyclic_value(mdp: Mdp, strategy: LiberalStrategy) -> Fraction:
     """Exact value of a strategy when the induced chain has no cycles
     except the absorbing self-loops; pure rational arithmetic."""
-    chain = induce_chain(mdp, strategy)
+    rows = chain_rows(induce_chain(mdp, strategy))
+    played = actions_of(mdp, strategy)
     memo: Dict[int, Fraction] = {}
     on_path: set = set()
 
     def value(s: int) -> Fraction:
         if s in mdp.target:
             return Fraction(1)
-        succs, probs = chain.rows[s]
+        succs, probs = rows[s]
         if succs == (s,):
             return Fraction(0)
         if s in memo:
@@ -123,7 +158,7 @@ def acyclic_value(mdp: Mdp, strategy: LiberalStrategy) -> Fraction:
             raise MdpError("induced chain has a proper cycle; oracle misused")
         on_path.add(s)
         # rebuild branch probabilities as exact rationals
-        idxs = strategy.actions_at(mdp, s)
+        idxs = played[s]
         w = Fraction(1, len(idxs))
         total = Fraction(0)
         for i in idxs:
@@ -149,11 +184,11 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
     target or the target's complement-forever part, which bounds how far the
     truth can still move. No linear solver involved.
     """
-    chain = induce_chain(mdp, strategy)
-    n = chain.n
+    rows = chain_rows(induce_chain(mdp, strategy))
+    n = len(rows)
     dist = np.zeros((n, 2))
     dist[mdp.initial, 1 if s == mdp.initial else 0] = 1.0
-    absorbed = [t for t in range(n) if chain.rows[t][0] == (t,)]
+    absorbed = [t for t in range(n) if rows[t][0] == (t,)]
     for _ in range(horizon):
         nxt = np.zeros_like(dist)
         for u in range(n):
@@ -161,10 +196,10 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
                 p = dist[u, flag]
                 if p == 0.0:
                     continue
-                if u in mdp.target or chain.rows[u][0] == (u,):
+                if u in mdp.target or rows[u][0] == (u,):
                     nxt[u, flag] += p
                     continue
-                for v, q in zip(*chain.rows[u]):
+                for v, q in zip(*rows[u]):
                     nxt[v, 1 if (flag or v == s) else flag] += p * q
         dist = nxt
     hit_and_seen = sum(dist[t, 1] for t in mdp.target)
@@ -180,14 +215,11 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
 # --------------------------------------------------------------------------
 # Per-state reference loops for the accept probe.
 
-Rows = Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
-
 
 def induce_rows(mdp: Mdp, strategy: LiberalStrategy) -> Rows:
     """Induced chain as (succs, probs) per state, summed in a dict per state."""
     rows = []
-    for s in range(mdp.n_states):
-        idxs = strategy.actions_at(mdp, s)
+    for s, idxs in enumerate(actions_of(mdp, strategy)):
         if not idxs:
             raise MdpError(f"strategy defines an empty action set at state {s}")
         w = 1.0 / len(idxs)
@@ -262,6 +294,36 @@ def evaluate_rows(mdp: Mdp, strategy: LiberalStrategy) -> float:
     return float(vals[pos[mdp.initial]])
 
 
+def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
+    """`importance.exact_importance` with the chain cut at each state: for
+    P[reach s], the row of s is replaced by a self-loop first."""
+    rows = chain_rows(induce_chain(mdp, strategy))
+    b = reach_exact(chain_matrix(rows), mdp.target)
+    if b[mdp.initial] <= 0.0:
+        raise MdpError("strategy cannot reach the target; importance undefined")
+    imp = np.zeros(mdp.n_states)
+    for s in range(mdp.n_states):
+        if b[s] == 0.0:
+            continue
+        cut = list(rows)
+        cut[s] = ((s,), (1.0,))
+        a = reach_exact(chain_matrix(tuple(cut)), [s])
+        imp[s] = a[mdp.initial] * b[s] / b[mdp.initial]
+    return np.clip(imp, 0.0, 1.0)
+
+
+def truncate_dict(strategy: LiberalStrategy, weights, delta: float = 0.0,
+                  mode: str = "keep-all") -> LiberalStrategy:
+    """`strategy.truncate`, one state of the `choice` dict at a time."""
+    if mode not in ("keep-all", "keep-argmax"):
+        raise ValueError(f"unknown truncation mode {mode!r}")
+    kept: Dict[int, FrozenSet[int]] = {}
+    for s, acts in strategy.choice.items():
+        if weights[s] > delta:
+            kept[s] = frozenset({min(acts)}) if mode == "keep-argmax" else acts
+    return LiberalStrategy.from_choice(strategy.mdp, kept)
+
+
 def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[int]]:
     """`choice` and fallback states of a tree, one `classify` call per action."""
     choice = {}
@@ -281,14 +343,14 @@ def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[
 def simulate_rows(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
                   max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
     """`importance.simulate`, one run after another with a visit dict per run."""
-    chain = induce_chain(mdp, strategy)
-    can = list(reachable(chain.P.T, mdp.target))
+    P = induce_chain(mdp, strategy)
+    can = list(reachable(P.T, mdp.target))
     stats = RunStats(mdp.n_states, total_runs=runs)
     cond_count = [0] * mdp.n_states
     cond_mult = [0] * mdp.n_states
     all_count = [0] * mdp.n_states
     all_mult = [0] * mdp.n_states
-    rows, target, initial = chain.rows, mdp.target, mdp.initial
+    rows, target, initial = chain_rows(P), mdp.target, mdp.initial
     mask, norm = _MASK64, 2.0 ** -53
     for r in range(runs):
         ctr = derive_seed(seed, first_run + r)
@@ -593,43 +655,58 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
             succs = tuple(sorted(mass))
             rows_by_node[node_of[s]].append((succs, tuple(mass[u] for u in succs)))
 
-    data, ind, indptr = [], [], [0]
-    starts, owners = [], []
-    row_count = 0
-    for u in range(q):
-        if target_nodes[u] or not rows_by_node[u]:
-            continue
-        owners.append(u)
-        starts.append(row_count)
-        for succs, probs in rows_by_node[u]:
-            ind.extend(succs)
-            data.extend(probs)
-            indptr.append(len(ind))
-            row_count += 1
-    R = sp.csr_matrix((data, ind, indptr), shape=(row_count, q))
+    owners = [u for u in range(q) if rows_by_node[u] and not target_nodes[u]]
+    # slot-major: the j-th row of every node with more than j rows, nodes
+    # by descending row count, then by number
+    nodes = sorted(owners, key=lambda u: (-len(rows_by_node[u]), u))
+    data, ind, indptr, bounds = [], [], [0], [0]
+    for j in range(len(rows_by_node[nodes[0]]) if nodes else 0):
+        for u in nodes:
+            if j < len(rows_by_node[u]):
+                succs, probs = rows_by_node[u][j]
+                ind.extend(succs)
+                data.extend(probs)
+                indptr.append(len(ind))
+        bounds.append(len(indptr) - 1)
+    R = sp.csr_matrix((data, ind, indptr), shape=(len(indptr) - 1, q))
     has_rows = np.zeros(q, dtype=bool)
     has_rows[owners] = True
     frozen = np.zeros(q)
     frozen[target_nodes] = 1.0
     pred: List[List[int]] = [[] for _ in range(q)]
-    for u, start, stop in zip(owners, starts, starts[1:] + [row_count]):
-        for r in range(start, stop):
-            for t in ind[indptr[r]:indptr[r + 1]]:
+    for u in owners:
+        for succs, _ in rows_by_node[u]:
+            for t in succs:
                 pred[t].append(u)
     reach = _search(pred, np.flatnonzero(target_nodes).tolist())
     return Quotient(
         num_nodes=q, node_of=node_of, R=R,
-        row_starts=np.array(starts, dtype=np.int64),
-        nodes_with_rows=np.array(owners, dtype=np.int64),
+        nodes=np.array(nodes, dtype=np.int64), bounds=np.array(bounds, dtype=np.int64),
         frozen_value=frozen, has_rows=has_rows, target_nodes=target_nodes,
         zero_nodes=~np.array(reach, dtype=bool))
+
+
+def node_grouped(q: Quotient) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The rows of a slot-major quotient grouped by owner node, nodes in
+    order and each node's rows in slot order. Returns that R, the offset of
+    each group and the nodes with rows."""
+    rows_of: Dict[int, List[int]] = {}
+    bounds = q.bounds.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        for k, r in enumerate(range(lo, hi)):
+            rows_of.setdefault(int(q.nodes[k]), []).append(r)
+    owners = sorted(rows_of)
+    perm = [r for u in owners for r in rows_of[u]]
+    starts = np.cumsum([0] + [len(rows_of[u]) for u in owners])[:-1]
+    return (q.R[np.array(perm, dtype=np.int64)], starts.astype(np.int64),
+            np.array(owners, dtype=np.int64))
 
 
 def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
                               stop_node: Optional[int] = None, tol: Optional[float] = None,
                               max_sweeps: int = 5_000_000) -> Tuple[np.ndarray, np.ndarray, int]:
     """`core.interval_iterate`, each node's best row taken by `np.maximum.reduceat`
-    over R in its node-grouped order."""
+    over R in its node-grouped order (`node_grouped`)."""
     L = q.frozen_value.copy()
     U = np.ones(q.num_nodes)
     U[q.zero_nodes] = 0.0
@@ -642,16 +719,16 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
         return np.max(U - L) < tol
 
     sweeps = 0
-    nw = q.nodes_with_rows
+    R, starts, nw = node_grouped(q)
     while not done():
         if sweeps >= max_sweeps:
             raise MdpError("interval iteration exceeded sweep budget")
-        Lr = q.R.dot(L)
-        Ur = q.R.dot(U)
+        Lr = R.dot(L)
+        Ur = R.dot(U)
         L = L.copy()
         U = U.copy()
-        L[nw] = np.maximum(L[nw], np.maximum.reduceat(Lr, q.row_starts))
-        U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, q.row_starts))
+        L[nw] = np.maximum(L[nw], np.maximum.reduceat(Lr, starts))
+        U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, starts))
         sweeps += 1
     return L, U, sweeps
 
@@ -855,7 +932,7 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
             else:
                 picked = set(internal)
             choice[s] = frozenset(picked)
-    return LiberalStrategy(choice)
+    return LiberalStrategy.from_choice(mdp, choice)
 
 
 # --------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_criterion_12_representation_exactness():
         mdp, _, _, _, trunc, _, _ = _default_pipeline(name)
         store = bdd.store_strategy(mdp, trunc)
         items = {store.layout.encode(mdp.states[s], attr)
-                 for s, attr in trunc.good_pairs(mdp)}
+                 for s, attr in trunc.good_pairs()}
         n = store.layout.n_bits
         assert (1 << n) <= (1 << 20)
         mismatch = 0

@@ -147,7 +147,7 @@ def test_store_equivalent_to_pair_list(fig1, mutex, sync2):
     for m in (fig1, mutex, sync2):
         strat = _opt(m, cut=True)
         store = store_strategy(m, strat)
-        pairs = set(strat.good_pairs(m))
+        pairs = set(strat.good_pairs())
         for s in range(m.n_states):
             attrs = {a.attr for a in m.actions[s]}
             for attr in attrs:
@@ -166,7 +166,7 @@ def test_store_empty_strategy(fig1):
     from mdpdistill.core import LiberalStrategy
     # don't-care states are not part of the stored description, so the
     # fully undefined strategy encodes the empty set
-    store = store_strategy(fig1, LiberalStrategy({}))
+    store = store_strategy(fig1, LiberalStrategy.from_choice(fig1, {}))
     assert store.size == 0
     assert store.root == store.bdd.FALSE
     assert not store.accepts((0, 1), ActionAttr("a", 1))

@@ -4,7 +4,9 @@
 of the module that calls it, and `perfbench/run.py` reads the simulation
 stats by replacing `cli.simulate_batched`. A refactor that moves or renames
 one of those names, or inlines a hooked call, would silently drop its span,
-so check both here.
+so check both here. The counters read attributes of the hooked calls'
+arguments and results, so `distill`, `compare` and `solve --engine brtdp`
+run under the hooks, and the counters they reach must read sensible values.
 """
 
 import contextlib
@@ -44,20 +46,53 @@ def test_run_stats_hook_resolves():
     assert callable(getattr(cli, "simulate_batched", None))
 
 
-def test_distill_opens_every_layer_span():
+def _traced(argv):
+    """Run one command with every hook patched; its exit status and metrics."""
     from mdpdistill import bdd, cli, dtree, importance, solver, strategy
     spans = _spans()
     modules = {"cli": cli, "solver": solver, "strategy": strategy,
                "importance": importance, "dtree": dtree, "bdd": bdd}
-    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
     tracer = spans.Tracer()
     with spans.patched(modules, tracer), contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(["distill", "--model", str(model), "--runs", "500"])
+        rc = cli.main(argv)
+    return rc, tracer, spans.layer_metrics(tracer, 0.0)
+
+
+def test_distill_opens_every_layer_span():
+    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
+    rc, tracer, _ = _traced(["distill", "--model", str(model), "--runs", "500"])
     assert rc == 0
     opened = {span["name"] for span in tracer.spans}
     for name in ("strategy.evaluate", "core.induce_chain", "core.reach_exact",
                  "dtree.induce", "dtree.learn", "importance.simulate"):
         assert name in opened, name
+
+
+def test_compare_runs_every_counter_hook():
+    from mdpdistill import fixtures
+    from mdpdistill.core import build_quotient, mec_decompose
+    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
+    rc, tracer, metrics = _traced(["compare", "--model", str(model), "--runs", "500"])
+    assert rc == 0
+    fig1 = fixtures.load("fig1")
+    q = build_quotient(fig1, mec_decompose(fig1))
+    assert metrics["core.quotient_nodes"] == q.num_nodes
+    assert metrics["core.quotient_rows"] == q.R.shape[0] > 0
+    assert metrics["core.reach_unknowns"] > 0
+    assert metrics["bdd.nodes"] > 0 and metrics["bdd.pairs"] > 0
+    assert metrics["solver.sweeps"] > 0
+    opened = {span["name"] for span in tracer.spans}
+    for name in ("core.quotient", "bdd", "strategy.evaluate", "core.reach_exact"):
+        assert name in opened, name
+
+
+def test_solve_brtdp_runs_the_solver_hooks():
+    model = resources.files("mdpdistill.models").joinpath("fig1.mdp")
+    rc, tracer, metrics = _traced(["solve", "--model", str(model), "--engine", "brtdp"])
+    assert rc == 0
+    assert metrics["solver.episodes"] > 0 and metrics["solver.explored"] > 0
+    assert metrics["core.reach_unknowns"] > 0
+    assert metrics["core.quotient_rows"] == 0  # brtdp builds no quotient
 
 
 def test_capture_hook_sees_one_simulation(monkeypatch):

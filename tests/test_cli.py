@@ -210,7 +210,7 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         calls["induce"] += 1
         induced.append(dtree.export_json(tree))
         sigma, fallback = real_induce(mdp, tree)
-        masks.append(sigma.row_mask(mdp).tobytes())
+        masks.append(sigma.rows.tobytes())
         return sigma, fallback
 
     def learn(*a, **kw):
@@ -371,9 +371,17 @@ NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\
     ["distill", "--runs", "0"],
     ["distill", "--runs", "-3"],
     ["solve", "--model", "nan.flat"],
+    ["distill", "--confidence", "0"],
+    ["distill", "--confidence", "1.5"],
+    ["distill", "--confidence", "nan"],
+    ["distill", "--budget", "nan"],
+    ["distill", "--delta", "nan"],
+    ["solve", "--state-cap", "0"],
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
         "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
-        "runs-zero", "runs-negative", "nan-probability"])
+        "runs-zero", "runs-negative", "nan-probability", "confidence-zero",
+        "confidence-above-one", "confidence-nan", "budget-nan", "delta-nan",
+        "state-cap-zero"])
 def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]
@@ -387,6 +395,15 @@ def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys
     assert rc == 2, err
     assert "Traceback" not in err
     assert "error" in err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+def test_state_cap_zero_is_an_option_error(models, capsys):
+    # rejected with the options, not reported as a cap hit after 0 states
+    with pytest.raises(SystemExit) as ei:
+        main(["solve", "--model", str(models / "fig1.mdp"), "--state-cap", "0"])
+    assert ei.value.code == 2
+    assert "argument --state-cap: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_module_entry_exits_two_without_traceback(models):

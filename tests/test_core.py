@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
-                             MarkovChain, MdpError, build_quotient,
+                             MdpError, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
                              max_reach_exact, mec_decompose,
                              reach_exact, strong_components)
@@ -16,9 +16,9 @@ from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
 from mdpdistill import fixtures
 
 from conftest import random_mdp
-from oracles import (acyclic_value, brute_mecs, brute_val, induce_rows,
-                     interval_iterate_reduceat, make_absorbing, mdp_of, mec_list,
-                     mecs_dict, quotient_dict, tarjan)
+from oracles import (acyclic_value, brute_mecs, brute_val, chain_matrix, chain_rows,
+                     induce_rows, interval_iterate_reduceat, make_absorbing, mdp_of,
+                     mec_list, mecs_dict, node_grouped, quotient_dict, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -224,16 +224,15 @@ def test_fig1_mecs_frozen(fig1):
 
 def test_reach_exact_geometric_loop():
     # v = 1/2 + 1/4 v  =>  v = 2/3
-    chain = MarkovChain(
-        3, (((1, 2, 0), (0.5, 0.25, 0.25)), ((1,), (1.0,)), ((2,), (1.0,))), 0)
+    chain = chain_matrix((((1, 2, 0), (0.5, 0.25, 0.25)), ((1,), (1.0,)), ((2,), (1.0,))))
     v = reach_exact(chain, {1})
     assert v[0] == pytest.approx(2 / 3, abs=1e-12)
     assert v[1] == 1.0 and v[2] == 0.0
 
 
 def test_reach_exact_zero_states_are_exact_zero():
-    chain = MarkovChain(
-        4, (((1, 3), (0.5, 0.5)), ((1,), (1.0,)), ((3,), (1.0,)), ((2,), (1.0,))), 0)
+    chain = chain_matrix(
+        (((1, 3), (0.5, 0.5)), ((1,), (1.0,)), ((3,), (1.0,)), ((2,), (1.0,))))
     v = reach_exact(chain, {1})
     assert v[2] == 0.0 and v[3] == 0.0
     assert v[0] == 0.5
@@ -249,7 +248,7 @@ def test_reach_exact_jacobi_agrees_with_direct():
             continue
         succs = tuple(sorted(rng.sample(range(n), 3)))
         rows.append((succs, (0.25, 0.25, 0.5)))
-    chain = MarkovChain(n, tuple(rows), 0)
+    chain = chain_matrix(tuple(rows))
     direct = reach_exact(chain, {n - 1})
     jacobi = reach_exact(chain, {n - 1}, direct_cutoff=0)
     assert np.allclose(direct, jacobi, atol=1e-9)
@@ -259,8 +258,8 @@ def test_reach_exact_jacobi_agrees_with_direct():
 def test_reach_exact_matches_fraction_dp(seed):
     m = random_mdp(seed, acyclic=True)
     rng = random.Random(seed + 999)
-    strategy = LiberalStrategy(
-        {s: frozenset({rng.randrange(len(m.actions[s]))})
+    strategy = LiberalStrategy.from_choice(
+        m, {s: frozenset({rng.randrange(len(m.actions[s]))})
          for s in range(m.n_states) if s not in m.target})
     exactv = acyclic_value(m, strategy)
     chain = induce_chain(m, strategy)
@@ -347,21 +346,29 @@ def test_sweeps_match_reduceat_with_one_wide_node(seed):
     acts = [[row(s, k) for k in range(40 if s == 0 else rng.randint(1, 3))]
             for s in range(n - 1)] + [[]]
     q = _assert_same_sweeps(_mdp(acts, {n - 1}))
-    R, nodes, bounds = q.slots
-    counts = np.diff(bounds)
-    assert counts[0] == len(q.nodes_with_rows) and counts[-1] == 1
-    assert len(counts) == 40 and R.shape == q.R.shape
+    grouped, _, nodes_with_rows = node_grouped(q)
+    counts = np.diff(q.bounds)
+    assert counts[0] == len(nodes_with_rows) and counts[-1] == 1
+    assert len(counts) == 40 and grouped.shape == q.R.shape
+
+
+def _assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def _assert_same_quotient(got, want):
     assert got.num_nodes == want.num_nodes
-    for field in ("node_of", "row_starts", "nodes_with_rows", "frozen_value",
+    for field in ("node_of", "nodes", "bounds", "frozen_value",
                   "has_rows", "target_nodes", "zero_nodes"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert got.R.shape == want.R.shape
-    assert np.array_equal(got.R.indptr, want.R.indptr)
-    assert np.array_equal(got.R.indices, want.R.indices)
-    assert got.R.data.tobytes() == want.R.data.tobytes()
+    _assert_same_matrix(got.R, want.R)
+    # and grouped by node, as `interval_iterate_reduceat` reads them
+    (R, starts, owners), (R0, starts0, owners0) = node_grouped(got), node_grouped(want)
+    assert np.array_equal(starts, starts0) and np.array_equal(owners, owners0)
+    _assert_same_matrix(R, R0)
 
 
 @pytest.mark.parametrize("seed", range(240))
@@ -406,9 +413,9 @@ def test_grid_value_frozen(grid):
 # ---------------------------------------------------------------- utilities
 
 def test_induce_chain_uniform_mixture(fig1):
-    strategy = LiberalStrategy({0: frozenset({0, 1})})  # both a and b
-    chain = induce_chain(fig1, strategy)
-    succs, probs = chain.rows[0]
+    strategy = LiberalStrategy.from_choice(fig1, {0: frozenset({0, 1})})  # both a and b
+    rows = chain_rows(induce_chain(fig1, strategy))
+    succs, probs = rows[0]
     mix = dict(zip(succs, probs))
     # 1/2 a + 1/2 b: a gives .99->1 .01->2, b gives .5->3 .5->4
     assert mix[1] == pytest.approx(0.495)
@@ -416,7 +423,7 @@ def test_induce_chain_uniform_mixture(fig1):
     assert mix[3] == pytest.approx(0.25)
     assert mix[4] == pytest.approx(0.25)
     # unlisted states fall back to uniform over all their actions
-    s5, p5 = chain.rows[5]
+    s5, p5 = rows[5]
     assert s5 == (5,) and p5 == (1.0,)
 
 
@@ -430,16 +437,17 @@ def test_induce_chain_matches_dict_loop(seed):
         k = len(m.actions[s])
         if rng.random() < 0.8:
             choice[s] = frozenset(rng.sample(range(k), rng.randint(1, k)))
-    strategy = LiberalStrategy(choice)
-    assert induce_chain(m, strategy).rows == induce_rows(m, strategy)
+    strategy = LiberalStrategy.from_choice(m, choice)
+    assert chain_rows(induce_chain(m, strategy)) == induce_rows(m, strategy)
 
 
 def test_induce_chain_rejects_bad_choices(fig1):
     with pytest.raises(MdpError, match="empty action set at state 0"):
-        induce_chain(fig1, LiberalStrategy({0: frozenset()}))
+        induce_chain(fig1, LiberalStrategy.from_choice(fig1, {0: frozenset()}))
     # index 2 at state 0 would be the first row of state 1
     with pytest.raises(MdpError, match="out of range"):
-        induce_chain(fig1, LiberalStrategy({0: frozenset({len(fig1.actions[0])})}))
+        induce_chain(fig1, LiberalStrategy.from_choice(
+            fig1, {0: frozenset({len(fig1.actions[0])})}))
 
 
 def test_derive_seed_distinct_and_stable():

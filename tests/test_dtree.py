@@ -447,3 +447,33 @@ def test_fit_max_leaf_logs_probes():
     assert all(isinstance(m, int) and isinstance(ok, bool)
                for m, ok in fit.tried)
     assert (fit.min_leaf, True) in fit.tried
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_max_leaf_learns_each_leaf_size_once(seed, monkeypatch):
+    # verdicts drawn at random per leaf size, so not monotone; the search
+    # learns every probed size once and returns the very tree it accepted
+    from mdpdistill import dtree
+    ts = _random_set(seed)
+    rng = random.Random(seed)
+    learned = []
+    real = dtree.learn
+
+    def learn_logged(ts, **kw):
+        learned.append((kw["min_leaf"], real(ts, **kw)))
+        return learned[-1][1]
+
+    verdict = {}
+
+    def accept(t):
+        m, tree = learned[-1]
+        assert tree is t
+        return verdict.setdefault(m, rng.random() < 0.6)
+
+    monkeypatch.setattr(dtree, "learn", learn_logged)
+    fit = fit_max_leaf(ts, accept, hi=rng.randint(1, 60))
+    sizes = [m for m, _ in learned]
+    assert sizes == [m for m, _ in fit.tried]
+    assert len(set(sizes)) == len(sizes)
+    assert fit.tree is dict(learned)[fit.min_leaf]
+    assert verdict[fit.min_leaf] == fit.budget_met

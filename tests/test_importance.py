@@ -13,7 +13,7 @@ from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal
 
 from conftest import random_mdp
-from oracles import horizon_importance, simulate_rows
+from oracles import exact_importance_cut, horizon_importance, simulate_rows
 
 
 def _opt(mdp):
@@ -33,7 +33,7 @@ def test_exact_importance_fig1_frozen(fig1):
 
 
 def test_exact_importance_needs_reachable_target(fig1):
-    hopeless = LiberalStrategy({0: frozenset({1})})  # b only: value 0
+    hopeless = LiberalStrategy.from_choice(fig1, {0: frozenset({1})})  # b only: value 0
     with pytest.raises(MdpError, match="cannot reach the target"):
         exact_importance(fig1, hopeless)
 
@@ -41,7 +41,7 @@ def test_exact_importance_needs_reachable_target(fig1):
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_importance_against_horizon_oracle(seed):
     m = random_mdp(seed)
-    strat = LiberalStrategy({})  # uniform everywhere
+    strat = LiberalStrategy.from_choice(m, {})  # uniform everywhere
     v0 = reach_exact(induce_chain(m, strat), m.target)[m.initial]
     if v0 <= 0.0:
         pytest.skip("uniform play cannot reach the target here")
@@ -52,6 +52,30 @@ def test_exact_importance_against_horizon_oracle(seed):
         est, slack = horizon_importance(m, strat, s)
         bound = max(1e-9, 2 * slack / max(v0 - slack, 1e-9))
         assert abs(imp[s] - est) <= bound, (s, imp[s], est, slack)
+
+
+def _importance_or_error(fn, m, strat):
+    try:
+        return fn(m, strat).tobytes()
+    except MdpError as e:
+        return str(e)
+
+
+def _assert_importance_matches_cut_chain(m):
+    for strat in (_opt(m), LiberalStrategy.from_choice(m, {})):
+        got = _importance_or_error(exact_importance, m, strat)
+        assert got == _importance_or_error(exact_importance_cut, m, strat)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2"])
+def test_exact_importance_matches_cut_chain(name, request):
+    # grid is left out: one solve per state on 10,000 states
+    _assert_importance_matches_cut_chain(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_exact_importance_matches_cut_chain_on_random_models(seed):
+    _assert_importance_matches_cut_chain(random_mdp(seed, max_states=12))
 
 
 def test_exact_importance_in_unit_interval(mutex):
@@ -160,7 +184,7 @@ def test_simulate_matches_run_loop(name, request):
 @pytest.mark.parametrize("seed", range(25))
 def test_simulate_matches_run_loop_on_random_models(seed):
     m = random_mdp(seed)
-    strat = LiberalStrategy({})  # uniform everywhere
+    strat = LiberalStrategy.from_choice(m, {})  # uniform everywhere
     _same_stats(simulate(m, strat, 300, seed=seed),
                 simulate_rows(m, strat, 300, seed=seed))
 
@@ -275,7 +299,7 @@ def test_training_set_delta(fig1):
 
 def test_training_set_dont_care_all_good(fig1):
     w = np.ones(fig1.n_states)
-    ts = build_training_set(fig1, LiberalStrategy({}), w, mode="once")
+    ts = build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}), w, mode="once")
     assert ts.rows and all(r.good for r in ts.rows)
     assert (0, 1) in {r.x for r in ts.rows}
 
@@ -293,5 +317,5 @@ def test_training_set_dedups_attributes(sync2):
 
 def test_training_set_mode_checked(fig1):
     with pytest.raises(ValueError, match="unknown training mode"):
-        build_training_set(fig1, LiberalStrategy({}),
+        build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}),
                            np.ones(fig1.n_states), mode="thrice")

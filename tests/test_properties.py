@@ -132,5 +132,5 @@ def test_run_stats_merge_is_order_insensitive(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(mdps())
 def test_uniform_play_never_beats_optimum(m):
-    uniform = evaluate(m, LiberalStrategy({}))
+    uniform = evaluate(m, LiberalStrategy.from_choice(m, {}))
     assert uniform <= max_reach_exact(m)[m.initial] + 1e-9

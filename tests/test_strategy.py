@@ -13,7 +13,7 @@ from mdpdistill.strategy import (consulted_dont_care, dump_tsv, evaluate,
                                  reachable_under, truncate)
 
 from conftest import random_mdp
-from oracles import evaluate_rows, extract_dict, mecs_dict
+from oracles import evaluate_rows, extract_dict, mecs_dict, truncate_dict
 
 
 def _names(mdp, s, acts):
@@ -147,7 +147,7 @@ def test_evaluate_ignores_unreachable_choices(fig1):
     tweaked = dict(strat.choice)
     tweaked[3] = frozenset({0})  # st instead of e; state 3 is unreachable
     tweaked[6] = frozenset({0})
-    assert evaluate(fig1, LiberalStrategy(tweaked)) == base
+    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, tweaked)) == base
 
 
 def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
@@ -160,7 +160,7 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
         return real(mdp, strat)
 
     monkeypatch.setattr(strategy_mod, "induce_chain", counting)
-    assert evaluate(fig1, LiberalStrategy({})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
     assert len(calls) == 1
 
 
@@ -190,7 +190,7 @@ def test_evaluate_equals_dict_loop_on_grid(grid):
 
 
 def test_uniform_strategy_value_frozen(fig1):
-    assert evaluate(fig1, LiberalStrategy({})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
 
 
 def test_truncate_drops_zero_weight(fig1):
@@ -226,6 +226,33 @@ def test_truncate_keep_argmax(fig1):
         truncate(strat, w, 0.0, mode="bogus")
 
 
+def _assert_same_strategy(got, want):
+    assert got == want
+    assert got.mdp is want.mdp
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.defined, want.defined)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_truncate_matches_dict_loop(name, request):
+    m = request.getfixturevalue(name)
+    for exit_union in (False, True):
+        sigma = extract_liberal(m, value_iteration(m, 1e-6), exit_union=exit_union)
+        weights = importance_of(simulate(m, sigma, 2000, seed=0), "DP").weights
+        for delta in (0.0, 0.01, -0.5):
+            for mode in ("keep-all", "keep-argmax"):
+                _assert_same_strategy(truncate(sigma, weights, delta, mode),
+                                      truncate_dict(sigma, weights, delta, mode))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_from_choice_round_trips(seed):
+    m = random_mdp(seed, max_actions=4)
+    for exit_union in (False, True):
+        sigma = extract_liberal(m, value_iteration(m, 1e-9), exit_union=exit_union)
+        _assert_same_strategy(LiberalStrategy.from_choice(m, sigma.choice), sigma)
+
+
 def test_consulted_dont_care(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
@@ -241,7 +268,7 @@ def test_reachable_under(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
     assert reachable_under(fig1, strat) == [0, 1, 2, 5]
-    assert reachable_under(fig1, LiberalStrategy({})) == list(range(9))
+    assert reachable_under(fig1, LiberalStrategy.from_choice(fig1, {})) == list(range(9))
 
 
 def test_dump_tsv_layout(fig1):
@@ -274,7 +301,7 @@ def test_good_pairs_distinct_attrs(sync2):
     # description counts it once per state
     va = value_iteration(sync2, 1e-9)
     strat = extract_liberal(sync2, va)
-    pairs = strat.good_pairs(sync2)
+    pairs = strat.good_pairs()
     per_state = {}
     for s, attr in pairs:
         per_state.setdefault(s, []).append(attr)
