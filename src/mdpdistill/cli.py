@@ -101,48 +101,42 @@ def _pipeline(args):
     return mdp, va, sigma, imp, trunc, ts
 
 
-def _within_budget(value: float, reference: float, budget: float) -> bool:
-    """The value lost against `reference`, relative to it, is at most `budget`."""
-    return reference <= 0.0 or (reference - value) / reference <= budget
-
-
 def _fit_tree(mdp, ts, reference, args):
     """Learn at a fixed leaf size, or search for the largest one in budget.
 
     Returns the tree, its leaf size, and the value and fallback states of
-    the strategy it induces. Each distinct tree (same predicates and leaf
-    labels, hence the same JSON) is induced once, and each distinct induced
-    strategy evaluated once: the value depends only on the row mask, which
-    is all that `induce_chain` reads.
+    the strategy it induces. The search needs only verdicts: each distinct
+    tree (same predicates and leaf labels, hence the same JSON) is induced
+    once, and each distinct induced strategy decided once, since the value
+    depends only on the row mask, which is all that `induce_chain` reads.
+    Only the returned tree's value is solved exactly.
     """
-    probed = []
     induced = {}
-    values = {}
+    verdicts = {}
 
-    def probe(t: dtree.DTree) -> float:
-        tree_key = dtree.export_json(t)
-        if tree_key not in induced:
-            sigma, fallback = dtree.induce_strategy(mdp, t)
-            key = sigma.rows.tobytes()
-            if key not in values:
-                values[key] = strat.evaluate(mdp, sigma)
-            induced[tree_key] = values[key], fallback
-        value, fallback = induced[tree_key]
-        probed.append((t, value, fallback))
-        return value
+    def induce(t: dtree.DTree):
+        key = dtree.export_json(t)
+        if key not in induced:
+            induced[key] = dtree.induce_strategy(mdp, t)
+        return induced[key]
+
+    def accept(t: dtree.DTree) -> bool:
+        sigma, _ = induce(t)
+        key = sigma.rows.tobytes()
+        if key not in verdicts:
+            verdicts[key] = strat.decide(mdp, sigma, reference, args.budget)
+        return verdicts[key]
 
     if args.min_leaf != "auto":
         tree = dtree.learn(ts, min_leaf=args.min_leaf,
                            confidence=args.confidence, prune=not args.no_prune)
-        probe(tree)
         leaf = args.min_leaf
     else:
-        fit = dtree.fit_max_leaf(
-            ts, lambda t: _within_budget(probe(t), reference, args.budget),
-            confidence=args.confidence, prune=not args.no_prune)
+        fit = dtree.fit_max_leaf(ts, accept, confidence=args.confidence,
+                                 prune=not args.no_prune)
         tree, leaf = fit.tree, fit.min_leaf
-    _, value, fallback = next(p for p in probed if p[0] is tree)
-    return tree, leaf, value, fallback
+    sigma, fallback = induce(tree)
+    return tree, leaf, strat.evaluate(mdp, sigma), fallback
 
 
 def cmd_distill(args) -> int:
@@ -151,7 +145,7 @@ def cmd_distill(args) -> int:
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, ts, reference, args)
-    budget_met = _within_budget(tree_value, reference, args.budget)
+    budget_met = strat.within_budget(tree_value, reference, args.budget)
     rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
     _print_kv([
         ("states", mdp.n_states),
@@ -220,10 +214,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _number(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
     return value
 
 
@@ -274,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="ignored; results do not depend on it")
     learnopts.add_argument("--variant", default="IDP",
                            help="importance variant: IDP IDE IAP IAE OD OA")
-    learnopts.add_argument("--delta", type=_number, default=0.0,
+    learnopts.add_argument("--delta", type=_finite, default=0.0,
                            help="drop states with importance at most this")
     learnopts.add_argument("--truncate-mode", choices=("keep-all", "keep-argmax"),
                            default="keep-all")
@@ -283,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     learnopts.add_argument("--confidence", type=_confidence, default=0.25,
                            help="pruning confidence (lower prunes harder)")
     learnopts.add_argument("--no-prune", action="store_true")
-    learnopts.add_argument("--budget", type=_number, default=0.01,
+    learnopts.add_argument("--budget", type=_nonnegative, default=0.01,
                            help="relative value loss allowed by --min-leaf auto")
 
     p = sub.add_parser("solve", parents=[model, solveopts],

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -310,8 +310,9 @@ class LiberalStrategy:
 # Graph search. A graph is a square sparse matrix whose stored entry (u, v)
 # is an edge u -> v; search backward by searching its transpose.
 
-def reachable(graph: sp.spmatrix, sources) -> np.ndarray:
-    """Boolean mask of the nodes reachable from `sources`, sources included."""
+def breadth_first(graph: sp.spmatrix, sources) -> np.ndarray:
+    """The nodes reachable from `sources` in breadth-first order: the
+    sources, then the rest by their distance from the sources."""
     g = sp.csr_matrix(graph)
     n = g.shape[0]
     src = np.fromiter(sources, np.int64)
@@ -319,9 +320,14 @@ def reachable(graph: sp.spmatrix, sources) -> np.ndarray:
     indices = np.concatenate((g.indices, src))
     indptr = np.append(g.indptr, len(indices))
     g = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[csgraph.breadth_first_order(g, n, return_predecessors=False)] = True
-    return mask[:n]
+    return csgraph.breadth_first_order(g, n, return_predecessors=False)[1:]
+
+
+def reachable(graph: sp.spmatrix, sources) -> np.ndarray:
+    """Boolean mask of the nodes reachable from `sources`, sources included."""
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first(graph, sources)] = True
+    return mask
 
 
 def strong_components(graph: sp.csr_matrix) -> np.ndarray:
@@ -429,49 +435,125 @@ def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> sp.csr_matrix:
     return P
 
 
-def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 50000,
+def _target_mask(P: sp.csr_matrix, targets) -> np.ndarray:
+    is_target = np.zeros(P.shape[0], dtype=bool)
+    is_target[np.fromiter(targets, np.int64)] = True
+    return is_target
+
+
+def _unknowns(P: sp.csr_matrix, is_target: np.ndarray) -> np.ndarray:
+    """Locations with a path to a target, targets left out, nearest first.
+
+    Everything else has value 0: the zero set of the reachability problem.
+    """
+    order = breadth_first(P.T, np.flatnonzero(is_target))
+    return order[~is_target[order]]
+
+
+def _equations(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
+    """x = A x + b over `states`, in their order, and each row's mass off
+    its own location.
+
+    b sums each row's target mass in the order of its row in P. The mass
+    off the diagonal is added up from the other entries, so a self-loop
+    close to 1 does not cancel it away.
+    """
+    m = len(states)
+    rows = P[states]
+    owner = np.repeat(np.arange(m), np.diff(rows.indptr))
+    pos = np.full(P.shape[0], -1)
+    pos[states] = np.arange(m)
+    col = pos[rows.indices]
+    hit, keep = is_target[rows.indices], col >= 0
+    b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
+    A = sp.csr_matrix(
+        (rows.data[keep], col[keep],
+         np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=m))))),
+        shape=(m, m))
+    off = col != owner
+    return A, b, np.bincount(owner[off], weights=rows.data[off], minlength=m)
+
+
+def _sweeps(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray) -> Iterator[np.ndarray]:
+    """Gauss–Seidel interval iteration on the unknowns `states`, nearest the
+    targets first (Baier et al., CAV 2017).
+
+    Yields an (m, 2) array of lower and upper bounds [L, U] over `states`:
+    the start bounds L = b (one step into a target) and U = 1, then the
+    bounds after each sweep. A sweep updates the states in order, each from
+    the values already updated this sweep, and solves every self-loop
+    exactly: one product with the strict upper part, then one triangular
+    solve with the lower part, self-loops included. Both bounds are sound
+    throughout and converge to the values, since every unknown leaves the
+    unknowns almost surely.
+    """
+    A, b, off = _equations(P, is_target, states)
+    # column-major, the layout the solve reads and returns
+    X = np.asfortranarray(np.column_stack((b, np.ones(len(states)))))
+    yield X
+    upper = sp.triu(A, 1, format="csr")
+    # triangular with a positive diagonal: no fill and no pivoting
+    lu = spla.splu((sp.diags(off) - sp.tril(A, -1)).tocsc(),
+                   permc_spec="NATURAL", diag_pivot_thresh=0)
+    rhs = np.empty_like(X)
+    while True:
+        for j in range(2):
+            np.add(upper @ X[:, j], b, out=rhs[:, j])
+        X = lu.solve(rhs)
+        yield X
+
+
+def reach_bounds(P: sp.csr_matrix, targets, at: int) -> Iterator[Tuple[float, float]]:
+    """Sound bounds (lower, upper) on Pr_at[<> targets] in the chain P.
+
+    The first pair holds before any sweep; each further pair follows one
+    more Gauss–Seidel sweep (see `_sweeps`), and both bounds converge to the
+    value. At a target or in the zero set the one pair is exact.
+    """
+    is_target = _target_mask(P, targets)
+    states = _unknowns(P, is_target)
+    i = np.flatnonzero(states == at)
+    if not len(i):
+        yield float(is_target[at]), float(is_target[at])
+        return
+    for X in _sweeps(P, is_target, states):
+        yield float(X[i[0], 0]), float(X[i[0], 1])
+
+
+REACH_SWEEPS = 100_000  # sweep budget of reach_exact's iterative path
+
+
+def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 250_000,
                 tol: float = 1e-12) -> np.ndarray:
     """Exact reachability probabilities Pr_l[<> targets] in the chain with
     transition matrix P, for every location.
 
     Zero set by graph search, then a sparse linear solve on the remaining
-    locations (direct below `direct_cutoff` unknowns, else Jacobi iteration
-    to residual < tol; convergence is geometric since every non-zero-set
-    location almost surely enters targets-or-zero-set). Each location's
-    target mass is summed in the order of its row in P. Rows of targets
-    are never read.
+    locations: direct below `direct_cutoff` unknowns, else Gauss–Seidel
+    interval iteration (`_sweeps`) until every U - L is below tol, which
+    returns the midpoints, or raises MdpError after REACH_SWEEPS sweeps.
+    Each location's target mass is summed in the order of its row in P.
+    Rows of targets are never read.
     """
-    is_target = np.zeros(P.shape[0], dtype=bool)
-    is_target[np.fromiter(targets, np.int64)] = True
+    is_target = _target_mask(P, targets)
     vals = is_target.astype(np.float64)
     if not is_target.any():
         return vals
-    unknown = reachable(P.T, np.flatnonzero(is_target)) & ~is_target
-    m = int(unknown.sum())
-    if not m:
+    states = _unknowns(P, is_target)
+    if not len(states):
         return vals
-    rows = P[np.flatnonzero(unknown)]
-    owner = np.repeat(np.arange(m), np.diff(rows.indptr))
-    hit, keep = is_target[rows.indices], unknown[rows.indices]
-    b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
-    pos = np.cumsum(unknown) - 1
-    A = sp.csr_matrix(
-        (rows.data[keep], pos[rows.indices[keep]],
-         np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=m))))),
-        shape=(m, m))
-    if m <= direct_cutoff:
-        x = spla.spsolve(sp.eye(m, format="csc") - A.tocsc(), b)
+    if len(states) <= direct_cutoff:
+        states = np.sort(states)
+        A, b, _ = _equations(P, is_target, states)
+        x = spla.spsolve(sp.eye(len(states), format="csc") - A.tocsc(), b)
     else:
-        x = b.copy()
-        for _ in range(10_000_000):
-            nxt = A.dot(x) + b
-            if np.max(np.abs(nxt - x)) < tol:
-                x = nxt
+        for sweep, X in enumerate(_sweeps(P, is_target, states)):
+            if np.max(X[:, 1] - X[:, 0]) < tol:
                 break
-            x = nxt
-        else:
-            raise MdpError("reachability iteration failed to converge")
-    vals[unknown] = np.clip(x, 0.0, 1.0)
+            if sweep >= REACH_SWEEPS:
+                raise MdpError(f"reachability iteration exceeded {REACH_SWEEPS} sweeps")
+        x = (X[:, 0] + X[:, 1]) / 2.0
+    vals[states] = np.clip(x, 0.0, 1.0)
     return vals
 
 

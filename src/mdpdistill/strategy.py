@@ -10,12 +10,13 @@ run to an exit almost surely.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, induce_chain,
-                   mec_decompose, reach_exact, reachable)
+                   mec_decompose, reach_bounds, reach_exact, reachable)
 from .solver import ValueApprox
 
 
@@ -73,6 +74,15 @@ def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     return np.flatnonzero(reachable(induce_chain(mdp, strategy), [mdp.initial])).tolist()
 
 
+def _from_initial(mdp: Mdp, strategy: LiberalStrategy):
+    """The induced chain on the states reachable from the initial state,
+    the targets among them, and the position of the initial state."""
+    P = induce_chain(mdp, strategy)
+    states = np.flatnonzero(reachable(P, [mdp.initial]))
+    return (P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]),
+            int(np.searchsorted(states, mdp.initial)))
+
+
 def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     """Reachability value of the induced chain from the initial state.
 
@@ -80,10 +90,40 @@ def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     the strategy, so changing choices anywhere else cannot perturb the
     result, not even in the last bit.
     """
-    P = induce_chain(mdp, strategy)
-    states = np.flatnonzero(reachable(P, [mdp.initial]))
-    vals = reach_exact(P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]))
-    return float(vals[np.searchsorted(states, mdp.initial)])
+    P, targets, init = _from_initial(mdp, strategy)
+    return float(reach_exact(P, targets)[init])
+
+
+def within_budget(value: float, reference: float, budget: float) -> bool:
+    """The value lost against `reference`, relative to it, is at most `budget`."""
+    return reference <= 0.0 or (reference - value) / reference <= budget
+
+
+DECIDE_SWEEPS = 100  # bound sweeps before a decision falls back to the exact value
+
+
+def decide(mdp: Mdp, strategy: LiberalStrategy, reference: float, budget: float) -> bool:
+    """`within_budget(evaluate(mdp, strategy), reference, budget)`, from
+    bounds where they suffice.
+
+    Gauss–Seidel bounds at the initial state (`reach_bounds`) accept once
+    the lower bound less a margin is within budget, and reject once the
+    upper bound plus the margin is not. The margin, 1e-9 of the reference,
+    lies far above the error of the exact solve, so the verdict is the one
+    the exact value gives. If the bounds close to within the margin
+    undecided, or after DECIDE_SWEEPS sweeps, the exact value decides, on
+    the same restricted chain.
+    """
+    P, targets, init = _from_initial(mdp, strategy)
+    margin = 1e-9 * reference
+    for lower, upper in islice(reach_bounds(P, targets, init), DECIDE_SWEEPS + 1):
+        if within_budget(lower - margin, reference, budget):
+            return True
+        if not within_budget(upper + margin, reference, budget):
+            return False
+        if upper - lower < margin:
+            break
+    return within_budget(float(reach_exact(P, targets)[init]), reference, budget)
 
 
 def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,

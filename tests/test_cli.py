@@ -168,14 +168,15 @@ def test_distill_single_leaf_when_everything_is_good(models, capsys):
 
 
 def test_distill_impossible_budget(models, capsys):
-    # demanding a million times better than lossless cannot be met with
-    # min_leaf search alone when sampling noise leaves any defect; use a
-    # negative-loss bound to force rejection of every tree
+    # a lossless budget cannot be met once truncation drops a state the
+    # controller needs: every tree, min_leaf=1 included, is rejected
     rc = main(["distill", "--model", str(models / "fig1.mdp"),
-               "--runs", "500", "--seed", "1", "--budget", "-0.5"])
+               "--runs", "500", "--seed", "1", "--budget", "0", "--delta", "0.5"])
     out = _kv(capsys.readouterr().out)
     assert rc == 1
     assert out["budget met"] == "no"
+    assert out["min leaf"] == "1"
+    assert float(out["rel error"]) > 0
 
 
 def test_fixed_min_leaf_reports_missed_budget(models, capsys):
@@ -191,20 +192,25 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
 
 @pytest.mark.parametrize("min_leaf", ["auto", "3"])
 def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
-    # one evaluate for the liberal strategy's reference value, one induce
-    # per distinct tree (its JSON), and one evaluate per distinct induced
-    # strategy (its row mask); the chosen tree is not redone
+    # two exact values, the liberal strategy's reference and the returned
+    # tree's; one induce per distinct tree (its JSON); and in the search,
+    # one budget decision per distinct induced strategy (its row mask)
     from mdpdistill import dtree, strategy
     calls = {"evaluate": 0, "induce": 0}
-    masks = []
+    masks, decided = [], []
     learned, induced = [], []
     fits = []
-    real_evaluate, real_induce = strategy.evaluate, dtree.induce_strategy
+    real_evaluate, real_decide = strategy.evaluate, strategy.decide
+    real_induce = dtree.induce_strategy
     real_fit, real_learn = dtree.fit_max_leaf, dtree.learn
 
     def evaluate(*a):
         calls["evaluate"] += 1
         return real_evaluate(*a)
+
+    def decide(mdp, sigma, *a):
+        decided.append(sigma.rows.tobytes())
+        return real_decide(mdp, sigma, *a)
 
     def induce(mdp, tree):
         calls["induce"] += 1
@@ -223,6 +229,7 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         return fits[-1]
 
     monkeypatch.setattr(strategy, "evaluate", evaluate)
+    monkeypatch.setattr(strategy, "decide", decide)
     monkeypatch.setattr(dtree, "induce_strategy", induce)
     monkeypatch.setattr(dtree, "learn", learn)
     monkeypatch.setattr(dtree, "fit_max_leaf", fit)
@@ -234,7 +241,8 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
     assert probes > 1 or min_leaf != "auto"
     assert len(learned) == probes
     assert sorted(induced) == sorted(set(learned))
-    assert calls == {"evaluate": len(set(masks)) + 1, "induce": len(set(learned))}
+    assert calls == {"evaluate": 2, "induce": len(set(learned))}
+    assert sorted(decided) == (sorted(set(masks)) if min_leaf == "auto" else [])
     if min_leaf == "auto":
         # on fig1 several probes grow the same tree, so several probes
         # share an induced strategy
@@ -377,11 +385,16 @@ NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\
     ["distill", "--budget", "nan"],
     ["distill", "--delta", "nan"],
     ["solve", "--state-cap", "0"],
+    ["distill", "--budget", "-0.5"],
+    ["compare", "--budget", "-inf"],
+    ["distill", "--delta", "inf"],
+    ["compare", "--delta", "-inf"],
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
         "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
         "runs-zero", "runs-negative", "nan-probability", "confidence-zero",
         "confidence-above-one", "confidence-nan", "budget-nan", "delta-nan",
-        "state-cap-zero"])
+        "state-cap-zero", "budget-negative", "budget-minus-inf", "delta-inf",
+        "delta-minus-inf"])
 def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]

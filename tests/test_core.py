@@ -1,5 +1,6 @@
 """Core model types, SCC/MEC decomposition and exact reachability."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 import scipy.sparse as sp
 
 from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
-                             MdpError, build_quotient,
+                             MdpError, breadth_first, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
-                             max_reach_exact, mec_decompose,
-                             reach_exact, strong_components)
+                             max_reach_exact, mec_decompose, reach_bounds,
+                             reach_exact, reachable, strong_components)
 
 from mdpdistill import fixtures
 
@@ -238,7 +239,7 @@ def test_reach_exact_zero_states_are_exact_zero():
     assert v[0] == 0.5
 
 
-def test_reach_exact_jacobi_agrees_with_direct():
+def test_reach_exact_iteration_agrees_with_direct():
     rng = random.Random(3)
     n = 30
     rows = []
@@ -250,8 +251,66 @@ def test_reach_exact_jacobi_agrees_with_direct():
         rows.append((succs, (0.25, 0.25, 0.5)))
     chain = chain_matrix(tuple(rows))
     direct = reach_exact(chain, {n - 1})
-    jacobi = reach_exact(chain, {n - 1}, direct_cutoff=0)
-    assert np.allclose(direct, jacobi, atol=1e-9)
+    iterated = reach_exact(chain, {n - 1}, direct_cutoff=0)
+    assert np.allclose(direct, iterated, atol=1e-9)
+
+
+def test_reach_exact_iteration_survives_a_self_loop_near_one():
+    # 0 stays with probability 1 - 1e-13 and otherwise hits the target, so
+    # its value is 1; 1 - P[0, 0] would cancel to a wrong exit mass
+    chain = chain_matrix((((0, 1), (1 - 1e-13, 1e-13)), ((1,), (1.0,))))
+    tol = 1e-12
+    try:
+        v = reach_exact(chain, [1], direct_cutoff=0, tol=tol)
+    except MdpError:
+        return
+    assert abs(v[0] - 1.0) < tol
+
+
+def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
+    # a ring that leaks 1/8 to the target at one place needs many sweeps
+    from mdpdistill import core
+    n = 40
+    rows = [((s + 1,), (1.0,)) for s in range(n - 1)]
+    rows.append(((0, n), (0.875, 0.125)))
+    rows.append(((n,), (1.0,)))
+    chain = chain_matrix(tuple(rows))
+    v = reach_exact(chain, [n], direct_cutoff=0)
+    monkeypatch.setattr(core, "REACH_SWEEPS", 3)
+    with pytest.raises(MdpError, match="exceeded 3 sweeps"):
+        reach_exact(chain, [n], direct_cutoff=0)
+    assert np.allclose(v[:n], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_breadth_first_order_matches_reachable(seed):
+    m = random_mdp(seed, max_states=25)
+    P = induce_chain(m, LiberalStrategy.from_choice(m, {}))
+    sources = sorted(m.target)
+    order = breadth_first(P.T, sources)
+    mask = reachable(P.T, sources)
+    assert sorted(order.tolist()) == np.flatnonzero(mask).tolist()
+    assert sorted(order[:len(sources)].tolist()) == sources
+    dist = sp.csgraph.shortest_path(P.T, unweighted=True, indices=sources).min(axis=0)
+    assert np.all(np.diff(dist[order]) >= 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reach_bounds_bracket_the_value_and_close(seed):
+    m = random_mdp(seed, max_states=25)
+    rng = random.Random(seed)
+    strategy = LiberalStrategy.from_choice(
+        m, {s: frozenset({rng.randrange(len(m.actions[s]))})
+            for s in range(m.n_states) if rng.random() < 0.5})
+    P = induce_chain(m, strategy)
+    exact = reach_exact(P, m.target)
+    # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
+    for at in range(m.n_states):
+        for lower, upper in itertools.islice(reach_bounds(P, m.target, at), 2000):
+            assert lower - 1e-13 <= exact[at] <= upper + 1e-13
+            if upper - lower < 1e-12:
+                break
+        assert upper - lower < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(25))

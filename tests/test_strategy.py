@@ -1,16 +1,19 @@
 """Strategy extraction, evaluation, truncation and the explicit dump."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from mdpdistill.core import LiberalStrategy, MdpError, max_reach_exact
+from mdpdistill import strategy as strategy_mod
+from mdpdistill.core import LiberalStrategy, MdpError, max_reach_exact, reach_bounds
 from mdpdistill.dtree import fit_max_leaf, induce_strategy
 from mdpdistill.importance import (build_training_set, exact_importance,
                                    importance_of, simulate)
 from mdpdistill.solver import brtdp, value_iteration
-from mdpdistill.strategy import (consulted_dont_care, dump_tsv, evaluate,
+from mdpdistill.strategy import (consulted_dont_care, decide, dump_tsv, evaluate,
                                  explicit_size, extract_liberal,
-                                 reachable_under, truncate)
+                                 reachable_under, truncate, within_budget)
 
 from conftest import random_mdp
 from oracles import evaluate_rows, extract_dict, mecs_dict, truncate_dict
@@ -182,6 +185,81 @@ def test_evaluate_equals_dict_loop_on_every_probe(name, request):
     assert len(strategies) == 2 + len(fit.tried)
     for s in strategies:
         assert evaluate(m, s) == evaluate_rows(m, s)
+
+
+def _search_with_decisions(m, ts, reference, budget, monkeypatch):
+    """A budget search whose every probe checks `decide` against the exact
+    verdict, and the bounds it reads against the exact value.
+
+    Returns the exact value of each probe and how many decisions fell back
+    to the exact solve.
+    """
+    solves = []
+    real = strategy_mod.reach_exact
+    monkeypatch.setattr(strategy_mod, "reach_exact",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    values, fallbacks = [], []
+
+    def accept(tree):
+        induced, _ = induce_strategy(m, tree)
+        value = evaluate(m, induced)
+        before = len(solves)
+        verdict = decide(m, induced, reference, budget)
+        fallbacks.append(len(solves) > before)
+        assert verdict == within_budget(value, reference, budget)
+        P, targets, init = strategy_mod._from_initial(m, induced)
+        # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
+        for lower, upper in islice(reach_bounds(P, targets, init),
+                                   strategy_mod.DECIDE_SWEEPS + 1):
+            assert lower - 1e-13 <= value <= upper + 1e-13
+        values.append(value)
+        return verdict
+
+    fit_max_leaf(ts, accept)
+    monkeypatch.undo()
+    return values, sum(fallbacks)
+
+
+def _check_decisions(m, monkeypatch, runs=2000, kind="DP"):
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    weights = importance_of(simulate(m, sigma, runs, seed=0), kind).weights
+    ts = build_training_set(m, sigma, weights, runs=runs)
+    reference = evaluate(m, sigma)
+    values, _ = _search_with_decisions(m, ts, reference, 0.01, monkeypatch)
+    if reference <= 0:
+        return
+    # a budget exactly at a probe's loss leaves its bounds undecided, so
+    # the exact value decides; min_leaf=1, the first probe, is made in
+    # every search, the last one of the first search maybe not
+    for value, made in ((values[0], True), (values[-1], False)):
+        _, fallbacks = _search_with_decisions(
+            m, ts, reference, (reference - value) / reference, monkeypatch)
+        assert fallbacks >= made
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_decide_matches_exact_verdict_on_every_probe(name, request, monkeypatch):
+    _check_decisions(request.getfixturevalue(name), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_decide_matches_exact_verdict_on_random_models(seed, monkeypatch):
+    # unconditional importance: some of these models never reach the target
+    _check_decisions(random_mdp(seed, max_states=30), monkeypatch, runs=300, kind="AP")
+
+
+@pytest.mark.parametrize("sweeps", [0, 1])
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2"])
+def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monkeypatch):
+    m = request.getfixturevalue(name)
+    monkeypatch.setattr(strategy_mod, "DECIDE_SWEEPS", sweeps)
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    reference = evaluate(m, sigma)
+    for tree_sigma in (sigma, LiberalStrategy.from_choice(m, {})):
+        value = evaluate(m, tree_sigma)
+        for budget in (0.0, 0.01, 0.5, (reference - value) / reference):
+            assert (decide(m, tree_sigma, reference, budget)
+                    == within_budget(value, reference, budget))
 
 
 def test_evaluate_equals_dict_loop_on_grid(grid):
