@@ -2,9 +2,11 @@
 
 A validated AST is compiled once into Python (`compile_model`): one
 `expand` function lists the enabled actions of a state, and `is_target`
-tests the target predicate. Breadth-first search from the initial
-valuation calls them once per state and writes the rows straight into a
-SparseView, so the same AST always yields the same state numbering.
+tests the target predicate; `expand_all` does both for many states at
+once with numpy. Breadth-first search from the initial valuation calls
+`expand_all` on wide queue segments and the other two once per state
+elsewhere, and writes the rows straight into a SparseView; the same AST
+always yields the same state numbering.
 Commands fire in module/declaration order; labelled commands synchronize
 across all modules declaring the label (one enabled command per
 participating module, all combinations enumerated, attribute (label, 0)).
@@ -17,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Tuple
+from math import prod
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import TAU, Mdp, MdpError, SparseView, _ranges, branch_groups
-from .expr import compile_expr, define
+from .expr import (_PY_CMP, And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg, Not,
+                   Var, compile_expr, define)
 from .lang import ModelAst, ModelError, parse_model, parse_predicate
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -40,18 +44,35 @@ class CompiledModel:
     leaving its variable's range ends the lists with the kind -1 - k, where
     k indexes `updates`, and the value, so errors surface in the order the
     actions are taken.
+
+    `expand_all(G, T, B, H, *columns)` evaluates the same for m states at
+    once with numpy, given one value column per slot. It fills the guard
+    matrix G (m x kinds), the successor tensor T (m x all kinds' branches
+    x slots), B, which marks the kinds with an update outside its range
+    (m x kinds, zeroed by the caller), and the target mask H. Interval
+    arithmetic over the declared ranges bounds every subexpression; one
+    with a single possible value is written as that literal, so Python
+    folds constants of any size. expand_all is None when a declared range,
+    an update or a subexpression left to numpy may leave +-2**62, so its
+    int64 arithmetic never overflows.
     """
 
     source: str
     expand: Callable
     is_target: Callable
+    expand_all: Optional[Callable]
     names: Tuple[str, ...]  # action names, indexed by name id
     kinds: Tuple[Tuple[int, int, Tuple[float, ...]], ...]  # (name id, module, probabilities)
     updates: Tuple[Tuple[str, int, int, int], ...]  # (variable, lo, hi, line)
 
 
+_SAFE = 2 ** 62
+_NUMPY = {"logical_not": np.logical_not, "logical_and": np.logical_and,
+          "logical_or": np.logical_or, "minimum": np.minimum, "maximum": np.maximum}
+
+
 def compile_model(ast: ModelAst) -> CompiledModel:
-    """Generate `expand` and `is_target` for a validated model AST.
+    """Generate `expand`, `is_target` and `expand_all` for a validated model AST.
 
     The source holds only slot names, integer literals and operators, never
     text from the model. Each branch probability of an action is the float
@@ -64,46 +85,114 @@ def compile_model(ast: ModelAst) -> CompiledModel:
     kinds: List[Tuple[int, int, Tuple[float, ...]]] = []
     updates: List[Tuple[str, int, int, int]] = []
     body = ["kinds = []", "branches = []"]
+    # the body of expand_all: one numpy operation a line, each into a fresh
+    # t<i>, so no line nests however deep the expressions are
+    wide: List[str] = []
+    safe = all(-_SAFE <= d.lo and d.hi <= _SAFE for d in decls)
 
-    def action(cmds, name: str, module: int):
+    computed: Dict[Expr, Tuple[str, int, int]] = {}
+
+    def op(src: str, lo: int, hi: int, *operands) -> Tuple[str, int, int]:
+        # a value the bounds pin down is written as its literal, so constants
+        # beyond int64 are folded by Python and never reach numpy
+        nonlocal safe
+        if lo == hi:
+            return repr(lo), lo, hi
+        safe = safe and all(-_SAFE <= b <= _SAFE for _, *ends in operands + ((src, lo, hi),)
+                                  for b in ends)
+        wide.append(f"t{len(wide)} = {src}")
+        return f"t{len(wide) - 1}", lo, hi
+
+    def vec(e: Expr) -> Tuple[str, int, int]:
+        """The name or literal holding `e` in expand_all, and bounds on its values."""
+        if e in computed:
+            return computed[e]
+        if isinstance(e, (IntLit, BoolLit)):
+            got = repr(e.value), int(e.value), int(e.value)
+        elif isinstance(e, Var):
+            got = (slot[e.name], *bounds[e.name])
+        elif isinstance(e, Neg):
+            a = vec(e.arg)
+            got = op(f"-{a[0]}", -a[2], -a[1], a)
+        elif isinstance(e, Arith):
+            a, b = vec(e.left), vec(e.right)
+            ends = {"+": (a[1] + b[1], a[2] + b[2]), "-": (a[1] - b[2], a[2] - b[1]),
+                    "*": (a[1] * b[1], a[1] * b[2], a[2] * b[1], a[2] * b[2])}[e.op]
+            got = op(f"{a[0]} {e.op} {b[0]}", min(ends), max(ends), a, b)
+        elif isinstance(e, MinMax):
+            args = [vec(a) for a in e.args]
+            pick = min if e.op == "min" else max
+            lo, hi = pick(a[1] for a in args), pick(a[2] for a in args)
+            # leave out the arguments that can never be the value
+            got, *rest = [a for a in args if (a[1] <= hi if e.op == "min" else a[2] >= lo)]
+            for a in rest:
+                got = op(f"{e.op}imum({got[0]}, {a[0]})", pick(got[1], a[1]),
+                         pick(got[2], a[2]), got, a)
+        elif isinstance(e, Cmp):
+            a, b = vec(e.left), vec(e.right)
+            got = op(f"{a[0]} {_PY_CMP[e.op]} {b[0]}", 0, 1, a, b)
+        elif isinstance(e, Not):
+            got = op(f"logical_not({vec(e.arg)[0]})", 0, 1)
+        else:
+            fn = "logical_and" if isinstance(e, And) else "logical_or"
+            got = op(f"{fn}({vec(e.left)[0]}, {vec(e.right)[0]})", 0, 1)
+        computed[e] = got
+        return got
+
+    def action(cmds, name: str, module: int, guard: str):
         # the body of an `if` on the guards: every command's alternatives in
         # turn, each update checked where it is evaluated; then one successor
-        # per combination of alternatives
+        # per combination of alternatives. `guard` holds the guards' numpy
+        # value in expand_all.
+        nonlocal safe
+        k = len(kinds)
+        wide.append(f"G[:, {k!r}] = {guard}")
         alts_of = []
         for cmd in cmds:
             alts = []
             for alt in cmd.alts:
                 assigned = {}
                 for var, rhs in alt.updates:
-                    k = len(updates)
+                    i = len(updates)
                     lo, hi = bounds[var]
                     updates.append((var, lo, hi, cmd.line))
-                    body.extend([f"    u{k} = {rhs.py(slot)}",
-                                 f"    if not {lo!r} <= u{k} <= {hi!r}:",
-                                 f"        kinds.append({-1 - k!r})",
-                                 f"        branches.append(u{k})",
+                    body.extend([f"    u{i} = {rhs.py(slot)}",
+                                 f"    if not {lo!r} <= u{i} <= {hi!r}:",
+                                 f"        kinds.append({-1 - i!r})",
+                                 f"        branches.append(u{i})",
                                  "        return kinds, branches"])
-                    assigned[slot[var]] = f"u{k}"
+                    u, ulo, uhi = vec(rhs)
+                    safe = safe and -_SAFE <= ulo and uhi <= _SAFE
+                    if ulo < lo:
+                        wide.append(f"B[:, {k!r}] |= {u} < {lo!r}")
+                    if uhi > hi:
+                        wide.append(f"B[:, {k!r}] |= {u} > {hi!r}")
+                    assigned[slot[var]] = (f"u{i}", u)
                 alts.append((alt.prob, assigned))
             alts_of.append(alts)
+        branch = sum(len(probs) for _, _, probs in kinds)
         probs, succs = [], []
         for combo in product(*alts_of):
             p = Fraction(1)
-            assigned = {}
+            # each slot's value in expand and in expand_all
+            assigned = {v: (v, v) for v in slot.values()}
             for q, a in combo:
                 p *= q
                 assigned.update(a)
             probs.append(float(p))
-            succs.append("(" + "".join(f"{assigned.get(v, v)}, " for v in slot.values()) + ")")
+            succs.append("(" + "".join(f"{py}, " for py, _ in assigned.values()) + ")")
+            wide.extend(f"T[:, {branch!r}, {i!r}] = {u}"
+                        for i, (_, u) in enumerate(assigned.values()))
+            branch += 1
         kinds.append((names.setdefault(name, len(names)), module, tuple(probs)))
-        body.append(f"    kinds.append({len(kinds) - 1!r})")
+        body.append(f"    kinds.append({k!r})")
         body.append(f"    branches += {''.join(t + ', ' for t in succs)}")
 
     for mi, mod in enumerate(ast.modules, start=1):
         for cmd in mod.commands:
             if cmd.label is None:
                 body.append(f"if {cmd.guard.py(slot)}:")
-                action([cmd], cmd.name, mi)
+                action([cmd], cmd.name, mi, vec(cmd.guard)[0])
     # label -> [(module index, its commands with the label)], in order of first use
     participants: Dict[str, List[Tuple[int, List]]] = {}
     for mi, mod in enumerate(ast.modules, start=1):
@@ -121,32 +210,139 @@ def compile_model(ast: ModelAst) -> CompiledModel:
             mi, cmds = groups[0]
             for cmd in cmds:
                 body.append(f"if {cmd.guard.py(slot)}:")
-                action([cmd], label, mi)
+                action([cmd], label, mi, vec(cmd.guard)[0])
             continue
         flags = []
         for _, cmds in groups:
             flags.append([])
             for cmd in cmds:
                 body.append(f"g{guard} = {cmd.guard.py(slot)}")
-                flags[-1].append((f"g{guard}", cmd))
+                flags[-1].append((f"g{guard}", vec(cmd.guard)[0], cmd))
                 guard += 1
         for combo in product(*flags):
-            body.append("if " + " and ".join(g for g, _ in combo) + ":")
-            action([cmd for _, cmd in combo], label, 0)
+            body.append("if " + " and ".join(g for g, _, _ in combo) + ":")
+            both = combo[0][1]
+            for _, g, _ in combo[1:]:
+                both = op(f"logical_and({both}, {g})", 0, 1)[0]
+            action([cmd for _, _, cmd in combo], label, 0, both)
     body.append("return kinds, branches")
+    wide.append(f"H[:] = {vec(ast.target)[0]}")
 
     target = [f"return {ast.target.py(slot)}"]
     try:
         expand = define("expand", len(decls), body)
         is_target = define("is_target", len(decls), target)
+        expand_all = define("expand_all", len(decls), wide, outputs=("G", "T", "B", "H"),
+                            scope=_NUMPY) if safe else None
     except (SyntaxError, RecursionError):
         raise ModelError("model too deeply nested to compile") from None
-    return CompiledModel(expand.source + is_target.source, expand, is_target,
-                         tuple(names), tuple(kinds), tuple(updates))
+    source = expand.source + is_target.source + (expand_all.source if expand_all else "")
+    return CompiledModel(source, expand, is_target, expand_all, tuple(names), tuple(kinds),
+                         tuple(updates))
+
+
+WIDE = 16  # a pending queue segment this long is expanded by `expand_all`
+# Once segments are batched, narrower ones are batched too while there has
+# been at most one such batch per _HANDBACK states: a batch costs about as
+# much as handing that many states back to the per-state loop.
+_HANDBACK = 128
+_DENSE = 1 << 22  # the most valuations a model may have to be expanded in batches
+
+
+class _Frontier:
+    """Expands wide queue segments with `expand_all`.
+
+    It holds the valuations of the states numbered so far in `vals`, and
+    their ids in `table`, a dense array indexed by the packed mixed-radix
+    key of a valuation (-1 for a valuation not yet numbered). States found
+    one at a time enter both when the next wide segment starts.
+    """
+
+    def __init__(self, prog: CompiledModel, decls):
+        size = [d.hi - d.lo + 1 for d in decls]
+        self.expand_all = prog.expand_all
+        self.lo = np.array([d.lo for d in decls], dtype=np.int64)
+        self.stride = np.array([prod(size[i + 1:]) for i in range(len(size))], dtype=np.int64)
+        self.kind_len = np.array([len(k[2]) for k in prog.kinds], dtype=np.int64)
+        self.table = np.full(prod(size), -1, dtype=np.int64)
+        self.vals = np.empty((1024, len(size)), dtype=np.int64)
+        self.n = 0  # states in vals and table
+        self.narrow = 0  # narrow segments batched
+
+    def add(self, vals: np.ndarray):
+        """Number the given valuations n, n+1, ..."""
+        n, k = self.n, len(vals)
+        if n + k > len(self.vals):
+            grown = np.empty((2 * (n + k), self.vals.shape[1]), dtype=np.int64)
+            grown[:n] = self.vals[:n]
+            self.vals = grown
+        self.vals[n:n + k] = vals
+        self.table[(vals - self.lo) @ self.stride] = np.arange(n, n + k)
+        self.n += k
+
+    def run(self, states: list, s: int, state_cap: int, parts):
+        """Expand pending segments from state s on in batches, while they hold
+        WIDE states or _HANDBACK allows a narrow one, appending each segment's
+        targets, per-state row counts, row kinds and successor ids to `parts`.
+        Returns the next state to expand, and whether its segment failed as a
+        batch; if states remain, `states` then lists all numbered so far."""
+        self.add(np.array(states[self.n:], dtype=np.int64).reshape(-1, len(self.lo)))
+        batch = ()
+        while s < self.n and (self.n - s >= WIDE or self.narrow * _HANDBACK < self.n):
+            self.narrow += self.n - s < WIDE
+            end = self.n
+            batch = self.batch(s, state_cap)
+            if batch is None:
+                break
+            for part, got in zip(parts, batch):
+                part.append(got)
+            s = end
+        if s < self.n:
+            states.extend(map(tuple, self.vals[len(states):self.n].tolist()))
+        return s, batch is None
+
+    def batch(self, s: int, state_cap: int):
+        """Expand the segment from state s to n, numbering new successors in
+        order of first occurrence; None when a state of it has an update
+        outside its range or a deadlock, or its new states pass the cap."""
+        n, k = self.n, len(self.kind_len)
+        vals = self.vals[s:n]
+        G, B, H = np.empty((n - s, k), bool), np.zeros((n - s, k), bool), np.empty(n - s, bool)
+        T = np.empty((n - s, self.kind_len.sum(), len(self.lo)), dtype=np.int64)
+        self.expand_all(G, T, B, H, *vals.T)
+        G[H] = False
+        if (G & B).any() or not (G.any(axis=1) | H).all():
+            return None
+        # successors in (state, kind, branch) order
+        succ = np.take(T.reshape(-1, len(self.lo)),
+                       np.flatnonzero(np.repeat(G, self.kind_len, axis=1)), axis=0)
+        keys = (succ - self.lo) @ self.stride
+        ids = self.table[keys]
+        new = np.flatnonzero(ids < 0)
+        # the position of each new key's first occurrence, through the table
+        at, new_keys = np.arange(len(new)), keys[new]
+        self.table[new_keys] = len(new)
+        np.minimum.at(self.table, new_keys, at)
+        first = self.table[new_keys]
+        fresh = first == at
+        if n + np.count_nonzero(fresh) > state_cap:
+            self.table[new_keys] = -1
+            return None
+        ids[new] = n + (np.cumsum(fresh) - 1)[first]
+        self.add(succ[new[fresh]])
+        return s + np.flatnonzero(H), G.sum(axis=1), np.nonzero(G)[1], ids
 
 
 def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
-    """Explore the reachable state space of a validated model AST."""
+    """Explore the reachable state space of a validated model AST.
+
+    States are numbered in breadth-first discovery order, so the queue is
+    the numbering. A pending segment of at least WIDE states is expanded
+    at once by `expand_all`, which numbers its successors as the per-state
+    loop would; narrower ones go through `expand` one state at a time. A
+    segment whose batch holds an error is replayed one state at a time,
+    which raises the error of the first offending state and action.
+    """
     prog = compile_model(ast)
     decls = ast.var_decls()
     expand, is_target = prog.expand, prog.is_target
@@ -158,13 +354,30 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     counts: List[int] = []
     row_kind: List[int] = []
     succ: List[int] = []
+    parts = ([], [], [], [])  # the same four as arrays, in numbering order
+    batched = bool(decls) and prog.expand_all is not None and \
+        prod(d.hi - d.lo + 1 for d in decls) <= _DENSE
+    frontier = None  # made when the first wide segment appears
+    replay = 0  # states before this one are expanded one at a time
+
+    def flush():
+        for part, got in zip(parts, (targets, counts, row_kind, succ)):
+            part.append(np.array(got, dtype=np.int64))
+            got.clear()
 
     def where(vec) -> str:
         return f"in state {dict(zip((d.name for d in decls), vec))}"
 
-    # states are numbered in discovery order, so the queue is the numbering
     s = 0
     while s < len(states):
+        if len(states) - s >= WIDE and s >= replay and batched:
+            frontier = frontier or _Frontier(prog, decls)
+            flush()
+            s, failed = frontier.run(states, s, state_cap, parts)
+            if failed:
+                replay = len(states)
+            index.update(zip(states[len(index):], range(len(index), len(states))))
+            continue
         vec = states[s]
         s += 1
         if is_target(*vec):
@@ -190,19 +403,27 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
         row_kind.extend(acts)
         succ.extend(ids)
         counts.append(len(acts))
+    flush()
+    targets, counts, row_kind, succ = (np.concatenate(part) for part in parts)
 
-    n = len(states)
-    try:
-        valuation = np.array(states, dtype=np.int64).reshape(n, len(decls))
-    except OverflowError:
-        raise ModelError("a reachable state holds a value outside the 64-bit range") from None
+    if frontier is not None:
+        frontier.add(np.array(states[frontier.n:], dtype=np.int64).reshape(-1, len(decls)))
+        n = frontier.n
+        valuation = frontier.vals[:n].copy()
+    else:
+        n = len(states)
+        try:
+            valuation = np.array(states, dtype=np.int64).reshape(n, len(decls))
+        except OverflowError:
+            raise ModelError("a reachable state holds a value outside the 64-bit range") \
+                from None
+    parts = frontier = None  # let the pieces go before the assembly
     target = np.zeros(n, dtype=bool)
     target[targets] = True
-    row_kind = np.array(row_kind, dtype=np.int64)
     kind_len = np.array([len(k[2]) for k in prog.kinds], dtype=np.int64)
     kind_start = np.concatenate(([0], np.cumsum(kind_len)))
     kind_prob = np.array([p for k in prog.kinds for p in k[2]], dtype=np.float64)
-    row_len, succ = kind_len[row_kind], np.array(succ, dtype=np.int64)
+    row_len = kind_len[row_kind]
     prob = kind_prob[_ranges(kind_start[row_kind], kind_start[row_kind + 1])]
     row_len, succ, prob = _merge_repeats(row_len, succ, prob)
     mdp = _assemble(

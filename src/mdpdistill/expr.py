@@ -168,17 +168,20 @@ class Or(Expr):
         return f"({self.left}|{self.right})"
 
 
-def define(name: str, arity: int, body: Sequence[str]) -> Callable:
+def define(name: str, arity: int, body: Sequence[str], *, outputs: Sequence[str] = (),
+           scope: Mapping[str, Callable] = {}) -> Callable:
     """Compile a function of `arity` positional values v0, v1, ... from body lines.
 
     The body is generated from expressions, so it holds only slot names,
-    integer literals, operators and the builtins `min` and `max`; it runs
-    with no other builtins. The function's text is kept as its `source`.
+    integer literals, operators and the builtins `min` and `max`, plus the
+    names in `scope`; it runs with no other builtins. Parameters named in
+    `outputs` come before the slots. The function's text is kept as its
+    `source`.
     """
-    params = ", ".join(f"v{i}" for i in range(arity))
+    params = ", ".join([*outputs, *(f"v{i}" for i in range(arity))])
     src = "".join(f"{line}\n" for line in [f"def {name}({params}):"]
                   + ["    " + line for line in body])
-    scope = {"__builtins__": {}, "min": min, "max": max}
+    scope = {"__builtins__": {}, "min": min, "max": max, **scope}
     exec(compile(src, f"<{name}>", "exec"), scope)
     fn = scope[name]
     fn.source = src

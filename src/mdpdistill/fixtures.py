@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .build import build_mdp, load_model
+from .build import DEFAULT_STATE_CAP, build_mdp, load_model
 from .core import Mdp
 from .lang import parse_model
 
@@ -18,7 +18,7 @@ def model_text(name: str) -> str:
     return (resources.files("mdpdistill") / "models" / f"{stem}{suffix}").read_text()
 
 
-def load(name: str, *, state_cap: int = 1_000_000) -> Mdp:
+def load(name: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     return load_model(model_text(name), state_cap=state_cap)
 
 
@@ -49,3 +49,10 @@ target loc=3
 
 def fig1_extended(k: int) -> Mdp:
     return build_mdp(parse_model(fig1_extended_text(k)))
+
+
+def grid_text(n: int) -> str:
+    """The bundled cliff walk on an n x n grid: W = n-1, the storm column
+    n//2, and the ranges and bounds widened."""
+    return (model_text("grid").replace("100x100", f"{n}x{n}").replace("99", str(n - 1))
+            .replace("STORMX = 50", f"STORMX = {n // 2}"))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdpdistill import fixtures
+from mdpdistill import build, fixtures
 from mdpdistill.build import build_mdp, compile_model, export_flat, load_model
 from mdpdistill.core import Mdp, MdpError
 from mdpdistill.lang import ModelError, parse_model
@@ -54,9 +54,15 @@ def outcome(build, text: str, state_cap: int):
         return "error", str(e)
 
 
+@lru_cache(maxsize=None)
+def dict_outcome(text: str, state_cap: int):
+    """The interpreted build's outcome, kept: the batched tests rerun the corpus."""
+    return outcome(build_dict, text, state_cap)
+
+
 def assert_same_outcome(text: str, state_cap: int = 1_000_000) -> str:
     kind, got = outcome(build_mdp, text, state_cap)
-    want_kind, want = outcome(build_dict, text, state_cap)
+    want_kind, want = dict_outcome(text, state_cap)
     assert kind == want_kind, (got, want)
     if kind == "ok":
         assert_same_model(got, want)
@@ -175,11 +181,16 @@ def random_model(seed: int) -> str:
 CORPUS = range(300)
 
 
-@lru_cache(maxsize=None)
-def corpus_outcome(seed: int) -> str:
+def corpus_case(seed: int):
+    """The model text and state cap of one corpus model."""
     rng = random.Random(10_000 + seed)
     cap = rng.randint(1, 12) if rng.random() < 0.3 else 1_000_000
-    return assert_same_outcome(random_model(seed), cap)
+    return random_model(seed), cap
+
+
+@lru_cache(maxsize=None)
+def corpus_outcome(seed: int) -> str:
+    return assert_same_outcome(*corpus_case(seed))
 
 
 @pytest.mark.parametrize("seed", CORPUS)
@@ -262,6 +273,149 @@ def test_cap_and_bad_update_in_one_state(text, cap):
         assert got.startswith("state cap exceeded")
 
 
+# --------------------------------------------------------------------------
+# Batched expansion. A pending segment of at least WIDE states goes through
+# expand_all; with WIDE forced to 1 every segment of a model whose
+# expressions fit int64 does. Either way the arrays and error texts are the
+# interpreted build's.
+
+def spy_batches(mp: pytest.MonkeyPatch) -> list:
+    """Record each batch the build runs: True when it was used, False when
+    its segment was replayed one state at a time."""
+    seen = []
+    batch = build._Frontier.batch
+
+    def spy(self, *args):
+        got = batch(self, *args)
+        seen.append(got is not None)
+        return got
+
+    mp.setattr(build._Frontier, "batch", spy)
+    return seen
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    return spy_batches(monkeypatch)
+
+
+@pytest.fixture
+def forced(monkeypatch):
+    monkeypatch.setattr(build, "WIDE", 1)
+    return spy_batches(monkeypatch)
+
+
+def test_grid_is_built_in_batches(batches):
+    assert assert_same_outcome(fixtures.model_text("grid")) == "ok"
+    assert len(batches) > 100 and all(batches)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_forced_batches_on_bundled_models(name, forced):
+    assert assert_same_outcome(fixtures.model_text(name)) == "ok"
+    assert forced and all(forced)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 100, 2000])
+def test_forced_batches_on_the_chain(k, forced):
+    assert assert_same_outcome(fixtures.fig1_extended_text(k)) == "ok"
+    assert len(forced) >= k and all(forced)
+
+
+@lru_cache(maxsize=None)
+def forced_outcome(seed: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build, "WIDE", 1)
+        seen = spy_batches(mp)
+        return assert_same_outcome(*corpus_case(seed)), tuple(seen)
+
+
+@pytest.mark.parametrize("seed", CORPUS)
+def test_forced_batches_on_random_models(seed):
+    forced_outcome(seed)
+
+
+def test_forced_batches_cover_the_corpus():
+    used = replayed = unbatched = 0
+    for seed in CORPUS:
+        got, seen = forced_outcome(seed)
+        used += got == "ok" and bool(seen) and all(seen)
+        replayed += got != "ok" and False in seen
+        unbatched += not seen
+    # sums with a big constant keep some models per-state throughout
+    assert used >= 120 and replayed >= 60 and unbatched >= 60, (used, replayed, unbatched)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("text", [CAP_THEN_BAD, BAD_THEN_CAP, SYNC],
+                         ids=["cap-then-bad", "bad-then-cap", "sync"])
+def test_forced_batches_on_cap_and_bad_update(text, cap, forced):
+    assert_same_outcome(text, cap)
+    assert forced
+
+
+@pytest.mark.parametrize("text", ["module m endmodule target true",
+                                  "module m endmodule target false"])
+def test_forced_batches_without_variables(text, forced):
+    # the one state of a model without variables is never batched
+    assert_same_outcome(text)
+    assert forced == []
+
+
+def diagonal(guard: str = "true", extra: str = "") -> str:
+    """A model whose breadth-first levels are the diagonals x+y = d of a
+    97 x 97 grid: level d holds d+1 states, and (40, 40) lies in the middle
+    of level 80."""
+    return f"""
+module m
+  x : [0..96] init 0;
+  y : [0..96] init 0;
+  [] x<96 & y<96 & {guard} -> 0.5:(x'=x+1) + 0.5:(y'=y+1);
+  [] x=96 | y=96 -> 1:(x'=x);
+  {extra}
+endmodule
+target x=96 & y=96
+"""
+
+
+# states in levels 0..80 are 81*82/2 = 3321; level 80 finds 82 new ones
+@pytest.mark.parametrize("text, cap, error", [
+    (diagonal(extra="[] x=40 & y=40 -> 1:(x'=x+100);"), 10 ** 6, "update drives x to 140"),
+    (diagonal(guard="!(x=40 & y=40)"), 10 ** 6, "deadlock"),
+    (diagonal(), 3321 + 41, "state cap exceeded"),
+], ids=["bad-update", "deadlock", "state-cap"])
+def test_error_in_a_wide_segment(text, cap, error, batches):
+    assert 81 >= build.WIDE
+    assert assert_same_outcome(text, cap).startswith(error)
+    # the levels before went through batches, the failing one was replayed
+    assert batches.count(True) > 40 and batches[-1] is False
+
+
+def test_int64_unsafe_subexpression_in_a_wide_segment(batches):
+    # 96 * 96 * 2**60 passes 2**63, and at (40, 40) the value does too
+    text = diagonal(extra="[] x=40 & y=40 & x*y*1152921504606846976 > 0 -> 1:(x'=x);")
+    assert compile_model(parse_model(text)).expand_all is None
+    assert assert_same_outcome(text) == "ok"
+    assert batches == []
+    assert compile_model(parse_model(diagonal())).expand_all is not None
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_grid_generator_matches_interpreted_build(n):
+    assert assert_same_outcome(fixtures.grid_text(n)) == "ok"
+
+
+def test_grid_generator_gives_the_bundled_grid():
+    got, want = load_model(fixtures.grid_text(100)), fixtures.load("grid")
+    for field in ("row_start", "row_state", "action_id", "module", "valuation", "is_target"):
+        a, b = getattr(got.sparse, field), getattr(want.sparse, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got.sparse.branches, field), getattr(want.sparse.branches, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert export_flat(got) == export_flat(want)
+
+
 def test_values_beyond_64_bits():
     # a range past 64 bits is fine while the reachable values fit
     text = ("module m x:[0..9223372036854775808] init 0; [] x<2 -> 1:(x'=x+1); "
@@ -286,7 +440,10 @@ def test_deep_expression_is_a_model_error():
 # The generated code holds no text from the model.
 
 ALLOWED = {"def", "return", "if", "not", "and", "or", "True", "False", "min", "max",
-           "expand", "is_target", "kinds", "branches", "append"}
+           "expand", "is_target", "kinds", "branches", "append",
+           # expand_all: its output arrays and the numpy functions it is given
+           "expand_all", "G", "T", "B", "H", "logical_not", "logical_and", "logical_or",
+           "minimum", "maximum"}
 
 HOSTILE = """
 const None = 2;
@@ -310,7 +467,7 @@ target out = None & lambda = 1 & v0 = 0
 def assert_clean_source(source: str):
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
-            assert tok.string in ALLOWED or re.fullmatch(r"[vug]\d+", tok.string), tok
+            assert tok.string in ALLOWED or re.fullmatch(r"[vugt]\d+", tok.string), tok
         elif tok.type == tokenize.NUMBER:
             assert re.fullmatch(r"\d+", tok.string), tok
         else:
@@ -320,6 +477,7 @@ def assert_clean_source(source: str):
 
 def test_model_names_never_reach_the_generated_code():
     ast = parse_model(HOSTILE)
+    assert compile_model(ast).expand_all is not None
     assert_clean_source(compile_model(ast).source)
     assert assert_same_outcome(HOSTILE) == "ok"
     m = load_model(HOSTILE)
