@@ -8,8 +8,8 @@ important decisions (`dtree`) and compare it against explicit and BDD
 representations (`bdd`).
 """
 
-from .build import build_mdp, export_flat, load_model, parse_flat, sniff_and_load
-from .core import (Action, ActionAttr, LiberalStrategy, Mdp, MdpError,
+from .build import build_mdp, export_flat, load_model, parse_flat
+from .core import (ActionAttr, LiberalStrategy, Mdp, MdpError,
                    MecDecomposition, induce_chain, max_reach_exact, mec_decompose,
                    reach_exact)
 from .dtree import DTree, export_dot, export_json, fit_max_leaf, import_json, learn
@@ -25,7 +25,7 @@ from .strategy import (consulted_dont_care, dump_tsv, evaluate, explicit_size,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "ActionAttr", "BitLayout", "DTree", "Domain", "ImportanceResult",
+    "ActionAttr", "BitLayout", "DTree", "Domain", "ImportanceResult",
     "LiberalStrategy", "Mdp", "MdpError", "MecDecomposition",
     "ModelError", "RunStats", "StrategyStore", "TrainingSet", "ValidityReport", "ValueApprox",
     "brtdp", "build_mdp", "build_training_set", "check_valid",
@@ -34,6 +34,6 @@ __all__ = [
     "extract_liberal", "fit_max_leaf", "import_json", "importance_of",
     "induce_chain", "learn", "load_model", "max_reach_exact", "mec_decompose",
     "parse_flat", "parse_model", "parse_predicate", "reach_exact", "simulate",
-    "simulate_batched", "sniff_and_load", "store_strategy", "truncate",
+    "simulate_batched", "store_strategy", "truncate",
     "value_iteration",
 ]

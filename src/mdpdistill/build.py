@@ -425,7 +425,7 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     kind_prob = np.array([p for k in prog.kinds for p in k[2]], dtype=np.float64)
     row_len = kind_len[row_kind]
     prob = kind_prob[_ranges(kind_start[row_kind], kind_start[row_kind + 1])]
-    row_len, succ, prob = _merge_repeats(row_len, succ, prob)
+    row_len, succ, prob = _merge_repeats(row_len, succ, prob, n)
     mdp = _assemble(
         tuple((d.name, d.lo, d.hi) for d in decls), valuation, 0, len(ast.modules),
         prog.names, np.repeat(np.arange(n), counts),
@@ -435,15 +435,15 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     return mdp.validate()
 
 
-def _merge_repeats(row_len, succ, prob):
-    """Merge the branches of each row that share a successor.
+def _merge_repeats(row_len, succ, prob, n):
+    """Merge the branches of each row that share a successor, one of n states.
 
     The merged branch sits where the successor first occurs, and its mass
     is added in branch order, as a per-row dict would add it: bincount adds
     its weights in input order.
     """
     entry_row = np.repeat(np.arange(len(row_len)), row_len)
-    order, starts = branch_groups(entry_row, succ)
+    order, starts = branch_groups(entry_row, succ, n)
     if starts.all():
         return row_len, succ, prob
     group = np.empty(len(order), dtype=np.int64)
@@ -499,10 +499,6 @@ def _assemble(var_decls, valuation, initial, module_count, names, row_state, row
         is_target=is_target,
     )
     return Mdp(tuple(var_decls), view, tuple(names[i] for i in ranked), initial, module_count)
-
-
-def load_model(src: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
-    return build_mdp(parse_model(src), state_cap=state_cap)
 
 
 def retarget(mdp: Mdp, expr: str) -> Mdp:
@@ -647,8 +643,8 @@ def is_flat(text: str) -> bool:
     return False
 
 
-def sniff_and_load(text: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
+def load_model(text: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     """Load either format, telling them apart with `is_flat`."""
     if is_flat(text):
         return parse_flat(text)
-    return load_model(text, state_cap=state_cap)
+    return build_mdp(parse_model(text), state_cap=state_cap)

@@ -140,8 +140,6 @@ def _fit_tree(mdp, ts, reference, args):
 
 
 def cmd_distill(args) -> int:
-    if args.variant not in VARIANTS:
-        raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, ts, reference, args)
@@ -173,8 +171,6 @@ def cmd_distill(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.variant not in VARIANTS:
-        raise ModelError(f"unknown variant {args.variant!r}")
     mdp, va, sigma, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, trunc)
     tree, used_leaf, tree_value, _ = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
@@ -273,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="simulation runs for importance")
     learnopts.add_argument("--threads", type=_positive_int, default=1,
                            help="ignored; results do not depend on it")
-    learnopts.add_argument("--variant", default="IDP",
-                           help="importance variant: IDP IDE IAP IAE OD OA")
+    learnopts.add_argument("--variant", choices=tuple(VARIANTS), default="IDP",
+                           help="importance variant")
     learnopts.add_argument("--delta", type=_finite, default=0.0,
                            help="drop states with importance at most this")
     learnopts.add_argument("--truncate-mode", choices=("keep-all", "keep-argmax"),

@@ -8,7 +8,6 @@ Target states are absorbing (a single self-loop); the row assembly in
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -51,18 +50,11 @@ class ActionAttr(NamedTuple):
     module: int
 
 
-class Action(NamedTuple):
-    attr: ActionAttr
-    succs: Tuple[int, ...]
-    probs: Tuple[float, ...]
-
-
 @dataclass(eq=False)
 class Mdp:
     """Explicit MDP over vector-valued states with an absorbing target set.
 
-    The model is stored once, as its SparseView. `states`, `actions` and
-    `target` are derived from the view on first use.
+    The model is stored once, as its SparseView.
     """
 
     var_decls: Tuple[Tuple[str, int, int], ...]  # (name, lo, hi) per coordinate
@@ -76,17 +68,10 @@ class Mdp:
         return len(self.sparse.row_start) - 1
 
     @cached_property
-    def target(self) -> FrozenSet[int]:
-        return frozenset(np.flatnonzero(self.sparse.is_target).tolist())
-
-    @cached_property
-    def states(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(map(tuple, self.sparse.valuation.tolist()))
-
-    @cached_property
-    def actions(self) -> Tuple["StateActions", ...]:
-        """Act(s) per state, in declaration order."""
-        return tuple(StateActions(self, s) for s in range(self.n_states))
+    def actions(self) -> Tuple[range, ...]:
+        """The range of action rows of each state in the view."""
+        start = self.sparse.row_start.tolist()
+        return tuple(map(range, start[:-1], start[1:]))
 
     def validate(self, tol: float = 1e-9):
         """Check the view's structure; report the first offending state.
@@ -114,7 +99,8 @@ class Mdp:
         # a mat-vec adds each row left to right, as sum() does; a single
         # column keeps out-of-range successors from being read
         total = sp.csr_matrix((prob, np.zeros_like(succ), ptr), shape=(rows, 1)) @ np.ones(1)
-        order, first_of = branch_groups(entry_row, succ)
+        # clipped, out-of-range successors (bad rows anyway) cannot overflow the key
+        order, first_of = branch_groups(entry_row, np.clip(succ, 0, n - 1), n)
         # written so that a NaN probability fails both checks
         row_bad = ((lengths == 0) | ~(np.abs(total - 1.0) <= tol)
                    | _hits(entry_row[~(prob > 0)], rows)
@@ -158,60 +144,18 @@ def _hits(items: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(items, minlength=size) > 0
 
 
-def branch_groups(entry_row: np.ndarray, succ: np.ndarray):
+def branch_groups(entry_row: np.ndarray, succ: np.ndarray, n: int):
     """Branches sorted by (row, successor), stably, and the first of each group.
 
-    Returns the sort order and a mask over it that marks where each
-    (row, successor) pair starts; a repeated successor keeps branch order.
+    Successors lie in [0, n). Returns the sort order, in which a repeated
+    successor keeps branch order, and a mask over it that marks where each
+    (row, successor) pair starts.
     """
-    order = np.lexsort((succ, entry_row))
+    key = entry_row * n + succ
+    order = np.argsort(key, kind="stable")
     first_of = np.ones(len(order), dtype=bool)
-    first_of[1:] = (np.diff(entry_row[order]) != 0) | (np.diff(succ[order]) != 0)
+    first_of[1:] = np.diff(key[order]) != 0
     return order, first_of
-
-
-class StateActions(Sequence):
-    """Act(s) of one state, read from the view of its Mdp.
-
-    The length is read from row_start; the Action tuples are built on first
-    access to an item, and kept.
-    """
-
-    __slots__ = ("_mdp", "_s", "_built")
-
-    def __init__(self, mdp: Mdp, s: int):
-        self._mdp = mdp
-        self._s = s
-        self._built = None
-
-    def __len__(self) -> int:
-        start = self._mdp.sparse.row_start
-        return int(start[self._s + 1] - start[self._s])
-
-    def _acts(self) -> Tuple[Action, ...]:
-        if self._built is None:
-            mdp, v = self._mdp, self._mdp.sparse
-            ptr = v.branches.indptr
-            self._built = tuple(
-                Action(ActionAttr(mdp.action_names[v.action_id[r]], int(v.module[r])),
-                       tuple(v.branches.indices[ptr[r]:ptr[r + 1]].tolist()),
-                       tuple(v.branches.data[ptr[r]:ptr[r + 1]].tolist()))
-                for r in range(v.row_start[self._s], v.row_start[self._s + 1]))
-        return self._built
-
-    def __getitem__(self, i):
-        return self._acts()[i]
-
-    def __iter__(self):
-        return iter(self._acts())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (tuple, StateActions)) and tuple(self) == tuple(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(self._acts())
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
     """
     domain = ts.domain
     nv = domain.n_vars
-    F, y, w = ts.features
+    F, y, w = ts.rows, ts.good, ts.weight.astype(np.float64)
     wy = w * y
     tables = ts.node_tables
 
@@ -375,8 +375,7 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     accepted probes move the lower end; `accept` must be deterministic. If
     even min_leaf=1 is rejected, that tree is returned with budget_met False.
     """
-    _, y, w = ts.features
-    wg, wb = int(w[y].sum()), int(w[~y].sum())
+    wg, wb = int(ts.weight[ts.good].sum()), int(ts.weight[~ts.good].sum())
     if hi is None:
         hi = max(1, min(wg, wb) if min(wg, wb) > 0 else max(wg, wb))
     tried: List[Tuple[int, bool]] = []

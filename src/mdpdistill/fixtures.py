@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .build import DEFAULT_STATE_CAP, build_mdp, load_model
+from .build import DEFAULT_STATE_CAP, load_model
 from .core import Mdp
-from .lang import parse_model
 
 _NAMES = ("fig1", "mutex", "sync2", "grid")
 
@@ -48,7 +47,7 @@ target loc=3
 
 
 def fig1_extended(k: int) -> Mdp:
-    return build_mdp(parse_model(fig1_extended_text(k)))
+    return load_model(fig1_extended_text(k))
 
 
 def grid_text(n: int) -> str:

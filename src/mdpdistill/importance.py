@@ -11,12 +11,11 @@ the tree learner pays proportional attention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .core import (GOLDEN64, ActionAttr, LiberalStrategy, Mdp, MdpError, derive_seed,
+from .core import (GOLDEN64, LiberalStrategy, Mdp, MdpError, derive_seed,
                    distinct_attrs, induce_chain, reach_exact, reachable, splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
@@ -222,40 +221,27 @@ class Domain:
         return Domain(mdp.var_decls, mdp.action_names, mdp.module_count)
 
 
-@dataclass(frozen=True)
-class TrainRow:
-    x: Tuple[int, ...]
-    attr: Optional[ActionAttr]
-    good: bool
-    weight: int = 1
-
-
 @dataclass
 class TrainingSet:
+    """Labelled examples for the tree learner, one per row of `rows`.
+
+    A row holds a state's valuation, then the index in `domain.action_names`
+    and the module of one attribute of its actions, or -1, -1 for a row
+    without an attribute.
+    `good` labels each row and `weight` is its integer repeat count.
+    """
+
     domain: Domain
-    rows: List[TrainRow]
+    rows: np.ndarray  # (examples, n_vars + 2) int64
+    good: np.ndarray  # (examples,) bool
+    weight: np.ndarray  # (examples,) int64
+    # split tables of tree nodes keyed on the bytes of their row indices,
+    # filled by `dtree.learn`; valid while the arrays are unchanged
+    node_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def total_weight(self) -> int:
-        return sum(r.weight for r in self.rows)
-
-    @cached_property
-    def features(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feature matrix (variables, action name index, module; -1 without
-        an attribute), labels and weights; built once, so `rows` is fixed."""
-        d = self.domain
-        F = np.array([tuple(r.x) + ((d.action_index(r.attr.name), r.attr.module)
-                             if r.attr is not None else (-1, -1)) for r in self.rows],
-                     dtype=np.int64).reshape(len(self.rows), d.n_vars + 2)
-        y = np.array([r.good for r in self.rows], dtype=bool)
-        w = np.array([r.weight for r in self.rows], dtype=np.float64)
-        return F, y, w
-
-    @cached_property
-    def node_tables(self) -> dict:
-        """Split tables of tree nodes keyed on the bytes of their row indices,
-        filled by `dtree.learn`; like `features`, valid while `rows` is fixed."""
-        return {}
+        return int(self.weight.sum())
 
 
 def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
@@ -273,15 +259,12 @@ def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
     if mode not in ("repeat", "once"):
         raise ValueError(f"unknown training mode {mode!r}")
     v = mdp.sparse
-    kept = ~v.is_target & ~(np.asarray(weights) <= delta)
+    weights = np.asarray(weights, dtype=np.float64)
+    kept = ~v.is_target & ~(weights <= delta)
     state, action, module, good = distinct_attrs(mdp, kept, strategy.rows)
-    names, vals = mdp.action_names, v.valuation
-    rows: List[TrainRow] = []
-    last = -1
-    for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
-        if s != last:
-            x = tuple(vals[s].tolist())
-            repeat = 1 if mode == "once" else max(1, int(runs * float(weights[s]) + 0.5))
-            last = s
-        rows.append(TrainRow(x, ActionAttr(names[a], m), g, repeat))
-    return TrainingSet(Domain.of(mdp), rows)
+    if mode == "once":
+        repeat = np.ones(len(state), dtype=np.int64)
+    else:
+        repeat = np.maximum(1, (runs * weights[state] + 0.5).astype(np.int64))
+    return TrainingSet(Domain.of(mdp), np.column_stack((v.valuation[state], action, module)),
+                       good, repeat)

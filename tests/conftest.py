@@ -11,9 +11,9 @@ import random
 import pytest
 
 from mdpdistill import fixtures
-from mdpdistill.core import TAU, Action, ActionAttr
+from mdpdistill.core import ActionAttr
 
-from oracles import make_absorbing, mdp_of
+from oracles import Action, make_absorbing, mdp_of
 
 
 @pytest.fixture(scope="session")

@@ -21,13 +21,19 @@ sweep loop over R in node-grouped order (`node_grouped`) that
 `core.interval_iterate`'s slot-major layout replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
 one in `build` replaced; with `view_dict`, `validate_dict` and
-`export_dict` it keeps a model as Python tuples.
+`export_dict` it keeps a model as Python tuples. `as_tuples` reads any
+model's view back into those tuples (valuations, per-state `Action` rows,
+target set); the loops here read the model through it.
+`training_rows` is the per-row loop `importance.build_training_set`
+replaced, and `training_set` turns its `TrainRow`s (or hand-written ones)
+into the arrays a `TrainingSet` stores; `rows_of` reads them back.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +45,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mdpdistill.core import (_MASK64, TAU, Action, ActionAttr, LiberalStrategy,
+from mdpdistill.core import (_MASK64, TAU, ActionAttr, LiberalStrategy,
                              Mdp, MdpError, MecDecomposition, Quotient,
-                             SparseView, derive_seed, induce_chain, reach_exact, reachable)
+                             SparseView, derive_seed, distinct_attrs, induce_chain,
+                             reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
 from mdpdistill.expr import (And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg, Not,
@@ -52,6 +59,14 @@ from mdpdistill.solver import ValueApprox
 
 
 Rows = Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
+
+
+class Action(NamedTuple):
+    """One action row of a state: its attribute and its distribution."""
+
+    attr: ActionAttr
+    succs: Tuple[int, ...]
+    probs: Tuple[float, ...]
 
 
 def chain_matrix(rows: Rows) -> sp.csr_matrix:
@@ -77,8 +92,9 @@ def chain_rows(P: sp.csr_matrix) -> Rows:
 def actions_of(mdp: Mdp, strategy: LiberalStrategy) -> List[Tuple[int, ...]]:
     """Per state, the sorted local action indices the strategy plays: its
     choice where defined, every action elsewhere."""
+    dm = as_tuples(mdp)
     choice = strategy.choice
-    return [tuple(sorted(choice[s])) if s in choice else tuple(range(len(mdp.actions[s])))
+    return [tuple(sorted(choice[s])) if s in choice else tuple(range(len(dm.actions[s])))
             for s in range(mdp.n_states)]
 
 
@@ -87,14 +103,15 @@ def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
     n = mdp.n_states
     if n > limit:
         raise MdpError(f"brute force capped at {limit} states")
+    dm = as_tuples(mdp)
     best = np.zeros(n)
-    ranges = [range(len(mdp.actions[s])) for s in range(n)]
+    ranges = [range(len(dm.actions[s])) for s in range(n)]
     for pick in product(*ranges):
         rows = []
         for s in range(n):
-            a = mdp.actions[s][pick[s]]
+            a = dm.actions[s][pick[s]]
             rows.append((a.succs, a.probs))
-        np.maximum(best, reach_exact(chain_matrix(rows), mdp.target), out=best)
+        np.maximum(best, reach_exact(chain_matrix(rows), dm.target), out=best)
     return best
 
 
@@ -103,9 +120,10 @@ def brute_mecs(mdp: Mdp, limit: int = 15) -> List[Tuple[FrozenSet[int], Dict[int
     n = mdp.n_states
     if n > limit:
         raise MdpError(f"brute force capped at {limit} states")
+    dm = as_tuples(mdp)
 
     def staying(T: FrozenSet[int], s: int) -> Tuple[int, ...]:
-        return tuple(i for i, a in enumerate(mdp.actions[s])
+        return tuple(i for i, a in enumerate(dm.actions[s])
                      if all(t in T for t in a.succs))
 
     def is_ec(T: FrozenSet[int]) -> bool:
@@ -119,7 +137,7 @@ def brute_mecs(mdp: Mdp, limit: int = 15) -> List[Tuple[FrozenSet[int], Dict[int
             while queue:
                 s = queue.pop()
                 for i in acts[s]:
-                    for t in mdp.actions[s][i].succs:
+                    for t in dm.actions[s][i].succs:
                         if t not in seen:
                             seen.add(t)
                             queue.append(t)
@@ -141,13 +159,14 @@ def brute_mecs(mdp: Mdp, limit: int = 15) -> List[Tuple[FrozenSet[int], Dict[int
 def acyclic_value(mdp: Mdp, strategy: LiberalStrategy) -> Fraction:
     """Exact value of a strategy when the induced chain has no cycles
     except the absorbing self-loops; pure rational arithmetic."""
+    dm = as_tuples(mdp)
     rows = chain_rows(induce_chain(mdp, strategy))
     played = actions_of(mdp, strategy)
     memo: Dict[int, Fraction] = {}
     on_path: set = set()
 
     def value(s: int) -> Fraction:
-        if s in mdp.target:
+        if s in dm.target:
             return Fraction(1)
         succs, probs = rows[s]
         if succs == (s,):
@@ -162,7 +181,7 @@ def acyclic_value(mdp: Mdp, strategy: LiberalStrategy) -> Fraction:
         w = Fraction(1, len(idxs))
         total = Fraction(0)
         for i in idxs:
-            a = mdp.actions[s][i]
+            a = dm.actions[s][i]
             for t, p in zip(a.succs, a.probs):
                 if t == s:
                     raise MdpError("induced chain has a proper cycle; oracle misused")
@@ -184,6 +203,7 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
     target or the target's complement-forever part, which bounds how far the
     truth can still move. No linear solver involved.
     """
+    dm = as_tuples(mdp)
     rows = chain_rows(induce_chain(mdp, strategy))
     n = len(rows)
     dist = np.zeros((n, 2))
@@ -196,14 +216,14 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
                 p = dist[u, flag]
                 if p == 0.0:
                     continue
-                if u in mdp.target or rows[u][0] == (u,):
+                if u in dm.target or rows[u][0] == (u,):
                     nxt[u, flag] += p
                     continue
                 for v, q in zip(*rows[u]):
                     nxt[v, 1 if (flag or v == s) else flag] += p * q
         dist = nxt
-    hit_and_seen = sum(dist[t, 1] for t in mdp.target)
-    hit = sum(dist[t, 0] + dist[t, 1] for t in mdp.target)
+    hit_and_seen = sum(dist[t, 1] for t in dm.target)
+    hit = sum(dist[t, 0] + dist[t, 1] for t in dm.target)
     settled = sum(dist[t, 0] + dist[t, 1] for t in absorbed)
     slack = 1.0 - settled
     if hit <= 0.0:
@@ -218,6 +238,7 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
 
 def induce_rows(mdp: Mdp, strategy: LiberalStrategy) -> Rows:
     """Induced chain as (succs, probs) per state, summed in a dict per state."""
+    dm = as_tuples(mdp)
     rows = []
     for s, idxs in enumerate(actions_of(mdp, strategy)):
         if not idxs:
@@ -225,7 +246,7 @@ def induce_rows(mdp: Mdp, strategy: LiberalStrategy) -> Rows:
         w = 1.0 / len(idxs)
         mass: Dict[int, float] = {}
         for i in idxs:
-            a = mdp.actions[s][i]
+            a = dm.actions[s][i]
             for t, p in zip(a.succs, a.probs):
                 mass[t] = mass.get(t, 0.0) + w * p
         succs = tuple(sorted(mass))
@@ -285,20 +306,22 @@ def reach_rows(rows: Rows, targets) -> np.ndarray:
 
 def evaluate_rows(mdp: Mdp, strategy: LiberalStrategy) -> float:
     """Strategy value from the initial state, solved on the reachable states."""
+    dm = as_tuples(mdp)
     rows = induce_rows(mdp, strategy)
     seen = _search([succs for succs, _ in rows], [mdp.initial])
     reach = [s for s in range(mdp.n_states) if seen[s]]
     pos = {s: k for k, s in enumerate(reach)}
     sub = tuple((tuple(pos[t] for t in rows[s][0]), rows[s][1]) for s in reach)
-    vals = reach_rows(sub, [pos[s] for s in reach if s in mdp.target])
+    vals = reach_rows(sub, [pos[s] for s in reach if s in dm.target])
     return float(vals[pos[mdp.initial]])
 
 
 def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     """`importance.exact_importance` with the chain cut at each state: for
     P[reach s], the row of s is replaced by a self-loop first."""
+    dm = as_tuples(mdp)
     rows = chain_rows(induce_chain(mdp, strategy))
-    b = reach_exact(chain_matrix(rows), mdp.target)
+    b = reach_exact(chain_matrix(rows), dm.target)
     if b[mdp.initial] <= 0.0:
         raise MdpError("strategy cannot reach the target; importance undefined")
     imp = np.zeros(mdp.n_states)
@@ -326,13 +349,14 @@ def truncate_dict(strategy: LiberalStrategy, weights, delta: float = 0.0,
 
 def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[int]]:
     """`choice` and fallback states of a tree, one `classify` call per action."""
+    dm = as_tuples(mdp)
     choice = {}
     fallback: List[int] = []
     for s in range(mdp.n_states):
-        if s in mdp.target:
+        if s in dm.target:
             continue
-        keep = frozenset(i for i, a in enumerate(mdp.actions[s])
-                         if tree.classify(mdp.states[s], a.attr))
+        keep = frozenset(i for i, a in enumerate(dm.actions[s])
+                         if tree.classify(dm.states[s], a.attr))
         if keep:
             choice[s] = keep
         else:
@@ -343,14 +367,15 @@ def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[
 def simulate_rows(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
                   max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
     """`importance.simulate`, one run after another with a visit dict per run."""
+    dm = as_tuples(mdp)
     P = induce_chain(mdp, strategy)
-    can = list(reachable(P.T, mdp.target))
+    can = list(reachable(P.T, dm.target))
     stats = RunStats(mdp.n_states, total_runs=runs)
     cond_count = [0] * mdp.n_states
     cond_mult = [0] * mdp.n_states
     all_count = [0] * mdp.n_states
     all_mult = [0] * mdp.n_states
-    rows, target, initial = chain_rows(P), mdp.target, mdp.initial
+    rows, target, initial = chain_rows(P), dm.target, mdp.initial
     mask, norm = _MASK64, 2.0 ** -53
     for r in range(runs):
         ctr = derive_seed(seed, first_run + r)
@@ -409,21 +434,63 @@ def _coord_key(p: Pred, domain: Domain) -> Tuple[int, int, int]:
     return (domain.n_vars + 1, 1, int(p.k))
 
 
+class TrainRow(NamedTuple):
+    """One training example: a valuation, an action attribute or None, its
+    label and its repeat count."""
+
+    x: Tuple[int, ...]
+    attr: Optional[ActionAttr]
+    good: bool
+    weight: int = 1
+
+
+def training_set(domain: Domain, rows: Sequence[TrainRow]) -> TrainingSet:
+    """The arrays of a TrainingSet over `domain` holding `rows` in order."""
+    feats = [tuple(r.x) + ((domain.action_index(r.attr.name), r.attr.module)
+                           if r.attr is not None else (-1, -1)) for r in rows]
+    feats = np.array(feats, dtype=np.int64).reshape(len(rows), domain.n_vars + 2)
+    return TrainingSet(domain, feats, np.array([r.good for r in rows], dtype=bool),
+                       np.array([r.weight for r in rows], dtype=np.int64))
+
+
+def rows_of(ts: TrainingSet) -> List[TrainRow]:
+    """The rows of a TrainingSet as `TrainRow`s: the inverse of `training_set`."""
+    nv, names = ts.domain.n_vars, ts.domain.action_names
+    return [TrainRow(tuple(f[:nv]), ActionAttr(names[f[nv]], f[nv + 1]) if f[nv] >= 0 else None,
+                     g, w)
+            for f, g, w in zip(ts.rows.tolist(), ts.good.tolist(), ts.weight.tolist())]
+
+
+def training_rows(mdp: Mdp, strategy: LiberalStrategy, weights, *, mode: str = "repeat",
+                  runs: int = 1, delta: float = 0.0) -> List[TrainRow]:
+    """`importance.build_training_set`, one row of one state at a time."""
+    if mode not in ("repeat", "once"):
+        raise ValueError(f"unknown training mode {mode!r}")
+    v = mdp.sparse
+    kept = ~v.is_target & ~(np.asarray(weights) <= delta)
+    state, action, module, good = distinct_attrs(mdp, kept, strategy.rows)
+    names, vals = mdp.action_names, v.valuation
+    rows: List[TrainRow] = []
+    last = -1
+    for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
+        if s != last:
+            x = tuple(vals[s].tolist())
+            repeat = 1 if mode == "once" else max(1, int(runs * float(weights[s]) + 0.5))
+            last = s
+        rows.append(TrainRow(x, ActionAttr(names[a], m), g, repeat))
+    return rows
+
+
 def learn_masks(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
                 prune: bool = True) -> DTree:
     """`dtree.learn`, one boolean mask per candidate split."""
-    if not ts.rows:
+    if not len(ts.rows):
         return DTree(Leaf(True), ts.domain)
     domain = ts.domain
     nv = domain.n_vars
     m = len(ts.rows)
-    X = np.array([r.x for r in ts.rows], dtype=np.int64).reshape(m, nv)
-    act = np.array([domain.action_index(r.attr.name) if r.attr is not None else -1
-                    for r in ts.rows], dtype=np.int64)
-    mod = np.array([r.attr.module if r.attr is not None else -1
-                    for r in ts.rows], dtype=np.int64)
-    y = np.array([r.good for r in ts.rows], dtype=bool)
-    w = np.array([r.weight for r in ts.rows], dtype=np.float64)
+    X, act, mod = ts.rows[:, :nv], ts.rows[:, nv], ts.rows[:, nv + 1]
+    y, w = ts.good, ts.weight.astype(np.float64)
 
     def masked(p: Pred, idx: np.ndarray) -> np.ndarray:
         if p.kind == "le":
@@ -492,7 +559,7 @@ def learn_masks(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0
 
 # --------------------------------------------------------------------------
 # Per-state reference loops for the solver: MECs, quotient, pair tables and
-# extraction, as dicts over `mdp.actions`.
+# extraction, as dicts over the `Action` tuples of `as_tuples`.
 
 def tarjan(n: int, succ: Sequence[Sequence[int]]) -> List[List[int]]:
     """Strongly connected components by iterative Tarjan."""
@@ -546,7 +613,7 @@ class Mec:
     """Maximal end component: states plus, per state, its internal actions."""
 
     states: FrozenSet[int]
-    actions: Dict[int, Tuple[int, ...]]  # state -> indices into mdp.actions[s]
+    actions: Dict[int, Tuple[int, ...]]  # state -> local action indices of s
 
     def __post_init__(self):
         self.states = frozenset(self.states)
@@ -568,6 +635,7 @@ def mec_list(mecs: MecDecomposition, mdp: Mdp) -> List[Mec]:
 
 def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
     """`core.mec_decompose` as a work list of candidate state sets."""
+    dm = as_tuples(mdp)
     if restrict is None:
         universe = list(range(mdp.n_states))
     else:
@@ -583,7 +651,7 @@ def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
         while changed:
             changed = False
             for s in list(members):
-                keep = [i for i, a in enumerate(mdp.actions[s])
+                keep = [i for i, a in enumerate(dm.actions[s])
                         if all(t in members for t in a.succs)]
                 acts[s] = keep
                 if not keep:
@@ -597,7 +665,7 @@ def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
         for s in order:
             nbrs = set()
             for i in acts[s]:
-                nbrs.update(mdp.actions[s][i].succs)
+                nbrs.update(dm.actions[s][i].succs)
             succ[pos[s]] = sorted(pos[t] for t in nbrs)
         comps = tarjan(len(order), succ)
         if len(comps) == 1 and len(comps[0]) == len(order):
@@ -608,7 +676,7 @@ def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
                 # singleton without a self-looping action can never be an EC
                 if len(sub) == 1:
                     s = sub[0]
-                    if not any(all(t == s for t in mdp.actions[s][i].succs) for i in acts[s]):
+                    if not any(all(t == s for t in dm.actions[s][i].succs) for i in acts[s]):
                         continue
                 work.append(sub)
     mecs.sort(key=lambda m: min(m.states))
@@ -617,6 +685,7 @@ def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
 
 def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     """`core.build_quotient` with a successor dict per row."""
+    dm = as_tuples(mdp)
     n = mdp.n_states
     node_of = np.full(n, -1, dtype=np.int64)
     mec_of: Dict[int, int] = {}
@@ -638,14 +707,14 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     q = nxt
 
     target_nodes = np.zeros(q, dtype=bool)
-    for t in mdp.target:
+    for t in dm.target:
         target_nodes[node_of[t]] = True
 
     rows_by_node: List[List[Tuple[Tuple[int, ...], Tuple[float, ...]]]] = [[] for _ in range(q)]
     for s in range(n):
         in_mec = s in mec_of
         mec = mecs[mec_of[s]] if in_mec else None
-        for i, a in enumerate(mdp.actions[s]):
+        for i, a in enumerate(dm.actions[s]):
             if in_mec and all(t in mec.states for t in a.succs):
                 continue
             mass: Dict[int, float] = {}
@@ -734,7 +803,8 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
 
 
 def _is_sink(mdp: Mdp, s: int) -> bool:
-    return all(a.succs == (s,) for a in mdp.actions[s])
+    dm = as_tuples(mdp)
+    return all(a.succs == (s,) for a in dm.actions[s])
 
 
 def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
@@ -745,9 +815,10 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     The same episodes, random draws, backups and deflations, with `mecs_dict`
     in place of `mec_decompose`; every float is added in the same order.
     """
+    dm = as_tuples(mdp)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    target = mdp.target
+    target = dm.target
     L: Dict[int, float] = {}
     U: Dict[int, float] = {}
     explored = set()
@@ -776,8 +847,8 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
             L[s] = 0.0
             U[s] = 0.0
             return
-        L[s] = max(lval(s), max(pair_l(s, a) for a in mdp.actions[s]))
-        U[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
+        L[s] = max(lval(s), max(pair_l(s, a) for a in dm.actions[s]))
+        U[s] = min(uval(s), max(pair_u(s, a) for a in dm.actions[s]))
 
     def deflate():
         for mec in mecs_dict(mdp, restrict=explored):
@@ -787,7 +858,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
             found = False
             for s in mec.states:
                 internal = set(mec.actions.get(s, ()))
-                for i, a in enumerate(mdp.actions[s]):
+                for i, a in enumerate(dm.actions[s]):
                     if i in internal:
                         continue
                     best = max(best, pair_u(s, a))
@@ -813,7 +884,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
             if len(path) > cap:
                 hit_cap = True
                 break
-            acts = mdp.actions[s]
+            acts = dm.actions[s]
             vals = [pair_u(s, a) for a in acts]
             best = max(vals)
             cands = [i for i, v in enumerate(vals) if v >= best - 1e-12]
@@ -842,11 +913,11 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     state_lower = view.is_target.astype(np.float64)
     state_upper = np.ones(mdp.n_states)
     for s in sorted(explored):
-        vals = [pair_l(s, a) for a in mdp.actions[s]]
+        vals = [pair_l(s, a) for a in dm.actions[s]]
         pair_lower[view.row_start[s]:view.row_start[s + 1]] = vals
         if s not in target:
             state_lower[s] = max(vals)
-            state_upper[s] = min(uval(s), max(pair_u(s, a) for a in mdp.actions[s]))
+            state_upper[s] = min(uval(s), max(pair_u(s, a) for a in dm.actions[s]))
 
     gap = uval(s0) - lval(s0)
     return ValueApprox(
@@ -857,13 +928,14 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
 
 def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):
     """`value_iteration`'s pair and state tables, one generator sum per pair."""
+    dm = as_tuples(mdp)
     pair_lower: Dict[Tuple[int, int], float] = {}
     state_lower: Dict[int, float] = {}
     state_upper: Dict[int, float] = {}
     for s in range(mdp.n_states):
         best_l = 0.0
         best_u = 0.0
-        for i, a in enumerate(mdp.actions[s]):
+        for i, a in enumerate(dm.actions[s]):
             lv = 0.0
             uv = 0.0
             for t, p in zip(a.succs, a.probs):
@@ -881,6 +953,7 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
                  mecs: List[Mec], *, tie_tol: float = 1e-9,
                  exit_union: bool = False) -> LiberalStrategy:
     """`strategy.extract_liberal` over a pair dict and a list of MECs."""
+    dm = as_tuples(mdp)
     member: Dict[int, int] = {}
     for k, mec in enumerate(mecs):
         for s in mec.states:
@@ -894,12 +967,12 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
     for s in sorted(explored):
         if s in member:
             continue
-        vals = [pl(s, i) for i in range(len(mdp.actions[s]))]
+        vals = [pl(s, i) for i in range(len(dm.actions[s]))]
         best = max(vals)
         choice[s] = frozenset(i for i, v in enumerate(vals) if v >= best - tie_tol)
 
     for k, mec in enumerate(mecs):
-        if mec.states & mdp.target:
+        if mec.states & dm.target:
             continue
         states = sorted(mec.states & set(explored))
         if not states:
@@ -908,13 +981,13 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
         best_val = 0.0
         for s in states:
             internal = set(mec.actions.get(s, ()))
-            for i in range(len(mdp.actions[s])):
+            for i in range(len(dm.actions[s])):
                 if i in internal:
                     continue
                 external.append((s, i))
                 best_val = max(best_val, pl(s, i))
         positive = any(pl(s, i) > tie_tol
-                       for s in states for i in range(len(mdp.actions[s])))
+                       for s in states for i in range(len(dm.actions[s])))
         if positive and not external:
             raise MdpError(
                 f"end component {k} ({sorted(mec.states)[:8]}) carries positive "
@@ -1173,6 +1246,28 @@ def view_dict(model: DictModel) -> Tuple[SparseView, Tuple[str, ...]]:
         is_target=is_target,
     )
     return view, names
+
+
+_TUPLES: "weakref.WeakKeyDictionary[Mdp, DictModel]" = weakref.WeakKeyDictionary()
+
+
+def as_tuples(mdp: Mdp) -> DictModel:
+    """The model as Python tuples, read from its view once and kept: the
+    valuation of each state, the `Action` tuples of each state in row order,
+    and the target set. `view_dict` is its inverse."""
+    got = _TUPLES.get(mdp)
+    if got is None:
+        v = mdp.sparse
+        ptr, start = v.branches.indptr.tolist(), v.row_start.tolist()
+        succ, prob = v.branches.indices.tolist(), v.branches.data.tolist()
+        rows = [Action(ActionAttr(mdp.action_names[a], m), tuple(succ[ptr[r]:ptr[r + 1]]),
+                       tuple(prob[ptr[r]:ptr[r + 1]]))
+                for r, (a, m) in enumerate(zip(v.action_id.tolist(), v.module.tolist()))]
+        got = _TUPLES[mdp] = DictModel(
+            mdp.var_decls, tuple(map(tuple, v.valuation.tolist())),
+            tuple(tuple(rows[a:b]) for a, b in zip(start, start[1:])), mdp.initial,
+            frozenset(np.flatnonzero(v.is_target).tolist()), mdp.module_count)
+    return got
 
 
 def mdp_of(var_decls, states, actions, initial, target, module_count: int = 1) -> Mdp:

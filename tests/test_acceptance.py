@@ -31,10 +31,10 @@ from conftest import random_mdp
 from mdpdistill import bdd, dtree, fixtures, strategy as strat
 from mdpdistill.cli import main
 from mdpdistill.core import max_reach_exact
-from mdpdistill.importance import (Domain, TrainRow, TrainingSet,
-                                   build_training_set, exact_importance,
+from mdpdistill.importance import (Domain, build_training_set, exact_importance,
                                    importance_of, simulate, simulate_batched)
 from mdpdistill.solver import brtdp, check_valid, value_iteration
+from oracles import TrainRow, as_tuples, rows_of, training_set
 
 FIXTURES = ("fig1", "mutex", "sync2", "grid")
 MODELS = ir.files("mdpdistill") / "models"
@@ -85,14 +85,15 @@ def corpus():
 def test_criterion_01_fig1_values_and_extraction():
     t0 = time.perf_counter()
     fig1 = fixtures.load("fig1")
-    q = fig1.states.index((1, 2))
+    t = as_tuples(fig1)
+    q = t.states.index((1, 2))
     va = value_iteration(fig1, 1e-9)
     v0 = va.state_lower[fig1.initial]
     vq = va.state_lower[q]
     brute = max_reach_exact(fig1)
     sigma = strat.extract_liberal(fig1, va)
-    picks0 = {fig1.actions[0][i].attr.name for i in sigma.choice[0]}
-    picksq = {fig1.actions[q][i].attr.name for i in sigma.choice[q]}
+    picks0 = {t.actions[0][i].attr.name for i in sigma.choice[0]}
+    picksq = {t.actions[q][i].attr.name for i in sigma.choice[q]}
     dt = time.perf_counter() - t0
     ok = (abs(v0 - 0.995) <= 1e-9 and abs(vq - 0.5) <= 1e-9
           and abs(brute[fig1.initial] - 0.995) <= 1e-12
@@ -105,13 +106,14 @@ def test_criterion_01_fig1_values_and_extraction():
 def test_criterion_02_importance_exact_and_sampled():
     t0 = time.perf_counter()
     fig1 = fixtures.load("fig1")
-    q = fig1.states.index((1, 2))
+    t = as_tuples(fig1)
+    q = t.states.index((1, 2))
     va = value_iteration(fig1, 1e-9)
     sigma = strat.extract_liberal(fig1, va)
     imp = exact_importance(fig1, sigma)
     exact_ok = (abs(imp[q] - 5 / 995) <= 1e-12
                 and imp[fig1.initial] == 1.0
-                and imp[next(iter(fig1.target))] == 1.0)
+                and imp[next(iter(t.target))] == 1.0)
     in_band = 0
     for seed in range(100):
         stats = simulate(fig1, sigma, 10000, seed=seed)
@@ -127,7 +129,7 @@ def test_criterion_02_importance_exact_and_sampled():
 def test_criterion_03_membership_tree():
     dom = Domain((("x1", 1, 7),), (), 1)
     rows = [TrainRow((v,), None, v in {1, 2, 3, 7}, 1) for v in range(1, 8)]
-    t = dtree.learn(TrainingSet(dom, rows), min_leaf=1, confidence=0.5)
+    t = dtree.learn(training_set(dom, rows), min_leaf=1, confidence=0.5)
     # x1 <= 6 is the integer form of x1 < 7
     shape_ok = (t.size == 5
                 and t.root.pred == dtree.Pred("le", 0, 3)
@@ -300,7 +302,7 @@ def test_criterion_12_representation_exactness():
                           ("mutex", "OA"), ("sync2", "IDP"), ("grid", "IDP")):
         _, _, _, _, _, ts, _ = _default_pipeline(name, variant)
         t = dtree.learn(ts, min_leaf=1, prune=False)
-        errs = sum(r.weight for r in ts.rows
+        errs = sum(r.weight for r in rows_of(ts)
                    if t.classify(r.x, r.attr) != r.good)
         tree_errors[f"{name}/{variant}"] = errs
     # the stored ROBDD must accept exactly the truncated good pairs,
@@ -309,7 +311,7 @@ def test_criterion_12_representation_exactness():
     for name in FIXTURES:
         mdp, _, _, _, trunc, _, _ = _default_pipeline(name)
         store = bdd.store_strategy(mdp, trunc)
-        items = {store.layout.encode(mdp.states[s], attr)
+        items = {store.layout.encode(mdp.sparse.valuation[s].tolist(), attr)
                  for s, attr in trunc.good_pairs()}
         n = store.layout.n_bits
         assert (1 << n) <= (1 << 20)

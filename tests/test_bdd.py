@@ -10,6 +10,8 @@ from mdpdistill.importance import Domain, exact_importance
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal, truncate
 
+from oracles import as_tuples
+
 
 def _opt(mdp, cut=False):
     strat = extract_liberal(mdp, value_iteration(mdp, 1e-9))
@@ -148,10 +150,11 @@ def test_store_equivalent_to_pair_list(fig1, mutex, sync2):
         strat = _opt(m, cut=True)
         store = store_strategy(m, strat)
         pairs = set(strat.good_pairs())
+        t = as_tuples(m)
         for s in range(m.n_states):
-            attrs = {a.attr for a in m.actions[s]}
+            attrs = {a.attr for a in t.actions[s]}
             for attr in attrs:
-                assert store.accepts(m.states[s], attr) == ((s, attr) in pairs)
+                assert store.accepts(t.states[s], attr) == ((s, attr) in pairs)
 
 
 def test_store_deterministic(mutex):

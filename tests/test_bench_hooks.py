@@ -13,6 +13,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -46,14 +47,15 @@ def test_run_stats_hook_resolves():
     assert callable(getattr(cli, "simulate_batched", None))
 
 
-def _traced(argv):
-    """Run one command with every hook patched; its exit status and metrics."""
+def _traced(argv, out=None):
+    """Run one command with every hook patched, its stdout going to `out`;
+    its exit status and metrics."""
     from mdpdistill import bdd, cli, dtree, importance, solver, strategy
     spans = _spans()
     modules = {"cli": cli, "solver": solver, "strategy": strategy,
                "importance": importance, "dtree": dtree, "bdd": bdd}
     tracer = spans.Tracer()
-    with spans.patched(modules, tracer), contextlib.redirect_stdout(io.StringIO()):
+    with spans.patched(modules, tracer), contextlib.redirect_stdout(out or io.StringIO()):
         rc = cli.main(argv)
     return rc, tracer, spans.layer_metrics(tracer, 0.0)
 
@@ -66,6 +68,23 @@ def test_distill_opens_every_layer_span():
     for name in ("strategy.evaluate", "core.induce_chain", "core.reach_exact",
                  "dtree.induce", "dtree.learn", "importance.simulate"):
         assert name in opened, name
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex"])
+def test_distill_counters_match_the_model_and_the_output(name):
+    # build.action_rows counts the rows of the view; the training-set
+    # counters read the sizes distill prints
+    from mdpdistill import fixtures
+    model = resources.files("mdpdistill.models").joinpath(f"{name}.mdp")
+    out = io.StringIO()
+    rc, _, metrics = _traced(["distill", "--model", str(model), "--runs", "500"], out)
+    assert rc in (0, 1)
+    printed = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in out.getvalue().splitlines())
+    mdp = fixtures.load(name)
+    assert metrics["build.states"] == mdp.n_states
+    assert metrics["build.action_rows"] == len(mdp.sparse.row_state) > 0
+    assert metrics["importance.train_rows"] == int(printed["training rows"]) > 0
+    assert metrics["importance.train_weight"] == int(printed["training weight"]) > 0
 
 
 def test_compare_runs_every_counter_hook():

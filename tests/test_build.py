@@ -3,30 +3,31 @@
 import pytest
 
 from mdpdistill import fixtures
-from mdpdistill.build import (export_flat, load_model, parse_flat,
-                              sniff_and_load)
+from mdpdistill.build import export_flat, load_model, parse_flat
 from mdpdistill.core import TAU
 from mdpdistill.lang import ModelError
+
+from oracles import as_tuples
 
 
 def test_fig1_bfs_numbering_frozen(fig1):
     # breadth-first order from the initial valuation, frozen for good
-    assert fig1.states == (
+    assert as_tuples(fig1).states == (
         (0, 1), (3, 1), (1, 2), (4, 1), (4, 2), (5, 2), (5, 1), (6, 1), (6, 2))
     assert fig1.initial == 0
-    assert fig1.target == frozenset({1})
+    assert as_tuples(fig1).target == frozenset({1})
     assert fig1.n_states == 9
 
 
 def test_target_states_absorbing(fig1):
-    (a,) = fig1.actions[1]
+    (a,) = as_tuples(fig1).actions[1]
     assert a.attr.name == TAU and a.attr.module == 0
     assert a.succs == (1,) and a.probs == (1.0,)
 
 
 def test_single_module_label_owned_by_module(fig1):
     # labels declared by exactly one module do not synchronize
-    assert all(a.attr.module == 1 for a in fig1.actions[0])
+    assert all(a.attr.module == 1 for a in as_tuples(fig1).actions[0])
     assert fig1.module_count == 1
 
 
@@ -35,8 +36,8 @@ def test_sync_combinations(sync2):
     # counters, so interior states enumerate all four combinations
     assert sync2.module_count == 2
     interior = next(
-        s for s, vec in enumerate(sync2.states) if vec == (1, 1))
-    attrs = [a.attr for a in sync2.actions[interior]]
+        s for s, vec in enumerate(as_tuples(sync2).states) if vec == (1, 1))
+    attrs = [a.attr for a in as_tuples(sync2).actions[interior]]
     assert len(attrs) == 4
     assert all(at.name == "step" and at.module == 0 for at in attrs)
 
@@ -49,10 +50,10 @@ def test_sync_joint_update_reads_source_state():
     module b y:[0..1] init 0; [s] true -> 1:(y'=x); endmodule
     target x=1 & y=0
     """
-    m = load_model(src)
-    assert (1, 0) in m.states
-    assert (1, 1) not in m.states
-    assert m.target == frozenset({m.states.index((1, 0))})
+    t = as_tuples(load_model(src))
+    assert (1, 0) in t.states
+    assert (1, 1) not in t.states
+    assert t.target == frozenset({t.states.index((1, 0))})
 
 
 def test_duplicate_successor_mass_merged():
@@ -64,7 +65,7 @@ def test_duplicate_successor_mass_merged():
     target x=2
     """
     m = load_model(src)
-    (a,) = m.actions[0]
+    (a,) = as_tuples(m).actions[0]
     assert a.succs == (1, 2)
     assert a.probs == (0.75, 0.25)
 
@@ -77,10 +78,10 @@ def test_unlabelled_commands_get_module_names():
     endmodule
     target x=2
     """
-    m = load_model(src)
-    assert m.actions[0][0].attr.name == "m.cmd0"
-    assert m.actions[1][0].attr.name == "m.cmd1"
-    assert all(a.attr.module == 1 for s in (0, 1) for a in m.actions[s])
+    acts = as_tuples(load_model(src)).actions
+    assert acts[0][0].attr.name == "m.cmd0"
+    assert acts[1][0].attr.name == "m.cmd1"
+    assert all(a.attr.module == 1 for s in (0, 1) for a in acts[s])
 
 
 def test_deadlock_reported_with_valuation():
@@ -111,9 +112,10 @@ def test_state_cap():
 def test_flat_round_trip_is_byte_stable(fig1):
     text = fixtures.model_text("fig1.flat")
     m = parse_flat(text)
-    assert m.states == fig1.states
-    assert m.initial == fig1.initial and m.target == fig1.target
-    for row_a, row_b in zip(fig1.actions, m.actions):
+    got, want = as_tuples(m), as_tuples(fig1)
+    assert got.states == want.states
+    assert m.initial == fig1.initial and got.target == want.target
+    for row_a, row_b in zip(want.actions, got.actions):
         assert row_a == row_b
     assert export_flat(m) == text
     assert export_flat(fig1) == text
@@ -122,10 +124,12 @@ def test_flat_round_trip_is_byte_stable(fig1):
 def test_sniff_both_formats(fig1):
     flat = fixtures.model_text("fig1.flat")
     guarded = fixtures.model_text("fig1")
-    assert sniff_and_load(flat).states == fig1.states
-    assert sniff_and_load(guarded).states == fig1.states
+    want = as_tuples(fig1).states
+    assert as_tuples(load_model(flat)).states == want
+    assert as_tuples(load_model(guarded)).states == want
     # leading comments do not confuse the sniffer
-    assert sniff_and_load("# c\n" + flat).states == fig1.states
+    assert as_tuples(load_model("# c\n" + flat)).states == want
+    assert as_tuples(fixtures.load("fig1.flat")).states == want
 
 
 @pytest.mark.parametrize(
@@ -166,6 +170,6 @@ def test_flat_comments_and_blank_lines():
             "init 0\ntarget 1\n")
     m = parse_flat(text)
     assert m.n_states == 2
-    assert m.target == frozenset({1})
+    assert as_tuples(m).target == frozenset({1})
     # target line rewrites the action row to the absorbing placeholder
-    assert m.actions[1][0].attr.name == TAU
+    assert as_tuples(m).actions[1][0].attr.name == TAU

@@ -25,7 +25,8 @@ from mdpdistill.core import Mdp, MdpError
 from mdpdistill.lang import ModelError, parse_model
 
 from conftest import random_mdp
-from oracles import DictModel, build_dict, export_dict, mdp_of, validate_dict, view_dict
+from oracles import (DictModel, as_tuples, build_dict, export_dict, mdp_of, validate_dict,
+                     view_dict)
 
 
 def assert_same_model(mdp: Mdp, model: DictModel):
@@ -542,7 +543,7 @@ def test_any_model_text_gives_an_mdp_or_a_model_error(text):
 def _broken(seed: int) -> DictModel:
     """A random valid model with one to three random defects."""
     rng = random.Random(seed)
-    m = random_mdp(seed)
+    m = as_tuples(random_mdp(seed))
     states = [list(vec) for vec in m.states]
     actions = [list(acts) for acts in m.actions]
     target = set(m.target)

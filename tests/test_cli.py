@@ -389,12 +389,14 @@ NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\
     ["compare", "--budget", "-inf"],
     ["distill", "--delta", "inf"],
     ["compare", "--delta", "-inf"],
+    ["distill", "--variant", "XYZ"],
+    ["compare", "--variant", "XYZ"],
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
         "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
         "runs-zero", "runs-negative", "nan-probability", "confidence-zero",
         "confidence-above-one", "confidence-nan", "budget-nan", "delta-nan",
         "state-cap-zero", "budget-negative", "budget-minus-inf", "delta-inf",
-        "delta-minus-inf"])
+        "delta-minus-inf", "variant-unknown-distill", "variant-unknown-compare"])
 def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys):
     if "--model" not in argv:
         argv = argv + ["--model", str(models / "fig1.mdp")]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
-                             MdpError, breadth_first, build_quotient,
+from mdpdistill.core import (TAU, ActionAttr, LiberalStrategy,
+                             MdpError, branch_groups, breadth_first, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
                              max_reach_exact, mec_decompose, reach_bounds,
                              reach_exact, reachable, strong_components)
@@ -17,8 +17,8 @@ from mdpdistill.core import (TAU, Action, ActionAttr, LiberalStrategy,
 from mdpdistill import fixtures
 
 from conftest import random_mdp
-from oracles import (acyclic_value, brute_mecs, brute_val, chain_matrix, chain_rows,
-                     induce_rows, interval_iterate_reduceat, make_absorbing, mdp_of,
+from oracles import (Action, acyclic_value, as_tuples, brute_mecs, brute_val, chain_matrix,
+                     chain_rows, induce_rows, interval_iterate_reduceat, make_absorbing, mdp_of,
                      mec_list, mecs_dict, node_grouped, quotient_dict, tarjan)
 
 
@@ -61,12 +61,44 @@ def test_validate_accepts_fixtures(fig1, mutex, sync2):
 )
 def test_validate_rejects(mutation, fragment):
     good = _mdp([[A("a", [1], [1.0])], []], {1})
-    rows = [list(r) for r in good.actions]
+    g = as_tuples(good)
+    rows = [list(r) for r in g.actions]
     mutation(rows)
-    bad = mdp_of(good.var_decls, good.states,
-                 tuple(tuple(r) for r in rows), 0, good.target)
+    bad = mdp_of(g.var_decls, g.states, tuple(tuple(r) for r in rows), 0, g.target)
     with pytest.raises(MdpError, match=fragment):
         bad.validate()
+
+
+@pytest.mark.parametrize("succs,fragment", [
+    ([-1, 0], "successor out of range"),
+    ([1, 2 ** 40], "successor out of range"),
+    ([9, 9], "duplicate successor"),
+], ids=["negative", "huge", "repeated-out-of-range"])
+def test_validate_words_out_of_range_rows_per_row(succs, fragment):
+    # the sort key clips these into range, where the first two would look
+    # like repeated successors; the message is still worked out per row
+    m = _mdp([[A("a", succs, [0.5, 0.5])], []], {1})
+    with pytest.raises(MdpError, match=f"state 0: {fragment}"):
+        m.validate()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_branch_groups_match_lexsort(seed):
+    # successors clipped into range, as `validate` does with out-of-range ones
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    size = int(rng.integers(0, 60))
+    entry_row = rng.integers(0, 12, size)
+    if seed % 2:
+        entry_row = np.sort(entry_row)
+    succ = rng.integers(-3, n + 3, size)
+    succ[rng.random(size) < 0.1] = 2 ** 62
+    succ = np.clip(succ, 0, n - 1)
+    order, first_of = branch_groups(entry_row, succ, n)
+    want = np.lexsort((succ, entry_row))
+    assert order.tolist() == want.tolist()
+    pairs = list(zip(entry_row[want].tolist(), succ[want].tolist()))
+    assert first_of.tolist() == [i == 0 or pairs[i] != pairs[i - 1] for i in range(size)]
 
 
 def test_validate_rejects_nonabsorbing_target():
@@ -217,7 +249,7 @@ def test_fig1_mecs_frozen(fig1):
                    frozenset({5}), frozenset({6}), frozenset({7}),
                    frozenset({8})}
     st3 = next(m for m in mecs if m.states == frozenset({3}))
-    names = [fig1.actions[3][i].attr.name for i in st3.actions[3]]
+    names = [as_tuples(fig1).actions[3][i].attr.name for i in st3.actions[3]]
     assert names == ["st"]
 
 
@@ -286,7 +318,7 @@ def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
 def test_breadth_first_order_matches_reachable(seed):
     m = random_mdp(seed, max_states=25)
     P = induce_chain(m, LiberalStrategy.from_choice(m, {}))
-    sources = sorted(m.target)
+    sources = sorted(as_tuples(m).target)
     order = breadth_first(P.T, sources)
     mask = reachable(P.T, sources)
     assert sorted(order.tolist()) == np.flatnonzero(mask).tolist()
@@ -299,14 +331,15 @@ def test_breadth_first_order_matches_reachable(seed):
 def test_reach_bounds_bracket_the_value_and_close(seed):
     m = random_mdp(seed, max_states=25)
     rng = random.Random(seed)
+    t = as_tuples(m)
     strategy = LiberalStrategy.from_choice(
-        m, {s: frozenset({rng.randrange(len(m.actions[s]))})
+        m, {s: frozenset({rng.randrange(len(t.actions[s]))})
             for s in range(m.n_states) if rng.random() < 0.5})
     P = induce_chain(m, strategy)
-    exact = reach_exact(P, m.target)
+    exact = reach_exact(P, t.target)
     # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
     for at in range(m.n_states):
-        for lower, upper in itertools.islice(reach_bounds(P, m.target, at), 2000):
+        for lower, upper in itertools.islice(reach_bounds(P, t.target, at), 2000):
             assert lower - 1e-13 <= exact[at] <= upper + 1e-13
             if upper - lower < 1e-12:
                 break
@@ -317,12 +350,13 @@ def test_reach_bounds_bracket_the_value_and_close(seed):
 def test_reach_exact_matches_fraction_dp(seed):
     m = random_mdp(seed, acyclic=True)
     rng = random.Random(seed + 999)
+    t = as_tuples(m)
     strategy = LiberalStrategy.from_choice(
-        m, {s: frozenset({rng.randrange(len(m.actions[s]))})
-         for s in range(m.n_states) if s not in m.target})
+        m, {s: frozenset({rng.randrange(len(t.actions[s]))})
+         for s in range(m.n_states) if s not in t.target})
     exactv = acyclic_value(m, strategy)
     chain = induce_chain(m, strategy)
-    v = reach_exact(chain, m.target)
+    v = reach_exact(chain, t.target)
     assert v[m.initial] == pytest.approx(float(exactv), abs=1e-12)
 
 
@@ -493,7 +527,7 @@ def test_induce_chain_matches_dict_loop(seed):
     rng = random.Random(seed + 7)
     choice = {}
     for s in range(m.n_states):
-        k = len(m.actions[s])
+        k = len(as_tuples(m).actions[s])
         if rng.random() < 0.8:
             choice[s] = frozenset(rng.sample(range(k), rng.randint(1, k)))
     strategy = LiberalStrategy.from_choice(m, choice)
@@ -506,7 +540,7 @@ def test_induce_chain_rejects_bad_choices(fig1):
     # index 2 at state 0 would be the first row of state 1
     with pytest.raises(MdpError, match="out of range"):
         induce_chain(fig1, LiberalStrategy.from_choice(
-            fig1, {0: frozenset({len(fig1.actions[0])})}))
+            fig1, {0: frozenset({len(as_tuples(fig1).actions[0])})}))
 
 
 def test_derive_seed_distinct_and_stable():

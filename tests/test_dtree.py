@@ -10,21 +10,20 @@ from mdpdistill.core import ActionAttr
 from mdpdistill.dtree import (DTree, Leaf, Pred, Split, _upper_z, export_dot,
                               export_json, fit_max_leaf, import_json,
                               induce_strategy, learn, tree_size)
-from mdpdistill.importance import (Domain, TrainRow, TrainingSet,
-                                   build_training_set, exact_importance,
-                                   importance_of, simulate)
+from mdpdistill.importance import (Domain, TrainingSet, build_training_set,
+                                   exact_importance, importance_of, simulate)
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal
 
 from conftest import random_mdp
-from oracles import induce_by_classify, learn_masks
+from oracles import TrainRow, as_tuples, induce_by_classify, learn_masks, training_set
 
 
 def membership_set(domain_hi, positives, lo=1):
     dom = Domain((("x1", lo, domain_hi),), (), 1)
     rows = [TrainRow((v,), None, v in positives, 1)
             for v in range(lo, domain_hi + 1)]
-    return TrainingSet(dom, rows)
+    return training_set(dom, rows)
 
 
 SEVEN = membership_set(7, {1, 2, 3, 7})
@@ -85,12 +84,12 @@ def test_pure_data_single_leaf():
 def test_majority_tie_is_good():
     dom = Domain((("x1", 0, 1),), (), 1)
     rows = [TrainRow((0,), None, True, 3), TrainRow((0,), None, False, 3)]
-    t = learn(TrainingSet(dom, rows))
+    t = learn(training_set(dom, rows))
     assert t.size == 1 and t.root.good
 
 
 def test_empty_training_set():
-    t = learn(TrainingSet(Domain((("x1", 0, 1),), (), 1), []))
+    t = learn(training_set(Domain((("x1", 0, 1),), (), 1), []))
     assert t.size == 1 and t.root.good
 
 
@@ -105,7 +104,7 @@ def test_threshold_tie_breaks_low():
 def test_coordinate_tie_breaks_low():
     dom = Domain((("x1", 1, 7), ("x2", 1, 7)), (), 1)
     rows = [TrainRow((v, v), None, v in {1, 2, 3, 7}, 1) for v in range(1, 8)]
-    t = learn(TrainingSet(dom, rows), prune=False)
+    t = learn(training_set(dom, rows), prune=False)
     assert t.root.pred == Pred("le", 0, 3)
 
 
@@ -118,7 +117,7 @@ def test_action_split():
         TrainRow((1, 2), ActionAttr("c", 1), False, 1),
         TrainRow((1, 2), ActionAttr("d", 1), True, 1),
     ]
-    t = learn(TrainingSet(dom, rows), min_leaf=1, confidence=0.5)
+    t = learn(training_set(dom, rows), min_leaf=1, confidence=0.5)
     assert t.size == 5
     assert t.root.pred == Pred("action", 0, "a")
     assert t.root.no.pred == Pred("action", 0, "c")
@@ -134,7 +133,7 @@ def test_module_split():
         TrainRow((0,), ActionAttr("go", 1), True, 4),
         TrainRow((0,), ActionAttr("go", 2), False, 4),
     ]
-    t = learn(TrainingSet(dom, rows), prune=False)
+    t = learn(training_set(dom, rows), prune=False)
     assert t.root.pred == Pred("module", 0, 1)
     assert t.classify((0,), ActionAttr("go", 1)) is True
     assert t.classify((0,), ActionAttr("go", 2)) is False
@@ -145,7 +144,7 @@ def test_weights_drive_the_split():
     dom = Domain((("x1", 1, 4),), (), 1)
     rows = [TrainRow((1,), None, True, 100), TrainRow((2,), None, False, 100),
             TrainRow((3,), None, True, 1), TrainRow((4,), None, False, 1)]
-    t = learn(TrainingSet(dom, rows), min_leaf=1, prune=False)
+    t = learn(training_set(dom, rows), min_leaf=1, prune=False)
     assert t.root.pred == Pred("le", 0, 1)
 
 
@@ -157,7 +156,7 @@ def test_prune_collapses_unhelpful_splits():
     dom = Domain((("x1", 1, 3),), (), 1)
     rows = [TrainRow((1,), None, True, 1), TrainRow((2,), None, True, 1),
             TrainRow((2,), None, False, 1), TrainRow((3,), None, True, 1)]
-    ts = TrainingSet(dom, rows)
+    ts = training_set(dom, rows)
     grown = learn(ts, prune=False)
     assert grown.size == 5
     pruned = learn(ts, prune=True, confidence=0.25)
@@ -168,7 +167,7 @@ def test_prune_zero_z_compares_raw_errors():
     dom = Domain((("x1", 1, 3),), (), 1)
     rows = [TrainRow((1,), None, True, 1), TrainRow((2,), None, True, 1),
             TrainRow((2,), None, False, 1), TrainRow((3,), None, True, 1)]
-    t = learn(TrainingSet(dom, rows), confidence=0.5)
+    t = learn(training_set(dom, rows), confidence=0.5)
     assert t.size == 1
 
 
@@ -184,8 +183,8 @@ def test_prune_recovers_majority_label():
     dom = Domain((("x1", 1, 3),), (), 1)
     rows = [TrainRow((1,), None, False, 1), TrainRow((2,), None, False, 1),
             TrainRow((2,), None, True, 1), TrainRow((3,), None, False, 1)]
-    grown = learn(TrainingSet(dom, rows), prune=False)
-    pruned = learn(TrainingSet(dom, rows), prune=True, confidence=0.5)
+    grown = learn(training_set(dom, rows), prune=False)
+    pruned = learn(training_set(dom, rows), prune=True, confidence=0.5)
     assert grown.size == 5
     assert pruned.size == 1 and not pruned.root.good
 
@@ -212,17 +211,18 @@ def test_json_round_trip_classifies_identically(fig1):
     t = learn(ts)
     t2 = import_json(export_json(t))
     assert t2.domain == t.domain
+    model = as_tuples(fig1)
     for s in range(fig1.n_states):
-        for a in fig1.actions[s]:
-            assert t2.classify(fig1.states[s], a.attr) == \
-                t.classify(fig1.states[s], a.attr)
+        for a in model.actions[s]:
+            assert t2.classify(model.states[s], a.attr) == \
+                t.classify(model.states[s], a.attr)
 
 
 def test_categorical_json_shape():
     dom = Domain((("x", 0, 0),), ("go",), 2)
     rows = [TrainRow((0,), ActionAttr("go", 1), True, 4),
             TrainRow((0,), ActionAttr("go", 2), False, 4)]
-    t = learn(TrainingSet(dom, rows), prune=False)
+    t = learn(training_set(dom, rows), prune=False)
     obj = json.loads(export_json(t))
     assert obj["root"]["p"] == {"cat": "module", "v": 1}
 
@@ -351,7 +351,7 @@ def _random_set(seed):
                 for a in (0, 1) for b in (0, 1)
                 for attr in (ActionAttr("a", 0), None)]
         dom = Domain(dom.var_decls, ("a",), 1)
-    return TrainingSet(dom, rows)
+    return training_set(dom, rows)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -372,7 +372,8 @@ def _assert_warm_tables_change_nothing(ts, leaves):
         for prune in (True, False):
             if (leaf, prune) not in oracle:
                 oracle[leaf, prune] = learn_masks(ts, min_leaf=leaf, prune=prune)
-                cold = learn(TrainingSet(ts.domain, ts.rows), min_leaf=leaf, prune=prune)
+                fresh = TrainingSet(ts.domain, ts.rows, ts.good, ts.weight)
+                cold = learn(fresh, min_leaf=leaf, prune=prune)
                 assert cold == oracle[leaf, prune], (leaf, prune)
             assert learn(ts, min_leaf=leaf, prune=prune) == oracle[leaf, prune], (leaf, prune)
     tables = len(ts.node_tables)
@@ -389,7 +390,7 @@ def _leaves_up_down_repeat(top):
 @pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
 def test_warm_node_tables_match_cold_and_mask_loop(name, request):
     _, ts = _distill_set(request.getfixturevalue(name))
-    top = int(ts.features[2].sum()) // 2
+    top = ts.total_weight // 2
     leaves = _leaves_up_down_repeat(top)
     assert leaves[0] < leaves[len(leaves) // 2 - 1] and len(set(leaves)) < len(leaves)
     _assert_warm_tables_change_nothing(ts, leaves)
@@ -404,7 +405,7 @@ def test_balanced_boundary_takes_the_fallback_split():
     # x0 xor x1, equal weights: no split gains, yet the rows are separable
     dom = Domain((("x0", 0, 1), ("x1", 0, 1)), (), 1)
     rows = [TrainRow((a, b), None, a != b, 2) for a in (0, 1) for b in (0, 1)]
-    t = learn(TrainingSet(dom, rows), prune=False)
+    t = learn(training_set(dom, rows), prune=False)
     assert t.root.pred == Pred("le", 0, 0)
     assert [t.classify((a, b)) for a in (0, 1) for b in (0, 1)] == [
         False, True, True, False]

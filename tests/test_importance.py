@@ -1,5 +1,7 @@
 """Simulation, importance weights and training-set assembly."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal
 
 from conftest import random_mdp
-from oracles import exact_importance_cut, horizon_importance, simulate_rows
+from oracles import (as_tuples, exact_importance_cut, horizon_importance, rows_of,
+                     simulate_rows, training_rows, training_set)
 
 
 def _opt(mdp):
@@ -42,7 +45,7 @@ def test_exact_importance_needs_reachable_target(fig1):
 def test_exact_importance_against_horizon_oracle(seed):
     m = random_mdp(seed)
     strat = LiberalStrategy.from_choice(m, {})  # uniform everywhere
-    v0 = reach_exact(induce_chain(m, strat), m.target)[m.initial]
+    v0 = reach_exact(induce_chain(m, strat), as_tuples(m).target)[m.initial]
     if v0 <= 0.0:
         pytest.skip("uniform play cannot reach the target here")
     imp = exact_importance(m, strat)
@@ -260,22 +263,23 @@ def test_training_set_fig1(fig1):
     w = exact_importance(fig1, strat)
     ts = build_training_set(fig1, strat, w, mode="once")
     assert ts.domain == Domain.of(fig1)
+    rows = rows_of(ts)
     by_state = {}
-    for r in ts.rows:
+    for r in rows:
         by_state.setdefault(r.x, []).append(r)
     # only the two positive-weight states appear, the target never does
     assert set(by_state) == {(0, 1), (1, 2)}
-    labels = {(r.x, r.attr.name): r.good for r in ts.rows}
+    labels = {(r.x, r.attr.name): r.good for r in rows}
     assert labels[((0, 1), "b")] and not labels[((0, 1), "a")]
     assert labels[((1, 2), "d")] and not labels[((1, 2), "c")]
-    assert all(r.weight == 1 for r in ts.rows)
+    assert all(r.weight == 1 for r in rows)
 
 
 def test_training_set_repeat_counts(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
     ts = build_training_set(fig1, strat, w, mode="repeat", runs=1000)
-    weight_of = {(r.x, r.attr.name): r.weight for r in ts.rows}
+    weight_of = {(r.x, r.attr.name): r.weight for r in rows_of(ts)}
     assert weight_of[((0, 1), "b")] == 1000
     # round(1000 / 199) = 5
     assert weight_of[((1, 2), "d")] == 5
@@ -287,31 +291,32 @@ def test_training_set_weight_floor(fig1):
     w = exact_importance(fig1, strat)
     ts = build_training_set(fig1, strat, w, mode="repeat", runs=10)
     # 10/199 rounds to zero but rows are never dropped by rounding
-    assert min(r.weight for r in ts.rows) == 1
+    assert min(r.weight for r in rows_of(ts)) == 1
 
 
 def test_training_set_delta(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
     ts = build_training_set(fig1, strat, w, delta=0.1)
-    assert {r.x for r in ts.rows} == {(0, 1)}
+    assert {r.x for r in rows_of(ts)} == {(0, 1)}
 
 
 def test_training_set_dont_care_all_good(fig1):
     w = np.ones(fig1.n_states)
     ts = build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}), w, mode="once")
-    assert ts.rows and all(r.good for r in ts.rows)
-    assert (0, 1) in {r.x for r in ts.rows}
+    rows = rows_of(ts)
+    assert rows and all(r.good for r in rows)
+    assert (0, 1) in {r.x for r in rows}
 
 
 def test_training_set_dedups_attributes(sync2):
     # four synchronized combinations share one attribute per state
     strat = _opt(sync2)
     w = np.ones(sync2.n_states)
-    ts = build_training_set(sync2, strat, w, mode="once")
-    for r in ts.rows:
+    rows = rows_of(build_training_set(sync2, strat, w, mode="once"))
+    for r in rows:
         assert r.attr == ActionAttr("step", 0)
-    xs = [r.x for r in ts.rows]
+    xs = [r.x for r in rows]
     assert len(xs) == len(set(xs))  # one row per state
 
 
@@ -319,3 +324,47 @@ def test_training_set_mode_checked(fig1):
     with pytest.raises(ValueError, match="unknown training mode"):
         build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}),
                            np.ones(fig1.n_states), mode="thrice")
+
+
+def _assert_matches_row_loop(mdp, strategy, weights, **kw):
+    got = build_training_set(mdp, strategy, weights, **kw)
+    rows = training_rows(mdp, strategy, weights, **kw)
+    want = training_set(Domain.of(mdp), rows)
+    assert got.domain == want.domain
+    assert got.rows.dtype == np.int64 and got.rows.shape == want.rows.shape
+    assert got.good.dtype == bool and got.weight.dtype == np.int64
+    assert (got.rows == want.rows).all()
+    assert (got.good == want.good).all()
+    assert (got.weight == want.weight).all()
+    assert len(got.rows) == len(rows)
+    assert got.total_weight == sum(r.weight for r in rows)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_training_set_matches_row_loop(name, request):
+    m = request.getfixturevalue(name)
+    strat = _opt(m)
+    w = importance_of(simulate(m, strat, 2000, seed=1), "DP").weights
+    positive = np.sort(w[w > 0])
+    for delta in (0.0, float(positive[len(positive) // 2])):
+        for runs in (1, 997, 10000):
+            _assert_matches_row_loop(m, strat, w, mode="repeat", runs=runs, delta=delta)
+        _assert_matches_row_loop(m, strat, w, mode="once", runs=997, delta=delta)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_training_set_matches_row_loop_on_random_models(seed):
+    # weights on and next to the rounding boundary of runs * w + 0.5
+    rng = random.Random(seed)
+    m = random_mdp(seed, max_states=10, max_actions=4)
+    t = as_tuples(m)
+    strat = LiberalStrategy.from_choice(
+        m, {s: frozenset(rng.sample(range(len(t.actions[s])),
+                                    rng.randint(1, len(t.actions[s]))))
+            for s in range(m.n_states) if rng.random() < 0.7})
+    for runs in (1, 3, 1000):
+        w = np.array([rng.choice([0.0, 1.0, 0.5 / runs, 1.5 / runs, 2.5 / runs, rng.random()])
+                      for _ in range(m.n_states)])
+        for delta in (0.0, 0.3):
+            for mode in ("repeat", "once"):
+                _assert_matches_row_loop(m, strat, w, mode=mode, runs=runs, delta=delta)

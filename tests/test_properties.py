@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from mdpdistill.bdd import Bdd
 from mdpdistill.build import export_flat, parse_flat
-from mdpdistill.core import Action, ActionAttr, LiberalStrategy, max_reach_exact
+from mdpdistill.core import ActionAttr, LiberalStrategy, max_reach_exact
 from mdpdistill.dtree import learn, tree_size
-from mdpdistill.importance import Domain, RunStats, TrainRow, TrainingSet
+from mdpdistill.importance import Domain, RunStats
 from mdpdistill.solver import check_valid, value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal, truncate
 
-from oracles import make_absorbing, mdp_of
+from oracles import Action, TrainRow, as_tuples, make_absorbing, mdp_of, training_set
 
 
 @st.composite
@@ -58,9 +58,10 @@ def test_vi_is_sound_and_extraction_optimal(m):
 def test_flat_format_round_trips(m):
     text = export_flat(m)
     again = parse_flat(text)
-    assert again.states == m.states
-    assert again.actions == m.actions
-    assert again.initial == m.initial and again.target == m.target
+    got, want = as_tuples(again), as_tuples(m)
+    assert got.states == want.states
+    assert got.actions == want.actions
+    assert again.initial == m.initial and got.target == want.target
     assert export_flat(again) == text
 
 
@@ -98,7 +99,7 @@ def test_tree_never_beats_data_never_worse_than_majority(hi, data):
     dom = Domain((("x1", 1, hi),), (), 1)
     rows = [TrainRow((v,), None, labels[v - 1], data.draw(st.integers(1, 4)))
             for v in range(1, hi + 1)]
-    ts = TrainingSet(dom, rows)
+    ts = training_set(dom, rows)
     t = learn(ts, prune=False)
     err = sum(r.weight for r in rows if t.classify(r.x) != r.good)
     wg = sum(r.weight for r in rows if r.good)

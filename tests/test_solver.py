@@ -11,7 +11,7 @@ from mdpdistill.solver import brtdp, check_valid, value_iteration
 
 from conftest import random_mdp
 import oracles
-from oracles import brtdp_dict, brute_val, mecs_dict, quotient_dict, tables_dict
+from oracles import as_tuples, brtdp_dict, brute_val, mecs_dict, quotient_dict, tables_dict
 
 
 # --------------------------------------------------------------------- VI
@@ -44,7 +44,7 @@ def test_vi_fig1_frozen(fig1):
     assert va.state_lower[2] == pytest.approx(0.5, abs=1e-9)
     assert va.explored.tolist() == list(range(9))
     # pair values: b beats a at the initial state
-    names = {i: a.attr.name for i, a in enumerate(fig1.actions[0])}
+    names = {i: a.attr.name for i, a in enumerate(as_tuples(fig1).actions[0])}
     by_name = {names[i]: va.pair_lower[fig1.sparse.row_start[0] + i] for i in names}
     assert by_name["b"] == pytest.approx(0.995, abs=1e-9)
     assert by_name["a"] == pytest.approx(0.0, abs=1e-9)
@@ -52,7 +52,7 @@ def test_vi_fig1_frozen(fig1):
 
 def test_vi_covers_every_pair(mutex):
     va = value_iteration(mutex, 1e-6)
-    pairs = sum(len(acts) for acts in mutex.actions)
+    pairs = sum(len(acts) for acts in as_tuples(mutex).actions)
     assert va.pair_lower.shape == (pairs,)
     assert va.explored.tolist() == list(range(mutex.n_states))
     assert va.state_upper.shape == (mutex.n_states,)
@@ -100,8 +100,9 @@ def test_checker_flags_initial_gap(fig1):
 def test_checker_flags_missing_mec_exit(tiny_mec_mdp):
     m = tiny_mec_mdp
     va = value_iteration(m, 1e-9)
+    acts = as_tuples(m).actions
     exit_row = next(r for r, s in enumerate(m.sparse.row_state)
-                    if m.actions[s][r - m.sparse.row_start[s]].attr.name == "exit")
+                    if acts[s][r - m.sparse.row_start[s]].attr.name == "exit")
     pl = va.pair_lower.copy()
     pl[exit_row] = 0.0  # lose the exit; the spin pairs still claim 1/2
     bad = _fabricate(va, pair_lower=pl)
@@ -193,7 +194,8 @@ def _assert_vi_matches_dict_loop(m, eps):
     L, U, sweeps = interval_iterate(q, eps=eps, stop_node=int(q.node_of[m.initial]))
     pair_lower, state_lower, state_upper = tables_dict(m, L[q.node_of], U[q.node_of])
     assert va.sweeps == sweeps
-    rows = [(s, i) for s in range(m.n_states) for i in range(len(m.actions[s]))]
+    acts = as_tuples(m).actions
+    rows = [(s, i) for s in range(m.n_states) for i in range(len(acts[s]))]
     assert va.pair_lower.tobytes() == np.array([pair_lower[p] for p in rows]).tobytes()
     assert va.state_lower.tobytes() == np.array(list(state_lower.values())).tobytes()
     assert va.state_upper.tobytes() == np.array(list(state_upper.values())).tobytes()

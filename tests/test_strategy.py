@@ -16,11 +16,11 @@ from mdpdistill.strategy import (consulted_dont_care, decide, dump_tsv, evaluate
                                  reachable_under, truncate, within_budget)
 
 from conftest import random_mdp
-from oracles import evaluate_rows, extract_dict, mecs_dict, truncate_dict
+from oracles import as_tuples, evaluate_rows, extract_dict, mecs_dict, truncate_dict
 
 
 def _names(mdp, s, acts):
-    return sorted(mdp.actions[s][i].attr.name for i in acts)
+    return sorted(as_tuples(mdp).actions[s][i].attr.name for i in acts)
 
 
 def test_extract_fig1_frozen(fig1):
@@ -66,7 +66,7 @@ def _assert_extract_matches_dict_loop(m, va):
     v = m.sparse
     explored = va.explored.tolist()
     pair_lower = {(s, i): va.pair_lower[v.row_start[s] + i]
-                  for s in explored for i in range(len(m.actions[s]))}
+                  for s in explored for i in range(v.row_start[s + 1] - v.row_start[s])}
     mecs = mecs_dict(m, None if len(explored) == m.n_states else frozenset(explored))
     for exit_union in (False, True):
         want = _extracted(lambda: extract_dict(m, pair_lower, explored, mecs,
@@ -121,9 +121,9 @@ def test_exit_union_keeps_internal(tiny_mec_mdp):
 def test_positive_mec_without_exit_rejected():
     # two states spin forever with no way out; bounds claiming value there
     # cannot be turned into a strategy
-    from mdpdistill.core import Action, ActionAttr
+    from mdpdistill.core import ActionAttr
     from mdpdistill.solver import ValueApprox
-    from oracles import make_absorbing, mdp_of
+    from oracles import Action, make_absorbing, mdp_of
     A = lambda name, succs: Action(ActionAttr(name, 1), succs, (1.0,))
     states = ((0,), (1,), (2,), (3,))
     actions = ((A("go", (1,)),), (A("spin", (2,)),), (A("spin", (1,)),), ())
