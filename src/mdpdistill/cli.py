@@ -7,8 +7,8 @@
 
 Models are read in the guarded-command language, or in the flat explicit
 format when the file starts with a `vars` directive. Exit status is 0 on
-success, 1 when an engine did not converge or a quality budget was missed,
-2 on bad input.
+success, 1 when an engine did not converge, a simulated run hit the step
+cap or a quality budget was missed, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def _converged(va) -> bool:
     return va.converged
 
 
+def _runs_ended(stats) -> bool:
+    """Whether every simulated run ended before the step cap; if not, say so on stderr."""
+    if stats.truncated_runs:
+        print(f"error: {stats.truncated_runs} of {stats.total_runs} simulated runs hit "
+              f"the step cap of {stats.max_steps} steps", file=sys.stderr)
+    return not stats.truncated_runs
+
+
 def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
@@ -98,7 +106,7 @@ def _pipeline(args):
     trunc = strat.truncate(sigma, imp.weights, args.delta, args.truncate_mode)
     ts = build_training_set(mdp, sigma, imp.weights, mode=mode,
                             runs=args.runs, delta=args.delta)
-    return mdp, va, sigma, imp, trunc, ts
+    return mdp, va, sigma, stats, imp, trunc, ts
 
 
 def _fit_tree(mdp, ts, reference, args):
@@ -140,7 +148,7 @@ def _fit_tree(mdp, ts, reference, args):
 
 
 def cmd_distill(args) -> int:
-    mdp, va, sigma, imp, trunc, ts = _pipeline(args)
+    mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, ts, reference, args)
     budget_met = strat.within_budget(tree_value, reference, args.budget)
@@ -167,11 +175,12 @@ def cmd_distill(args) -> int:
         Path(args.dot).write_text(dtree.export_dot(tree))
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(mdp, trunc, imp.weights))
-    return 0 if _converged(va) and budget_met else 1
+    # a list, not `and`, so that every failed check prints its line
+    return 0 if all([_converged(va), _runs_ended(stats), budget_met]) else 1
 
 
 def cmd_compare(args) -> int:
-    mdp, va, sigma, imp, trunc, ts = _pipeline(args)
+    mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, trunc)
     tree, used_leaf, tree_value, _ = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
     store = bdd.store_strategy(mdp, trunc)
@@ -190,7 +199,7 @@ def cmd_compare(args) -> int:
         lines.append(f"{name},{size},{value!r},{rel!r}")
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    return 0 if _converged(va) else 1
+    return 0 if all([_converged(va), _runs_ended(stats)]) else 1
 
 
 def cmd_export(args) -> int:

@@ -26,10 +26,17 @@ GOLDEN64 = 0x9E3779B97F4A7C15  # splitmix64 counter increment
 
 
 def splitmix64(z):
-    """The splitmix64 finalizer of z, a Python int or a numpy uint64 array."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    """The splitmix64 finalizer of z, a Python int below 2**64 or a numpy
+    uint64 array, which it leaves as it is. uint64 steps wrap modulo 2**64
+    by themselves, so no step needs a mask."""
+    u = np.array(z, dtype=np.uint64, copy=None, ndmin=1)
+    a = u >> 30
+    a ^= u
+    a *= 0xBF58476D1CE4E5B9
+    a ^= a >> 27
+    a *= 0x94D049BB133111EB
+    a ^= a >> 31
+    return a if isinstance(z, np.ndarray) else int(a[0])
 
 
 def derive_seed(seed: int, stream):
@@ -603,36 +610,45 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
     """Synchronous lower/upper Bellman sweeps on the (EC-free) quotient.
 
     Stops when U-L at `stop_node` drops below eps, or globally below tol.
-    Returns (L, U, sweeps).
+    Returns (L, U, sweeps). The sweeps run on the nodes renumbered so that
+    `q.nodes` comes first, which makes each update a write to a prefix.
     """
-    L = q.frozen_value.copy()
+    R, nodes, bounds = q.R, q.nodes, q.bounds
+    order = np.concatenate((nodes, np.flatnonzero(~q.has_rows)))
+    new = np.empty_like(order)
+    new[order] = np.arange(q.num_nodes)
+    # the same entries in the same order, so each row's sum is the same
+    R = sp.csr_matrix((R.data, new.astype(R.indices.dtype)[R.indices], R.indptr), shape=R.shape)
+    L = q.frozen_value[order]
     U = np.ones(q.num_nodes)
     U[q.zero_nodes] = 0.0
     U[q.target_nodes] = 1.0
     U[~q.has_rows & ~q.target_nodes] = 0.0
+    U = U[order]
+    k = len(nodes)
 
     def done():
         if stop_node is not None and eps is not None:
-            return U[stop_node] - L[stop_node] < eps
+            at = new[stop_node]
+            return U[at] - L[at] < eps
         return np.max(U - L) < tol
 
     def best(values: np.ndarray) -> np.ndarray:
         """Largest row value per node, in the order of `nodes`."""
         rows = R.dot(values)
-        out = rows[:len(nodes)]
+        out = rows[:k]
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             np.maximum(out[:hi - lo], rows[lo:hi], out=out[:hi - lo])
         return out
 
     sweeps = 0
-    R, nodes, bounds = q.R, q.nodes, q.bounds
     while not done():
         if sweeps >= max_sweeps:
             raise MdpError("interval iteration exceeded sweep budget")
-        L[nodes] = np.maximum(L[nodes], best(L))
-        U[nodes] = np.minimum(U[nodes], best(U))
+        np.maximum(L[:k], best(L), out=L[:k])
+        np.minimum(U[:k], best(U), out=U[:k])
         sweeps += 1
-    return L, U, sweeps
+    return L[new], U[new], sweeps
 
 
 def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:

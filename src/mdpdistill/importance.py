@@ -11,7 +11,7 @@ the tree learner pays proportional attention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,9 +27,10 @@ class RunStats:
 
     Per state: runs that visited it / total visits, once over runs that
     reached the target and once over all runs. `truncated_runs` counts the
-    runs cut off at the step cap before they reached the target or a state
-    that cannot reach it. Adding two RunStats gives the stats of the merged
-    batch, so the result does not depend on how a batch was split.
+    runs cut off at the step cap, `max_steps`, before they reached the
+    target or a state that cannot reach it. Adding two RunStats walked
+    under the same cap gives the stats of the merged batch, so the result
+    does not depend on how a batch was split.
     """
 
     n_states: int
@@ -40,21 +41,24 @@ class RunStats:
     visited_cond_mult: np.ndarray = field(default=None)
     visited_all_count: np.ndarray = field(default=None)
     visited_all_mult: np.ndarray = field(default=None)
+    max_steps: Optional[int] = None
 
     def __post_init__(self):
-        for f in fields(self)[4:]:  # the visit arrays
+        for f in fields(self)[4:8]:  # the visit arrays
             if getattr(self, f.name) is None:
                 setattr(self, f.name, np.zeros(self.n_states, dtype=np.int64))
 
     def merge(self, other: "RunStats") -> "RunStats":
         if other.n_states != self.n_states:
             raise ValueError("cannot merge stats over different state spaces")
+        if other.max_steps != self.max_steps:
+            raise ValueError("cannot merge stats walked under different step caps")
         return RunStats(self.n_states, *(getattr(self, f.name) + getattr(other, f.name)
-                                         for f in fields(self)[1:]))
+                                         for f in fields(self)[1:8]), self.max_steps)
 
 
 _BLOCK = 2048  # runs walked in lockstep at a time
-_PENDING = 256  # steps whose visits are held before they are tallied
+_PENDING = 1 << 18  # visit keys held before they are sorted and counted
 
 
 def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
@@ -68,6 +72,7 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     walked in lockstep, `_BLOCK` at a time, and the blocks are merged.
     """
     P = induce_chain(mdp, strategy)
+    n = mdp.n_states
     is_target = mdp.sparse.is_target
     live = reachable(P.T, np.flatnonzero(is_target)) & ~is_target  # a run at s moves on
     # running sums along each row, added left to right as `acc += p` would
@@ -77,58 +82,104 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
         cum[at] += cum[at - 1]
         width += 1
         rows = rows[P.indptr[rows + 1] - P.indptr[rows] > width]
-    stats = RunStats(mdp.n_states)
+    # column j: each row's j-th running sum, or 2.0 past its last-but-one;
+    # no more entries than the chain has branches
+    last = np.diff(P.indptr) - 1
+    table = np.full((min(width - 1, P.nnz // n), n), 2.0)
+    for j, col in enumerate(table):
+        has = np.flatnonzero(last > j)
+        col[has] = cum[P.indptr[has] + j]
+    wide = last > len(table)
+    wide = wide if wide.any() else None
+    rounds = (width - 1 - len(table)).bit_length()
+
+    ptr, succ = P.indptr.astype(np.intp), P.indices.astype(np.intp)  # gathers index by intp
+
+    def pick(s, x):
+        """The successor of a run at s that drew x in [0, 1): the first one
+        whose running sum exceeds x, or the last one. Its place in the row
+        is the count of the row's sums in `table` that are at most x. A run
+        past all of them on a wider row finds the rest by binary search
+        over the row's slice of `cum`."""
+        at = ptr[s]
+        for col in table:
+            at += col[s] <= x
+        if wide is not None:
+            far = np.flatnonzero(wide[s])
+            far = far[at[far] - ptr[s[far]] == len(table)]
+            lo, hi, xf = at[far], ptr[s[far] + 1] - 1, x[far]
+            for _ in range(rounds):
+                mid = (lo + hi) >> 1
+                right = (cum[mid] <= xf) & (mid < hi)
+                lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+            at[far] = lo
+        return succ[at]
+
+    stats = RunStats(n, max_steps=max_steps)
     for lo in range(0, runs, _BLOCK):
-        stats = stats.merge(_walk(mdp, P, cum, width, live, seed, first_run + lo,
+        stats = stats.merge(_walk(mdp, live, pick, seed, first_run + lo,
                                   min(_BLOCK, runs - lo), max_steps))
     return stats
 
 
-def _walk(mdp, P, cum, width, live, seed, first, n, max_steps) -> RunStats:
-    """Runs first..first+n-1, every run still going moved once per step:
-    a run at s draws x in [0, 1) and moves to the first successor whose
-    running sum exceeds x, or to the last one. A binary search over the
-    row's slice of `cum`, at most `width` long, finds it."""
-    run, s = np.arange(n), np.full(n, mdp.initial)
-    ctr = derive_seed(seed, np.arange(first, first + n, dtype=np.uint64))
-    tally, pending = (np.zeros(0, np.int64), np.zeros(0)), [run * mdp.n_states + s]
+def _walk(mdp, live, pick, seed, first, runs, max_steps) -> RunStats:
+    """Runs first..first+runs-1, every run still going moved once per step.
+    Visit keys (run * n_states + state) are held in one buffer and sorted
+    once it is full or the runs have ended."""
+    n = mdp.n_states
+    key, s = np.arange(runs) * n, np.full(runs, mdp.initial)
+    ctr = derive_seed(seed, np.arange(first, first + runs, dtype=np.uint64))
+    held, tally = np.empty(max(_PENDING, runs), np.int64), None
+    held[:runs], count = key + s, runs
     for _ in range(max_steps):
         go = live[s]
         if not go.all():
-            run, s, ctr = run[go], s[go], ctr[go]
-            if not len(run):
+            key, s, ctr = key[go], s[go], ctr[go]
+            if not len(s):
                 break
         ctr += GOLDEN64
-        x = (splitmix64(ctr) >> 11) * 2.0 ** -53
-        lo, hi = P.indptr[s], P.indptr[s + 1] - 1
-        for _ in range((width - 1).bit_length()):
-            mid = (lo + hi) >> 1
-            right = (cum[mid] <= x) & (mid < hi)
-            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
-        s = P.indices[lo]
-        pending.append(run * mdp.n_states + s)
-        if len(pending) > _PENDING:
-            tally, pending = _tally(tally, pending), []
+        z = splitmix64(ctr)
+        z >>= 11
+        s = pick(s, z * 2.0 ** -53)
+        if count + len(s) > len(held):
+            tally, count = _fold(tally, held[:count]), 0
+        np.add(key, s, out=held[count:count + len(s)])
+        count += len(s)
     truncated = int(np.count_nonzero(live[s]))
-    keys, mult = _tally(tally, pending)
-    run, state = np.divmod(keys, mdp.n_states)
-    hit = np.bincount(run[mdp.sparse.is_target[state]], minlength=n) > 0
+    keys, mult = _fold(tally, held[:count])
+    run, state = np.divmod(keys, n)
+    hit = np.bincount(run[mdp.sparse.is_target[state]], minlength=runs) > 0
     cond = hit[run]
 
     def counts(at, weights=None):
-        return np.bincount(at, weights, minlength=mdp.n_states).astype(np.int64)
+        return np.bincount(at, weights, minlength=n).astype(np.int64)
 
-    return RunStats(mdp.n_states, n, int(np.count_nonzero(hit)), truncated,
+    return RunStats(n, runs, int(np.count_nonzero(hit)), truncated,
                     counts(state[cond]), counts(state[cond], mult[cond]),
-                    counts(state), counts(state, mult))
+                    counts(state), counts(state, mult), max_steps)
 
 
-def _tally(tally, pending):
-    """Merge visit keys (run * n_states + state) into (distinct keys, counts)."""
-    keys, mult = tally
-    fresh = np.concatenate(pending) if pending else keys[:0]
-    keys, inv = np.unique(np.concatenate((keys, fresh)), return_inverse=True)
-    return keys, np.bincount(inv, np.concatenate((mult, np.ones(len(fresh)))))
+def _fold(tally, fresh):
+    """Sort the visit keys (run * n_states + state) in `fresh` in place and
+    add their run lengths to `tally`, a pair (distinct keys, counts)."""
+    fresh.sort()
+    start = _starts(fresh)
+    keys, mult = fresh[start], np.diff(start, append=len(fresh))
+    if tally is not None:
+        keys, mult = np.concatenate((tally[0], keys)), np.concatenate((tally[1], mult))
+        order = np.argsort(keys)
+        keys, mult = keys[order], mult[order]
+        start = _starts(keys)
+        keys, mult = keys[start], np.add.reduceat(mult, start)
+    return keys, mult
+
+
+def _starts(keys):
+    """Where each run of equal values in the sorted `keys` starts."""
+    edge = np.empty(len(keys), bool)
+    edge[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
 
 
 def simulate_batched(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,

@@ -36,6 +36,38 @@ def grid():
     return fixtures.load("grid")
 
 
+@pytest.fixture(scope="session")
+def fig1_extended_2000():
+    return fixtures.fig1_extended(2000)
+
+
+@pytest.fixture(scope="session")
+def wide_fan():
+    """A 40-way branch among 2-way rows. Its chain has 122 branches over 43
+    states, so `importance.simulate`'s running-sum table gets 2 columns, and
+    runs on the 40-way row finish their pick by binary search.
+
+    State 0 moves to state i in 1..40 with probability i / 820. An odd i
+    moves back to 0 with 1/3, else to the target 41; an even i moves back
+    to 0 with 0.7, else to the trap 42.
+    """
+    A = lambda name, succs, probs: Action(ActionAttr(name, 1), succs, probs)
+    fan = A("fan", tuple(range(1, 41)), tuple(i / 820 for i in range(1, 41)))
+    actions = [(fan,)]
+    for i in range(1, 41):
+        actions.append((A("on", (0, 41), (1 / 3, 2 / 3)),) if i % 2
+                       else (A("on", (0, 42), (0.7, 0.3)),))
+    actions += [(), (A("stay", (42,), (1.0,)),)]
+    mdp = mdp_of(
+        var_decls=(("x", 0, 42),),
+        states=tuple((s,) for s in range(43)),
+        actions=make_absorbing(actions, frozenset({41})),
+        initial=0,
+        target=frozenset({41}),
+    )
+    return mdp.validate()
+
+
 def random_mdp(seed, max_states=7, max_actions=3, acyclic=False):
     """A small validated MDP with dyadic branch probabilities.
 

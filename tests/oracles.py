@@ -370,7 +370,7 @@ def simulate_rows(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int =
     dm = as_tuples(mdp)
     P = induce_chain(mdp, strategy)
     can = list(reachable(P.T, dm.target))
-    stats = RunStats(mdp.n_states, total_runs=runs)
+    stats = RunStats(mdp.n_states, total_runs=runs, max_steps=max_steps)
     cond_count = [0] * mdp.n_states
     cond_mult = [0] * mdp.n_states
     all_count = [0] * mdp.n_states

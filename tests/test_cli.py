@@ -301,6 +301,35 @@ def test_unconverged_engine_exits_one(models, tmp_path, monkeypatch, capsys, com
         assert _kv(out)["budget met"] == "yes"
 
 
+@pytest.mark.parametrize("command", ["distill", "compare"])
+def test_truncated_runs_exit_one(models, tmp_path, monkeypatch, capsys, command):
+    # runs cut off at a 4-step cap on mutex; the command still prints and
+    # writes its usual output, and the exit status and stderr report the cut
+    from mdpdistill import cli
+    from mdpdistill.importance import simulate_batched
+    caught = []
+
+    def capped(*a, **kw):
+        caught.append(simulate_batched(*a, **{**kw, "max_steps": 4}))
+        return caught[-1]
+
+    monkeypatch.setattr(cli, "simulate_batched", capped)
+    dest = tmp_path / "out"
+    rc = main([command, "--model", str(models / "mutex.mdp"), "--runs", "1000",
+               "--seed", "3", "--out" if command == "distill" else "--csv", str(dest)])
+    out, err = capsys.readouterr()
+    (stats,) = caught
+    assert 0 < stats.truncated_runs < stats.total_runs == 1000
+    assert rc == 1
+    assert err == (f"error: {stats.truncated_runs} of 1000 simulated runs hit "
+                   "the step cap of 4 steps\n")
+    assert "error:" not in out and dest.read_text()
+    if command == "distill":
+        assert list(_kv(out))[-1] == "budget met"
+    else:
+        assert out.splitlines()[-1].startswith("dtree ")
+
+
 # ------------------------------------------------------------------- export
 
 def test_export_round_trip(models, tmp_path, capsys):

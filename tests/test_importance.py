@@ -1,6 +1,7 @@
 """Simulation, importance weights and training-set assembly."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ def test_merge_is_commutative(fig1):
         a.merge(RunStats(3))
 
 
+def test_merge_needs_one_step_cap(fig1):
+    strat = _opt(fig1)
+    a = simulate(fig1, strat, 50, seed=1, max_steps=7)
+    assert a.max_steps == 7
+    assert a.merge(simulate(fig1, strat, 20, seed=1, max_steps=7)).max_steps == 7
+    with pytest.raises(ValueError, match="different step caps"):
+        a.merge(simulate(fig1, strat, 20, seed=1))
+
+
 def test_simulate_stops_in_doomed_states(fig1):
     # under the optimal strategy runs that slip to the dead end stop there
     strat = _opt(fig1)
@@ -168,15 +178,16 @@ def test_truncated_runs_some_at_small_cap(mutex):
 
 
 def _same_stats(a, b):
-    assert (a.n_states, a.total_runs, a.target_runs, a.truncated_runs) == (
-        b.n_states, b.total_runs, b.target_runs, b.truncated_runs)
+    assert (a.n_states, a.total_runs, a.target_runs, a.truncated_runs, a.max_steps) == (
+        b.n_states, b.total_runs, b.target_runs, b.truncated_runs, b.max_steps)
     for f in ("visited_cond_count", "visited_cond_mult",
               "visited_all_count", "visited_all_mult"):
         assert getattr(a, f).dtype == getattr(b, f).dtype == np.int64
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
 
 
-@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid", "wide_fan",
+                                  "fig1_extended_2000"])
 def test_simulate_matches_run_loop(name, request):
     m = request.getfixturevalue(name)
     strat = _opt(m)
@@ -210,6 +221,22 @@ def test_simulate_matches_run_loop_when_visits_are_tallied_early(sync2, monkeypa
     strat = _opt(sync2)
     _same_stats(simulate(sync2, strat, 2500, seed=2),
                 simulate_rows(sync2, strat, 2500, seed=2))
+
+
+def test_simulate_peak_memory_flat_in_runs(grid):
+    # runs are walked in blocks, and a block holds its visits in a fixed buffer
+    strat = _opt(grid)
+
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            simulate(grid, strat, runs, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10000), peak(40000)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_simulated_importance_near_exact(fig1):
