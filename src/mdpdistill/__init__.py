@@ -14,8 +14,7 @@ from .core import (ActionAttr, LiberalStrategy, Mdp, MdpError,
                    reach_exact)
 from .dtree import DTree, export_dot, export_json, fit_max_leaf, import_json, learn
 from .importance import (Domain, ImportanceResult, RunStats, TrainingSet,
-                         build_training_set, exact_importance, importance_of,
-                         simulate, simulate_batched)
+                         build_training_set, exact_importance, importance_of, simulate)
 from .lang import ModelError, parse_model, parse_predicate
 from .bdd import BitLayout, StrategyStore, store_strategy
 from .solver import ValueApprox, ValidityReport, brtdp, check_valid, value_iteration
@@ -34,6 +33,5 @@ __all__ = [
     "extract_liberal", "fit_max_leaf", "import_json", "importance_of",
     "induce_chain", "learn", "load_model", "max_reach_exact", "mec_decompose",
     "parse_flat", "parse_model", "parse_predicate", "reach_exact", "simulate",
-    "simulate_batched", "store_strategy", "truncate",
-    "value_iteration",
+    "store_strategy", "truncate", "value_iteration",
 ]

@@ -3,15 +3,17 @@
 Each (state, action attribute) pair is packed into a fixed-width bit
 string: the state variables in declaration order, then the action name
 index, then the module index, every field most significant bit first and
-just wide enough for its range. Hash-consing plus the shared suffix test
-give the canonical reduced diagram for that variable order; the size
-metric counts reachable internal nodes, matching how strategy stores are
-usually compared.
+just wide enough for its range. One node per prefix of the sorted strings,
+hash-consed, gives the canonical reduced diagram for that variable order;
+the size metric counts reachable internal nodes, matching how strategy
+stores are usually compared.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import ActionAttr, LiberalStrategy, Mdp
@@ -89,29 +91,24 @@ class Bdd:
         return lo, hi
 
     def encode_set(self, items: Iterable[Tuple[int, ...]]) -> int:
-        """Root of the diagram accepting exactly the given bit strings."""
+        """Root of the diagram accepting exactly the given bit strings.
+
+        The strings under a node share a prefix, so they are a range of the
+        sorted list, those with a 0 at the node's bit first."""
         strings = sorted(set(items))
         for s in strings:
             if len(s) != self.n_bits:
                 raise ValueError("bit string width does not match the layout")
-        memo: Dict[Tuple[int, Tuple[Tuple[int, ...], ...]], int] = {}
 
-        def build(depth: int, subset: Tuple[Tuple[int, ...], ...]) -> int:
-            if not subset:
+        def build(depth: int, lo: int, hi: int) -> int:
+            if lo == hi:
                 return self.FALSE
             if depth == self.n_bits:
                 return self.TRUE
-            key = (depth, subset)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            zeros = tuple(s for s in subset if s[depth] == 0)
-            ones = tuple(s for s in subset if s[depth] == 1)
-            nid = self.node(depth, build(depth + 1, zeros), build(depth + 1, ones))
-            memo[key] = nid
-            return nid
+            mid = bisect_left(strings, 1, lo, hi, key=itemgetter(depth))
+            return self.node(depth, build(depth + 1, lo, mid), build(depth + 1, mid, hi))
 
-        return build(0, tuple(strings))
+        return build(0, 0, len(strings))
 
     def contains(self, root: int, bits: Sequence[int]) -> bool:
         nid = root

@@ -22,7 +22,8 @@ from . import bdd, dtree, strategy as strat
 from .build import (DEFAULT_STATE_CAP, build_mdp, export_flat, is_flat, parse_flat,
                     retarget)
 from .core import Mdp, MdpError
-from .importance import (build_training_set, importance_of, simulate_batched)
+# the benchmark wraps the simulation under this name
+from .importance import build_training_set, importance_of, simulate as simulate_batched
 from .lang import ModelError, parse_model, parse_predicate
 from .solver import brtdp, value_iteration
 

@@ -386,19 +386,16 @@ def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> sp.csr_matrix:
     return P
 
 
-def _target_mask(P: sp.csr_matrix, targets) -> np.ndarray:
-    is_target = np.zeros(P.shape[0], dtype=bool)
-    is_target[np.fromiter(targets, np.int64)] = True
-    return is_target
-
-
-def _unknowns(P: sp.csr_matrix, is_target: np.ndarray) -> np.ndarray:
-    """Locations with a path to a target, targets left out, nearest first.
+def _unknowns(P: sp.csr_matrix, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """The target mask, and the locations with a path to a target, targets
+    left out, nearest first.
 
     Everything else has value 0: the zero set of the reachability problem.
     """
+    is_target = np.zeros(P.shape[0], dtype=bool)
+    is_target[np.fromiter(targets, np.int64)] = True
     order = breadth_first(P.T, np.flatnonzero(is_target))
-    return order[~is_target[order]]
+    return is_target, order[~is_target[order]]
 
 
 def _equations(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
@@ -461,8 +458,7 @@ def reach_bounds(P: sp.csr_matrix, targets, at: int) -> Iterator[Tuple[float, fl
     more Gauss–Seidel sweep (see `_sweeps`), and both bounds converge to the
     value. At a target or in the zero set the one pair is exact.
     """
-    is_target = _target_mask(P, targets)
-    states = _unknowns(P, is_target)
+    is_target, states = _unknowns(P, targets)
     i = np.flatnonzero(states == at)
     if not len(i):
         yield float(is_target[at]), float(is_target[at])
@@ -486,11 +482,8 @@ def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 250_000,
     Each location's target mass is summed in the order of its row in P.
     Rows of targets are never read.
     """
-    is_target = _target_mask(P, targets)
+    is_target, states = _unknowns(P, targets)
     vals = is_target.astype(np.float64)
-    if not is_target.any():
-        return vals
-    states = _unknowns(P, is_target)
     if not len(states):
         return vals
     if len(states) <= direct_cutoff:
@@ -526,9 +519,7 @@ class Quotient:
     R: sp.csr_matrix  # action rows x nodes, slot-major
     nodes: np.ndarray
     bounds: np.ndarray  # offsets of the slot blocks into the rows of R
-    frozen_value: np.ndarray  # value of nodes without rows (targets 1, traps 0)
-    has_rows: np.ndarray
-    target_nodes: np.ndarray  # bool mask
+    target_nodes: np.ndarray  # bool mask; target nodes have no rows
     zero_nodes: np.ndarray  # bool mask: no path to a target node
 
 
@@ -578,15 +569,9 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
          group_key % q,
          np.concatenate(([0], np.cumsum(np.bincount(group_key // q, minlength=len(sel)))))),
         shape=(len(sel), q))
-    has_rows = np.zeros(q, dtype=bool)
-    has_rows[owners] = True
-
-    frozen = np.zeros(q)
-    frozen[target_nodes] = 1.0
-
-    # nodes that cannot reach a target node under any action get upper bound 0;
-    # rows of target nodes are left out of R, which a backward search from
-    # the targets never needs
+    # nodes that cannot reach a target node get upper bound 0, among them every
+    # node without rows but the targets; rows of target nodes are left out
+    # of R, which a backward search from the targets never needs
     edges = sp.csr_matrix((R.data, (np.repeat(row_node[sel], np.diff(R.indptr)), R.indices)),
                           shape=(q, q))
     reach_mask = reachable(edges.T, np.flatnonzero(target_nodes))
@@ -597,8 +582,6 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
         R=R,
         nodes=owners[by_count],
         bounds=np.append(0, np.cumsum(sizes)),
-        frozen_value=frozen,
-        has_rows=has_rows,
         target_nodes=target_nodes,
         zero_nodes=~reach_mask,
     )
@@ -614,17 +597,15 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
     `q.nodes` comes first, which makes each update a write to a prefix.
     """
     R, nodes, bounds = q.R, q.nodes, q.bounds
-    order = np.concatenate((nodes, np.flatnonzero(~q.has_rows)))
+    order = np.concatenate((nodes, np.setdiff1d(np.arange(q.num_nodes), nodes,
+                                                assume_unique=True)))
     new = np.empty_like(order)
     new[order] = np.arange(q.num_nodes)
     # the same entries in the same order, so each row's sum is the same
     R = sp.csr_matrix((R.data, new.astype(R.indices.dtype)[R.indices], R.indptr), shape=R.shape)
-    L = q.frozen_value[order]
-    U = np.ones(q.num_nodes)
-    U[q.zero_nodes] = 0.0
-    U[q.target_nodes] = 1.0
-    U[~q.has_rows & ~q.target_nodes] = 0.0
-    U = U[order]
+    # a node without rows keeps its start bounds, 1 at a target and 0 elsewhere
+    L = q.target_nodes[order].astype(np.float64)
+    U = (~q.zero_nodes[order]).astype(np.float64)
     k = len(nodes)
 
     def done():

@@ -7,8 +7,6 @@ from importlib import resources
 from .build import DEFAULT_STATE_CAP, load_model
 from .core import Mdp
 
-_NAMES = ("fig1", "mutex", "sync2", "grid")
-
 
 def model_text(name: str) -> str:
     """Source text of a bundled model ('fig1', 'mutex', 'sync2', 'grid')."""

@@ -182,16 +182,9 @@ def _starts(keys):
     return np.flatnonzero(edge)
 
 
-def simulate_batched(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
-                     max_steps: int = 1_000_000, threads: int = 1) -> RunStats:
-    """simulate() from run 0, the CLI's entry point; `threads` is ignored."""
-    return simulate(mdp, strategy, runs, seed=seed, max_steps=max_steps)
-
-
 @dataclass
 class ImportanceResult:
     weights: np.ndarray
-    variant: str
     clipped_states: int = 0
 
 
@@ -223,7 +216,7 @@ def importance_of(stats: RunStats, variant: str = "DP") -> ImportanceResult:
     w = num / float(den)
     clipped = int(np.count_nonzero(w > 1.0))
     np.clip(w, 0.0, 1.0, out=w)
-    return ImportanceResult(w, variant, clipped)
+    return ImportanceResult(w, clipped)
 
 
 def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:

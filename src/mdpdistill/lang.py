@@ -12,8 +12,10 @@ Syntax (PRISM-inspired):
 
 Comments run from "//" or "#" to end of line.  Labelled commands synchronize
 across all modules declaring the same label; unlabelled commands act alone.
-parse_model performs all static checks (duplicate variables, probability
-sums, update ownership, typing) and raises ModelError with a position.
+Constants come before any expression, so the parser reads a constant's name
+as its integer literal. parse_model performs all static checks (duplicate
+variables, probability sums, update ownership, typing) and raises ModelError
+with a position.
 """
 
 from __future__ import annotations
@@ -128,9 +130,10 @@ def _tokenize(src: str) -> List[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: List[_Tok]):
+    def __init__(self, toks: List[_Tok], consts=None):
         self.toks = toks
         self.i = 0
+        self.consts = dict(consts or {})  # name -> value, resolved where read
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -186,7 +189,8 @@ class _Parser:
             self.next()
             name = self.ident("constant name")
             self.expect("=")
-            constants.append((name, self.integer()))
+            self.consts[name] = self.integer()
+            constants.append((name, self.consts[name]))
             self.expect(";")
         modules = []
         while self.peek().text == "module":
@@ -338,25 +342,10 @@ class _Parser:
             return BoolLit(False)
         if t.kind == "id" and t.text not in _KEYWORDS:
             self.next()
+            if t.text in self.consts:
+                return IntLit(self.consts[t.text])
             return Var(t.text)
         self.fail("expected expression")
-
-
-def _substitute_consts(e: Expr, consts: dict) -> Expr:
-    if isinstance(e, Var) and e.name in consts:
-        return IntLit(consts[e.name])
-    if isinstance(e, Neg):
-        return Neg(_substitute_consts(e.arg, consts))
-    if isinstance(e, Not):
-        return Not(_substitute_consts(e.arg, consts))
-    if isinstance(e, Arith):
-        return Arith(e.op, _substitute_consts(e.left, consts), _substitute_consts(e.right, consts))
-    if isinstance(e, (And, Or, Cmp)):
-        return type(e)(*([e.op] if isinstance(e, Cmp) else []),
-                       _substitute_consts(e.left, consts), _substitute_consts(e.right, consts))
-    if isinstance(e, MinMax):
-        return MinMax(e.op, tuple(_substitute_consts(a, consts) for a in e.args))
-    return e
 
 
 def parse_model(src: str) -> ModelAst:
@@ -371,12 +360,11 @@ def parse_model(src: str) -> ModelAst:
 
 def parse_predicate(src: str, var_names, consts=None) -> Expr:
     """Parse a standalone boolean expression over the given variables."""
-    p = _Parser(_tokenize(src))
+    p = _Parser(_tokenize(src), consts)
     try:
         e = p.expr()
         if p.peek().kind != "eof":
             p.fail("expected end of expression")
-        e = _substitute_consts(e, consts or {})
         if infer_type(e, set(var_names)) != "bool":
             raise ModelError("expression must be boolean")
     except ExprError as err:
@@ -387,11 +375,11 @@ def parse_predicate(src: str, var_names, consts=None) -> Expr:
 
 
 def _validate(ast: ModelAst):
-    consts = {}
-    for name, val in ast.constants:
+    consts = set()
+    for name, _ in ast.constants:
         if name in consts:
             raise ModelError(f"duplicate constant '{name}'")
-        consts[name] = val
+        consts.add(name)
 
     seen = {}
     for m in ast.modules:
@@ -412,7 +400,6 @@ def _validate(ast: ModelAst):
 
     for m in ast.modules:
         for k, c in enumerate(m.commands):
-            c.guard = _substitute_consts(c.guard, consts)
             c.name = c.label if c.label else f"{m.name}.cmd{k}"
             try:
                 if infer_type(c.guard, var_names) != "bool":
@@ -424,7 +411,6 @@ def _validate(ast: ModelAst):
                 if alt.prob <= 0:
                     raise ModelError(f"non-positive probability {alt.prob}", c.line)
                 total += alt.prob
-                new_updates = []
                 assigned = set()
                 for tgt, rhs in alt.updates:
                     if tgt not in var_names:
@@ -436,18 +422,14 @@ def _validate(ast: ModelAst):
                     if tgt in assigned:
                         raise ModelError(f"variable '{tgt}' assigned twice in one update", c.line)
                     assigned.add(tgt)
-                    rhs2 = _substitute_consts(rhs, consts)
                     try:
-                        if infer_type(rhs2, var_names) != "int":
+                        if infer_type(rhs, var_names) != "int":
                             raise ModelError("update must be integer-valued", c.line)
                     except ExprError as e:
                         raise ModelError(f"in update of '{tgt}': {e}", c.line) from None
-                    new_updates.append((tgt, rhs2))
-                alt.updates = new_updates
             if abs(total - 1) > Fraction(1, 10**9):
                 raise ModelError(f"probabilities sum to {total}, not 1", c.line)
 
-    ast.target = _substitute_consts(ast.target, consts)
     try:
         if infer_type(ast.target, var_names) != "bool":
             raise ModelError("target must be a boolean expression")

@@ -62,8 +62,8 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
     gap = float(U[q.node_of[mdp.initial]] - L[q.node_of[mdp.initial]])
     return ValueApprox(
         pair_lower=pair_lower,
-        state_lower=np.maximum(np.maximum.reduceat(pair_lower, first_rows), 0.0),
-        state_upper=np.maximum(np.maximum.reduceat(pair_upper, first_rows), 0.0),
+        state_lower=np.maximum.reduceat(pair_lower, first_rows),
+        state_upper=np.maximum.reduceat(pair_upper, first_rows),
         epsilon=eps, explored=np.arange(mdp.n_states),
         converged=True, gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
 

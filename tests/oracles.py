@@ -19,6 +19,8 @@ with the row of each state cut to a self-loop before solving for it;
 its per-location (succs, probs) pairs. `interval_iterate_reduceat` is the
 sweep loop over R in node-grouped order (`node_grouped`) that
 `core.interval_iterate`'s slot-major layout replaced.
+`encode_set_subsets` is the tuple-subset recursion that `Bdd.encode_set`'s
+index ranges replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
 one in `build` replaced; with `view_dict`, `validate_dict` and
 `export_dict` it keeps a model as Python tuples. `as_tuples` reads any
@@ -45,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mdpdistill.bdd import Bdd
 from mdpdistill.core import (_MASK64, TAU, ActionAttr, LiberalStrategy,
                              Mdp, MdpError, MecDecomposition, Quotient,
                              SparseView, derive_seed, distinct_attrs, induce_chain,
@@ -738,10 +741,6 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
                 indptr.append(len(ind))
         bounds.append(len(indptr) - 1)
     R = sp.csr_matrix((data, ind, indptr), shape=(len(indptr) - 1, q))
-    has_rows = np.zeros(q, dtype=bool)
-    has_rows[owners] = True
-    frozen = np.zeros(q)
-    frozen[target_nodes] = 1.0
     pred: List[List[int]] = [[] for _ in range(q)]
     for u in owners:
         for succs, _ in rows_by_node[u]:
@@ -751,8 +750,7 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
     return Quotient(
         num_nodes=q, node_of=node_of, R=R,
         nodes=np.array(nodes, dtype=np.int64), bounds=np.array(bounds, dtype=np.int64),
-        frozen_value=frozen, has_rows=has_rows, target_nodes=target_nodes,
-        zero_nodes=~np.array(reach, dtype=bool))
+        target_nodes=target_nodes, zero_nodes=~np.array(reach, dtype=bool))
 
 
 def node_grouped(q: Quotient) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -775,12 +773,17 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
                               stop_node: Optional[int] = None, tol: Optional[float] = None,
                               max_sweeps: int = 5_000_000) -> Tuple[np.ndarray, np.ndarray, int]:
     """`core.interval_iterate`, each node's best row taken by `np.maximum.reduceat`
-    over R in its node-grouped order (`node_grouped`)."""
-    L = q.frozen_value.copy()
+    over R in its node-grouped order (`node_grouped`). It sets U to 0 on the
+    nodes without rows apart from the targets, not only on `zero_nodes`, so
+    the tests also check that the zero set holds them all."""
+    has_rows = np.zeros(q.num_nodes, dtype=bool)
+    has_rows[q.nodes] = True
+    L = np.zeros(q.num_nodes)
+    L[q.target_nodes] = 1.0
     U = np.ones(q.num_nodes)
     U[q.zero_nodes] = 0.0
     U[q.target_nodes] = 1.0
-    U[~q.has_rows & ~q.target_nodes] = 0.0
+    U[~has_rows & ~q.target_nodes] = 0.0
 
     def done():
         if stop_node is not None and eps is not None:
@@ -800,6 +803,33 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
         U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, starts))
         sweeps += 1
     return L, U, sweeps
+
+
+def encode_set_subsets(bdd: Bdd, items) -> int:
+    """`Bdd.encode_set` as a recursion over tuples of the strings, split
+    by filtering at each node, with a memo on (depth, subset)."""
+    strings = sorted(set(items))
+    for s in strings:
+        if len(s) != bdd.n_bits:
+            raise ValueError("bit string width does not match the layout")
+    memo: Dict[Tuple[int, Tuple[Tuple[int, ...], ...]], int] = {}
+
+    def build(depth: int, subset: Tuple[Tuple[int, ...], ...]) -> int:
+        if not subset:
+            return bdd.FALSE
+        if depth == bdd.n_bits:
+            return bdd.TRUE
+        key = (depth, subset)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        zeros = tuple(s for s in subset if s[depth] == 0)
+        ones = tuple(s for s in subset if s[depth] == 1)
+        nid = bdd.node(depth, build(depth + 1, zeros), build(depth + 1, ones))
+        memo[key] = nid
+        return nid
+
+    return build(0, tuple(strings))
 
 
 def _is_sink(mdp: Mdp, s: int) -> bool:

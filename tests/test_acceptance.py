@@ -32,7 +32,7 @@ from mdpdistill import bdd, dtree, fixtures, strategy as strat
 from mdpdistill.cli import main
 from mdpdistill.core import max_reach_exact
 from mdpdistill.importance import (Domain, build_training_set, exact_importance,
-                                   importance_of, simulate, simulate_batched)
+                                   importance_of, simulate)
 from mdpdistill.solver import brtdp, check_valid, value_iteration
 from oracles import TrainRow, as_tuples, rows_of, training_set
 
@@ -66,7 +66,7 @@ def _default_pipeline(name: str, variant: str = "IDP"):
     mdp = fixtures.load(name)
     va = value_iteration(mdp, 1e-6)
     sigma = strat.extract_liberal(mdp, va)
-    stats = simulate_batched(mdp, sigma, 10000, seed=0, threads=1)
+    stats = simulate(mdp, sigma, 10000, seed=0)
     imp = importance_of(stats, kind)
     trunc = strat.truncate(sigma, imp.weights, 0.0, "keep-all")
     ts = build_training_set(mdp, sigma, imp.weights, mode=mode, runs=10000)

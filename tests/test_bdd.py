@@ -6,11 +6,11 @@ import pytest
 
 from mdpdistill.bdd import Bdd, BitLayout, _width, store_strategy
 from mdpdistill.core import ActionAttr
-from mdpdistill.importance import Domain, exact_importance
+from mdpdistill.importance import Domain, exact_importance, importance_of, simulate
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal, truncate
 
-from oracles import as_tuples
+from oracles import as_tuples, encode_set_subsets
 
 
 def _opt(mdp, cut=False):
@@ -129,6 +129,37 @@ def test_membership_matches_python_set(seed):
     root = b.encode_set(subset)
     for p in universe:
         assert b.contains(root, p) == (p in subset)
+
+
+def _same_build(n_bits, items):
+    got, want = Bdd(n_bits), Bdd(n_bits)
+    assert got.encode_set(items) == encode_set_subsets(want, items)
+    assert got._nodes == want._nodes
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_encode_set_matches_subset_recursion_on_models(name, request):
+    # the truncated strategy `compare` stores at its defaults, seed 0
+    m = request.getfixturevalue(name)
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    weights = importance_of(simulate(m, sigma, 10000, seed=0)).weights
+    layout = BitLayout.of(Domain.of(m))
+    vals = m.sparse.valuation
+    items = [layout.encode(vals[s].tolist(), attr)
+             for s, attr in truncate(sigma, weights, 0.0).good_pairs()]
+    assert items
+    _same_build(layout.n_bits, items)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_encode_set_matches_subset_recursion(seed):
+    # n_bits 0 and 1 and the empty set come up among the seeds; repeats
+    # and unsorted input exercise the sort and the set
+    rng = random.Random(seed)
+    n_bits = seed % 11
+    count = 0 if seed % 9 == 0 else rng.randint(1, 2 * min(1 << n_bits, 50))
+    _same_build(n_bits, [tuple(rng.randint(0, 1) for _ in range(n_bits))
+                         for _ in range(count)])
 
 
 def test_encode_set_checks_width():

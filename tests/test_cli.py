@@ -306,11 +306,11 @@ def test_truncated_runs_exit_one(models, tmp_path, monkeypatch, capsys, command)
     # runs cut off at a 4-step cap on mutex; the command still prints and
     # writes its usual output, and the exit status and stderr report the cut
     from mdpdistill import cli
-    from mdpdistill.importance import simulate_batched
+    from mdpdistill.importance import simulate
     caught = []
 
     def capped(*a, **kw):
-        caught.append(simulate_batched(*a, **{**kw, "max_steps": 4}))
+        caught.append(simulate(*a, **{**kw, "max_steps": 4}))
         return caught[-1]
 
     monkeypatch.setattr(cli, "simulate_batched", capped)

@@ -454,10 +454,14 @@ def _assert_same_matrix(got, want):
 
 def _assert_same_quotient(got, want):
     assert got.num_nodes == want.num_nodes
-    for field in ("node_of", "nodes", "bounds", "frozen_value",
-                  "has_rows", "target_nodes", "zero_nodes"):
+    for field in ("node_of", "nodes", "bounds", "target_nodes", "zero_nodes"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     _assert_same_matrix(got.R, want.R)
+    # `interval_iterate` starts U at 0 on the zero set alone, so that set must
+    # hold every node without rows but the targets
+    rowless = np.ones(got.num_nodes, dtype=bool)
+    rowless[got.nodes] = False
+    assert np.all(got.zero_nodes[rowless & ~got.target_nodes])
     # and grouped by node, as `interval_iterate_reduceat` reads them
     (R, starts, owners), (R0, starts0, owners0) = node_grouped(got), node_grouped(want)
     assert np.array_equal(starts, starts0) and np.array_equal(owners, owners0)
@@ -483,9 +487,11 @@ def test_quotient_freezes_targets_and_traps(tiny_mec_mdp):
     assert q.node_of[1] == q.node_of[2]
     assert q.target_nodes[q.node_of[3]]
     assert q.zero_nodes[q.node_of[4]]
-    assert not q.has_rows[q.node_of[3]] and not q.has_rows[q.node_of[4]]
-    assert q.frozen_value[q.node_of[3]] == 1.0
-    assert q.frozen_value[q.node_of[4]] == 0.0
+    assert q.node_of[3] not in q.nodes and q.node_of[4] not in q.nodes
+    # nodes without rows keep their start bounds: 1 at the target, 0 at the trap
+    L, U, _ = interval_iterate(q, tol=1e-12)
+    assert L[q.node_of[3]] == U[q.node_of[3]] == 1.0
+    assert L[q.node_of[4]] == U[q.node_of[4]] == 0.0
 
 
 def test_mutex_value_frozen(mutex):

@@ -83,6 +83,11 @@ def test_multi_update_alternative():
         ("module m x:[0..1] init 0; [] x=0 -> 1:(x'=1); endmodule", "target"),
         ("const K = 1; const K = 2; module m x:[0..1] init 0; [] x=0 -> 1:(x'=1); endmodule target x=1",
          "duplicate constant"),
+        ("const x = 1; module m x:[0..1] init 0; [] x=0 -> 1:(x'=1); endmodule target x=1",
+         "duplicate variable"),
+        # K resolves in the update, so the first error is the integer target
+        ("const K = 1; module m x:[0..1] init 0; [] x=0 -> 1:(x'=K); endmodule target K",
+         "target must be a boolean"),
     ],
 )
 def test_static_errors(src, fragment):
