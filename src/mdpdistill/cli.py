@@ -8,7 +8,8 @@
 Models are read in the guarded-command language, or in the flat explicit
 format when the file starts with a `vars` directive. Exit status is 0 on
 success, 1 when an engine did not converge, a simulated run hit the step
-cap or a quality budget was missed, 2 on bad input.
+cap, a quality budget was missed or the decision tree grew deeper than the
+recursion limit, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -213,39 +214,24 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _checked(name: str, convert, ok, what: str):
+    """An argparse type named `name`: `convert` the text, then refuse a
+    value failing `ok` as not `what`. argparse prints the name for text that
+    `convert` cannot read."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
-    return value
-
-
-def _confidence(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+_positive_float = _checked("_positive_float", float, lambda v: v > 0, "positive")
+_finite = _checked("_finite", float, math.isfinite, "a finite number")
+_nonnegative = _checked("_nonnegative", float, lambda v: v >= 0, "a number >= 0")
+_confidence = _checked("_confidence", float, lambda v: 0 < v <= 1, "in (0, 1]")
+_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _min_leaf(text: str):
@@ -327,6 +313,12 @@ def main(argv=None) -> int:
         return 2
     except MdpError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the tree code recurses once per level; parsing and building catch their own
+        print(f"error: decision tree deeper than the recursion limit of "
+              f"{sys.getrecursionlimit()}; a larger --min-leaf makes it shallower",
+              file=sys.stderr)
         return 1
 
 

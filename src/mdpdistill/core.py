@@ -19,6 +19,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 TAU = "tau"  # attribute name of the self-loop placed on absorbing target states
+ROW_SUM_TOL = 1e-9  # how far an action's probabilities may sum from 1
 
 _MASK64 = (1 << 64) - 1
 _INT64 = np.iinfo(np.int64)
@@ -80,7 +81,7 @@ class Mdp:
         start = self.sparse.row_start.tolist()
         return tuple(map(range, start[:-1], start[1:]))
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         """Check the view's structure; report the first offending state.
 
         Every check runs on whole arrays. The message is then worked out for
@@ -109,7 +110,7 @@ class Mdp:
         # clipped, out-of-range successors (bad rows anyway) cannot overflow the key
         order, first_of = branch_groups(entry_row, np.clip(succ, 0, n - 1), n)
         # written so that a NaN probability fails both checks
-        row_bad = ((lengths == 0) | ~(np.abs(total - 1.0) <= tol)
+        row_bad = ((lengths == 0) | ~(np.abs(total - 1.0) <= ROW_SUM_TOL)
                    | _hits(entry_row[~(prob > 0)], rows)
                    | _hits(entry_row[order[~first_of]], rows)
                    | _hits(entry_row[(succ < 0) | (succ >= n)], rows))
@@ -133,7 +134,7 @@ class Mdp:
             a, b = ptr[r], ptr[r + 1]
             if a == b:
                 raise MdpError(f"state {s}: malformed distribution")
-            if not abs(total[r] - 1.0) <= tol:
+            if not abs(total[r] - 1.0) <= ROW_SUM_TOL:
                 raise MdpError(f"state {s}, action {self.action_names[v.action_id[r]]}: "
                                f"probabilities sum to {float(total[r])}")
             if not (prob[a:b] > 0).all():
@@ -467,18 +468,20 @@ def reach_bounds(P: sp.csr_matrix, targets, at: int) -> Iterator[Tuple[float, fl
         yield float(X[i[0], 0]), float(X[i[0], 1])
 
 
+DIRECT_CUTOFF = 250_000  # most unknowns reach_exact solves directly
+REACH_TOL = 1e-12  # U - L at which reach_exact's iterative path stops
 REACH_SWEEPS = 100_000  # sweep budget of reach_exact's iterative path
+ITERATE_SWEEPS = 5_000_000  # sweep budget of interval_iterate
 
 
-def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 250_000,
-                tol: float = 1e-12) -> np.ndarray:
+def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
     """Exact reachability probabilities Pr_l[<> targets] in the chain with
     transition matrix P, for every location.
 
     Zero set by graph search, then a sparse linear solve on the remaining
-    locations: direct below `direct_cutoff` unknowns, else Gauss–Seidel
-    interval iteration (`_sweeps`) until every U - L is below tol, which
-    returns the midpoints, or raises MdpError after REACH_SWEEPS sweeps.
+    locations: direct up to DIRECT_CUTOFF unknowns, else Gauss–Seidel
+    interval iteration (`_sweeps`) until every U - L is below REACH_TOL,
+    which returns the midpoints, or raises MdpError after REACH_SWEEPS sweeps.
     Each location's target mass is summed in the order of its row in P.
     Rows of targets are never read.
     """
@@ -486,13 +489,13 @@ def reach_exact(P: sp.csr_matrix, targets, *, direct_cutoff: int = 250_000,
     vals = is_target.astype(np.float64)
     if not len(states):
         return vals
-    if len(states) <= direct_cutoff:
+    if len(states) <= DIRECT_CUTOFF:
         states = np.sort(states)
         A, b, _ = _equations(P, is_target, states)
         x = spla.spsolve(sp.eye(len(states), format="csc") - A.tocsc(), b)
     else:
         for sweep, X in enumerate(_sweeps(P, is_target, states)):
-            if np.max(X[:, 1] - X[:, 0]) < tol:
+            if np.max(X[:, 1] - X[:, 0]) < REACH_TOL:
                 break
             if sweep >= REACH_SWEEPS:
                 raise MdpError(f"reachability iteration exceeded {REACH_SWEEPS} sweeps")
@@ -557,17 +560,14 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     ptr = v.branches.indptr
     entries = _ranges(ptr[sel], ptr[sel + 1])
     row = np.repeat(np.arange(len(sel)), ptr[sel + 1] - ptr[sel])
-    key = row * q + node_of[v.branches.indices[entries]]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first_of_group = np.ones(len(key), dtype=bool)
-    first_of_group[1:] = key[1:] != key[:-1]
-    group_key = key[first_of_group]
+    col = node_of[v.branches.indices[entries]]
+    order, first_of = branch_groups(row, col, q)
+    lead = order[first_of]  # the first branch of each (row, node) group
     # bincount adds the branches of each (row, node) group in the stable order
     R = sp.csr_matrix(
-        (np.bincount(np.cumsum(first_of_group) - 1, weights=v.branches.data[entries[order]]),
-         group_key % q,
-         np.concatenate(([0], np.cumsum(np.bincount(group_key // q, minlength=len(sel)))))),
+        (np.bincount(np.cumsum(first_of) - 1, weights=v.branches.data[entries[order]]),
+         col[lead],
+         np.concatenate(([0], np.cumsum(np.bincount(row[lead], minlength=len(sel)))))),
         shape=(len(sel), q))
     # nodes that cannot reach a target node get upper bound 0, among them every
     # node without rows but the targets; rows of target nodes are left out
@@ -588,13 +588,14 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
 
 
 def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
-                     stop_node: Optional[int] = None, tol: Optional[float] = None,
-                     max_sweeps: int = 5_000_000) -> Tuple[np.ndarray, np.ndarray, int]:
+                     stop_node: Optional[int] = None,
+                     tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, int]:
     """Synchronous lower/upper Bellman sweeps on the (EC-free) quotient.
 
-    Stops when U-L at `stop_node` drops below eps, or globally below tol.
-    Returns (L, U, sweeps). The sweeps run on the nodes renumbered so that
-    `q.nodes` comes first, which makes each update a write to a prefix.
+    Stops when U-L at `stop_node` drops below eps, or globally below tol,
+    and raises MdpError after ITERATE_SWEEPS sweeps. Returns (L, U, sweeps).
+    The sweeps run on the nodes renumbered so that `q.nodes` comes first,
+    which makes each update a write to a prefix.
     """
     R, nodes, bounds = q.R, q.nodes, q.bounds
     order = np.concatenate((nodes, np.setdiff1d(np.arange(q.num_nodes), nodes,
@@ -624,7 +625,7 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
 
     sweeps = 0
     while not done():
-        if sweeps >= max_sweeps:
+        if sweeps >= ITERATE_SWEEPS:
             raise MdpError("interval iteration exceeded sweep budget")
         np.maximum(L[:k], best(L), out=L[:k])
         np.minimum(U[:k], best(U), out=U[:k])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,6 +62,7 @@ class Split:
     pred: Pred
     yes: "Node"
     no: "Node"
+    good: bool = False  # label of the majority leaf this node would collapse to
     n: float = 0.0
     e: float = 0.0   # errors if this node were collapsed to a majority leaf
 
@@ -208,7 +209,7 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
         pred = (Pred("le", c, v) if c < nv else
                 Pred(COORD_MODULE, 0, v) if c > nv else
                 Pred(COORD_ACTION, 0, domain.action_names[v]))
-        return Split(pred, grow(idx[yes]), grow(idx[~yes]), total, err)
+        return Split(pred, grow(idx[yes]), grow(idx[~yes]), majority, total, err)
 
     root = grow(np.arange(len(ts.rows)))
     if prune:
@@ -241,17 +242,8 @@ def _prune(node: Node, z: float) -> Tuple[Node, float]:
     as_subtree = e_yes + e_no
     as_leaf = _ucb_errors(node.e, node.n, z)
     if as_leaf <= as_subtree:
-        # node.e counts the minority weight; recover the majority label from
-        # the children's training stats
-        wg = _good_weight(node)
-        return Leaf(wg >= node.n - wg, node.n, node.e), as_leaf
-    return Split(node.pred, yes, no, node.n, node.e), as_subtree
-
-
-def _good_weight(node: Node) -> float:
-    if isinstance(node, Leaf):
-        return node.n - node.e if node.good else node.e
-    return _good_weight(node.yes) + _good_weight(node.no)
+        return Leaf(node.good, node.n, node.e), as_leaf
+    return Split(node.pred, yes, no, node.good, node.n, node.e), as_subtree
 
 
 def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
@@ -360,8 +352,12 @@ def export_dot(tree: DTree) -> str:
 class FitResult:
     tree: DTree
     min_leaf: int
-    budget_met: bool
-    tried: List[Tuple[int, bool]] = field(default_factory=list)
+    tried: List[Tuple[int, bool]]  # (min_leaf, accepted) of each probe, in order
+
+    @property
+    def budget_met(self) -> bool:
+        """Whether the first probe, the tree at min_leaf=1, was accepted."""
+        return self.tried[0][1]
 
 
 def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
@@ -390,7 +386,7 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     # smallest rejected one, so no leaf size is learned twice
     tree, ok = probe(1)
     if not ok:
-        return FitResult(tree, 1, False, tried)
+        return FitResult(tree, 1, tried)
     lo = 1
     top = max(1, hi)
     while lo < top:
@@ -400,4 +396,4 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
             lo, tree = mid, t
         else:
             top = mid - 1
-    return FitResult(tree, lo, True, tried)
+    return FitResult(tree, lo, tried)

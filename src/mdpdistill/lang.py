@@ -21,7 +21,7 @@ with a position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -75,7 +75,10 @@ class ModelAst:
     constants: List[Tuple[str, int]]
     modules: List[ModuleAst]
     target: Expr
-    labels: frozenset = field(default_factory=frozenset)
+
+    @property
+    def labels(self) -> frozenset:
+        return frozenset(c.label for m in self.modules for c in m.commands if c.label)
 
     def var_decls(self):
         out = []
@@ -202,8 +205,7 @@ class _Parser:
         self.accept(";")
         if self.peek().kind != "eof":
             self.fail("expected end of model")
-        labels = frozenset(c.label for m in modules for c in m.commands if c.label)
-        return ModelAst(constants, modules, target, labels)
+        return ModelAst(constants, modules, target)
 
     def module(self) -> ModuleAst:
         self.expect("module")
@@ -365,10 +367,7 @@ def parse_predicate(src: str, var_names, consts=None) -> Expr:
         e = p.expr()
         if p.peek().kind != "eof":
             p.fail("expected end of expression")
-        if infer_type(e, set(var_names)) != "bool":
-            raise ModelError("expression must be boolean")
-    except ExprError as err:
-        raise ModelError(str(err)) from None
+        _expect(e, set(var_names), "bool", "expression must be boolean")
     except RecursionError:
         raise ModelError("expression nested too deeply") from None
     return e
@@ -401,11 +400,7 @@ def _validate(ast: ModelAst):
     for m in ast.modules:
         for k, c in enumerate(m.commands):
             c.name = c.label if c.label else f"{m.name}.cmd{k}"
-            try:
-                if infer_type(c.guard, var_names) != "bool":
-                    raise ModelError("guard must be boolean", c.line)
-            except ExprError as e:
-                raise ModelError(f"in guard: {e}", c.line) from None
+            _expect(c.guard, var_names, "bool", "guard must be boolean", "in guard: ", c.line)
             total = Fraction(0)
             for alt in c.alts:
                 if alt.prob <= 0:
@@ -422,16 +417,20 @@ def _validate(ast: ModelAst):
                     if tgt in assigned:
                         raise ModelError(f"variable '{tgt}' assigned twice in one update", c.line)
                     assigned.add(tgt)
-                    try:
-                        if infer_type(rhs, var_names) != "int":
-                            raise ModelError("update must be integer-valued", c.line)
-                    except ExprError as e:
-                        raise ModelError(f"in update of '{tgt}': {e}", c.line) from None
+                    _expect(rhs, var_names, "int", "update must be integer-valued",
+                            f"in update of '{tgt}': ", c.line)
             if abs(total - 1) > Fraction(1, 10**9):
                 raise ModelError(f"probabilities sum to {total}, not 1", c.line)
 
+    _expect(ast.target, var_names, "bool", "target must be a boolean expression", "in target: ")
+
+
+def _expect(e: Expr, var_names, kind: str, wrong: str, context: str = "", line=None):
+    """Raise ModelError at `line` unless `e` types as `kind`: `context` and
+    the type error if it is ill typed, else `wrong`."""
     try:
-        if infer_type(ast.target, var_names) != "bool":
-            raise ModelError("target must be a boolean expression")
-    except ExprError as e:
-        raise ModelError(f"in target: {e}") from None
+        ok = infer_type(e, var_names) == kind
+    except ExprError as err:
+        raise ModelError(f"{context}{err}", line) from None
+    if not ok:
+        raise ModelError(wrong, line)

@@ -19,6 +19,8 @@ import numpy as np
 from .core import (Mdp, MecDecomposition, build_quotient, derive_seed, interval_iterate,
                    mec_decompose)
 
+CHECK_TOL = 1e-9  # rounding slack each of check_valid's comparisons allows
+
 
 @dataclass
 class ValueApprox:
@@ -39,12 +41,16 @@ class ValueApprox:
     state_upper: np.ndarray
     epsilon: float
     explored: np.ndarray
-    converged: bool
     gap: float
     engine: str
     episodes: int = 0
     sweeps: int = 0
     mecs: Optional[MecDecomposition] = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the gap at the initial state met epsilon."""
+        return self.gap < self.epsilon
 
 
 def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
@@ -65,7 +71,7 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
         state_lower=np.maximum.reduceat(pair_lower, first_rows),
         state_upper=np.maximum.reduceat(pair_upper, first_rows),
         epsilon=eps, explored=np.arange(mdp.n_states),
-        converged=True, gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
+        gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
 
 
 def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
@@ -188,7 +194,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         state_lower=np.where(open_, np.maximum.reduceat(pair_lower, first_rows), L),
         state_upper=np.where(open_, upper, 1.0),
         epsilon=eps, explored=np.flatnonzero(seen),
-        converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
+        gap=gap, engine="brtdp", episodes=episodes)
 
 
 @dataclass
@@ -207,8 +213,7 @@ class ValidityReport:
                 and self.bellman_ok and self.mec_exit_ok)
 
 
-def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray,
-                tol: float = 1e-9) -> ValidityReport:
+def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
     """Check the four conditions a usable underapproximation must satisfy.
 
     1. every recorded pair value is at most the optimal pair value;
@@ -231,20 +236,20 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray,
         return f"({s},{r - v.row_start[s]})"
 
     opt = v.branches @ exact
-    for r in np.flatnonzero(recorded & (pl > opt + tol)):
+    for r in np.flatnonzero(recorded & (pl > opt + CHECK_TOL)):
         rep.lower_bound_ok = False
         rep.messages.append(
             f"pair {pair(r)}: lower bound {pl[r]:.12g} exceeds optimum {opt[r]:.12g}")
 
     v0 = va.state_lower[mdp.initial]
-    if exact[mdp.initial] - v0 > va.epsilon + tol:
+    if exact[mdp.initial] - v0 > va.epsilon + CHECK_TOL:
         rep.initial_gap_ok = False
         rep.messages.append(
             f"initial state: optimum {exact[mdp.initial]:.12g} minus bound "
             f"{v0:.12g} exceeds eps={va.epsilon}")
 
     succ_val = v.branches @ va.state_lower
-    for r in np.flatnonzero(recorded & (pl > succ_val + tol)):
+    for r in np.flatnonzero(recorded & (pl > succ_val + CHECK_TOL)):
         rep.bellman_ok = False
         rep.messages.append(
             f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
@@ -256,9 +261,9 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray,
     best = np.full(mecs.count, -np.inf)
     np.maximum.at(best, k_of[rows], pl[rows])
     exits = np.flatnonzero(rows & ~mecs.internal)
-    exits = exits[pl[exits] >= best[k_of[exits]] - tol]
+    exits = exits[pl[exits] >= best[k_of[exits]] - CHECK_TOL]
     has_exit = np.bincount(k_of[exits], minlength=mecs.count) > 0
-    for k in np.flatnonzero((best > tol) & ~has_exit):
+    for k in np.flatnonzero((best > CHECK_TOL) & ~has_exit):
         rep.mec_exit_ok = False
         rep.messages.append(
             f"end component {np.flatnonzero(mecs.mec_of == k)[:8].tolist()}: no exiting "

@@ -1,7 +1,7 @@
 """Turning value bounds into liberal strategies, and measuring the result.
 
 Extraction keeps every action whose pair value ties with the state's best
-(within `tie_tol`), so the strategy stays as permissive as the bounds allow.
+(within TIE_TOL), so the strategy stays as permissive as the bounds allow.
 End components need care: all internal pairs look equally good there, but a
 run must eventually leave, so states owning a best exiting pair commit to it
 and the remaining member states keep their internal actions, which walk the
@@ -19,9 +19,10 @@ from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, induce_chain,
                    mec_decompose, reach_bounds, reach_exact, reachable)
 from .solver import ValueApprox
 
+TIE_TOL = 1e-9  # how far below the best a pair value still ties with it
 
-def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
-                    exit_union: bool = False) -> LiberalStrategy:
+
+def extract_liberal(mdp: Mdp, va: ValueApprox, *, exit_union: bool = False) -> LiberalStrategy:
     """Liberal strategy over the explored states of a value approximation.
 
     Non-member states pick all value-maximal actions. For each end component
@@ -42,7 +43,7 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
 
     free = explored & (mecs.mec_of < 0)
     best = np.maximum.reduceat(pl, v.row_start[:-1])
-    selected = free[owner] & (pl >= best[owner] - tie_tol)
+    selected = free[owner] & (pl >= best[owner] - TIE_TOL)
 
     member = explored & (mecs.mec_of >= 0)
     member[member] = ~mecs.touching(v.is_target)[mecs.mec_of[member]]
@@ -51,7 +52,7 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
     external = in_mec & ~mecs.internal
     best_exit = np.zeros(mecs.count)
     np.maximum.at(best_exit, k_of[external], pl[external])
-    positive = np.bincount(k_of[in_mec & (pl > tie_tol)], minlength=mecs.count) > 0
+    positive = np.bincount(k_of[in_mec & (pl > TIE_TOL)], minlength=mecs.count) > 0
     stuck = np.flatnonzero(positive & (np.bincount(k_of[external], minlength=mecs.count) == 0))
     if len(stuck):
         k = int(stuck[0])
@@ -59,7 +60,7 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, tie_tol: float = 1e-9,
             f"end component {k} ({np.flatnonzero(mecs.mec_of == k)[:8].tolist()}) carries "
             "positive value but has no exiting action; bounds are not usable")
     exits = external.copy()
-    exits[external] = pl[external] >= best_exit[k_of[external]] - tie_tol
+    exits[external] = pl[external] >= best_exit[k_of[external]] - TIE_TOL
     internal = in_mec & mecs.internal
     if exit_union:
         selected |= internal | exits

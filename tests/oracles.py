@@ -549,10 +549,10 @@ def learn_masks(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0
                     continue
                 if not mask.any() or mask.all():
                     continue
-                return Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
+                return Split(p, grow(idx[mask]), grow(idx[~mask]), majority, total, err)
             return Leaf(majority, total, err)
         _, _, p, mask = best
-        return Split(p, grow(idx[mask]), grow(idx[~mask]), total, err)
+        return Split(p, grow(idx[mask]), grow(idx[~mask]), majority, total, err)
 
     root = grow(np.arange(m))
     if prune:
@@ -953,7 +953,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     return ValueApprox(
         pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
         epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
-        converged=gap < eps, gap=gap, engine="brtdp", episodes=episodes)
+        gap=gap, engine="brtdp", episodes=episodes)
 
 
 def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):

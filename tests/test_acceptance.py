@@ -152,7 +152,7 @@ def test_criterion_04_soundness_corpus(corpus):
     for i, (m, exact) in enumerate(corpus):
         for engine, va in (("vi", value_iteration(m, 1e-6)),
                            ("brtdp", brtdp(m, 1e-6, seed=i))):
-            rep = check_valid(m, va, exact, tol=1e-9)
+            rep = check_valid(m, va, exact)
             if not rep.ok:
                 bad.append((i, engine, rep.messages))
                 continue

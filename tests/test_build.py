@@ -2,7 +2,7 @@
 
 import pytest
 
-from mdpdistill import fixtures
+from mdpdistill import core, fixtures
 from mdpdistill.build import export_flat, load_model, parse_flat
 from mdpdistill.core import TAU
 from mdpdistill.lang import ModelError
@@ -161,6 +161,16 @@ def test_flat_validates_semantics():
     bad = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 0.5 1\nact 1 t 0 1.0 1\ninit 0"
     with pytest.raises(ModelError, match="sum"):
         parse_flat(bad)
+
+
+def test_flat_row_sum_tolerance(monkeypatch):
+    # a row 1e-6 off 1 is refused at core.ROW_SUM_TOL and passes a wider one
+    text = ("vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 1.000001 1\n"
+            "act 1 t 0 1.0 1\ninit 0\ntarget 1\n")
+    with pytest.raises(ModelError, match="action a: probabilities sum to 1.000001"):
+        parse_flat(text)
+    monkeypatch.setattr(core, "ROW_SUM_TOL", 1e-5)
+    assert parse_flat(text).n_states == 2
 
 
 def test_flat_comments_and_blank_lines():

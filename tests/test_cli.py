@@ -12,7 +12,7 @@ import pytest
 
 import mdpdistill
 from mdpdistill.cli import main
-from mdpdistill.solver import brtdp
+from mdpdistill.solver import brtdp, value_iteration
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +328,46 @@ def test_truncated_runs_exit_one(models, tmp_path, monkeypatch, capsys, command)
         assert list(_kv(out))[-1] == "budget met"
     else:
         assert out.splitlines()[-1].startswith("dtree ")
+
+
+def test_iteration_sweep_budget_exits_one(grid, tmp_path, monkeypatch, capsys):
+    from mdpdistill import core, fixtures
+    from mdpdistill.core import MdpError
+    monkeypatch.setattr(core, "ITERATE_SWEEPS", 1)
+    with pytest.raises(MdpError, match="^interval iteration exceeded sweep budget$"):
+        value_iteration(grid, 1e-6)
+    model = tmp_path / "grid.mdp"
+    model.write_text(fixtures.model_text("grid"))
+    rc = main(["solve", "--model", str(model)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err == "error: interval iteration exceeded sweep budget\n"
+    assert out == ""
+
+
+def _alternating_chain(n: int) -> str:
+    """A flat model whose tree must split about once per state: on the chain
+    0..n-1, `a` leads on at even states and `b` at odd ones, and the other
+    action falls into the trap n + 1; state n is the target."""
+    lines = [f"vars n:0..{n + 1}"] + [f"state {s} {s}" for s in range(n + 2)]
+    for s in range(n):
+        on, off = ("a", "b") if s % 2 == 0 else ("b", "a")
+        lines += [f"act {s} {on} 1 1.0 {s + 1}", f"act {s} {off} 1 1.0 {n + 1}"]
+    lines += [f"act {n} tau 0 1.0 {n}", f"act {n + 1} stay 1 1.0 {n + 1}", "init 0",
+              f"target {n}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["distill", "compare"])
+def test_too_deep_tree_exits_one_without_traceback(tmp_path, capsys, command):
+    model = tmp_path / "deep.flat"
+    model.write_text(_alternating_chain(1200))
+    rc = main([command, "--model", str(model), "--runs", "100"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err == (f"error: decision tree deeper than the recursion limit of "
+                   f"{sys.getrecursionlimit()}; a larger --min-leaf makes it shallower\n")
+    assert "error:" not in out
 
 
 # ------------------------------------------------------------------- export

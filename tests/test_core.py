@@ -14,7 +14,7 @@ from mdpdistill.core import (TAU, ActionAttr, LiberalStrategy,
                              max_reach_exact, mec_decompose, reach_bounds,
                              reach_exact, reachable, strong_components)
 
-from mdpdistill import fixtures
+from mdpdistill import core, fixtures
 
 from conftest import random_mdp
 from oracles import (Action, acyclic_value, as_tuples, brute_mecs, brute_val, chain_matrix,
@@ -271,7 +271,7 @@ def test_reach_exact_zero_states_are_exact_zero():
     assert v[0] == 0.5
 
 
-def test_reach_exact_iteration_agrees_with_direct():
+def test_reach_exact_iteration_agrees_with_direct(monkeypatch):
     rng = random.Random(3)
     n = 30
     rows = []
@@ -283,34 +283,35 @@ def test_reach_exact_iteration_agrees_with_direct():
         rows.append((succs, (0.25, 0.25, 0.5)))
     chain = chain_matrix(tuple(rows))
     direct = reach_exact(chain, {n - 1})
-    iterated = reach_exact(chain, {n - 1}, direct_cutoff=0)
+    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
+    iterated = reach_exact(chain, {n - 1})
     assert np.allclose(direct, iterated, atol=1e-9)
 
 
-def test_reach_exact_iteration_survives_a_self_loop_near_one():
+def test_reach_exact_iteration_survives_a_self_loop_near_one(monkeypatch):
     # 0 stays with probability 1 - 1e-13 and otherwise hits the target, so
     # its value is 1; 1 - P[0, 0] would cancel to a wrong exit mass
     chain = chain_matrix((((0, 1), (1 - 1e-13, 1e-13)), ((1,), (1.0,))))
-    tol = 1e-12
+    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
     try:
-        v = reach_exact(chain, [1], direct_cutoff=0, tol=tol)
+        v = reach_exact(chain, [1])
     except MdpError:
         return
-    assert abs(v[0] - 1.0) < tol
+    assert abs(v[0] - 1.0) < core.REACH_TOL
 
 
 def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
     # a ring that leaks 1/8 to the target at one place needs many sweeps
-    from mdpdistill import core
     n = 40
     rows = [((s + 1,), (1.0,)) for s in range(n - 1)]
     rows.append(((0, n), (0.875, 0.125)))
     rows.append(((n,), (1.0,)))
     chain = chain_matrix(tuple(rows))
-    v = reach_exact(chain, [n], direct_cutoff=0)
+    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
+    v = reach_exact(chain, [n])
     monkeypatch.setattr(core, "REACH_SWEEPS", 3)
     with pytest.raises(MdpError, match="exceeded 3 sweeps"):
-        reach_exact(chain, [n], direct_cutoff=0)
+        reach_exact(chain, [n])
     assert np.allclose(v[:n], 1.0, atol=1e-12)
 
 

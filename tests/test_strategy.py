@@ -62,7 +62,7 @@ def _extracted(fn):
         return str(e)
 
 
-def _assert_extract_matches_dict_loop(m, va):
+def _assert_extract_matches_dict_loop(m, va, tie_tol=strategy_mod.TIE_TOL):
     v = m.sparse
     explored = va.explored.tolist()
     pair_lower = {(s, i): va.pair_lower[v.row_start[s] + i]
@@ -70,7 +70,7 @@ def _assert_extract_matches_dict_loop(m, va):
     mecs = mecs_dict(m, None if len(explored) == m.n_states else frozenset(explored))
     for exit_union in (False, True):
         want = _extracted(lambda: extract_dict(m, pair_lower, explored, mecs,
-                                               exit_union=exit_union))
+                                               tie_tol=tie_tol, exit_union=exit_union))
         assert _extracted(lambda: extract_liberal(m, va, exit_union=exit_union)) == want
 
 
@@ -89,6 +89,17 @@ def test_extract_matches_dict_loop_on_models(name, request):
     if name != "grid":  # brtdp does not converge on grid within its budget
         _assert_extract_matches_dict_loop(m, brtdp(m, 1e-6, seed=0))
         _assert_extract_matches_dict_loop(m, brtdp(m, 1e-6, seed=0, max_episodes=2))
+
+
+@pytest.mark.parametrize("name", ["mutex", "sync2"])
+def test_extract_reads_tie_tol(name, request, monkeypatch):
+    # a wider tolerance keeps more actions, as the dict loop given it does
+    m = request.getfixturevalue(name)
+    va = value_iteration(m, 1e-6)
+    narrow = _extracted(lambda: extract_liberal(m, va))
+    monkeypatch.setattr(strategy_mod, "TIE_TOL", 0.05)
+    assert _extracted(lambda: extract_liberal(m, va)) != narrow
+    _assert_extract_matches_dict_loop(m, va, tie_tol=0.05)
 
 
 def test_extract_ties_kept(mutex):
@@ -118,7 +129,7 @@ def test_exit_union_keeps_internal(tiny_mec_mdp):
     assert evaluate(m, strat) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_positive_mec_without_exit_rejected():
+def test_positive_mec_without_exit_rejected(monkeypatch):
     # two states spin forever with no way out; bounds claiming value there
     # cannot be turned into a strategy
     from mdpdistill.core import ActionAttr
@@ -135,10 +146,14 @@ def test_positive_mec_without_exit_rejected():
         state_lower=np.array([0.5, 0.5, 0.5, 1.0]),
         state_upper=np.array([1.0, 1.0, 1.0, 1.0]),
         epsilon=0.1, explored=np.array([0, 1, 2]),
-        converged=True, gap=0.0, engine="vi")
+        gap=0.0, engine="vi")
     with pytest.raises(MdpError, match="no exiting action"):
         extract_liberal(m, fake)
     _assert_extract_matches_dict_loop(m, fake)
+    # values within TIE_TOL of 0 count as no value, so the spin is kept
+    monkeypatch.setattr(strategy_mod, "TIE_TOL", 0.5)
+    assert extract_liberal(m, fake).choice == {0: {0}, 1: {0}, 2: {0}}
+    _assert_extract_matches_dict_loop(m, fake, tie_tol=0.5)
 
 
 def test_evaluate_ignores_unreachable_choices(fig1):
