@@ -1,12 +1,11 @@
 """State-space exploration for parsed models, plus the flat explicit format.
 
-A validated AST is compiled once into Python (`compile_model`): one
-`expand` function lists the enabled actions of a state, and `is_target`
-tests the target predicate; `expand_all` does both for many states at
-once with numpy. Breadth-first search from the initial valuation calls
-`expand_all` on wide queue segments and the other two once per state
-elsewhere, and writes the rows straight into a SparseView; the same AST
-always yields the same state numbering.
+A validated AST is compiled once into Python (`compile_model`): `walk`
+runs the breadth-first search from the initial valuation one state at a
+time, and `expand_all` expands many states at once with numpy. The search
+hands wide queue segments to `expand_all` and walks the rest, and writes
+the rows straight into a SparseView; the same AST always yields the same
+state numbering.
 Commands fire in module/declaration order; labelled commands synchronize
 across all modules declaring the label (one enabled command per
 participating module, all combinations enumerated, attribute (label, 0)).
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -37,13 +36,18 @@ DEFAULT_STATE_CAP = 1_000_000
 class CompiledModel:
     """A model AST as generated Python over the state slots v0, v1, ...
 
-    `expand(*state)` returns the state's enabled actions in declaration
-    order as two lists: the kind of each action, and the successor
-    valuations of all of them, action after action. A kind fixes the name
-    id, the module and the branch probabilities (`kinds`). An update
-    leaving its variable's range ends the lists with the kind -1 - k, where
-    k indexes `updates`, and the value, so errors surface in the order the
-    actions are taken.
+    `walk(states, index, s, wide, replay, cap, counts, row_kind, succ)`
+    expands the queue `states` from state s on, in order. It tests the
+    target, then takes each enabled action in declaration order: it checks
+    the action's updates, numbers each successor in `index`, appending new
+    ones to the queue, and appends the action's kind to `row_kind` and the
+    successor ids to `succ`. A kind fixes the name id, the module and the
+    branch probabilities (`kinds`). Each state's row count, 0 for a target,
+    goes to `counts`. It returns (s, code, value) at the state to go on
+    from: with code 0 when the queue is empty, or when `wide` states are
+    pending and s >= replay; with a positive code when the state has no
+    action or the queue holds more than `cap` states; with -1 - k when
+    update k (indexing `updates`) leaves its range, with that value.
 
     `expand_all(G, T, B, H, *columns)` evaluates the same for m states at
     once with numpy, given one value column per slot. It fills the guard
@@ -58,8 +62,7 @@ class CompiledModel:
     """
 
     source: str
-    expand: Callable
-    is_target: Callable
+    walk: Callable
     expand_all: Optional[Callable]
     names: Tuple[str, ...]  # action names, indexed by name id
     kinds: Tuple[Tuple[int, int, Tuple[float, ...]], ...]  # (name id, module, probabilities)
@@ -72,10 +75,11 @@ _NUMPY = {"logical_not": np.logical_not, "logical_and": np.logical_and,
 
 
 def compile_model(ast: ModelAst) -> CompiledModel:
-    """Generate `expand`, `is_target` and `expand_all` for a validated model AST.
+    """Generate `walk` and `expand_all` for a validated model AST.
 
     The source holds only slot names, integer literals and operators, never
-    text from the model. Each branch probability of an action is the float
+    text from the model. An update check that the interval bounds prove is
+    left out. Each branch probability of an action is the float
     of the exact product of its commands' probabilities, computed here once.
     """
     decls = ast.var_decls()
@@ -84,7 +88,8 @@ def compile_model(ast: ModelAst) -> CompiledModel:
     names: Dict[str, int] = {}
     kinds: List[Tuple[int, int, Tuple[float, ...]]] = []
     updates: List[Tuple[str, int, int, int]] = []
-    body = ["kinds = []", "branches = []"]
+    body: List[str] = []  # the walker's lines for one state that is not a target
+    opened = None  # the `if` line the body ends in; g<i> lines precede only combinations
     # the body of expand_all: one numpy operation a line, each into a fresh
     # t<i>, so no line nests however deep the expressions are
     wide: List[str] = []
@@ -139,12 +144,16 @@ def compile_model(ast: ModelAst) -> CompiledModel:
         computed[e] = got
         return got
 
-    def action(cmds, name: str, module: int, guard: str):
-        # the body of an `if` on the guards: every command's alternatives in
-        # turn, each update checked where it is evaluated; then one successor
-        # per combination of alternatives. `guard` holds the guards' numpy
-        # value in expand_all.
-        nonlocal safe
+    def action(cmds, name: str, module: int, test: str, guard: str):
+        # an `if` on the guards' Python value `test`, shared with the action
+        # before when that tested the same, around every command's
+        # alternatives in turn, each update checked where it is evaluated
+        # unless its bounds prove it in range; then each successor, interned
+        # as it is made. `guard` holds the guards' numpy value in expand_all.
+        nonlocal safe, opened
+        if opened != f"if {test}:":
+            opened = f"if {test}:"
+            body.append(opened)
         k = len(kinds)
         wide.append(f"G[:, {k!r}] = {guard}")
         alts_of = []
@@ -156,43 +165,46 @@ def compile_model(ast: ModelAst) -> CompiledModel:
                     i = len(updates)
                     lo, hi = bounds[var]
                     updates.append((var, lo, hi, cmd.line))
-                    body.extend([f"    u{i} = {rhs.py(slot)}",
-                                 f"    if not {lo!r} <= u{i} <= {hi!r}:",
-                                 f"        kinds.append({-1 - i!r})",
-                                 f"        branches.append(u{i})",
-                                 "        return kinds, branches"])
                     u, ulo, uhi = vec(rhs)
+                    checked = ulo < lo or uhi > hi
+                    # a literal or a slot in range is used as it stands
+                    py = u if not checked and (ulo == uhi or isinstance(rhs, Var)) else f"u{i}"
+                    if py != u:
+                        body.append(f"    u{i} = {rhs.py(slot)}")
+                    if checked:
+                        body.extend([f"    if not {lo!r} <= u{i} <= {hi!r}:",
+                                     f"        return s, {-1 - i!r}, u{i}"])
                     safe = safe and -_SAFE <= ulo and uhi <= _SAFE
                     if ulo < lo:
                         wide.append(f"B[:, {k!r}] |= {u} < {lo!r}")
                     if uhi > hi:
                         wide.append(f"B[:, {k!r}] |= {u} > {hi!r}")
-                    assigned[slot[var]] = (f"u{i}", u)
+                    assigned[slot[var]] = (py, u)
                 alts.append((alt.prob, assigned))
             alts_of.append(alts)
         branch = sum(len(probs) for _, _, probs in kinds)
-        probs, succs = [], []
+        probs = []
         for combo in product(*alts_of):
             p = Fraction(1)
-            # each slot's value in expand and in expand_all
+            # each slot's value in walk and in expand_all
             assigned = {v: (v, v) for v in slot.values()}
             for q, a in combo:
                 p *= q
                 assigned.update(a)
             probs.append(float(p))
-            succs.append("(" + "".join(f"{py}, " for py, _ in assigned.values()) + ")")
+            body.extend(["    t = (" + "".join(f"{py}, " for py, _ in assigned.values()) + ")",
+                         "    i = get(t, -1)", "    if i < 0:", "        i = index[t] = n",
+                         "        add(t)", "        n += 1", "    found(i)"])
             wide.extend(f"T[:, {branch!r}, {i!r}] = {u}"
                         for i, (_, u) in enumerate(assigned.values()))
             branch += 1
         kinds.append((names.setdefault(name, len(names)), module, tuple(probs)))
-        body.append(f"    kinds.append({k!r})")
-        body.append(f"    branches += {''.join(t + ', ' for t in succs)}")
+        body.extend([f"    kind({k!r})", "    r += 1"])
 
     for mi, mod in enumerate(ast.modules, start=1):
         for cmd in mod.commands:
             if cmd.label is None:
-                body.append(f"if {cmd.guard.py(slot)}:")
-                action([cmd], cmd.name, mi, vec(cmd.guard)[0])
+                action([cmd], cmd.name, mi, cmd.guard.py(slot), vec(cmd.guard)[0])
     # label -> [(module index, its commands with the label)], in order of first use
     participants: Dict[str, List[Tuple[int, List]]] = {}
     for mi, mod in enumerate(ast.modules, start=1):
@@ -209,8 +221,7 @@ def compile_model(ast: ModelAst) -> CompiledModel:
             # actions belong to that module like unlabelled ones do
             mi, cmds = groups[0]
             for cmd in cmds:
-                body.append(f"if {cmd.guard.py(slot)}:")
-                action([cmd], label, mi, vec(cmd.guard)[0])
+                action([cmd], label, mi, cmd.guard.py(slot), vec(cmd.guard)[0])
             continue
         flags = []
         for _, cmds in groups:
@@ -220,25 +231,36 @@ def compile_model(ast: ModelAst) -> CompiledModel:
                 flags[-1].append((f"g{guard}", vec(cmd.guard)[0], cmd))
                 guard += 1
         for combo in product(*flags):
-            body.append("if " + " and ".join(g for g, _, _ in combo) + ":")
             both = combo[0][1]
             for _, g, _ in combo[1:]:
                 both = op(f"logical_and({both}, {g})", 0, 1)[0]
-            action([cmd for _, _, cmd in combo], label, 0, both)
-    body.append("return kinds, branches")
+            action([cmd for _, _, cmd in combo], label, 0, " and ".join(g for g, _, _ in combo),
+                   both)
     wide.append(f"H[:] = {vec(ast.target)[0]}")
-
-    target = [f"return {ast.target.py(slot)}"]
+    walk = [
+        "get, add, found, kind, n = index.get, states.append, succ.append, row_kind.append, "
+        "len(states)",
+        "while s < n:",
+        "    if n - s >= wide and s >= replay:",
+        "        return s, 0, 0",
+        "    (" + "".join(f"{v}, " for v in slot.values()) + ") = states[s]",
+        "    r = 0",
+        f"    if not ({ast.target.py(slot)}):",
+        *("        " + line for line in body),
+        "        if not r or n > cap:",
+        "            return s, 1, 0",
+        "    counts.append(r)",
+        "    s += 1",
+        "return s, 0, 0"]
     try:
-        expand = define("expand", len(decls), body)
-        is_target = define("is_target", len(decls), target)
+        walk = define("walk", 0, walk, outputs=("states", "index", "s", "wide", "replay", "cap",
+                                                "counts", "row_kind", "succ"), scope={"len": len})
         expand_all = define("expand_all", len(decls), wide, outputs=("G", "T", "B", "H"),
                             scope=_NUMPY) if safe else None
     except (SyntaxError, RecursionError):
         raise ModelError("model too deeply nested to compile") from None
-    source = expand.source + is_target.source + (expand_all.source if expand_all else "")
-    return CompiledModel(source, expand, is_target, expand_all, tuple(names), tuple(kinds),
-                         tuple(updates))
+    source = walk.source + (expand_all.source if expand_all else "")
+    return CompiledModel(source, walk, expand_all, tuple(names), tuple(kinds), tuple(updates))
 
 
 WIDE = 16  # a pending queue segment this long is expanded by `expand_all`
@@ -283,7 +305,7 @@ class _Frontier:
     def run(self, states: list, s: int, state_cap: int, parts):
         """Expand pending segments from state s on in batches, while they hold
         WIDE states or _HANDBACK allows a narrow one, appending each segment's
-        targets, per-state row counts, row kinds and successor ids to `parts`.
+        per-state row counts, row kinds and successor ids to `parts`.
         Returns the next state to expand, and whether its segment failed as a
         batch; if states remain, `states` then lists all numbered so far."""
         self.add(np.array(states[self.n:], dtype=np.int64).reshape(-1, len(self.lo)))
@@ -330,81 +352,65 @@ class _Frontier:
             return None
         ids[new] = n + (np.cumsum(fresh) - 1)[first]
         self.add(succ[new[fresh]])
-        return s + np.flatnonzero(H), G.sum(axis=1), np.nonzero(G)[1], ids
+        return G.sum(axis=1), np.nonzero(G)[1], ids
 
 
 def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     """Explore the reachable state space of a validated model AST.
 
     States are numbered in breadth-first discovery order, so the queue is
-    the numbering. A pending segment of at least WIDE states is expanded
-    at once by `expand_all`, which numbers its successors as the per-state
-    loop would; narrower ones go through `expand` one state at a time. A
-    segment whose batch holds an error is replayed one state at a time,
-    which raises the error of the first offending state and action.
+    the numbering. The generated `walk` expands it one state at a time.
+    When it hands back a pending segment of at least WIDE states, that is
+    expanded at once by `expand_all`, which numbers its successors as the
+    walker would. A segment whose batch holds an error is replayed by the
+    walker, which stops at the first offending state and action. Within a
+    state, the cap is checked after the successors of the actions before
+    an out-of-range update are numbered, and a deadlock last.
     """
     prog = compile_model(ast)
     decls = ast.var_decls()
-    expand, is_target = prog.expand, prog.is_target
     init = tuple(d.init for d in decls)
     index = {init: 0}
-    intern = index.setdefault
     states = [init]
-    targets: List[int] = []
     counts: List[int] = []
     row_kind: List[int] = []
     succ: List[int] = []
-    parts = ([], [], [], [])  # the same four as arrays, in numbering order
-    batched = bool(decls) and prog.expand_all is not None and \
-        prod(d.hi - d.lo + 1 for d in decls) <= _DENSE
+    parts = ([], [], [])  # the same three as arrays, in numbering order
+    cap = max(state_cap, 1)  # the initial state is always numbered
+    # the walker hands a segment this wide to the frontier; without batches
+    # none is, since it stops once it holds more than `cap` states
+    wide = WIDE if decls and prog.expand_all is not None and \
+        prod(d.hi - d.lo + 1 for d in decls) <= _DENSE else cap + 1
     frontier = None  # made when the first wide segment appears
     replay = 0  # states before this one are expanded one at a time
 
     def flush():
-        for part, got in zip(parts, (targets, counts, row_kind, succ)):
+        for part, got in zip(parts, (counts, row_kind, succ)):
             part.append(np.array(got, dtype=np.int64))
             got.clear()
 
-    def where(vec) -> str:
-        return f"in state {dict(zip((d.name for d in decls), vec))}"
-
     s = 0
-    while s < len(states):
-        if len(states) - s >= WIDE and s >= replay and batched:
-            frontier = frontier or _Frontier(prog, decls)
-            flush()
-            s, failed = frontier.run(states, s, state_cap, parts)
-            if failed:
-                replay = len(states)
-            index.update(zip(states[len(index):], range(len(index), len(states))))
-            continue
-        vec = states[s]
-        s += 1
-        if is_target(*vec):
-            targets.append(s - 1)
-            counts.append(0)
-            continue
-        acts, branches = expand(*vec)
-        bad = acts.pop() if acts and acts[-1] < 0 else None
-        value = branches.pop() if bad is not None else None
-        ids = [intern(t, len(index)) for t in branches]
-        if len(index) > len(states):
-            if len(index) > state_cap:
+    while True:
+        s, error, value = prog.walk(states, index, s, wide, replay, cap, counts, row_kind, succ)
+        if error:
+            if len(states) > cap:
                 raise ModelError(f"state cap exceeded ({state_cap} states explored)")
-            for t, i in zip(branches, ids):
-                if i == len(states):
-                    states.append(t)
-        if bad is not None:
-            var, lo, hi, line = prog.updates[-1 - bad]
-            raise ModelError(f"update drives {var} to {value}, outside [{lo}..{hi}], "
-                             f"{where(vec)}", line)
-        if not acts:
-            raise ModelError(f"deadlock: no enabled command {where(vec)}")
-        row_kind.extend(acts)
-        succ.extend(ids)
-        counts.append(len(acts))
+            where = f"in state {dict(zip((d.name for d in decls), states[s]))}"
+            if error > 0:
+                raise ModelError(f"deadlock: no enabled command {where}")
+            var, lo, hi, line = prog.updates[-1 - error]
+            raise ModelError(f"update drives {var} to {value}, outside [{lo}..{hi}], {where}",
+                             line)
+        if s >= len(states):  # a batch that ends the queue leaves `states` short
+            break
+        frontier = frontier or _Frontier(prog, decls)
+        flush()
+        s, failed = frontier.run(states, s, state_cap, parts)
+        if failed:
+            replay = len(states)
+        index.update(zip(states[len(index):], range(len(index), len(states))))
     flush()
-    targets, counts, row_kind, succ = (np.concatenate(part) for part in parts)
+    counts, row_kind, succ = (np.concatenate(part) for part in parts)
 
     if frontier is not None:
         frontier.add(np.array(states[frontier.n:], dtype=np.int64).reshape(-1, len(decls)))
@@ -413,13 +419,12 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     else:
         n = len(states)
         try:
-            valuation = np.array(states, dtype=np.int64).reshape(n, len(decls))
+            valuation = np.fromiter(chain.from_iterable(states), np.int64,
+                                    n * len(decls)).reshape(n, len(decls))
         except OverflowError:
             raise ModelError("a reachable state holds a value outside the 64-bit range") \
                 from None
     parts = frontier = None  # let the pieces go before the assembly
-    target = np.zeros(n, dtype=bool)
-    target[targets] = True
     kind_len = np.array([len(k[2]) for k in prog.kinds], dtype=np.int64)
     kind_start = np.concatenate(([0], np.cumsum(kind_len)))
     kind_prob = np.array([p for k in prog.kinds for p in k[2]], dtype=np.float64)
@@ -431,7 +436,7 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
         prog.names, np.repeat(np.arange(n), counts),
         np.array([k[0] for k in prog.kinds], dtype=np.int64)[row_kind],
         np.array([k[1] for k in prog.kinds], dtype=np.int64)[row_kind],
-        row_len, succ, prob, target)
+        row_len, succ, prob, counts == 0)
     return mdp.validate()
 
 

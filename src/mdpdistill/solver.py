@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -86,7 +87,8 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     End components discovered inside the explored set would keep both bounds
     at 1 forever, so their internal upper bounds get capped by the best pair
     leaving the component; the decomposition is redone only when the
-    explored set has grown. Bounds are per-state lists over `mdp.sparse`,
+    explored set has grown. Bounds are per-state lists over `mdp.sparse`;
+    a state's rows become Python lists when the search first touches it,
     and each pair value is summed over its row in declaration order. Returns
     partial tables over the explored states, with `converged` False if the
     episode budget ran out first.
@@ -94,33 +96,38 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     if eps <= 0:
         raise ValueError("eps must be positive")
     v = mdp.sparse
-    start = v.row_start.tolist()
-    ptr = v.branches.indptr.tolist()
-    succ = v.branches.indices.tolist()
-    prob = v.branches.data.tolist()
-    is_target = v.is_target.tolist()
-    # a sink's every row is a single branch back to itself (targets are sinks too)
-    loop = np.diff(v.branches.indptr) == 1
-    loop[loop] = v.branches.indices[v.branches.indptr[:-1][loop]] == v.row_state[loop]
-    stop = (np.bincount(v.row_state[~loop], minlength=mdp.n_states) == 0).tolist()
-    L = v.is_target.astype(np.float64).tolist()  # unexplored states hold the defaults
+    L = [1.0 if t else 0.0 for t in v.is_target.tolist()]  # unexplored states hold the defaults
     U = [1.0] * mdp.n_states
     explored = set()
     rng = random.Random(derive_seed(seed, 0))
 
-    def pair(V: List[float], r: int) -> float:
-        # sum() adds the branches in declaration order, as the mat-vec below does
-        return sum(p * V[t] for t, p in zip(succ[ptr[r]:ptr[r + 1]], prob[ptr[r]:ptr[r + 1]]))
+    @lru_cache(maxsize=None)
+    def state(s: int):
+        # the rows of s as (successors, probabilities) lists, whether it is a
+        # target and whether it is a sink, read when s is first touched
+        a, b = v.row_start[s:s + 2].tolist()
+        ptr = v.branches.indptr[a:b + 1].tolist()
+        rows = [(v.branches.indices[i:j].tolist(), v.branches.data[i:j].tolist())
+                for i, j in zip(ptr, ptr[1:])]
+        # a sink's every row is a single branch back to itself (targets are sinks too)
+        return rows, bool(v.is_target[s]), all(t == [s] for t, _ in rows)
+
+    def pair(V: List[float], row) -> float:
+        # adds the branches in declaration order, as the mat-vec below does
+        x = 0.0
+        for t, p in zip(*row):
+            x += p * V[t]
+        return x
 
     def backup(s: int):
-        if is_target[s]:
+        rows, target, stop = state(s)
+        if target:
             return
-        if stop[s]:
+        if stop:
             L[s] = U[s] = 0.0
             return
-        rows = range(start[s], start[s + 1])
-        L[s] = max(L[s], max(pair(L, r) for r in rows))
-        U[s] = min(U[s], max(pair(U, r) for r in rows))
+        L[s] = max(L[s], max(pair(L, row) for row in rows))
+        U[s] = min(U[s], max(pair(U, row) for row in rows))
 
     groups = []  # (member states, exit rows) of each MEC away from the target
     grouped_at = -1  # size of the explored set `groups` was read from
@@ -135,12 +142,14 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
             for s, k in zip(states.tolist(), mecs.mec_of[states].tolist()):
                 groups[k][0].append(s)
             rows = np.flatnonzero((mecs.mec_of[v.row_state] >= 0) & ~mecs.internal)
-            for r, k in zip(rows.tolist(), mecs.mec_of[v.row_state[rows]].tolist()):
-                groups[k][1].append(r)
+            owner = v.row_state[rows]
+            for s, i, k in zip(owner.tolist(), (rows - v.row_start[owner]).tolist(),
+                               mecs.mec_of[owner].tolist()):
+                groups[k][1].append(state(s)[0][i])
             groups = [groups[k] for k in np.flatnonzero(~mecs.touching(v.is_target))]
             grouped_at = len(explored)
         for members, exits in groups:
-            cap = max([0.0] + [pair(U, r) for r in exits])
+            cap = max([0.0] + [pair(U, row) for row in exits])
             for s in members:
                 U[s] = min(U[s], cap)
 
@@ -155,19 +164,21 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         path = [s0]
         s = s0
         hit_cap = False
-        while not stop[s]:
+        while True:
+            rows, _, stop = state(s)
+            if stop:
+                break
             if len(path) > cap:
                 hit_cap = True
                 break
-            rows = range(start[s], start[s + 1])
-            vals = [pair(U, r) for r in rows]
+            vals = [pair(U, row) for row in rows]
             best = max(vals)
-            cands = [r for r, x in zip(rows, vals) if x >= best - 1e-12]
-            r = cands[0] if len(cands) == 1 else rng.choice(cands)
+            cands = [row for row, x in zip(rows, vals) if x >= best - 1e-12]
+            succ, prob = cands[0] if len(cands) == 1 else rng.choice(cands)
             x = rng.random()
             acc = 0.0
-            t = succ[ptr[r + 1] - 1]
-            for u, p in zip(succ[ptr[r]:ptr[r + 1]], prob[ptr[r]:ptr[r + 1]]):
+            t = succ[-1]
+            for u, p in zip(succ, prob):
                 acc += p
                 if x < acc:
                     t = u

@@ -1093,8 +1093,12 @@ def make_absorbing(actions, target) -> tuple:
     return tuple(out)
 
 
-def build_dict(ast: ModelAst, *, state_cap: int = 1_000_000) -> DictModel:
-    """Breadth-first exploration that interprets every guard and update."""
+def build_dict(ast: ModelAst, *, state_cap: int = 1_000_000,
+               unmerged: Optional[List[int]] = None) -> DictModel:
+    """Breadth-first exploration that interprets every guard and update.
+
+    When `unmerged` is given, the branch count of each action before
+    repeated successors are merged is appended to it."""
     decls = ast.var_decls()
     names = [d.name for d in decls]
     bounds = {d.name: (d.lo, d.hi) for d in decls}
@@ -1166,6 +1170,8 @@ def build_dict(ast: ModelAst, *, state_cap: int = 1_000_000) -> DictModel:
 
         def add_action(attr, branches):
             # branches: list of (Fraction prob, vec); merge mass per successor
+            if unmerged is not None:
+                unmerged.append(len(branches))
             mass: Dict[int, float] = {}
             order: List[int] = []
             for p, nvec in branches:

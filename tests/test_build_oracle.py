@@ -210,15 +210,15 @@ def test_random_corpus_covers_every_case():
         kinds["ok"] += 1
         text = random_model(seed)
         ast = parse_model(text)
-        m, prog = build_mdp(ast), compile_model(ast)
+        m, unmerged = build_mdp(ast), []
+        build_dict(ast, unmerged=unmerged)
         v = m.sparse
         tau = m.action_names.index("tau") if "tau" in m.action_names else -1
         synced += bool(((v.module == 0) & (v.action_id != tau)).any())
         # the label s, when used, is declared by every module
         s = m.action_names.index("s") if "s" in m.action_names else -1
         synced3 += len(ast.modules) == 3 and bool(((v.module == 0) & (v.action_id == s)).any())
-        branches = sum(len(prog.expand(*vec)[1]) for vec in v.valuation[~v.is_target].tolist())
-        merged += branches > len(v.branches.data) - int(v.is_target.sum())
+        merged += sum(unmerged) > len(v.branches.data) - int(v.is_target.sum())
         big += text.count("big") > 1
     assert kinds["ok"] >= 120 and kinds["deadlock"] >= 5, kinds
     assert kinds["state cap"] >= 10 and kinds["update drives"] >= 40, kinds
@@ -355,6 +355,44 @@ def test_forced_batches_on_cap_and_bad_update(text, cap, forced):
     assert forced
 
 
+# --------------------------------------------------------------------------
+# The walker alone. With WIDE out of reach no segment is batched, and every
+# state goes through the generated walker.
+
+@pytest.fixture
+def walked(monkeypatch):
+    monkeypatch.setattr(build, "WIDE", 2 ** 62)
+    return spy_batches(monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_walker_alone_on_bundled_models(name, walked):
+    assert assert_same_outcome(fixtures.model_text(name)) == "ok"
+    assert walked == []
+
+
+@pytest.mark.parametrize("text", [fixtures.fig1_extended_text(k) for k in (1, 2, 7, 100, 2000)]
+                         + [fixtures.grid_text(40)],
+                         ids=[f"chain{k}" for k in (1, 2, 7, 100, 2000)] + ["grid40"])
+def test_walker_alone_on_generators(text, walked):
+    assert assert_same_outcome(text) == "ok"
+    assert walked == []
+
+
+@pytest.mark.parametrize("seed", CORPUS)
+def test_walker_alone_on_random_models(seed, walked):
+    assert_same_outcome(*corpus_case(seed))
+    assert walked == []
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("text", [CAP_THEN_BAD, BAD_THEN_CAP, SYNC],
+                         ids=["cap-then-bad", "bad-then-cap", "sync"])
+def test_walker_alone_on_cap_and_bad_update(text, cap, walked):
+    assert_same_outcome(text, cap)
+    assert walked == []
+
+
 @pytest.mark.parametrize("text", ["module m endmodule target true",
                                   "module m endmodule target false"])
 def test_forced_batches_without_variables(text, forced):
@@ -441,7 +479,9 @@ def test_deep_expression_is_a_model_error():
 # The generated code holds no text from the model.
 
 ALLOWED = {"def", "return", "if", "not", "and", "or", "True", "False", "min", "max",
-           "expand", "is_target", "kinds", "branches", "append",
+           # walk: its parameters, locals and loop
+           "walk", "states", "index", "s", "wide", "replay", "cap", "counts", "row_kind",
+           "succ", "get", "add", "found", "kind", "n", "r", "t", "i", "len", "append", "while",
            # expand_all: its output arrays and the numpy functions it is given
            "expand_all", "G", "T", "B", "H", "logical_not", "logical_and", "logical_or",
            "minimum", "maximum"}

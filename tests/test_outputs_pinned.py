@@ -1,4 +1,5 @@
-"""Digests of what the command line prints and writes on the bundled models.
+"""Digests of what the command line prints and writes on the bundled models
+and on the 20,010-state chain `fixtures.fig1_extended_text(20000)`.
 
 Each case runs one command in-process, from a fresh directory holding a
 copy of its model, which it names by a relative path, so that `compare`'s
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from mdpdistill.cli import main
+from mdpdistill.fixtures import fig1_extended_text
 
 DIGESTS = Path(__file__).with_name("outputs_pinned.json")
 
@@ -39,7 +41,11 @@ OUTPUTS = {
 COMMANDS = [f"{command} --model {model} --engine {engine}"
             for model in ("fig1.mdp", "fig1.flat", "mutex.mdp", "sync2.mdp")
             for engine in ("vi", "brtdp")
-            for command in OUTPUTS] + ["solve --model grid.mdp --engine vi"]
+            for command in OUTPUTS] + ["solve --model grid.mdp --engine vi"] + \
+    [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")]
+
+# models that are generated rather than bundled
+GENERATED = {"chain.mdp": lambda: fig1_extended_text(20000)}
 
 
 def _sha(data: str) -> str:
@@ -50,7 +56,8 @@ def run(command: str, workdir: Path) -> dict:
     """Run `command` in `workdir` and digest everything it produced."""
     argv = command.split()
     model = argv[argv.index("--model") + 1]
-    text = resources.files("mdpdistill.models").joinpath(model).read_text()
+    text = GENERATED[model]() if model in GENERATED else \
+        resources.files("mdpdistill.models").joinpath(model).read_text()
     (workdir / model).write_text(text)
     written = OUTPUTS[argv[0]][1::2]
     out, err = StringIO(), StringIO()
