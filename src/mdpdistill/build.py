@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from math import prod
 from typing import Callable, Dict, List, Optional, Tuple
@@ -58,15 +59,25 @@ class CompiledModel:
     with a single possible value is written as that literal, so Python
     folds constants of any size. expand_all is None when a declared range,
     an update or a subexpression left to numpy may leave +-2**62, so its
-    int64 arithmetic never overflows.
+    int64 arithmetic never overflows. It is compiled from its lines `wide`
+    on first use, as only a wide queue segment needs it.
     """
 
-    source: str
     walk: Callable
-    expand_all: Optional[Callable]
+    wide: Optional[Tuple[str, ...]]  # the body of expand_all, None without one
+    slots: int
     names: Tuple[str, ...]  # action names, indexed by name id
     kinds: Tuple[Tuple[int, int, Tuple[float, ...]], ...]  # (name id, module, probabilities)
     updates: Tuple[Tuple[str, int, int, int], ...]  # (variable, lo, hi, line)
+
+    @cached_property
+    def expand_all(self) -> Optional[Callable]:
+        return None if self.wide is None else define(
+            "expand_all", self.slots, self.wide, outputs=("G", "T", "B", "H"), scope=_NUMPY)
+
+    @property
+    def source(self) -> str:
+        return self.walk.source + (self.expand_all.source if self.expand_all else "")
 
 
 _SAFE = 2 ** 62
@@ -255,12 +266,10 @@ def compile_model(ast: ModelAst) -> CompiledModel:
     try:
         walk = define("walk", 0, walk, outputs=("states", "index", "s", "wide", "replay", "cap",
                                                 "counts", "row_kind", "succ"), scope={"len": len})
-        expand_all = define("expand_all", len(decls), wide, outputs=("G", "T", "B", "H"),
-                            scope=_NUMPY) if safe else None
     except (SyntaxError, RecursionError):
         raise ModelError("model too deeply nested to compile") from None
-    source = walk.source + (expand_all.source if expand_all else "")
-    return CompiledModel(source, walk, expand_all, tuple(names), tuple(kinds), tuple(updates))
+    return CompiledModel(walk, tuple(wide) if safe else None, len(decls), tuple(names),
+                         tuple(kinds), tuple(updates))
 
 
 WIDE = 16  # a pending queue segment this long is expanded by `expand_all`
@@ -379,7 +388,7 @@ def build_mdp(ast: ModelAst, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     cap = max(state_cap, 1)  # the initial state is always numbered
     # the walker hands a segment this wide to the frontier; without batches
     # none is, since it stops once it holds more than `cap` states
-    wide = WIDE if decls and prog.expand_all is not None and \
+    wide = WIDE if decls and prog.wide is not None and \
         prod(d.hi - d.lo + 1 for d in decls) <= _DENSE else cap + 1
     frontier = None  # made when the first wide segment appears
     replay = 0  # states before this one are expanded one at a time

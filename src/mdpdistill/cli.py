@@ -111,7 +111,7 @@ def _pipeline(args):
     return mdp, va, sigma, stats, imp, trunc, ts
 
 
-def _fit_tree(mdp, ts, reference, args):
+def _fit_tree(mdp, va, ts, reference, args):
     """Learn at a fixed leaf size, or search for the largest one in budget.
 
     Returns the tree, its leaf size, and the value and fallback states of
@@ -119,10 +119,11 @@ def _fit_tree(mdp, ts, reference, args):
     tree (same predicates and leaf labels, hence the same JSON) is induced
     once, and each distinct induced strategy decided once, since the value
     depends only on the row mask, which is all that `induce_chain` reads.
-    Only the returned tree's value is solved exactly.
+    Only the returned tree's value is solved exactly, on its decision's chain.
     """
     induced = {}
     verdicts = {}
+    kept = {}
 
     def induce(t: dtree.DTree):
         key = dtree.export_json(t)
@@ -134,7 +135,11 @@ def _fit_tree(mdp, ts, reference, args):
         sigma, _ = induce(t)
         key = sigma.rows.tobytes()
         if key not in verdicts:
-            verdicts[key] = strat.decide(mdp, sigma, reference, args.budget)
+            chain = strat.restricted_chain(mdp, sigma)
+            verdicts[key] = strat.decide(chain, va.state_upper, reference, args.budget)
+            if verdicts[key] or not kept:  # the tree returned: the last accepted, or the first
+                kept.clear()
+                kept[key] = chain
         return verdicts[key]
 
     if args.min_leaf != "auto":
@@ -146,13 +151,14 @@ def _fit_tree(mdp, ts, reference, args):
                                  prune=not args.no_prune)
         tree, leaf = fit.tree, fit.min_leaf
     sigma, fallback = induce(tree)
-    return tree, leaf, strat.evaluate(mdp, sigma), fallback
+    chain = kept.get(sigma.rows.tobytes()) or strat.restricted_chain(mdp, sigma)
+    return tree, leaf, strat.chain_value(chain), fallback
 
 
 def cmd_distill(args) -> int:
     mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, sigma)
-    tree, used_leaf, tree_value, fallback = _fit_tree(mdp, ts, reference, args)
+    tree, used_leaf, tree_value, fallback = _fit_tree(mdp, va, ts, reference, args)
     budget_met = strat.within_budget(tree_value, reference, args.budget)
     rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
     _print_kv([
@@ -184,7 +190,7 @@ def cmd_distill(args) -> int:
 def cmd_compare(args) -> int:
     mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(mdp, trunc)
-    tree, used_leaf, tree_value, _ = _fit_tree(mdp, ts, strat.evaluate(mdp, sigma), args)
+    tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strat.evaluate(mdp, sigma), args)
     store = bdd.store_strategy(mdp, trunc)
     rows = [
         ("explicit", strat.explicit_size(mdp, trunc), reference),

@@ -76,6 +76,11 @@ class Mdp:
         return len(self.sparse.row_start) - 1
 
     @cached_property
+    def row_valuation(self) -> np.ndarray:
+        """The valuation of each action row's state, variables x rows."""
+        return np.ascontiguousarray(self.sparse.valuation.T[:, self.sparse.row_state])
+
+    @cached_property
     def actions(self) -> Tuple[range, ...]:
         """The range of action rows of each state in the view."""
         start = self.sparse.row_start.tolist()
@@ -400,7 +405,8 @@ def _unknowns(P: sp.csr_matrix, targets) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _equations(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
-    """x = A x + b over `states`, in their order, and each row's mass off
+    """x = A x + b over `states`, in their order, in one pass: A's entries as
+    (row, column, value), column -1 off `states`, b, and each row's mass off
     its own location.
 
     b sums each row's target mass in the order of its row in P. The mass
@@ -408,63 +414,67 @@ def _equations(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
     close to 1 does not cancel it away.
     """
     m = len(states)
-    rows = P[states]
-    owner = np.repeat(np.arange(m), np.diff(rows.indptr))
+    ptr = P.indptr
+    entries = _ranges(ptr[states], ptr[states + 1])
+    row = np.repeat(np.arange(m), ptr[states + 1] - ptr[states])
+    succ, p = P.indices[entries], P.data[entries]
     pos = np.full(P.shape[0], -1)
     pos[states] = np.arange(m)
-    col = pos[rows.indices]
-    hit, keep = is_target[rows.indices], col >= 0
-    b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
-    A = sp.csr_matrix(
-        (rows.data[keep], col[keep],
-         np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=m))))),
-        shape=(m, m))
-    off = col != owner
-    return A, b, np.bincount(owner[off], weights=rows.data[off], minlength=m)
+    col = pos[succ]
+    hit = is_target[succ]
+    # adding the diagonal's 0.0 leaves each row's sum as it is
+    return (row, col, p, np.bincount(row[hit], weights=p[hit], minlength=m),
+            np.bincount(row, weights=np.where(col != row, p, 0.0), minlength=m))
 
 
-def _sweeps(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray) -> Iterator[np.ndarray]:
+def _sweeps(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray,
+            upper: np.ndarray) -> Iterator[np.ndarray]:
     """Gauss–Seidel interval iteration on the unknowns `states`, nearest the
     targets first (Baier et al., CAV 2017).
 
     Yields an (m, 2) array of lower and upper bounds [L, U] over `states`:
-    the start bounds L = b (one step into a target) and U = 1, then the
-    bounds after each sweep. A sweep updates the states in order, each from
-    the values already updated this sweep, and solves every self-loop
-    exactly: one product with the strict upper part, then one triangular
-    solve with the lower part, self-loops included. Both bounds are sound
-    throughout and converge to the values, since every unknown leaves the
-    unknowns almost surely.
+    the start bounds L = b (one step into a target) and U = min(1, upper),
+    given sound upper bounds per location of P, then the bounds after each
+    sweep. A sweep updates the states in order, each from the values already
+    updated this sweep, and solves every self-loop exactly: one product with
+    the strict upper part, then one triangular solve with the lower part,
+    self-loops included. A sweep maps a bound to a bound, and both converge
+    to the values, since every unknown leaves the unknowns almost surely.
     """
-    A, b, off = _equations(P, is_target, states)
+    row, col, p, b, off = _equations(P, is_target, states)
+    m, diag = len(states), np.arange(len(states))
     # column-major, the layout the solve reads and returns
-    X = np.asfortranarray(np.column_stack((b, np.ones(len(states)))))
+    X = np.asfortranarray(np.column_stack((b, np.minimum(upper[states], 1.0))))
     yield X
-    upper = sp.triu(A, 1, format="csr")
+    above, below = col > row, (col >= 0) & (col < row)
+    # from COO, each row's entries come out by column, the order a product adds them
+    ahead = sp.csr_matrix((p[above], (row[above], col[above])), shape=(m, m))
     # triangular with a positive diagonal: no fill and no pivoting
-    lu = spla.splu((sp.diags(off) - sp.tril(A, -1)).tocsc(),
+    lu = spla.splu(sp.csc_matrix((np.concatenate((off, -p[below])), (
+        np.concatenate((diag, row[below])), np.concatenate((diag, col[below])))), shape=(m, m)),
                    permc_spec="NATURAL", diag_pivot_thresh=0)
     rhs = np.empty_like(X)
     while True:
         for j in range(2):
-            np.add(upper @ X[:, j], b, out=rhs[:, j])
+            np.add(ahead @ X[:, j], b, out=rhs[:, j])
         X = lu.solve(rhs)
         yield X
 
 
-def reach_bounds(P: sp.csr_matrix, targets, at: int) -> Iterator[Tuple[float, float]]:
+def reach_bounds(P: sp.csr_matrix, targets, at: int, upper) -> Iterator[Tuple[float, float]]:
     """Sound bounds (lower, upper) on Pr_at[<> targets] in the chain P.
 
-    The first pair holds before any sweep; each further pair follows one
-    more Gauss–Seidel sweep (see `_sweeps`), and both bounds converge to the
-    value. At a target or in the zero set the one pair is exact.
+    The first pair holds before any sweep, from sound upper bounds `upper`
+    per location (ones, or an engine's on the optimum); each further pair
+    follows one more Gauss–Seidel sweep (see `_sweeps`), and both bounds
+    converge to the value. At a target or in the zero set the one pair is exact.
     """
     is_target, states = _unknowns(P, targets)
     i = np.flatnonzero(states == at)
     if not len(i):
         yield float(is_target[at]), float(is_target[at])
         return
-    for X in _sweeps(P, is_target, states):
+    for X in _sweeps(P, is_target, states, upper):
         yield float(X[i[0], 0]), float(X[i[0], 1])
 
 
@@ -491,10 +501,12 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
         return vals
     if len(states) <= DIRECT_CUTOFF:
         states = np.sort(states)
-        A, b, _ = _equations(P, is_target, states)
-        x = spla.spsolve(sp.eye(len(states), format="csc") - A.tocsc(), b)
+        row, col, p, b, _ = _equations(P, is_target, states)
+        keep, m = col >= 0, len(states)
+        A = sp.csc_matrix((p[keep], (row[keep], col[keep])), shape=(m, m))
+        x = spla.spsolve(sp.eye(m, format="csc") - A, b)
     else:
-        for sweep, X in enumerate(_sweeps(P, is_target, states)):
+        for sweep, X in enumerate(_sweeps(P, is_target, states, np.ones(len(vals)))):
             if np.max(X[:, 1] - X[:, 0]) < REACH_TOL:
                 break
             if sweep >= REACH_SWEEPS:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -106,18 +107,22 @@ def _entropies(wg: np.ndarray, wb: np.ndarray) -> np.ndarray:
 
 
 class _NodeTable(NamedTuple):
-    """What a node's split choice needs, whatever `min_leaf` is: its good and
-    bad weight and, per candidate split in tie-break order, the coordinate,
-    constant, lighter side's weight, whether the yes side is every row, and
-    the information gain."""
+    """What a node's split choice needs, whatever `min_leaf` is: its rows,
+    good and bad weight, the choice made per band of `min_leaf`, and, per
+    candidate split in tie-break order, the coordinate, constant, lighter
+    side's weight, whether the yes side is every row, and the information
+    gain; last the distinct lighter weights, which bound the bands."""
 
+    idx: np.ndarray
     wg: float
     wb: float
+    choices: dict  # band -> None for a leaf, else the predicate and both sides' tables
     coord: Optional[np.ndarray] = None  # None: a pure node, no candidates
     k: Optional[np.ndarray] = None
     lighter: Optional[np.ndarray] = None
     full: Optional[np.ndarray] = None
     gain: Optional[np.ndarray] = None
+    levels: Optional[np.ndarray] = None
 
 
 def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
@@ -126,67 +131,66 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
 
     `min_leaf` is the minimum total row weight each side of a split must
     keep; raising it is the main lever for trading accuracy against size.
-    A node scores all its splits at once from running sums of its rows'
-    weights in each coordinate's order, exact as the weights are integers.
-    None of that depends on `min_leaf`, so each node's table is kept in
-    `ts.node_tables` and later calls only filter it.
+    A node scores all its splits at once from its rows' weights at each
+    value of each coordinate, exact as the weights are integers. None of
+    that depends on `min_leaf`, so each node's table is kept in
+    `ts.node_tables`, with the split chosen per band of leaf sizes between
+    two lighter-side weights, where the candidates stay the same.
     """
     domain = ts.domain
     nv = domain.n_vars
     F, y, w = ts.rows, ts.good, ts.weight.astype(np.float64)
     wy = w * y
     tables = ts.node_tables
+    values, value_coord, bins = ts.value_bins
+    width = bins.shape[1]
 
-    def candidates(idx: np.ndarray):
+    def candidates(idx: np.ndarray, weight: np.ndarray):
         """Coordinate, constant, yes-side weight, good weight and whether that
-        side is every row, of each split of rows `idx`, in tie-break order."""
-        n = len(idx)
-        order = np.argsort(F[idx], axis=0, kind="stable")
-        vals = np.take_along_axis(F[idx], order, 0).T  # coordinate x sorted rows
-        # weight and good weight of the first r sorted rows, r = 0..n
-        sums = np.zeros((2, len(vals), n + 1))
-        sums[0, :, 1:] = w[idx][order].cumsum(0).T
-        sums[1, :, 1:] = wy[idx][order].cumsum(0).T
-        end = np.ones(vals.shape, dtype=bool)  # last row of a run of equal values
-        end[:, :-1] = vals[:, 1:] != vals[:, :-1]
-        c, i = np.nonzero(end)
-        start = np.concatenate(([0], i[:-1] + 1))  # first row of each run
-        start[np.concatenate(([True], c[1:] != c[:-1]))] = 0
-        # [x <= k], k between a value and the next, keeps every row up to
-        # the end of the value's run; an equality keeps the run itself
-        # (-1 marks a row without an action attribute)
+        side is every row, of each split of rows `idx` (total weight and good
+        weight `weight`), in tie-break order, from their sums at each value."""
+        at = bins[idx].ravel()
+        count = np.bincount(at, minlength=len(values))
+        present = np.flatnonzero(count)
+        wv = np.stack([np.bincount(at, np.repeat(x[idx], width), len(values))[present]
+                       for x in (w, wy)])
+        c, v = value_coord[present], values[present]
+        # [x <= k], k between a value and the next, keeps the rows up to the
+        # value; an equality keeps the value's rows (-1 marks a row without
+        # an action attribute)
         le = c < nv
-        keep = np.where(le, i < n - 1, vals[c, i] >= 0)
-        c, i, le = c[keep], i[keep], le[keep]
-        lo = np.where(le, 0, start[keep])
-        k = np.where(le, (vals[c, i] + vals[c, np.minimum(i + 1, n - 1)]) // 2, vals[c, i])
-        wl, wlg = sums[:, c, i + 1] - sums[:, c, lo]
-        return c, k, wl, wlg, i + 1 - lo == n
+        keep = np.where(le, np.append(c[1:] == c[:-1], False), v >= 0)
+        k = np.where(le, (v + np.append(v[1:], 0)) // 2, v)
+        # every row holds one value of each coordinate, so the values of the
+        # coordinates before c weigh c times the node; integer weights add exactly
+        wl = np.where(le, np.cumsum(wv, 1) - c * weight[:, None], wv)[:, keep]
+        return c[keep], k[keep], wl[0], wl[1], (~le & (count[present] == len(idx)))[keep]
 
-    def node_table(idx: np.ndarray) -> _NodeTable:
+    def table(idx: np.ndarray) -> _NodeTable:
+        key = idx.tobytes()
+        t = tables.get(key)
+        if t is not None:
+            return t
+        idx = np.frombuffer(key, idx.dtype)  # the key's bytes, not a second copy
         wg = float(w[idx][y[idx]].sum())
         wb = float(w[idx][~y[idx]].sum())
         if wg == 0.0 or wb == 0.0:
-            return _NodeTable(wg, wb)
+            return tables.setdefault(key, _NodeTable(idx, wg, wb, {}))
         total = wg + wb
-        coord, k, wl, wlg, full = candidates(idx)
+        coord, k, wl, wlg, full = candidates(idx, np.array([total, wg]))
         wr = total - wl
         wrg = wg - wlg
-        parent_h = _entropies(np.array([wg]), np.array([wb]))[0]
-        gain = (parent_h - (wl * _entropies(wlg, wl - wlg)
-                            + wr * _entropies(wrg, wr - wrg)) / total)
-        return _NodeTable(wg, wb, coord, k, np.minimum(wl, wr), full, gain)
+        # the node's entropy, then each yes side's, then each no side's
+        h = _entropies(np.concatenate(([wg], wlg, wrg)),
+                       np.concatenate(([wb], wl - wlg, wr - wrg)))
+        gain = h[0] - (wl * h[1:len(wl) + 1] + wr * h[len(wl) + 1:]) / total
+        lighter = np.minimum(wl, wr)
+        return tables.setdefault(key, _NodeTable(idx, wg, wb, {}, coord, k, lighter, full,
+                                                 gain, np.unique(lighter)))
 
-    def grow(idx: np.ndarray) -> Node:
-        key = idx.tobytes()
-        t = tables.get(key)
-        if t is None:
-            t = tables[key] = node_table(idx)
-        total = t.wg + t.wb
-        majority = t.wg >= t.wb
-        err = min(t.wg, t.wb)
-        if t.gain is None:
-            return Leaf(majority, total, err)
+    def choose(t: _NodeTable):
+        """The split of node `t` at this `min_leaf`: None for a leaf, else
+        its predicate and the tables of its two sides."""
         ok = np.flatnonzero(t.lighter >= min_leaf)
         gain = t.gain[ok]
         best = None
@@ -202,16 +206,28 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
             # always fits its training set
             full = t.full[ok]
             if full.all():
-                return Leaf(majority, total, err)
+                return None
             best = int(np.argmin(full))
         c, v = int(t.coord[ok[best]]), int(t.k[ok[best]])
-        yes = F[idx, c] <= v if c < nv else F[idx, c] == v
+        yes = F[t.idx, c] <= v if c < nv else F[t.idx, c] == v
         pred = (Pred("le", c, v) if c < nv else
                 Pred(COORD_MODULE, 0, v) if c > nv else
                 Pred(COORD_ACTION, 0, domain.action_names[v]))
-        return Split(pred, grow(idx[yes]), grow(idx[~yes]), majority, total, err)
+        return pred, table(t.idx[yes]), table(t.idx[~yes])
 
-    root = grow(np.arange(len(ts.rows)))
+    def grow(t: _NodeTable) -> Node:
+        total, majority, err = t.wg + t.wb, t.wg >= t.wb, min(t.wg, t.wb)
+        if t.gain is None:
+            return Leaf(majority, total, err)
+        band = bisect_left(t.levels, min_leaf)
+        if band not in t.choices:
+            t.choices[band] = choose(t)
+        if t.choices[band] is None:
+            return Leaf(majority, total, err)
+        pred, yes, no = t.choices[band]
+        return Split(pred, grow(yes), grow(no), majority, total, err)
+
+    root = grow(table(np.arange(len(ts.rows))))
     if prune:
         root, _ = _prune(root, _upper_z(confidence))
     return DTree(root, domain)
@@ -256,7 +272,7 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
     dividing the rows that reach it.
     """
     v = mdp.sparse
-    x = v.valuation[v.row_state]
+    x = mdp.row_valuation
     name_id = {name: k for k, name in enumerate(mdp.action_names)}
     good = np.zeros(len(v.row_state), dtype=bool)
 
@@ -266,7 +282,7 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
             return
         p = node.pred
         if p.kind == "le":
-            holds = x[rows, p.coord] <= p.k
+            holds = x[p.coord][rows] <= p.k
         elif p.kind == COORD_ACTION:
             holds = v.action_id[rows] == name_id.get(p.k, -1)
         else:

@@ -11,6 +11,7 @@ the tree learner pays proportional attention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -286,6 +287,16 @@ class TrainingSet:
     @property
     def total_weight(self) -> int:
         return int(self.weight.sum())
+
+    @cached_property
+    def value_bins(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each coordinate's distinct values in turn, ascending, the
+        coordinate of each, and the index of each row's value in each."""
+        found = [np.unique(col, return_inverse=True) for col in self.rows.T]
+        sizes = [len(values) for values, _ in found]
+        return (np.concatenate([values for values, _ in found]),
+                np.repeat(np.arange(len(sizes)), sizes),
+                np.column_stack([at for _, at in found]) + np.cumsum([0] + sizes[:-1]))
 
 
 def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,

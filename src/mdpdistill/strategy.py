@@ -75,13 +75,19 @@ def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     return np.flatnonzero(reachable(induce_chain(mdp, strategy), [mdp.initial])).tolist()
 
 
-def _from_initial(mdp: Mdp, strategy: LiberalStrategy):
-    """The induced chain on the states reachable from the initial state,
-    the targets among them, and the position of the initial state."""
+def restricted_chain(mdp: Mdp, strategy: LiberalStrategy):
+    """The induced chain on the states reachable from the initial state, the
+    positions of the targets and of the initial state among them, the states."""
     P = induce_chain(mdp, strategy)
     states = np.flatnonzero(reachable(P, [mdp.initial]))
     return (P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]),
-            int(np.searchsorted(states, mdp.initial)))
+            int(np.searchsorted(states, mdp.initial)), states)
+
+
+def chain_value(chain) -> float:
+    """Reachability value of a `restricted_chain`'s initial state, solved exactly."""
+    P, targets, init, _ = chain
+    return float(reach_exact(P, targets)[init])
 
 
 def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
@@ -91,8 +97,7 @@ def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
     the strategy, so changing choices anywhere else cannot perturb the
     result, not even in the last bit.
     """
-    P, targets, init = _from_initial(mdp, strategy)
-    return float(reach_exact(P, targets)[init])
+    return chain_value(restricted_chain(mdp, strategy))
 
 
 def within_budget(value: float, reference: float, budget: float) -> bool:
@@ -103,28 +108,29 @@ def within_budget(value: float, reference: float, budget: float) -> bool:
 DECIDE_SWEEPS = 100  # bound sweeps before a decision falls back to the exact value
 
 
-def decide(mdp: Mdp, strategy: LiberalStrategy, reference: float, budget: float) -> bool:
-    """`within_budget(evaluate(mdp, strategy), reference, budget)`, from
-    bounds where they suffice.
+def decide(chain, upper: np.ndarray, reference: float, budget: float) -> bool:
+    """`within_budget(chain_value(chain), reference, budget)`, from bounds
+    where they suffice.
 
     Gauss–Seidel bounds at the initial state (`reach_bounds`) accept once
     the lower bound less a margin is within budget, and reject once the
-    upper bound plus the margin is not. The margin, 1e-9 of the reference,
-    lies far above the error of the exact solve, so the verdict is the one
-    the exact value gives. If the bounds close to within the margin
-    undecided, or after DECIDE_SWEEPS sweeps, the exact value decides, on
-    the same restricted chain.
+    upper bound plus the margin is not. The upper bound starts at `upper`,
+    an engine's bound on the optimum per state, as no strategy beats the
+    optimum. The margin, 1e-9 of the reference, lies far above the error of
+    the exact solve, so the verdict is the one the exact value gives. If
+    the bounds close to within the margin undecided, or after DECIDE_SWEEPS
+    sweeps, the exact value decides, on the same chain.
     """
-    P, targets, init = _from_initial(mdp, strategy)
+    P, targets, init, states = chain
     margin = 1e-9 * reference
-    for lower, upper in islice(reach_bounds(P, targets, init), DECIDE_SWEEPS + 1):
+    for lower, up in islice(reach_bounds(P, targets, init, upper[states]), DECIDE_SWEEPS + 1):
         if within_budget(lower - margin, reference, budget):
             return True
-        if not within_budget(upper + margin, reference, budget):
+        if not within_budget(up + margin, reference, budget):
             return False
-        if upper - lower < margin:
+        if up - lower < margin:
             break
-    return within_budget(float(reach_exact(P, targets)[init]), reference, budget)
+    return within_budget(chain_value(chain), reference, budget)
 
 
 def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
@@ -156,7 +162,7 @@ def consulted_dont_care(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
 
 def explicit_size(mdp: Mdp, strategy: LiberalStrategy) -> int:
     """Size of the explicit description: distinct (state, attribute) pairs."""
-    return len(strategy.good_pairs())
+    return int(distinct_attrs(mdp, strategy.defined, strategy.rows)[3].sum())
 
 
 def dump_tsv(mdp: Mdp, strategy: LiberalStrategy,

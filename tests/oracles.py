@@ -20,7 +20,9 @@ its per-location (succs, probs) pairs. `interval_iterate_reduceat` is the
 sweep loop over R in node-grouped order (`node_grouped`) that
 `core.interval_iterate`'s slot-major layout replaced.
 `encode_set_subsets` is the tuple-subset recursion that `Bdd.encode_set`'s
-index ranges replaced.
+index ranges replaced. `sweeps_by_split` is the Gauss–Seidel set-up that
+re-indexed the unknowns' rows into A and split A with `triu`, `tril` and
+`diags`, which the one pass of `core._sweeps` replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
 one in `build` replaced; with `view_dict`, `validate_dict` and
 `export_dict` it keeps a model as Python tuples. `as_tuples` reads any
@@ -803,6 +805,37 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
         U[nw] = np.minimum(U[nw], np.maximum.reduceat(Ur, starts))
         sweeps += 1
     return L, U, sweeps
+
+
+def sweeps_by_split(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
+    """`core._sweeps(P, is_target, states, ones)`: A over `states` from the
+    re-indexed rows, then its strict upper part and the diagonal of
+    off-location masses less its strict lower part, as scipy splits them."""
+    m = len(states)
+    rows = P[states]
+    owner = np.repeat(np.arange(m), np.diff(rows.indptr))
+    pos = np.full(P.shape[0], -1)
+    pos[states] = np.arange(m)
+    col = pos[rows.indices]
+    hit, keep = is_target[rows.indices], col >= 0
+    b = np.bincount(owner[hit], weights=rows.data[hit], minlength=m)
+    A = sp.csr_matrix(
+        (rows.data[keep], col[keep],
+         np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=m))))),
+        shape=(m, m))
+    off = col != owner
+    off = np.bincount(owner[off], weights=rows.data[off], minlength=m)
+    X = np.asfortranarray(np.column_stack((b, np.ones(m))))
+    yield X
+    upper = sp.triu(A, 1, format="csr")
+    lu = spla.splu((sp.diags(off) - sp.tril(A, -1)).tocsc(),
+                   permc_spec="NATURAL", diag_pivot_thresh=0)
+    rhs = np.empty_like(X)
+    while True:
+        for j in range(2):
+            np.add(upper @ X[:, j], b, out=rhs[:, j])
+        X = lu.solve(rhs)
+        yield X
 
 
 def encode_set_subsets(bdd: Bdd, items) -> int:

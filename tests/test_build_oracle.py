@@ -439,6 +439,19 @@ def test_int64_unsafe_subexpression_in_a_wide_segment(batches):
     assert compile_model(parse_model(diagonal())).expand_all is not None
 
 
+def test_expand_all_is_compiled_when_a_wide_segment_appears(monkeypatch):
+    defined = []
+    define = build.define
+    monkeypatch.setattr(build, "define",
+                        lambda name, *a, **kw: defined.append(name) or define(name, *a, **kw))
+    # the chain's queue never holds WIDE states, so it is walked throughout
+    load_model(fixtures.fig1_extended_text(2000))
+    assert defined == ["walk"]
+    defined.clear()
+    load_model(fixtures.model_text("grid"))
+    assert defined == ["walk", "expand_all"]
+
+
 @pytest.mark.parametrize("n", [3, 40])
 def test_grid_generator_matches_interpreted_build(n):
     assert assert_same_outcome(fixtures.grid_text(n)) == "ok"

@@ -194,23 +194,36 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
 def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
     # two exact values, the liberal strategy's reference and the returned
     # tree's; one induce per distinct tree (its JSON); and in the search,
-    # one budget decision per distinct induced strategy (its row mask)
-    from mdpdistill import dtree, strategy
+    # one chain and one budget decision per distinct induced strategy (its
+    # row mask), with bounds starting at the engine's upper bounds, and the
+    # returned tree solved on the chain its decision built
+    from mdpdistill import cli, dtree, strategy
     calls = {"evaluate": 0, "induce": 0}
-    masks, decided = [], []
+    masks, built, decided, solved = [], [], [], []
     learned, induced = [], []
-    fits = []
+    fits, engines = [], []
     real_evaluate, real_decide = strategy.evaluate, strategy.decide
+    real_chain, real_value = strategy.restricted_chain, strategy.chain_value
     real_induce = dtree.induce_strategy
     real_fit, real_learn = dtree.fit_max_leaf, dtree.learn
+    real_solve = cli._solve
 
     def evaluate(*a):
         calls["evaluate"] += 1
         return real_evaluate(*a)
 
-    def decide(mdp, sigma, *a):
-        decided.append(sigma.rows.tobytes())
-        return real_decide(mdp, sigma, *a)
+    def restricted_chain(mdp, sigma):
+        built.append((sigma.rows.tobytes(), real_chain(mdp, sigma)))
+        return built[-1][1]
+
+    def decide(chain, upper, *a):
+        assert upper is engines[0].state_upper
+        decided.append(chain)
+        return real_decide(chain, upper, *a)
+
+    def chain_value(chain):
+        solved.append(chain)
+        return real_value(chain)
 
     def induce(mdp, tree):
         calls["induce"] += 1
@@ -228,11 +241,18 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         fits.append(real_fit(*a, **kw))
         return fits[-1]
 
+    def solve(*a):
+        engines.append(real_solve(*a))
+        return engines[-1]
+
     monkeypatch.setattr(strategy, "evaluate", evaluate)
+    monkeypatch.setattr(strategy, "restricted_chain", restricted_chain)
     monkeypatch.setattr(strategy, "decide", decide)
+    monkeypatch.setattr(strategy, "chain_value", chain_value)
     monkeypatch.setattr(dtree, "induce_strategy", induce)
     monkeypatch.setattr(dtree, "learn", learn)
     monkeypatch.setattr(dtree, "fit_max_leaf", fit)
+    monkeypatch.setattr(cli, "_solve", solve)
     rc = main(["distill", "--model", str(models / "fig1.mdp"),
                "--runs", "2000", "--min-leaf", min_leaf])
     assert rc == 0
@@ -241,13 +261,22 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
     assert probes > 1 or min_leaf != "auto"
     assert len(learned) == probes
     assert sorted(induced) == sorted(set(learned))
-    assert calls == {"evaluate": 2, "induce": len(set(learned))}
-    assert sorted(decided) == (sorted(set(masks)) if min_leaf == "auto" else [])
+    assert calls == {"evaluate": 1, "induce": len(set(learned))}
+    # the reference's chain comes first and is solved first
+    assert solved[0] is built[0][1]
     if min_leaf == "auto":
+        assert [c for _, c in built[1:]] == decided
+        assert sorted(k for k, _ in built[1:]) == sorted(set(masks))
+        # no decision here needs the exact value, so the one solve left is
+        # the returned tree's, on a chain built for its decision
+        assert len(solved) == 2 and any(solved[1] is c for c in decided)
         # on fig1 several probes grow the same tree, so several probes
         # share an induced strategy
         assert len(set(learned)) < probes
         assert len(set(masks)) < probes
+    else:
+        assert decided == [] and len(built) == 2
+        assert len(solved) == 2 and solved[1] is built[1][1]
 
 
 def test_distill_exit_union_and_modes(models, capsys):

@@ -15,11 +15,12 @@ from mdpdistill.core import (TAU, ActionAttr, LiberalStrategy,
                              reach_exact, reachable, strong_components)
 
 from mdpdistill import core, fixtures
+from mdpdistill.solver import value_iteration
 
 from conftest import random_mdp
 from oracles import (Action, acyclic_value, as_tuples, brute_mecs, brute_val, chain_matrix,
                      chain_rows, induce_rows, interval_iterate_reduceat, make_absorbing, mdp_of,
-                     mec_list, mecs_dict, node_grouped, quotient_dict, tarjan)
+                     mec_list, mecs_dict, node_grouped, quotient_dict, sweeps_by_split, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -338,13 +339,32 @@ def test_reach_bounds_bracket_the_value_and_close(seed):
             for s in range(m.n_states) if rng.random() < 0.5})
     P = induce_chain(m, strategy)
     exact = reach_exact(P, t.target)
-    # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
-    for at in range(m.n_states):
-        for lower, upper in itertools.islice(reach_bounds(P, t.target, at), 2000):
-            assert lower - 1e-13 <= exact[at] <= upper + 1e-13
-            if upper - lower < 1e-12:
-                break
-        assert upper - lower < 1e-9
+    # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`;
+    # the upper bound starts at 1 or at the optimal value's bound
+    for start in (np.ones(m.n_states), value_iteration(m, 1e-6).state_upper):
+        for at in range(m.n_states):
+            for lower, upper in itertools.islice(reach_bounds(P, t.target, at, start), 2000):
+                assert lower - 1e-13 <= exact[at] <= upper + 1e-13
+                if upper - lower < 1e-12:
+                    break
+            assert upper - lower < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sweeps_match_the_split_matrices(seed):
+    # the one-pass system sums every row in the order the split matrices did
+    m = random_mdp(seed, max_states=40)
+    rng = random.Random(seed)
+    strategy = LiberalStrategy.from_choice(
+        m, {s: frozenset(rng.sample(range(k), rng.randint(1, k)))
+            for s, k in enumerate(np.diff(m.sparse.row_start).tolist()) if rng.random() < 0.7})
+    P = induce_chain(m, strategy)
+    is_target, states = core._unknowns(P, np.flatnonzero(m.sparse.is_target))
+    if not len(states):
+        return
+    got = core._sweeps(P, is_target, states, np.ones(m.n_states))
+    for X, Y in itertools.islice(zip(got, sweeps_by_split(P, is_target, states)), 15):
+        assert X.tobytes() == Y.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(25))

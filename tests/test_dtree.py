@@ -401,6 +401,40 @@ def test_warm_node_tables_match_cold_and_mask_loop_on_random_sets(seed):
     _assert_warm_tables_change_nothing(_random_set(seed), [1, 2, 3, 5, 9, 5, 3, 2, 1, 3, 9, 1])
 
 
+def _assert_any_probe_order_learns_the_fresh_trees(ts, leaves, seed):
+    """Learning `leaves` on one set, whose tables and kept split choices
+    fill up as they are visited, in increasing, decreasing and shuffled
+    order, gives the trees of a fresh set per leaf size."""
+    def fresh():
+        return TrainingSet(ts.domain, ts.rows, ts.good, ts.weight)
+
+    want = {m: export_json(learn(fresh(), min_leaf=m)) for m in leaves}
+    shuffled = list(leaves)
+    random.Random(seed).shuffle(shuffled)
+    for order in (sorted(leaves), sorted(leaves, reverse=True), shuffled):
+        warm = fresh()
+        for m in order:
+            assert export_json(learn(warm, min_leaf=m)) == want[m], (order, m)
+
+
+def test_any_probe_order_learns_the_fresh_trees_on_grid(grid):
+    sigma, ts = _distill_set(grid)
+    reference = evaluate(grid, sigma)
+    fit = fit_max_leaf(
+        ts, lambda t: evaluate(grid, induce_strategy(grid, t)[0]) >= 0.99 * reference)
+    leaves = [m for m, _ in fit.tried]
+    assert len(leaves) >= 20
+    _assert_any_probe_order_learns_the_fresh_trees(ts, leaves, 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_any_probe_order_learns_the_fresh_trees_on_random_sets(seed):
+    # every leaf size up to past the lighter class weight: every band
+    ts = _random_set(seed)
+    top = int(min(ts.weight[ts.good].sum(), ts.weight[~ts.good].sum()))
+    _assert_any_probe_order_learns_the_fresh_trees(ts, list(range(1, top + 3)), seed)
+
+
 def test_balanced_boundary_takes_the_fallback_split():
     # x0 xor x1, equal weights: no split gains, yet the rows are separable
     dom = Domain((("x0", 0, 1), ("x1", 0, 1)), (), 1)

@@ -1,5 +1,6 @@
 """Digests of what the command line prints and writes on the bundled models
-and on the 20,010-state chain `fixtures.fig1_extended_text(20000)`.
+(every command on grid, the headline workload) and on the 20,010-state
+chain `fixtures.fig1_extended_text(20000)`.
 
 Each case runs one command in-process, from a fresh directory holding a
 copy of its model, which it names by a relative path, so that `compare`'s
@@ -41,7 +42,8 @@ OUTPUTS = {
 COMMANDS = [f"{command} --model {model} --engine {engine}"
             for model in ("fig1.mdp", "fig1.flat", "mutex.mdp", "sync2.mdp")
             for engine in ("vi", "brtdp")
-            for command in OUTPUTS] + ["solve --model grid.mdp --engine vi"] + \
+            for command in OUTPUTS] + \
+    [f"{command} --model grid.mdp --engine vi" for command in OUTPUTS] + \
     [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")]
 
 # models that are generated rather than bundled

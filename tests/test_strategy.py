@@ -1,5 +1,6 @@
 """Strategy extraction, evaluation, truncation and the explicit dump."""
 
+import random
 from itertools import islice
 
 import numpy as np
@@ -12,8 +13,8 @@ from mdpdistill.importance import (build_training_set, exact_importance,
                                    importance_of, simulate)
 from mdpdistill.solver import brtdp, value_iteration
 from mdpdistill.strategy import (consulted_dont_care, decide, dump_tsv, evaluate,
-                                 explicit_size, extract_liberal,
-                                 reachable_under, truncate, within_budget)
+                                 explicit_size, extract_liberal, reachable_under,
+                                 restricted_chain, truncate, within_budget)
 
 from conftest import random_mdp
 from oracles import as_tuples, evaluate_rows, extract_dict, mecs_dict, truncate_dict
@@ -202,9 +203,10 @@ def test_evaluate_equals_dict_loop_on_every_probe(name, request):
         assert evaluate(m, s) == evaluate_rows(m, s)
 
 
-def _search_with_decisions(m, ts, reference, budget, monkeypatch):
-    """A budget search whose every probe checks `decide` against the exact
-    verdict, and the bounds it reads against the exact value.
+def _search_with_decisions(m, ts, reference, budget, upper, monkeypatch):
+    """A budget search whose every probe checks `decide`, its bounds starting
+    at `upper`, against the exact verdict, and the bounds it reads against
+    the exact value.
 
     Returns the exact value of each probe and how many decisions fell back
     to the exact solve.
@@ -218,15 +220,16 @@ def _search_with_decisions(m, ts, reference, budget, monkeypatch):
     def accept(tree):
         induced, _ = induce_strategy(m, tree)
         value = evaluate(m, induced)
+        chain = restricted_chain(m, induced)
         before = len(solves)
-        verdict = decide(m, induced, reference, budget)
+        verdict = decide(chain, upper, reference, budget)
         fallbacks.append(len(solves) > before)
         assert verdict == within_budget(value, reference, budget)
-        P, targets, init = strategy_mod._from_initial(m, induced)
         # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
-        for lower, upper in islice(reach_bounds(P, targets, init),
-                                   strategy_mod.DECIDE_SWEEPS + 1):
-            assert lower - 1e-13 <= value <= upper + 1e-13
+        P, targets, init, states = chain
+        for lower, up in islice(reach_bounds(P, targets, init, upper[states]),
+                                strategy_mod.DECIDE_SWEEPS + 1):
+            assert lower - 1e-13 <= value <= up + 1e-13
         values.append(value)
         return verdict
 
@@ -235,12 +238,19 @@ def _search_with_decisions(m, ts, reference, budget, monkeypatch):
     return values, sum(fallbacks)
 
 
-def _check_decisions(m, monkeypatch, runs=2000, kind="DP"):
-    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+# the engines whose upper bounds start a decision; BRTDP's episode cap keeps
+# grid quick, and leaves most of its states at the bound 1
+ENGINES = {"vi": lambda m: value_iteration(m, 1e-6),
+           "brtdp": lambda m: brtdp(m, 1e-6, seed=0, max_episodes=300)}
+
+
+def _check_decisions(m, monkeypatch, runs=2000, kind="DP", engine="vi"):
+    va = ENGINES[engine](m)
+    sigma = extract_liberal(m, va)
     weights = importance_of(simulate(m, sigma, runs, seed=0), kind).weights
     ts = build_training_set(m, sigma, weights, runs=runs)
     reference = evaluate(m, sigma)
-    values, _ = _search_with_decisions(m, ts, reference, 0.01, monkeypatch)
+    values, _ = _search_with_decisions(m, ts, reference, 0.01, va.state_upper, monkeypatch)
     if reference <= 0:
         return
     # a budget exactly at a probe's loss leaves its bounds undecided, so
@@ -248,7 +258,7 @@ def _check_decisions(m, monkeypatch, runs=2000, kind="DP"):
     # every search, the last one of the first search maybe not
     for value, made in ((values[0], True), (values[-1], False)):
         _, fallbacks = _search_with_decisions(
-            m, ts, reference, (reference - value) / reference, monkeypatch)
+            m, ts, reference, (reference - value) / reference, va.state_upper, monkeypatch)
         assert fallbacks >= made
 
 
@@ -263,18 +273,34 @@ def test_decide_matches_exact_verdict_on_random_models(seed, monkeypatch):
     _check_decisions(random_mdp(seed, max_states=30), monkeypatch, runs=300, kind="AP")
 
 
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_decide_from_brtdp_bounds_matches_exact_verdict_on_every_probe(
+        name, request, monkeypatch):
+    # unconditional importance: under grid's partial bounds no run may reach the target
+    _check_decisions(request.getfixturevalue(name), monkeypatch, kind="AP", engine="brtdp")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_decide_from_brtdp_bounds_matches_exact_verdict_on_random_models(seed, monkeypatch):
+    _check_decisions(random_mdp(seed, max_states=30), monkeypatch, runs=300, kind="AP",
+                     engine="brtdp")
+
+
 @pytest.mark.parametrize("sweeps", [0, 1])
 @pytest.mark.parametrize("name", ["fig1", "mutex", "sync2"])
 def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monkeypatch):
     m = request.getfixturevalue(name)
     monkeypatch.setattr(strategy_mod, "DECIDE_SWEEPS", sweeps)
-    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    va = value_iteration(m, 1e-6)
+    sigma = extract_liberal(m, va)
     reference = evaluate(m, sigma)
     for tree_sigma in (sigma, LiberalStrategy.from_choice(m, {})):
         value = evaluate(m, tree_sigma)
+        chain = restricted_chain(m, tree_sigma)
         for budget in (0.0, 0.01, 0.5, (reference - value) / reference):
-            assert (decide(m, tree_sigma, reference, budget)
-                    == within_budget(value, reference, budget))
+            for upper in (va.state_upper, np.ones(m.n_states)):
+                assert (decide(chain, upper, reference, budget)
+                        == within_budget(value, reference, budget))
 
 
 def test_evaluate_equals_dict_loop_on_grid(grid):
@@ -402,3 +428,26 @@ def test_good_pairs_distinct_attrs(sync2):
         assert len(attrs) == len(set(attrs))
         assert all(attr.name == "step" for attr in attrs)
         assert len(attrs) == 1
+
+
+# ------------------------------------------------- explicit size by counting
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"])
+def test_explicit_size_counts_the_good_pairs(name, request):
+    m = request.getfixturevalue(name)
+    sigma = extract_liberal(m, value_iteration(m, 1e-6))
+    weights = importance_of(simulate(m, sigma, 500, seed=0)).weights
+    for s in (sigma, truncate(sigma, weights), truncate(sigma, weights, mode="keep-argmax"),
+              LiberalStrategy.from_choice(m, {})):
+        assert explicit_size(m, s) == len(s.good_pairs())
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_explicit_size_counts_the_good_pairs_of_random_strategies(seed):
+    m = random_mdp(seed, max_states=30)
+    rng = random.Random(seed)
+    counts = np.diff(m.sparse.row_start).tolist()
+    s = LiberalStrategy.from_choice(
+        m, {st: frozenset(rng.sample(range(k), rng.randint(1, k)))
+            for st, k in enumerate(counts) if rng.random() < 0.7})
+    assert explicit_size(m, s) == len(s.good_pairs())
