@@ -427,6 +427,15 @@ def _equations(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray):
             np.bincount(row, weights=np.where(col != row, p, 0.0), minlength=m))
 
 
+def _system(row, col, p, off, keep) -> sp.csc_matrix:
+    """diag(off) - A, A the entries of `_equations` in `keep`. Every unknown
+    reaches a target, so off > 0 and the rows are diagonally dominant: an
+    M-matrix, whose pivots stay positive under any symmetric permutation."""
+    m, diag = len(off), np.arange(len(off))
+    return sp.csc_matrix((np.concatenate((off, -p[keep])), (
+        np.concatenate((diag, row[keep])), np.concatenate((diag, col[keep])))), shape=(m, m))
+
+
 def _sweeps(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray,
             upper: np.ndarray) -> Iterator[np.ndarray]:
     """Gauss–Seidel interval iteration on the unknowns `states`, nearest the
@@ -442,16 +451,15 @@ def _sweeps(P: sp.csr_matrix, is_target: np.ndarray, states: np.ndarray,
     to the values, since every unknown leaves the unknowns almost surely.
     """
     row, col, p, b, off = _equations(P, is_target, states)
-    m, diag = len(states), np.arange(len(states))
+    m = len(states)
     # column-major, the layout the solve reads and returns
     X = np.asfortranarray(np.column_stack((b, np.minimum(upper[states], 1.0))))
     yield X
-    above, below = col > row, (col >= 0) & (col < row)
+    above = col > row
     # from COO, each row's entries come out by column, the order a product adds them
     ahead = sp.csr_matrix((p[above], (row[above], col[above])), shape=(m, m))
     # triangular with a positive diagonal: no fill and no pivoting
-    lu = spla.splu(sp.csc_matrix((np.concatenate((off, -p[below])), (
-        np.concatenate((diag, row[below])), np.concatenate((diag, col[below])))), shape=(m, m)),
+    lu = spla.splu(_system(row, col, p, off, (col >= 0) & (col < row)),
                    permc_spec="NATURAL", diag_pivot_thresh=0)
     rhs = np.empty_like(X)
     while True:
@@ -492,6 +500,9 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
     locations: direct up to DIRECT_CUTOFF unknowns, else Gauss–Seidel
     interval iteration (`_sweeps`) until every U - L is below REACH_TOL,
     which returns the midpoints, or raises MdpError after REACH_SWEEPS sweeps.
+    Both paths take each diagonal as the row's mass off its location, which
+    renormalises a row (`_system`); the direct path factors the system in
+    SuperLU's minimum-degree order on Aᵀ + A, without pivoting.
     Each location's target mass is summed in the order of its row in P.
     Rows of targets are never read.
     """
@@ -501,10 +512,10 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
         return vals
     if len(states) <= DIRECT_CUTOFF:
         states = np.sort(states)
-        row, col, p, b, _ = _equations(P, is_target, states)
-        keep, m = col >= 0, len(states)
-        A = sp.csc_matrix((p[keep], (row[keep], col[keep])), shape=(m, m))
-        x = spla.spsolve(sp.eye(m, format="csc") - A, b)
+        row, col, p, b, off = _equations(P, is_target, states)
+        x = spla.splu(_system(row, col, p, off, (col >= 0) & (col != row)),
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options=dict(SymmetricMode=True)).solve(b)
     else:
         for sweep, X in enumerate(_sweeps(P, is_target, states, np.ones(len(vals)))):
             if np.max(X[:, 1] - X[:, 0]) < REACH_TOL:

@@ -16,10 +16,10 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import ActionAttr, LiberalStrategy, Mdp
 from .importance import Domain, TrainingSet
@@ -228,14 +228,55 @@ def learn(ts: TrainingSet, *, min_leaf: float = 1.0, confidence: float = 0.25,
         return Split(pred, grow(yes), grow(no), majority, total, err)
 
     root = grow(table(np.arange(len(ts.rows))))
+    del grow  # its cell holds grow itself: break the cycle
     if prune:
         root, _ = _prune(root, _upper_z(confidence))
     return DTree(root, domain)
 
 
+# Cephes `ndtri` (S. L. Moshier), the code scipy.special.ndtri runs: the ratio
+# P/Q of polynomials in (y - 1/2)^2 in the middle, and in 1/sqrt(-2 log y) on
+# the tails, above and below y = exp(-32); each Q leads with a 1
+_NDTRI_MID = ((-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+               1.39312609387279679503E1, -1.23916583867381258016E0),
+              (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+               -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+               1.59056225126211695515E1, -1.18331621121330003142E0))
+_NDTRI_NEAR = ((4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+                4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+                -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+               (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+                1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+                -3.80806407691578277194E-2, -9.33259480895457427372E-4))
+_NDTRI_FAR = ((3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+               1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+               3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
+              (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+               2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+               2.89247864745380683936E-6, 6.79019408009981274425E-9))
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _ndtri(y: float) -> float:
+    """The standard normal quantile at y in [0, 1], computed as Cephes does."""
+    if y in (0.0, 1.0):
+        return math.inf if y else -math.inf
+    upper = y > 1.0 - _EXP_M2
+    y = 1.0 - y if upper else y
+    horner = lambda x, coef: reduce(lambda acc, c: acc * x + c, coef)
+    if y > _EXP_M2:
+        y -= 0.5
+        (p, q), y2 = _NDTRI_MID, y * y
+        return (y + y * (y2 * horner(y2, p) / horner(y2, q))) * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    p, q = _NDTRI_NEAR if x < 8.0 else _NDTRI_FAR
+    x = x - math.log(x) / x - 1.0 / x * horner(1.0 / x, p) / horner(1.0 / x, q)
+    return x if upper else -x
+
+
 def _upper_z(confidence: float) -> float:
     """Standard normal quantile at 1 - confidence, floored at 0."""
-    return max(float(ndtri(1.0 - confidence)), 0.0)
+    return max(_ndtri(1.0 - confidence), 0.0)
 
 
 def _ucb_errors(e: float, n: float, z: float) -> float:
@@ -275,11 +316,12 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
     x = mdp.row_valuation
     name_id = {name: k for k, name in enumerate(mdp.action_names)}
     good = np.zeros(len(v.row_state), dtype=bool)
-
-    def walk(node: Node, rows: np.ndarray):
+    stack = [(tree.root, np.flatnonzero(~v.is_target[v.row_state]))]
+    while stack:
+        node, rows = stack.pop()
         if isinstance(node, Leaf):
             good[rows] = node.good
-            return
+            continue
         p = node.pred
         if p.kind == "le":
             holds = x[p.coord][rows] <= p.k
@@ -287,10 +329,7 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
             holds = v.action_id[rows] == name_id.get(p.k, -1)
         else:
             holds = v.module[rows] == p.k
-        walk(node.yes, rows[holds])
-        walk(node.no, rows[~holds])
-
-    walk(tree.root, np.flatnonzero(~v.is_target[v.row_state]))
+        stack += ((node.no, rows[~holds]), (node.yes, rows[holds]))
     defined = np.bincount(v.row_state[good], minlength=mdp.n_states) > 0
     fallback = np.flatnonzero(~defined & ~v.is_target).tolist()
     return LiberalStrategy(mdp, good, defined), fallback

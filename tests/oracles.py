@@ -274,7 +274,9 @@ def _search(succ: Sequence[Sequence[int]], sources) -> List[bool]:
 
 
 def reach_rows(rows: Rows, targets) -> np.ndarray:
-    """Reachability values of a chain given as rows, by one direct solve."""
+    """Reachability values of a chain given as rows, by one direct solve of
+    diag(off) - A, off each row's mass off its own location, in `reach_exact`'s
+    order and without pivoting."""
     n = len(rows)
     targets = set(targets)
     vals = np.zeros(n)
@@ -295,15 +297,23 @@ def reach_rows(rows: Rows, targets) -> np.ndarray:
     data, ind, indptr = [], [], [0]
     b = np.zeros(m)
     for s in unknown:
+        # the diagonal is the row's mass on its other branches, added in row order
+        off = 0.0
         for t, p in zip(*rows[s]):
+            if t != s:
+                off += p
             if t in targets:
                 b[pos[s]] += p
-            elif t in pos:
+            elif t in pos and t != s:
                 ind.append(pos[t])
-                data.append(p)
+                data.append(-p)
+        ind.append(pos[s])
+        data.append(off)
         indptr.append(len(ind))
-    A = sp.csr_matrix((data, ind, indptr), shape=(m, m))
-    x = np.clip(spla.spsolve(sp.eye(m, format="csc") - A.tocsc(), b), 0.0, 1.0)
+    M = sp.csr_matrix((data, ind, indptr), shape=(m, m)).tocsc()
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options=dict(SymmetricMode=True))
+    x = np.clip(lu.solve(b), 0.0, 1.0)
     for s in unknown:
         vals[s] = x[pos[s]]
     return vals

@@ -531,3 +531,16 @@ def test_module_entry_exits_two_without_traceback(models):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # the pruning quantile is computed in pure Python; scipy.special costs
+    # about 50 ms and 4 MB to import
+    src = Path(mdpdistill.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, mdpdistill.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -301,6 +301,16 @@ def test_reach_exact_iteration_survives_a_self_loop_near_one(monkeypatch):
     assert abs(v[0] - 1.0) < core.REACH_TOL
 
 
+@pytest.mark.parametrize("iterate", [False, True])
+def test_reach_exact_reads_a_self_loop_near_one_alike_on_both_paths(iterate, monkeypatch):
+    # both paths take the diagonal as the mass off the self-loop, so the
+    # row is read as renormalised and 0 reaches the target almost surely
+    chain = chain_matrix((((0, 1), (1 - 1e-13, 1e-13)), ((1,), (1.0,))))
+    if iterate:
+        monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
+    assert abs(reach_exact(chain, [1])[0] - 1.0) <= 1e-15
+
+
 def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
     # a ring that leaks 1/8 to the target at one place needs many sweeps
     n = 40
@@ -379,6 +389,19 @@ def test_reach_exact_matches_fraction_dp(seed):
     chain = induce_chain(m, strategy)
     v = reach_exact(chain, t.target)
     assert v[m.initial] == pytest.approx(float(exactv), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_reach_exact_direct_path_matches_fraction_dp_closely(seed):
+    m = random_mdp(seed, acyclic=True)
+    rng = random.Random(seed + 4242)
+    t = as_tuples(m)
+    strategy = LiberalStrategy.from_choice(
+        m, {s: frozenset(rng.sample(range(len(t.actions[s])),
+                                    rng.randint(1, len(t.actions[s]))))
+            for s in range(m.n_states) if s not in t.target})
+    v = reach_exact(induce_chain(m, strategy), t.target)
+    assert abs(v[m.initial] - float(acyclic_value(m, strategy))) <= 1e-14
 
 
 def test_values_clipped_to_unit_interval():

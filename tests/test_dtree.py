@@ -1,5 +1,6 @@
 """Decision-tree learning, pruning, serialization and the size search."""
 
+import gc
 import json
 import random
 
@@ -242,6 +243,18 @@ def test_upper_z_is_the_normal_quantile(confidence):
     assert _upper_z(confidence) == max(float(norm.ppf(1.0 - confidence)), 0.0)
 
 
+def test_upper_z_is_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+    rng = np.random.default_rng(0)
+    confidences = np.concatenate((
+        [0.25, 1.0, 1e-300, 5e-324, 0.5, 1 - 0.13533528323661269189, np.nextafter(1.0, 0.0)],
+        rng.random(12000),
+        np.exp(-rng.random(4000) * 700),  # deep lower tail of the quantile
+        -np.expm1(-rng.random(4000) * 36)))  # near 1: the upper tail
+    for c in confidences.tolist():
+        assert _upper_z(c) == max(float(ndtri(1.0 - c)), 0.0), c
+
+
 # ------------------------------------------------------------ induction
 
 def _hand_tree(m):
@@ -328,6 +341,19 @@ def test_learn_matches_mask_loop_on_every_probe(name, request):
         for prune in (True, False):
             assert export_json(learn(ts, min_leaf=leaf, prune=prune)) == export_json(
                 learn_masks(ts, min_leaf=leaf, prune=prune)), (leaf, prune)
+
+
+def test_learn_and_induce_leave_no_garbage_cycles(grid):
+    # recursive closures would keep their cells, and all they hold, until
+    # the cyclic collector runs
+    _, ts = _distill_set(grid)
+    gc.collect()
+    gc.disable()
+    try:
+        induce_strategy(grid, learn(ts, min_leaf=20))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_set(seed):
