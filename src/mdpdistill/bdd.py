@@ -108,7 +108,9 @@ class Bdd:
             mid = bisect_left(strings, 1, lo, hi, key=itemgetter(depth))
             return self.node(depth, build(depth + 1, lo, mid), build(depth + 1, mid, hi))
 
-        return build(0, 0, len(strings))
+        root = build(0, 0, len(strings))
+        del build  # its cell holds build itself: break the cycle
+        return root
 
     def contains(self, root: int, bits: Sequence[int]) -> bool:
         nid = root

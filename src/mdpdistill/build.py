@@ -248,6 +248,7 @@ def compile_model(ast: ModelAst) -> CompiledModel:
             action([cmd for _, _, cmd in combo], label, 0, " and ".join(g for g, _, _ in combo),
                    both)
     wide.append(f"H[:] = {vec(ast.target)[0]}")
+    del vec  # its cell holds vec itself: break the cycle
     walk = [
         "get, add, found, kind, n = index.get, states.append, succ.append, row_kind.append, "
         "len(states)",

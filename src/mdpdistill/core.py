@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,36 +222,6 @@ class LiberalStrategy:
         self.mdp = mdp
         self.rows = selected | ~defined[mdp.sparse.row_state]
         self.defined = defined
-
-    @classmethod
-    def from_choice(cls, mdp: Mdp, choice: Dict[int, FrozenSet[int]]) -> "LiberalStrategy":
-        """The strategy choosing local action indices `choice[s]` at each key s."""
-        v = mdp.sparse
-        states = np.fromiter(choice, np.int64, len(choice))
-        sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
-        local = np.fromiter(chain.from_iterable(choice.values()), np.int64, int(sizes.sum()))
-        owner = np.repeat(states, sizes)
-        if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
-            raise MdpError("strategy chooses an action index out of range")
-        defined = np.zeros(mdp.n_states, dtype=bool)
-        defined[states] = True
-        selected = np.zeros(len(v.row_state), dtype=bool)
-        selected[v.row_start[owner] + local] = True
-        return cls(mdp, selected, defined)
-
-    @property
-    def choice(self) -> Dict[int, FrozenSet[int]]:
-        """The map as a dict, derived from the masks on each access."""
-        v = self.mdp.sparse
-        rows = np.flatnonzero(self.rows & self.defined[v.row_state])
-        owner = v.row_state[rows]
-        picked: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(self.defined).tolist()}
-        for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
-            picked[s].append(i)
-        return {s: frozenset(acts) for s, acts in picked.items()}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LiberalStrategy) and self.choice == other.choice
 
     def good_pairs(self) -> List[Tuple[int, ActionAttr]]:
         """Distinct (state, attribute) pairs selected at defined states."""
@@ -654,19 +623,3 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
         np.minimum(U[:k], best(U), out=U[:k])
         sweeps += 1
     return L[new], U[new], sweeps
-
-
-def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:
-    """Optimal reachability values Val(s), certified to a U-L gap below tol.
-
-    Interval iteration on the MEC quotient; both bounds converge there since
-    collapsing MECs removes every end component.
-    """
-    if not mdp.sparse.is_target.any():
-        return np.zeros(mdp.n_states)
-    mecs = mec_decompose(mdp)
-    q = build_quotient(mdp, mecs)
-    L, U, _ = interval_iterate(q, tol=tol)
-    vals = (L + U) / 2.0
-    np.clip(vals, 0.0, 1.0, out=vals)
-    return vals[q.node_of]

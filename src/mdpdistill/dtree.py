@@ -17,11 +17,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import ActionAttr, LiberalStrategy, Mdp
+from .core import LiberalStrategy, Mdp
 from .importance import Domain, TrainingSet
 
 COORD_ACTION = "action"
@@ -35,15 +35,6 @@ class Pred:
     kind: str                 # "le" | "action" | "module"
     coord: int = 0            # variable index, used by "le"
     k: Union[int, str] = 0    # threshold, action name, or module index
-
-    def holds(self, x: Sequence[int], attr: Optional[ActionAttr]) -> bool:
-        if self.kind == "le":
-            return x[self.coord] <= self.k
-        if attr is None:
-            return False
-        if self.kind == COORD_ACTION:
-            return attr.name == self.k
-        return attr.module == self.k
 
     def describe(self, domain: Domain) -> str:
         if self.kind == "le":
@@ -75,12 +66,6 @@ Node = Union[Leaf, Split]
 class DTree:
     root: Node
     domain: Domain
-
-    def classify(self, x: Sequence[int], attr: Optional[ActionAttr] = None) -> bool:
-        node = self.root
-        while isinstance(node, Split):
-            node = node.yes if node.pred.holds(x, attr) else node.no
-        return node.good
 
     @property
     def size(self) -> int:
@@ -399,6 +384,7 @@ def export_dot(tree: DTree) -> str:
         return nid
 
     walk(tree.root)
+    del walk  # its cell holds walk itself: break the cycle
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -183,7 +183,7 @@ def define(name: str, arity: int, body: Sequence[str], *, outputs: Sequence[str]
                   + ["    " + line for line in body])
     scope = {"__builtins__": {}, "min": min, "max": max, **scope}
     exec(compile(src, f"<{name}>", "exec"), scope)
-    fn = scope[name]
+    fn = scope.pop(name)  # scope is its globals: leaving it there is a cycle
     fn.source = src
     return fn
 

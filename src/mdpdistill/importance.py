@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (GOLDEN64, LiberalStrategy, Mdp, MdpError, derive_seed,
-                   distinct_attrs, induce_chain, reach_exact, reachable, splitmix64)
+                   distinct_attrs, induce_chain, reachable, splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -218,24 +218,6 @@ def importance_of(stats: RunStats, variant: str = "DP") -> ImportanceResult:
     clipped = int(np.count_nonzero(w > 1.0))
     np.clip(w, 0.0, 1.0, out=w)
     return ImportanceResult(w, clipped)
-
-
-def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
-    """P[visit s | target reached] in the induced chain, by linear algebra.
-
-    The visit probability factors at the first visit: reach s, then reach
-    the target from s. Both factors are plain reachability problems in the
-    induced chain; the first one, with s as the target, never reads the
-    row of s, so the chain needs no cut there.
-    """
-    P = induce_chain(mdp, strategy)
-    b = reach_exact(P, np.flatnonzero(mdp.sparse.is_target))
-    if b[mdp.initial] <= 0.0:
-        raise MdpError("strategy cannot reach the target; importance undefined")
-    imp = np.zeros(mdp.n_states)
-    for s in np.flatnonzero(b != 0.0).tolist():
-        imp[s] = reach_exact(P, [s])[mdp.initial] * b[s] / b[mdp.initial]
-    return np.clip(imp, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------

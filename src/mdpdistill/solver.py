@@ -11,7 +11,7 @@ a large irrelevant part it converges after exploring a fraction of the space.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
 
@@ -20,8 +20,6 @@ import numpy as np
 from .core import (Mdp, MecDecomposition, build_quotient, derive_seed, interval_iterate,
                    mec_decompose)
 
-CHECK_TOL = 1e-9  # rounding slack each of check_valid's comparisons allows
-
 
 @dataclass
 class ValueApprox:
@@ -29,12 +27,13 @@ class ValueApprox:
 
     The per-pair lower table, one entry per row of `mdp.sparse`, is the
     object downstream steps consume: it is a valid eps-underapproximation
-    of the optimal pair values (see check_valid for the individual
-    conditions). `explored` lists, in ascending order, the states the
-    engine actually computed bounds for; with value iteration that is
-    every state. Elsewhere the tables hold the defaults: pair value 0,
-    state lower bound 1 at targets and 0 otherwise, state upper bound 1.
-    `mecs` are the model's MECs when the engine built them.
+    of the optimal pair values (`tests/oracles.check_valid` checks the
+    individual conditions against the exact optimum). `explored` lists, in
+    ascending order, the states the engine actually computed bounds for;
+    with value iteration that is every state. Elsewhere the tables hold
+    the defaults: pair value 0, state lower bound 1 at targets and 0
+    otherwise, state upper bound 1. `mecs` are the model's MECs when the
+    engine built them.
     """
 
     pair_lower: np.ndarray
@@ -206,77 +205,3 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         state_upper=np.where(open_, upper, 1.0),
         epsilon=eps, explored=np.flatnonzero(seen),
         gap=gap, engine="brtdp", episodes=episodes)
-
-
-@dataclass
-class ValidityReport:
-    """Outcome of checking a ValueApprox against the soundness conditions."""
-
-    lower_bound_ok: bool = True
-    initial_gap_ok: bool = True
-    bellman_ok: bool = True
-    mec_exit_ok: bool = True
-    messages: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (self.lower_bound_ok and self.initial_gap_ok
-                and self.bellman_ok and self.mec_exit_ok)
-
-
-def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
-    """Check the four conditions a usable underapproximation must satisfy.
-
-    1. every recorded pair value is at most the optimal pair value;
-    2. the initial state's value is within eps of optimal;
-    3. pair values are consistent: V(s,a) <= sum_t delta(s,a)(t) * V(t);
-    4. every end component carrying positive value contains an exiting pair
-       whose value matches the component's best pair (otherwise extraction
-       could trap the run inside). Components touching the target and
-       components with value zero need no exit.
-    """
-    rep = ValidityReport()
-    v = mdp.sparse
-    explored = np.zeros(mdp.n_states, dtype=bool)
-    explored[va.explored] = True
-    recorded = explored[v.row_state]
-    pl = va.pair_lower
-
-    def pair(r: int) -> str:
-        s = int(v.row_state[r])
-        return f"({s},{r - v.row_start[s]})"
-
-    opt = v.branches @ exact
-    for r in np.flatnonzero(recorded & (pl > opt + CHECK_TOL)):
-        rep.lower_bound_ok = False
-        rep.messages.append(
-            f"pair {pair(r)}: lower bound {pl[r]:.12g} exceeds optimum {opt[r]:.12g}")
-
-    v0 = va.state_lower[mdp.initial]
-    if exact[mdp.initial] - v0 > va.epsilon + CHECK_TOL:
-        rep.initial_gap_ok = False
-        rep.messages.append(
-            f"initial state: optimum {exact[mdp.initial]:.12g} minus bound "
-            f"{v0:.12g} exceeds eps={va.epsilon}")
-
-    succ_val = v.branches @ va.state_lower
-    for r in np.flatnonzero(recorded & (pl > succ_val + CHECK_TOL)):
-        rep.bellman_ok = False
-        rep.messages.append(
-            f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
-
-    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
-    k_of = mecs.mec_of[v.row_state]
-    rows = recorded & (k_of >= 0)
-    rows[rows] = ~mecs.touching(v.is_target)[k_of[rows]]
-    best = np.full(mecs.count, -np.inf)
-    np.maximum.at(best, k_of[rows], pl[rows])
-    exits = np.flatnonzero(rows & ~mecs.internal)
-    exits = exits[pl[exits] >= best[k_of[exits]] - CHECK_TOL]
-    has_exit = np.bincount(k_of[exits], minlength=mecs.count) > 0
-    for k in np.flatnonzero((best > CHECK_TOL) & ~has_exit):
-        rep.mec_exit_ok = False
-        rep.messages.append(
-            f"end component {np.flatnonzero(mecs.mec_of == k)[:8].tolist()}: no exiting "
-            f"pair matches best value {best[k]:.12g}")
-    return rep

@@ -154,12 +154,6 @@ def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
     return LiberalStrategy(strategy.mdp, selected, kept)
 
 
-def consulted_dont_care(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
-    """Reachable states the strategy leaves open (resolved uniformly)."""
-    states = np.array(reachable_under(mdp, strategy), dtype=np.int64)
-    return states[~strategy.defined[states] & ~mdp.sparse.is_target[states]].tolist()
-
-
 def explicit_size(mdp: Mdp, strategy: LiberalStrategy) -> int:
     """Size of the explicit description: distinct (state, attribute) pairs."""
     return int(distinct_attrs(mdp, strategy.defined, strategy.rows)[3].sum())

@@ -6,6 +6,15 @@ checking every state subset, strategy values on acyclic models by exact
 rational path summation. Only usable on tiny models; the tests freeze the
 numbers these produce.
 
+`max_reach_exact` (the optimum by interval iteration to a gap of 1e-12),
+`exact_importance` (one solve per state), `consulted_dont_care` and
+`check_valid` (the four soundness conditions of a `ValueApprox`, with its
+`ValidityReport` and `CHECK_TOL`) need the exact optimum or walk one state
+at a time, so no command of the tool runs them. `strategy_from_choice` and
+`choice_of` turn a `LiberalStrategy` into the {state: local action indices}
+dict and back; two strategies play alike when their `choice_of` dicts are
+equal. `classify` walks a `DTree` for one valuation.
+
 The per-state loops at the end (`induce_rows`, `reach_rows`,
 `evaluate_rows`, `truncate_dict`, `induce_by_classify`, `simulate_rows`,
 `learn_masks`, `tarjan`, `mecs_dict`, `quotient_dict`, `brtdp_dict`,
@@ -39,7 +48,7 @@ import math
 import random
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -52,7 +61,8 @@ import scipy.sparse.linalg as spla
 from mdpdistill.bdd import Bdd
 from mdpdistill.core import (_MASK64, TAU, ActionAttr, LiberalStrategy,
                              Mdp, MdpError, MecDecomposition, Quotient,
-                             SparseView, derive_seed, distinct_attrs, induce_chain,
+                             SparseView, build_quotient, derive_seed, distinct_attrs,
+                             induce_chain, interval_iterate, mec_decompose,
                              reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
@@ -61,6 +71,7 @@ from mdpdistill.expr import (And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg
 from mdpdistill.importance import Domain, RunStats, TrainingSet
 from mdpdistill.lang import ModelAst, ModelError
 from mdpdistill.solver import ValueApprox
+from mdpdistill.strategy import reachable_under
 
 
 Rows = Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
@@ -94,13 +105,183 @@ def chain_rows(P: sp.csr_matrix) -> Rows:
     return tuple((tuple(ind[a:b]), tuple(data[a:b])) for a, b in zip(ptr, ptr[1:]))
 
 
+# --------------------------------------------------------------------------
+# A strategy as a dict and a tree walked one valuation at a time: the views
+# the array code needs neither of.
+
+def strategy_from_choice(mdp: Mdp, choice: Dict[int, FrozenSet[int]]) -> LiberalStrategy:
+    """The strategy choosing local action indices `choice[s]` at each key s."""
+    v = mdp.sparse
+    states = np.fromiter(choice, np.int64, len(choice))
+    sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
+    local = np.fromiter((i for acts in choice.values() for i in acts), np.int64,
+                        int(sizes.sum()))
+    owner = np.repeat(states, sizes)
+    if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
+        raise MdpError("strategy chooses an action index out of range")
+    defined = np.zeros(mdp.n_states, dtype=bool)
+    defined[states] = True
+    selected = np.zeros(len(v.row_state), dtype=bool)
+    selected[v.row_start[owner] + local] = True
+    return LiberalStrategy(mdp, selected, defined)
+
+
+def choice_of(strategy: LiberalStrategy) -> Dict[int, FrozenSet[int]]:
+    """The strategy's map as a dict: each defined state's local action indices.
+    Two strategies of one model play alike exactly when these are equal."""
+    v = strategy.mdp.sparse
+    rows = np.flatnonzero(strategy.rows & strategy.defined[v.row_state])
+    owner = v.row_state[rows]
+    picked: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(strategy.defined).tolist()}
+    for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+        picked[s].append(i)
+    return {s: frozenset(acts) for s, acts in picked.items()}
+
+
+def classify(tree: DTree, x: Sequence[int], attr: Optional[ActionAttr] = None) -> bool:
+    """The label `tree` gives valuation `x` with action attribute `attr`,
+    one test at a time; an action or module test fails without an attribute."""
+    node = tree.root
+    while isinstance(node, Split):
+        p = node.pred
+        if p.kind == "le":
+            yes = x[p.coord] <= p.k
+        elif attr is None:
+            yes = False
+        else:
+            yes = (attr.name if p.kind == COORD_ACTION else attr.module) == p.k
+        node = node.yes if yes else node.no
+    return node.good
+
+
 def actions_of(mdp: Mdp, strategy: LiberalStrategy) -> List[Tuple[int, ...]]:
     """Per state, the sorted local action indices the strategy plays: its
     choice where defined, every action elsewhere."""
     dm = as_tuples(mdp)
-    choice = strategy.choice
+    choice = choice_of(strategy)
     return [tuple(sorted(choice[s])) if s in choice else tuple(range(len(dm.actions[s])))
             for s in range(mdp.n_states)]
+
+
+# --------------------------------------------------------------------------
+# Exact oracles: the optimum, exact importance, and the checks that read a
+# result against them.
+
+def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:
+    """Optimal reachability values Val(s), certified to a U-L gap below tol.
+
+    Interval iteration on the MEC quotient; both bounds converge there since
+    collapsing MECs removes every end component.
+    """
+    if not mdp.sparse.is_target.any():
+        return np.zeros(mdp.n_states)
+    mecs = mec_decompose(mdp)
+    q = build_quotient(mdp, mecs)
+    L, U, _ = interval_iterate(q, tol=tol)
+    vals = (L + U) / 2.0
+    np.clip(vals, 0.0, 1.0, out=vals)
+    return vals[q.node_of]
+
+
+def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
+    """P[visit s | target reached] in the induced chain, by linear algebra.
+
+    The visit probability factors at the first visit: reach s, then reach
+    the target from s. Both factors are plain reachability problems in the
+    induced chain; the first one, with s as the target, never reads the
+    row of s, so the chain needs no cut there.
+    """
+    P = induce_chain(mdp, strategy)
+    b = reach_exact(P, np.flatnonzero(mdp.sparse.is_target))
+    if b[mdp.initial] <= 0.0:
+        raise MdpError("strategy cannot reach the target; importance undefined")
+    imp = np.zeros(mdp.n_states)
+    for s in np.flatnonzero(b != 0.0).tolist():
+        imp[s] = reach_exact(P, [s])[mdp.initial] * b[s] / b[mdp.initial]
+    return np.clip(imp, 0.0, 1.0)
+
+
+def consulted_dont_care(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
+    """Reachable states the strategy leaves open (resolved uniformly)."""
+    states = np.array(reachable_under(mdp, strategy), dtype=np.int64)
+    return states[~strategy.defined[states] & ~mdp.sparse.is_target[states]].tolist()
+
+
+CHECK_TOL = 1e-9  # rounding slack each of check_valid's comparisons allows
+
+
+@dataclass
+class ValidityReport:
+    """Outcome of checking a ValueApprox against the soundness conditions."""
+
+    lower_bound_ok: bool = True
+    initial_gap_ok: bool = True
+    bellman_ok: bool = True
+    mec_exit_ok: bool = True
+    messages: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return (self.lower_bound_ok and self.initial_gap_ok
+                and self.bellman_ok and self.mec_exit_ok)
+
+
+def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
+    """Check the four conditions a usable underapproximation must satisfy.
+
+    1. every recorded pair value is at most the optimal pair value;
+    2. the initial state's value is within eps of optimal;
+    3. pair values are consistent: V(s,a) <= sum_t delta(s,a)(t) * V(t);
+    4. every end component carrying positive value contains an exiting pair
+       whose value matches the component's best pair (otherwise extraction
+       could trap the run inside). Components touching the target and
+       components with value zero need no exit.
+    """
+    rep = ValidityReport()
+    v = mdp.sparse
+    explored = np.zeros(mdp.n_states, dtype=bool)
+    explored[va.explored] = True
+    recorded = explored[v.row_state]
+    pl = va.pair_lower
+
+    def pair(r: int) -> str:
+        s = int(v.row_state[r])
+        return f"({s},{r - v.row_start[s]})"
+
+    opt = v.branches @ exact
+    for r in np.flatnonzero(recorded & (pl > opt + CHECK_TOL)):
+        rep.lower_bound_ok = False
+        rep.messages.append(
+            f"pair {pair(r)}: lower bound {pl[r]:.12g} exceeds optimum {opt[r]:.12g}")
+
+    v0 = va.state_lower[mdp.initial]
+    if exact[mdp.initial] - v0 > va.epsilon + CHECK_TOL:
+        rep.initial_gap_ok = False
+        rep.messages.append(
+            f"initial state: optimum {exact[mdp.initial]:.12g} minus bound "
+            f"{v0:.12g} exceeds eps={va.epsilon}")
+
+    succ_val = v.branches @ va.state_lower
+    for r in np.flatnonzero(recorded & (pl > succ_val + CHECK_TOL)):
+        rep.bellman_ok = False
+        rep.messages.append(
+            f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
+
+    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
+    k_of = mecs.mec_of[v.row_state]
+    rows = recorded & (k_of >= 0)
+    rows[rows] = ~mecs.touching(v.is_target)[k_of[rows]]
+    best = np.full(mecs.count, -np.inf)
+    np.maximum.at(best, k_of[rows], pl[rows])
+    exits = np.flatnonzero(rows & ~mecs.internal)
+    exits = exits[pl[exits] >= best[k_of[exits]] - CHECK_TOL]
+    has_exit = np.bincount(k_of[exits], minlength=mecs.count) > 0
+    for k in np.flatnonzero((best > CHECK_TOL) & ~has_exit):
+        rep.mec_exit_ok = False
+        rep.messages.append(
+            f"end component {np.flatnonzero(mecs.mec_of == k)[:8].tolist()}: no exiting "
+            f"pair matches best value {best[k]:.12g}")
+    return rep
 
 
 def brute_val(mdp: Mdp, limit: int = 12) -> np.ndarray:
@@ -332,7 +513,7 @@ def evaluate_rows(mdp: Mdp, strategy: LiberalStrategy) -> float:
 
 
 def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
-    """`importance.exact_importance` with the chain cut at each state: for
+    """`exact_importance` with the chain cut at each state: for
     P[reach s], the row of s is replaced by a self-loop first."""
     dm = as_tuples(mdp)
     rows = chain_rows(induce_chain(mdp, strategy))
@@ -352,18 +533,19 @@ def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
 
 def truncate_dict(strategy: LiberalStrategy, weights, delta: float = 0.0,
                   mode: str = "keep-all") -> LiberalStrategy:
-    """`strategy.truncate`, one state of the `choice` dict at a time."""
+    """`strategy.truncate`, one state of the `choice_of` dict at a time."""
     if mode not in ("keep-all", "keep-argmax"):
         raise ValueError(f"unknown truncation mode {mode!r}")
     kept: Dict[int, FrozenSet[int]] = {}
-    for s, acts in strategy.choice.items():
+    for s, acts in choice_of(strategy).items():
         if weights[s] > delta:
             kept[s] = frozenset({min(acts)}) if mode == "keep-argmax" else acts
-    return LiberalStrategy.from_choice(strategy.mdp, kept)
+    return strategy_from_choice(strategy.mdp, kept)
 
 
 def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[int]]:
-    """`choice` and fallback states of a tree, one `classify` call per action."""
+    """The choice dict, as `choice_of` reads it, and the fallback states of
+    a tree, one `classify` call per action."""
     dm = as_tuples(mdp)
     choice = {}
     fallback: List[int] = []
@@ -371,7 +553,7 @@ def induce_by_classify(mdp: Mdp, tree) -> Tuple[Dict[int, FrozenSet[int]], List[
         if s in dm.target:
             continue
         keep = frozenset(i for i, a in enumerate(dm.actions[s])
-                         if tree.classify(dm.states[s], a.attr))
+                         if classify(tree, dm.states[s], a.attr))
         if keep:
             choice[s] = keep
         else:
@@ -1078,7 +1260,7 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
             else:
                 picked = set(internal)
             choice[s] = frozenset(picked)
-    return LiberalStrategy.from_choice(mdp, choice)
+    return strategy_from_choice(mdp, choice)
 
 
 # --------------------------------------------------------------------------

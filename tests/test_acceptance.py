@@ -30,11 +30,10 @@ import pytest
 from conftest import random_mdp
 from mdpdistill import bdd, dtree, fixtures, strategy as strat
 from mdpdistill.cli import main
-from mdpdistill.core import max_reach_exact
-from mdpdistill.importance import (Domain, build_training_set, exact_importance,
-                                   importance_of, simulate)
-from mdpdistill.solver import brtdp, check_valid, value_iteration
-from oracles import TrainRow, as_tuples, rows_of, training_set
+from mdpdistill.importance import Domain, build_training_set, importance_of, simulate
+from mdpdistill.solver import brtdp, value_iteration
+from oracles import (TrainRow, as_tuples, check_valid, choice_of, classify, exact_importance,
+                     max_reach_exact, rows_of, training_set)
 
 FIXTURES = ("fig1", "mutex", "sync2", "grid")
 MODELS = ir.files("mdpdistill") / "models"
@@ -92,8 +91,8 @@ def test_criterion_01_fig1_values_and_extraction():
     vq = va.state_lower[q]
     brute = max_reach_exact(fig1)
     sigma = strat.extract_liberal(fig1, va)
-    picks0 = {t.actions[0][i].attr.name for i in sigma.choice[0]}
-    picksq = {t.actions[q][i].attr.name for i in sigma.choice[q]}
+    picks0 = {t.actions[0][i].attr.name for i in choice_of(sigma)[0]}
+    picksq = {t.actions[q][i].attr.name for i in choice_of(sigma)[q]}
     dt = time.perf_counter() - t0
     ok = (abs(v0 - 0.995) <= 1e-9 and abs(vq - 0.5) <= 1e-9
           and abs(brute[fig1.initial] - 0.995) <= 1e-12
@@ -138,7 +137,7 @@ def test_criterion_03_membership_tree():
                 and isinstance(t.root.no.yes, dtree.Leaf)
                 and not t.root.no.yes.good
                 and isinstance(t.root.no.no, dtree.Leaf) and t.root.no.no.good)
-    class_ok = all(t.classify((v,), None) == (v in {1, 2, 3, 7})
+    class_ok = all(classify(t, (v,), None) == (v in {1, 2, 3, 7})
                    for v in range(1, 8))
     ok = shape_ok and class_ok
     assert _report(3, ok, f"size {t.size}, root [x1<=3], else [x1<=6] "
@@ -303,7 +302,7 @@ def test_criterion_12_representation_exactness():
         _, _, _, _, _, ts, _ = _default_pipeline(name, variant)
         t = dtree.learn(ts, min_leaf=1, prune=False)
         errs = sum(r.weight for r in rows_of(ts)
-                   if t.classify(r.x, r.attr) != r.good)
+                   if classify(t, r.x, r.attr) != r.good)
         tree_errors[f"{name}/{variant}"] = errs
     # the stored ROBDD must accept exactly the truncated good pairs,
     # checked against every point of the bit domain

@@ -6,11 +6,11 @@ import pytest
 
 from mdpdistill.bdd import Bdd, BitLayout, _width, store_strategy
 from mdpdistill.core import ActionAttr
-from mdpdistill.importance import Domain, exact_importance, importance_of, simulate
+from mdpdistill.importance import Domain, importance_of, simulate
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal, truncate
 
-from oracles import as_tuples, encode_set_subsets
+from oracles import as_tuples, encode_set_subsets, exact_importance, strategy_from_choice
 
 
 def _opt(mdp, cut=False):
@@ -197,10 +197,9 @@ def test_store_deterministic(mutex):
 
 
 def test_store_empty_strategy(fig1):
-    from mdpdistill.core import LiberalStrategy
     # don't-care states are not part of the stored description, so the
     # fully undefined strategy encodes the empty set
-    store = store_strategy(fig1, LiberalStrategy.from_choice(fig1, {}))
+    store = store_strategy(fig1, strategy_from_choice(fig1, {}))
     assert store.size == 0
     assert store.root == store.bdd.FALSE
     assert not store.accepts((0, 1), ActionAttr("a", 1))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mdpdistill.core import (TAU, ActionAttr, LiberalStrategy,
+from mdpdistill.core import (TAU, ActionAttr,
                              MdpError, branch_groups, breadth_first, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
-                             max_reach_exact, mec_decompose, reach_bounds,
+                             mec_decompose, reach_bounds,
                              reach_exact, reachable, strong_components)
 
 from mdpdistill import core, fixtures
@@ -19,8 +19,9 @@ from mdpdistill.solver import value_iteration
 
 from conftest import random_mdp
 from oracles import (Action, acyclic_value, as_tuples, brute_mecs, brute_val, chain_matrix,
-                     chain_rows, induce_rows, interval_iterate_reduceat, make_absorbing, mdp_of,
-                     mec_list, mecs_dict, node_grouped, quotient_dict, sweeps_by_split, tarjan)
+                     chain_rows, induce_rows, interval_iterate_reduceat, make_absorbing,
+                     max_reach_exact, mdp_of, mec_list, mecs_dict, node_grouped, quotient_dict,
+                     strategy_from_choice, sweeps_by_split, tarjan)
 
 
 def _mdp(actions, target, n=None):
@@ -329,7 +330,7 @@ def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_breadth_first_order_matches_reachable(seed):
     m = random_mdp(seed, max_states=25)
-    P = induce_chain(m, LiberalStrategy.from_choice(m, {}))
+    P = induce_chain(m, strategy_from_choice(m, {}))
     sources = sorted(as_tuples(m).target)
     order = breadth_first(P.T, sources)
     mask = reachable(P.T, sources)
@@ -344,7 +345,7 @@ def test_reach_bounds_bracket_the_value_and_close(seed):
     m = random_mdp(seed, max_states=25)
     rng = random.Random(seed)
     t = as_tuples(m)
-    strategy = LiberalStrategy.from_choice(
+    strategy = strategy_from_choice(
         m, {s: frozenset({rng.randrange(len(t.actions[s]))})
             for s in range(m.n_states) if rng.random() < 0.5})
     P = induce_chain(m, strategy)
@@ -365,7 +366,7 @@ def test_sweeps_match_the_split_matrices(seed):
     # the one-pass system sums every row in the order the split matrices did
     m = random_mdp(seed, max_states=40)
     rng = random.Random(seed)
-    strategy = LiberalStrategy.from_choice(
+    strategy = strategy_from_choice(
         m, {s: frozenset(rng.sample(range(k), rng.randint(1, k)))
             for s, k in enumerate(np.diff(m.sparse.row_start).tolist()) if rng.random() < 0.7})
     P = induce_chain(m, strategy)
@@ -382,7 +383,7 @@ def test_reach_exact_matches_fraction_dp(seed):
     m = random_mdp(seed, acyclic=True)
     rng = random.Random(seed + 999)
     t = as_tuples(m)
-    strategy = LiberalStrategy.from_choice(
+    strategy = strategy_from_choice(
         m, {s: frozenset({rng.randrange(len(t.actions[s]))})
          for s in range(m.n_states) if s not in t.target})
     exactv = acyclic_value(m, strategy)
@@ -396,7 +397,7 @@ def test_reach_exact_direct_path_matches_fraction_dp_closely(seed):
     m = random_mdp(seed, acyclic=True)
     rng = random.Random(seed + 4242)
     t = as_tuples(m)
-    strategy = LiberalStrategy.from_choice(
+    strategy = strategy_from_choice(
         m, {s: frozenset(rng.sample(range(len(t.actions[s])),
                                     rng.randint(1, len(t.actions[s]))))
             for s in range(m.n_states) if s not in t.target})
@@ -556,7 +557,7 @@ def test_grid_value_frozen(grid):
 # ---------------------------------------------------------------- utilities
 
 def test_induce_chain_uniform_mixture(fig1):
-    strategy = LiberalStrategy.from_choice(fig1, {0: frozenset({0, 1})})  # both a and b
+    strategy = strategy_from_choice(fig1, {0: frozenset({0, 1})})  # both a and b
     rows = chain_rows(induce_chain(fig1, strategy))
     succs, probs = rows[0]
     mix = dict(zip(succs, probs))
@@ -580,16 +581,16 @@ def test_induce_chain_matches_dict_loop(seed):
         k = len(as_tuples(m).actions[s])
         if rng.random() < 0.8:
             choice[s] = frozenset(rng.sample(range(k), rng.randint(1, k)))
-    strategy = LiberalStrategy.from_choice(m, choice)
+    strategy = strategy_from_choice(m, choice)
     assert chain_rows(induce_chain(m, strategy)) == induce_rows(m, strategy)
 
 
 def test_induce_chain_rejects_bad_choices(fig1):
     with pytest.raises(MdpError, match="empty action set at state 0"):
-        induce_chain(fig1, LiberalStrategy.from_choice(fig1, {0: frozenset()}))
+        induce_chain(fig1, strategy_from_choice(fig1, {0: frozenset()}))
     # index 2 at state 0 would be the first row of state 1
     with pytest.raises(MdpError, match="out of range"):
-        induce_chain(fig1, LiberalStrategy.from_choice(
+        induce_chain(fig1, strategy_from_choice(
             fig1, {0: frozenset({len(as_tuples(fig1).actions[0])})}))
 
 

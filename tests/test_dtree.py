@@ -7,17 +7,22 @@ import random
 import numpy as np
 import pytest
 
+from mdpdistill import fixtures
+from mdpdistill.bdd import store_strategy
+from mdpdistill.build import build_mdp, compile_model
 from mdpdistill.core import ActionAttr
 from mdpdistill.dtree import (DTree, Leaf, Pred, Split, _upper_z, export_dot,
                               export_json, fit_max_leaf, import_json,
                               induce_strategy, learn, tree_size)
 from mdpdistill.importance import (Domain, TrainingSet, build_training_set,
-                                   exact_importance, importance_of, simulate)
+                                   importance_of, simulate)
+from mdpdistill.lang import parse_model
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal
 
 from conftest import random_mdp
-from oracles import TrainRow, as_tuples, induce_by_classify, learn_masks, training_set
+from oracles import (TrainRow, as_tuples, choice_of, classify, exact_importance,
+                     induce_by_classify, learn_masks, training_set)
 
 
 def membership_set(domain_hi, positives, lo=1):
@@ -46,10 +51,10 @@ def test_membership_tree_frozen_shape():
 
 def test_membership_tree_classifies():
     t = learn(SEVEN, min_leaf=1, confidence=0.5)
-    assert t.classify((2,)) is True
-    assert t.classify((7,)) is True
-    assert t.classify((5,)) is False
-    assert [t.classify((v,)) for v in range(1, 8)] == [
+    assert classify(t, (2,)) is True
+    assert classify(t, (7,)) is True
+    assert classify(t, (5,)) is False
+    assert [classify(t, (v,)) for v in range(1, 8)] == [
         True, True, True, False, False, False, True]
 
 
@@ -65,7 +70,7 @@ def test_min_leaf_blocks_small_splits():
     # a majority-tie leaf on {6,7}
     assert t.size == 5
     assert t.root.no.pred == Pred("le", 0, 5)
-    assert t.classify((6,)) is True  # the tie leaf defaults to good
+    assert classify(t, (6,)) is True  # the tie leaf defaults to good
     pruned = learn(SEVEN, min_leaf=2, prune=True)
     assert pruned.size == 3  # the no-longer-pure subtree gets collapsed
 
@@ -122,10 +127,10 @@ def test_action_split():
     assert t.size == 5
     assert t.root.pred == Pred("action", 0, "a")
     assert t.root.no.pred == Pred("action", 0, "c")
-    assert t.classify((0, 1), ActionAttr("a", 1)) is False
-    assert t.classify((0, 1), ActionAttr("b", 1)) is True
-    assert t.classify((5, 1), ActionAttr("d", 1)) is True
-    assert t.classify((5, 1), ActionAttr("c", 1)) is False
+    assert classify(t, (0, 1), ActionAttr("a", 1)) is False
+    assert classify(t, (0, 1), ActionAttr("b", 1)) is True
+    assert classify(t, (5, 1), ActionAttr("d", 1)) is True
+    assert classify(t, (5, 1), ActionAttr("c", 1)) is False
 
 
 def test_module_split():
@@ -136,8 +141,8 @@ def test_module_split():
     ]
     t = learn(training_set(dom, rows), prune=False)
     assert t.root.pred == Pred("module", 0, 1)
-    assert t.classify((0,), ActionAttr("go", 1)) is True
-    assert t.classify((0,), ActionAttr("go", 2)) is False
+    assert classify(t, (0,), ActionAttr("go", 1)) is True
+    assert classify(t, (0,), ActionAttr("go", 2)) is False
 
 
 def test_weights_drive_the_split():
@@ -215,8 +220,8 @@ def test_json_round_trip_classifies_identically(fig1):
     model = as_tuples(fig1)
     for s in range(fig1.n_states):
         for a in model.actions[s]:
-            assert t2.classify(model.states[s], a.attr) == \
-                t.classify(model.states[s], a.attr)
+            assert classify(t2, model.states[s], a.attr) == \
+                classify(t, model.states[s], a.attr)
 
 
 def test_categorical_json_shape():
@@ -271,7 +276,7 @@ def _hand_tree(m):
 def _assert_induced_like_classify(m, tree):
     induced, fallback = induce_strategy(m, tree)
     choice, want_fallback = induce_by_classify(m, tree)
-    assert induced.choice == choice
+    assert choice_of(induced) == choice
     assert fallback == want_fallback
 
 
@@ -305,10 +310,10 @@ def test_induce_strategy_round_trip(fig1):
     # the tree only rules out a and c, so every other action counts as
     # good and no state needs the uniform fallback
     assert fallback == []
-    assert induced.choice[0] == strat.choice[0]
-    assert induced.choice[2] == strat.choice[2]
+    assert choice_of(induced)[0] == choice_of(strat)[0]
+    assert choice_of(induced)[2] == choice_of(strat)[2]
     # off-run states keep all their actions (st and e both classify good)
-    assert len(induced.choice[3]) == 2
+    assert len(choice_of(induced)[3]) == 2
     assert evaluate(fig1, induced) == pytest.approx(0.995, abs=1e-12)
 
 
@@ -316,8 +321,8 @@ def test_induce_skips_target(fig1):
     tree = DTree(Leaf(True), Domain.of(fig1))
     induced, fallback = induce_strategy(fig1, tree)
     assert fallback == []
-    assert 1 not in induced.choice
-    assert set(induced.choice) == set(range(9)) - {1}
+    assert 1 not in choice_of(induced)
+    assert set(choice_of(induced)) == set(range(9)) - {1}
 
 
 # ------------------------------------------------- split scan vs mask loop
@@ -354,6 +359,28 @@ def test_learn_and_induce_leave_no_garbage_cycles(grid):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_store_export_and_build_leave_no_garbage_cycles(grid):
+    # a recursive closure, or a generated function kept in its own globals,
+    # keeps all it reaches until the cyclic collector runs
+    sigma, ts = _distill_set(grid)
+    tree = learn(ts, min_leaf=20)
+    grid_ast, fig1_ast = (parse_model(fixtures.model_text(n)) for n in ("grid", "fig1"))
+    calls = {"store_strategy": lambda: store_strategy(grid, sigma),
+             "export_dot": lambda: export_dot(tree),
+             "compile_model": lambda: compile_model(grid_ast),
+             "build_mdp": lambda: build_mdp(fig1_ast)}
+    garbage = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            garbage[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == dict.fromkeys(calls, 0)
 
 
 def _random_set(seed):
@@ -467,7 +494,7 @@ def test_balanced_boundary_takes_the_fallback_split():
     rows = [TrainRow((a, b), None, a != b, 2) for a in (0, 1) for b in (0, 1)]
     t = learn(training_set(dom, rows), prune=False)
     assert t.root.pred == Pred("le", 0, 0)
-    assert [t.classify((a, b)) for a in (0, 1) for b in (0, 1)] == [
+    assert [classify(t, (a, b)) for a in (0, 1) for b in (0, 1)] == [
         False, True, True, False]
 
 
@@ -492,7 +519,7 @@ def test_fit_max_leaf_exact_frontier():
     correct = {v: v in {1, 2, 3, 7} for v in range(1, 8)}
 
     def accuracy(t):
-        hits = sum(t.classify((v,)) == correct[v] for v in range(1, 8))
+        hits = sum(classify(t, (v,)) == correct[v] for v in range(1, 8))
         return hits / 7
 
     fit = fit_max_leaf(SEVEN, lambda t: accuracy(t) >= 0.999, confidence=0.5)

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from mdpdistill import importance
-from mdpdistill.core import (ActionAttr, LiberalStrategy, MdpError,
-                             reach_exact, induce_chain)
+from mdpdistill.core import ActionAttr, MdpError, reach_exact, induce_chain
 from mdpdistill.importance import (Domain, ImportanceResult, RunStats,
-                                   build_training_set, exact_importance,
-                                   importance_of, simulate)
+                                   build_training_set, importance_of, simulate)
 from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import extract_liberal
 
 from conftest import random_mdp
-from oracles import (as_tuples, exact_importance_cut, horizon_importance, rows_of,
-                     simulate_rows, training_rows, training_set)
+from oracles import (as_tuples, exact_importance, exact_importance_cut, horizon_importance,
+                     rows_of, simulate_rows, strategy_from_choice, training_rows,
+                     training_set)
 
 
 def _opt(mdp):
@@ -37,7 +36,7 @@ def test_exact_importance_fig1_frozen(fig1):
 
 
 def test_exact_importance_needs_reachable_target(fig1):
-    hopeless = LiberalStrategy.from_choice(fig1, {0: frozenset({1})})  # b only: value 0
+    hopeless = strategy_from_choice(fig1, {0: frozenset({1})})  # b only: value 0
     with pytest.raises(MdpError, match="cannot reach the target"):
         exact_importance(fig1, hopeless)
 
@@ -45,7 +44,7 @@ def test_exact_importance_needs_reachable_target(fig1):
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_importance_against_horizon_oracle(seed):
     m = random_mdp(seed)
-    strat = LiberalStrategy.from_choice(m, {})  # uniform everywhere
+    strat = strategy_from_choice(m, {})  # uniform everywhere
     v0 = reach_exact(induce_chain(m, strat), as_tuples(m).target)[m.initial]
     if v0 <= 0.0:
         pytest.skip("uniform play cannot reach the target here")
@@ -66,7 +65,7 @@ def _importance_or_error(fn, m, strat):
 
 
 def _assert_importance_matches_cut_chain(m):
-    for strat in (_opt(m), LiberalStrategy.from_choice(m, {})):
+    for strat in (_opt(m), strategy_from_choice(m, {})):
         got = _importance_or_error(exact_importance, m, strat)
         assert got == _importance_or_error(exact_importance_cut, m, strat)
 
@@ -197,7 +196,7 @@ def test_simulate_matches_run_loop(name, request):
 @pytest.mark.parametrize("seed", range(25))
 def test_simulate_matches_run_loop_on_random_models(seed):
     m = random_mdp(seed)
-    strat = LiberalStrategy.from_choice(m, {})  # uniform everywhere
+    strat = strategy_from_choice(m, {})  # uniform everywhere
     _same_stats(simulate(m, strat, 300, seed=seed),
                 simulate_rows(m, strat, 300, seed=seed))
 
@@ -329,7 +328,7 @@ def test_training_set_delta(fig1):
 
 def test_training_set_dont_care_all_good(fig1):
     w = np.ones(fig1.n_states)
-    ts = build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}), w, mode="once")
+    ts = build_training_set(fig1, strategy_from_choice(fig1, {}), w, mode="once")
     rows = rows_of(ts)
     assert rows and all(r.good for r in rows)
     assert (0, 1) in {r.x for r in rows}
@@ -348,7 +347,7 @@ def test_training_set_dedups_attributes(sync2):
 
 def test_training_set_mode_checked(fig1):
     with pytest.raises(ValueError, match="unknown training mode"):
-        build_training_set(fig1, LiberalStrategy.from_choice(fig1, {}),
+        build_training_set(fig1, strategy_from_choice(fig1, {}),
                            np.ones(fig1.n_states), mode="thrice")
 
 
@@ -384,7 +383,7 @@ def test_training_set_matches_row_loop_on_random_models(seed):
     rng = random.Random(seed)
     m = random_mdp(seed, max_states=10, max_actions=4)
     t = as_tuples(m)
-    strat = LiberalStrategy.from_choice(
+    strat = strategy_from_choice(
         m, {s: frozenset(rng.sample(range(len(t.actions[s])),
                                     rng.randint(1, len(t.actions[s]))))
             for s in range(m.n_states) if rng.random() < 0.7})

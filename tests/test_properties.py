@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from mdpdistill.bdd import Bdd
 from mdpdistill.build import export_flat, parse_flat
-from mdpdistill.core import ActionAttr, LiberalStrategy, max_reach_exact
+from mdpdistill.core import ActionAttr
 from mdpdistill.dtree import learn, tree_size
 from mdpdistill.importance import Domain, RunStats
-from mdpdistill.solver import check_valid, value_iteration
+from mdpdistill.solver import value_iteration
 from mdpdistill.strategy import evaluate, extract_liberal, truncate
 
-from oracles import Action, TrainRow, as_tuples, make_absorbing, mdp_of, training_set
+from oracles import (Action, TrainRow, as_tuples, check_valid, choice_of, classify,
+                     make_absorbing, max_reach_exact, mdp_of, strategy_from_choice,
+                     training_set)
 
 
 @st.composite
@@ -72,10 +74,10 @@ def test_truncate_monotone_in_delta(m, ws, d1, d2):
     lo, hi = min(d1, d2), max(d1, d2)
     weights = np.array((ws * 2)[:m.n_states])
     strat = extract_liberal(m, value_iteration(m, 1e-7))
-    kept_hi = set(truncate(strat, weights, hi).choice)
-    kept_lo = set(truncate(strat, weights, lo).choice)
+    kept_hi = set(choice_of(truncate(strat, weights, hi)))
+    kept_lo = set(choice_of(truncate(strat, weights, lo)))
     assert kept_hi <= kept_lo
-    assert kept_lo <= set(strat.choice)
+    assert kept_lo <= set(choice_of(strat))
 
 
 @settings(max_examples=80, deadline=None)
@@ -101,7 +103,7 @@ def test_tree_never_beats_data_never_worse_than_majority(hi, data):
             for v in range(1, hi + 1)]
     ts = training_set(dom, rows)
     t = learn(ts, prune=False)
-    err = sum(r.weight for r in rows if t.classify(r.x) != r.good)
+    err = sum(r.weight for r in rows if classify(t, r.x) != r.good)
     wg = sum(r.weight for r in rows if r.good)
     wb = sum(r.weight for r in rows if not r.good)
     assert err <= min(wg, wb)
@@ -133,5 +135,5 @@ def test_run_stats_merge_is_order_insensitive(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(mdps())
 def test_uniform_play_never_beats_optimum(m):
-    uniform = evaluate(m, LiberalStrategy.from_choice(m, {}))
+    uniform = evaluate(m, strategy_from_choice(m, {}))
     assert uniform <= max_reach_exact(m)[m.initial] + 1e-9

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mdpdistill import solver
-from mdpdistill.core import MecDecomposition, interval_iterate, max_reach_exact, mec_decompose
-from mdpdistill.solver import brtdp, check_valid, value_iteration
+from mdpdistill.core import MecDecomposition, interval_iterate, mec_decompose
+from mdpdistill.solver import brtdp, value_iteration
 
 from conftest import random_mdp
 import oracles
-from oracles import as_tuples, brtdp_dict, brute_val, mecs_dict, quotient_dict, tables_dict
+from oracles import (as_tuples, brtdp_dict, brute_val, check_valid, max_reach_exact, mecs_dict,
+                     quotient_dict, tables_dict)
 
 
 # --------------------------------------------------------------------- VI

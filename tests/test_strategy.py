@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from mdpdistill import strategy as strategy_mod
-from mdpdistill.core import LiberalStrategy, MdpError, max_reach_exact, reach_bounds
+from mdpdistill.core import MdpError, reach_bounds
 from mdpdistill.dtree import fit_max_leaf, induce_strategy
-from mdpdistill.importance import (build_training_set, exact_importance,
-                                   importance_of, simulate)
+from mdpdistill.importance import build_training_set, importance_of, simulate
 from mdpdistill.solver import brtdp, value_iteration
-from mdpdistill.strategy import (consulted_dont_care, decide, dump_tsv, evaluate,
+from mdpdistill.strategy import (decide, dump_tsv, evaluate,
                                  explicit_size, extract_liberal, reachable_under,
                                  restricted_chain, truncate, within_budget)
 
 from conftest import random_mdp
-from oracles import as_tuples, evaluate_rows, extract_dict, mecs_dict, truncate_dict
+from oracles import (as_tuples, choice_of, consulted_dont_care, evaluate_rows, exact_importance,
+                     extract_dict, max_reach_exact, mecs_dict, strategy_from_choice,
+                     truncate_dict)
 
 
 def _names(mdp, s, acts):
@@ -27,15 +28,15 @@ def _names(mdp, s, acts):
 def test_extract_fig1_frozen(fig1):
     va = value_iteration(fig1, 1e-6)
     strat = extract_liberal(fig1, va)
-    assert _names(fig1, 0, strat.choice[0]) == ["b"]
-    assert _names(fig1, 2, strat.choice[2]) == ["d"]
+    assert _names(fig1, 0, choice_of(strat)[0]) == ["b"]
+    assert _names(fig1, 2, choice_of(strat)[2]) == ["d"]
     # waiting rooms: the only exit from the st-loop is picked even though
     # its value is zero; dead ends keep their internal loop
-    assert _names(fig1, 3, strat.choice[3]) == ["e"]
-    assert _names(fig1, 4, strat.choice[4]) == ["e"]
+    assert _names(fig1, 3, choice_of(strat)[3]) == ["e"]
+    assert _names(fig1, 4, choice_of(strat)[4]) == ["e"]
     for dead in (5, 6, 7, 8):
-        assert _names(fig1, dead, strat.choice[dead]) == ["dd"]
-    assert 1 not in strat.choice  # target stays open
+        assert _names(fig1, dead, choice_of(strat)[dead]) == ["dd"]
+    assert 1 not in choice_of(strat)  # target stays open
     assert explicit_size(fig1, strat) == 8
 
 
@@ -58,7 +59,7 @@ def test_extract_is_optimal_on_random_models(seed):
 
 def _extracted(fn):
     try:
-        return fn().choice
+        return choice_of(fn())
     except MdpError as e:
         return str(e)
 
@@ -108,7 +109,7 @@ def test_extract_ties_kept(mutex):
     # the liberal strategy keeps whole tie groups somewhere
     va = value_iteration(mutex, 1e-9)
     strat = extract_liberal(mutex, va)
-    assert any(len(acts) > 1 for acts in strat.choice.values())
+    assert any(len(acts) > 1 for acts in choice_of(strat).values())
 
 
 def test_extract_mec_exit_choice(tiny_mec_mdp):
@@ -116,8 +117,8 @@ def test_extract_mec_exit_choice(tiny_mec_mdp):
     va = value_iteration(m, 1e-9)
     strat = extract_liberal(m, va)
     # state 1 owns the best exit and commits to it; state 2 walks back
-    assert _names(m, 1, strat.choice[1]) == ["exit"]
-    assert _names(m, 2, strat.choice[2]) == ["spin"]
+    assert _names(m, 1, choice_of(strat)[1]) == ["exit"]
+    assert _names(m, 2, choice_of(strat)[2]) == ["spin"]
     assert evaluate(m, strat) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -125,7 +126,7 @@ def test_exit_union_keeps_internal(tiny_mec_mdp):
     m = tiny_mec_mdp
     va = value_iteration(m, 1e-9)
     strat = extract_liberal(m, va, exit_union=True)
-    assert _names(m, 1, strat.choice[1]) == ["exit", "spin"]
+    assert _names(m, 1, choice_of(strat)[1]) == ["exit", "spin"]
     # spinning half the time still reaches the exit almost surely
     assert evaluate(m, strat) == pytest.approx(0.5, abs=1e-12)
 
@@ -153,7 +154,7 @@ def test_positive_mec_without_exit_rejected(monkeypatch):
     _assert_extract_matches_dict_loop(m, fake)
     # values within TIE_TOL of 0 count as no value, so the spin is kept
     monkeypatch.setattr(strategy_mod, "TIE_TOL", 0.5)
-    assert extract_liberal(m, fake).choice == {0: {0}, 1: {0}, 2: {0}}
+    assert choice_of(extract_liberal(m, fake)) == {0: {0}, 1: {0}, 2: {0}}
     _assert_extract_matches_dict_loop(m, fake, tie_tol=0.5)
 
 
@@ -163,10 +164,10 @@ def test_evaluate_ignores_unreachable_choices(fig1):
     base = evaluate(fig1, strat)
     # repoint every state outside the induced run; the result must not
     # move by a single bit
-    tweaked = dict(strat.choice)
+    tweaked = dict(choice_of(strat))
     tweaked[3] = frozenset({0})  # st instead of e; state 3 is unreachable
     tweaked[6] = frozenset({0})
-    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, tweaked)) == base
+    assert evaluate(fig1, strategy_from_choice(fig1, tweaked)) == base
 
 
 def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
@@ -179,7 +180,7 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
         return real(mdp, strat)
 
     monkeypatch.setattr(strategy_mod, "induce_chain", counting)
-    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(fig1, strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
     assert len(calls) == 1
 
 
@@ -209,27 +210,32 @@ def _search_with_decisions(m, ts, reference, budget, upper, monkeypatch):
     the exact value.
 
     Returns the exact value of each probe and how many decisions fell back
-    to the exact solve.
+    to the exact solve. The exact value and the bounds depend only on the
+    induced rows, so probes that induce the same rows check them once.
     """
     solves = []
     real = strategy_mod.reach_exact
     monkeypatch.setattr(strategy_mod, "reach_exact",
                         lambda *a, **kw: solves.append(1) or real(*a, **kw))
     values, fallbacks = [], []
+    exact = {}  # induced rows -> exact value, its bounds checked
 
     def accept(tree):
         induced, _ = induce_strategy(m, tree)
-        value = evaluate(m, induced)
         chain = restricted_chain(m, induced)
+        key = induced.rows.tobytes()
+        if key not in exact:
+            exact[key] = value = evaluate(m, induced)
+            # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
+            P, targets, init, states = chain
+            for lower, up in islice(reach_bounds(P, targets, init, upper[states]),
+                                    strategy_mod.DECIDE_SWEEPS + 1):
+                assert lower - 1e-13 <= value <= up + 1e-13
+        value = exact[key]
         before = len(solves)
         verdict = decide(chain, upper, reference, budget)
         fallbacks.append(len(solves) > before)
         assert verdict == within_budget(value, reference, budget)
-        # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
-        P, targets, init, states = chain
-        for lower, up in islice(reach_bounds(P, targets, init, upper[states]),
-                                strategy_mod.DECIDE_SWEEPS + 1):
-            assert lower - 1e-13 <= value <= up + 1e-13
         values.append(value)
         return verdict
 
@@ -294,7 +300,7 @@ def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monk
     va = value_iteration(m, 1e-6)
     sigma = extract_liberal(m, va)
     reference = evaluate(m, sigma)
-    for tree_sigma in (sigma, LiberalStrategy.from_choice(m, {})):
+    for tree_sigma in (sigma, strategy_from_choice(m, {})):
         value = evaluate(m, tree_sigma)
         chain = restricted_chain(m, tree_sigma)
         for budget in (0.0, 0.01, 0.5, (reference - value) / reference):
@@ -309,7 +315,7 @@ def test_evaluate_equals_dict_loop_on_grid(grid):
 
 
 def test_uniform_strategy_value_frozen(fig1):
-    assert evaluate(fig1, LiberalStrategy.from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(fig1, strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
 
 
 def test_truncate_drops_zero_weight(fig1):
@@ -317,7 +323,7 @@ def test_truncate_drops_zero_weight(fig1):
     strat = extract_liberal(fig1, va)
     w = exact_importance(fig1, strat)
     cut = truncate(strat, w, 0.0)
-    assert set(cut.choice) == {0, 2}
+    assert set(choice_of(cut)) == {0, 2}
     assert explicit_size(fig1, cut) == 2
     # bit-identical value: dropped states were off the induced run
     assert evaluate(fig1, cut) == evaluate(fig1, strat)
@@ -328,7 +334,7 @@ def test_truncate_delta_thins_rare_states(fig1):
     strat = extract_liberal(fig1, va)
     w = exact_importance(fig1, strat)
     cut = truncate(strat, w, 0.1)  # Imp(q) = 1/199 < 0.1
-    assert set(cut.choice) == {0}
+    assert set(choice_of(cut)) == {0}
     v = evaluate(fig1, cut)
     # q falls back to uniform over {c, d}: 0.99 + 0.01 * 0.25
     assert v == pytest.approx(0.9925, abs=1e-12)
@@ -339,14 +345,14 @@ def test_truncate_keep_argmax(fig1):
     strat = extract_liberal(fig1, va, exit_union=True)
     w = np.ones(fig1.n_states)
     thin = truncate(strat, w, 0.0, mode="keep-argmax")
-    assert all(len(acts) == 1 for acts in thin.choice.values())
-    assert set(thin.choice) == set(strat.choice)
+    assert all(len(acts) == 1 for acts in choice_of(thin).values())
+    assert set(choice_of(thin)) == set(choice_of(strat))
     with pytest.raises(ValueError, match="unknown truncation mode"):
         truncate(strat, w, 0.0, mode="bogus")
 
 
 def _assert_same_strategy(got, want):
-    assert got == want
+    assert choice_of(got) == choice_of(want)
     assert got.mdp is want.mdp
     assert np.array_equal(got.rows, want.rows)
     assert np.array_equal(got.defined, want.defined)
@@ -369,7 +375,7 @@ def test_from_choice_round_trips(seed):
     m = random_mdp(seed, max_actions=4)
     for exit_union in (False, True):
         sigma = extract_liberal(m, value_iteration(m, 1e-9), exit_union=exit_union)
-        _assert_same_strategy(LiberalStrategy.from_choice(m, sigma.choice), sigma)
+        _assert_same_strategy(strategy_from_choice(m, choice_of(sigma)), sigma)
 
 
 def test_consulted_dont_care(fig1):
@@ -387,7 +393,7 @@ def test_reachable_under(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
     assert reachable_under(fig1, strat) == [0, 1, 2, 5]
-    assert reachable_under(fig1, LiberalStrategy.from_choice(fig1, {})) == list(range(9))
+    assert reachable_under(fig1, strategy_from_choice(fig1, {})) == list(range(9))
 
 
 def test_dump_tsv_layout(fig1):
@@ -438,7 +444,7 @@ def test_explicit_size_counts_the_good_pairs(name, request):
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
     weights = importance_of(simulate(m, sigma, 500, seed=0)).weights
     for s in (sigma, truncate(sigma, weights), truncate(sigma, weights, mode="keep-argmax"),
-              LiberalStrategy.from_choice(m, {})):
+              strategy_from_choice(m, {})):
         assert explicit_size(m, s) == len(s.good_pairs())
 
 
@@ -447,7 +453,7 @@ def test_explicit_size_counts_the_good_pairs_of_random_strategies(seed):
     m = random_mdp(seed, max_states=30)
     rng = random.Random(seed)
     counts = np.diff(m.sparse.row_start).tolist()
-    s = LiberalStrategy.from_choice(
+    s = strategy_from_choice(
         m, {st: frozenset(rng.sample(range(k), rng.randint(1, k)))
             for st, k in enumerate(counts) if rng.random() < 0.7})
     assert explicit_size(m, s) == len(s.good_pairs())
