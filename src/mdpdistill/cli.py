@@ -15,6 +15,7 @@ recursion limit, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -244,7 +245,10 @@ def _min_leaf(text: str):
     return text if text == "auto" else _positive_int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: its actions and groups refer to
+    each other, so each new one would be left to the cyclic collector."""
     top = argparse.ArgumentParser(
         prog="mdpdistill",
         description="learn small decision-tree controllers for MDP reachability")

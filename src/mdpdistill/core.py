@@ -455,9 +455,6 @@ def reach_bounds(P: sp.csr_matrix, targets, at: int, upper) -> Iterator[Tuple[fl
         yield float(X[i[0], 0]), float(X[i[0], 1])
 
 
-DIRECT_CUTOFF = 250_000  # most unknowns reach_exact solves directly
-REACH_TOL = 1e-12  # U - L at which reach_exact's iterative path stops
-REACH_SWEEPS = 100_000  # sweep budget of reach_exact's iterative path
 ITERATE_SWEEPS = 5_000_000  # sweep budget of interval_iterate
 
 
@@ -465,13 +462,9 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
     """Exact reachability probabilities Pr_l[<> targets] in the chain with
     transition matrix P, for every location.
 
-    Zero set by graph search, then a sparse linear solve on the remaining
-    locations: direct up to DIRECT_CUTOFF unknowns, else Gauss–Seidel
-    interval iteration (`_sweeps`) until every U - L is below REACH_TOL,
-    which returns the midpoints, or raises MdpError after REACH_SWEEPS sweeps.
-    Both paths take each diagonal as the row's mass off its location, which
-    renormalises a row (`_system`); the direct path factors the system in
-    SuperLU's minimum-degree order on Aᵀ + A, without pivoting.
+    Zero set by graph search, then one sparse direct solve on the remaining
+    locations. It factors the matrix `_system` makes, which renormalises
+    each row, in SuperLU's minimum-degree order on Aᵀ + A, without pivoting.
     Each location's target mass is summed in the order of its row in P.
     Rows of targets are never read.
     """
@@ -479,19 +472,11 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
     vals = is_target.astype(np.float64)
     if not len(states):
         return vals
-    if len(states) <= DIRECT_CUTOFF:
-        states = np.sort(states)
-        row, col, p, b, off = _equations(P, is_target, states)
-        x = spla.splu(_system(row, col, p, off, (col >= 0) & (col != row)),
-                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                      options=dict(SymmetricMode=True)).solve(b)
-    else:
-        for sweep, X in enumerate(_sweeps(P, is_target, states, np.ones(len(vals)))):
-            if np.max(X[:, 1] - X[:, 0]) < REACH_TOL:
-                break
-            if sweep >= REACH_SWEEPS:
-                raise MdpError(f"reachability iteration exceeded {REACH_SWEEPS} sweeps")
-        x = (X[:, 0] + X[:, 1]) / 2.0
+    states = np.sort(states)
+    row, col, p, b, off = _equations(P, is_target, states)
+    x = spla.splu(_system(row, col, p, off, (col >= 0) & (col != row)),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options=dict(SymmetricMode=True)).solve(b)
     vals[states] = np.clip(x, 0.0, 1.0)
     return vals
 

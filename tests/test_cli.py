@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import functools
+import gc
 import json
 import os
 import subprocess
@@ -544,3 +545,22 @@ def test_cli_import_leaves_scipy_special_out():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_leave_no_cyclic_garbage(models, capsys):
+    # an in-process command that left reference cycles behind would make a
+    # later command pay for the cyclic collector
+    fig1 = str(models / "fig1.mdp")
+    main(["solve", "--model", fig1])
+    commands = (["solve", "--model", fig1],
+                ["distill", "--model", fig1, "--runs", "500"],
+                ["compare", "--model", fig1, "--runs", "500"])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -273,58 +273,11 @@ def test_reach_exact_zero_states_are_exact_zero():
     assert v[0] == 0.5
 
 
-def test_reach_exact_iteration_agrees_with_direct(monkeypatch):
-    rng = random.Random(3)
-    n = 30
-    rows = []
-    for s in range(n):
-        if s == n - 1:
-            rows.append(((s,), (1.0,)))
-            continue
-        succs = tuple(sorted(rng.sample(range(n), 3)))
-        rows.append((succs, (0.25, 0.25, 0.5)))
-    chain = chain_matrix(tuple(rows))
-    direct = reach_exact(chain, {n - 1})
-    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
-    iterated = reach_exact(chain, {n - 1})
-    assert np.allclose(direct, iterated, atol=1e-9)
-
-
-def test_reach_exact_iteration_survives_a_self_loop_near_one(monkeypatch):
-    # 0 stays with probability 1 - 1e-13 and otherwise hits the target, so
-    # its value is 1; 1 - P[0, 0] would cancel to a wrong exit mass
+def test_reach_exact_reads_a_self_loop_near_one_as_renormalised():
+    # the diagonal is taken as the mass off the self-loop, so the row is
+    # read as renormalised and 0 reaches the target almost surely
     chain = chain_matrix((((0, 1), (1 - 1e-13, 1e-13)), ((1,), (1.0,))))
-    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
-    try:
-        v = reach_exact(chain, [1])
-    except MdpError:
-        return
-    assert abs(v[0] - 1.0) < core.REACH_TOL
-
-
-@pytest.mark.parametrize("iterate", [False, True])
-def test_reach_exact_reads_a_self_loop_near_one_alike_on_both_paths(iterate, monkeypatch):
-    # both paths take the diagonal as the mass off the self-loop, so the
-    # row is read as renormalised and 0 reaches the target almost surely
-    chain = chain_matrix((((0, 1), (1 - 1e-13, 1e-13)), ((1,), (1.0,))))
-    if iterate:
-        monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
     assert abs(reach_exact(chain, [1])[0] - 1.0) <= 1e-15
-
-
-def test_reach_exact_iteration_reports_its_sweep_budget(monkeypatch):
-    # a ring that leaks 1/8 to the target at one place needs many sweeps
-    n = 40
-    rows = [((s + 1,), (1.0,)) for s in range(n - 1)]
-    rows.append(((0, n), (0.875, 0.125)))
-    rows.append(((n,), (1.0,)))
-    chain = chain_matrix(tuple(rows))
-    monkeypatch.setattr(core, "DIRECT_CUTOFF", 0)
-    v = reach_exact(chain, [n])
-    monkeypatch.setattr(core, "REACH_SWEEPS", 3)
-    with pytest.raises(MdpError, match="exceeded 3 sweeps"):
-        reach_exact(chain, [n])
-    assert np.allclose(v[:n], 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
