@@ -288,14 +288,14 @@ def _prune(node: Node, z: float) -> Tuple[Node, float]:
     return Split(node.pred, yes, no, node.good, node.n, node.e), as_subtree
 
 
-def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
+def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, np.ndarray]:
     """Read the tree back as a liberal strategy on the whole state space.
 
     At each non-target state the strategy keeps the actions the tree calls
     good. States where it rejects everything stay open (uniform fallback);
-    they are returned so callers can report how often that happened. The
-    tree is walked once over all action rows of `mdp.sparse`, each split
-    dividing the rows that reach it.
+    they are returned, in ascending order, so callers can report how often
+    that happened. The tree is walked once over all action rows of
+    `mdp.sparse`, each split dividing the rows that reach it.
     """
     v = mdp.sparse
     x = mdp.row_valuation
@@ -316,8 +316,7 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, List[int]]:
             holds = v.module[rows] == p.k
         stack += ((node.no, rows[~holds]), (node.yes, rows[holds]))
     defined = np.bincount(v.row_state[good], minlength=mdp.n_states) > 0
-    fallback = np.flatnonzero(~defined & ~v.is_target).tolist()
-    return LiberalStrategy(mdp, good, defined), fallback
+    return LiberalStrategy(mdp, good, defined), np.flatnonzero(~defined & ~v.is_target)
 
 
 # --------------------------------------------------------------------------

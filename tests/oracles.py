@@ -1078,6 +1078,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     U: Dict[int, float] = {}
     explored = set()
     rng = random.Random(derive_seed(seed, 0))
+    backups = deflations = 0
 
     def lval(s: int) -> float:
         if s in target:
@@ -1096,6 +1097,8 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
         return sum(p * uval(t) for t, p in zip(a.succs, a.probs))
 
     def backup(s: int):
+        nonlocal backups
+        backups += 1
         if s in target:
             return
         if _is_sink(mdp, s):
@@ -1106,6 +1109,8 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
         U[s] = min(uval(s), max(pair_u(s, a) for a in dm.actions[s]))
 
     def deflate():
+        nonlocal deflations
+        deflations += 1
         for mec in mecs_dict(mdp, restrict=explored):
             if mec.states & target:
                 continue
@@ -1129,7 +1134,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
         if episodes >= max_episodes:
             break
         episodes += 1
-        cap = max_steps if max_steps is not None else 10 * len(explored) + 1000
+        cap = max_steps if max_steps is not None else 2 * len(explored) + 10
         path = [s0]
         s = s0
         hit_cap = False
@@ -1158,7 +1163,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
             s = t
         for v in reversed(path):
             backup(v)
-        if hit_cap or episodes % 50 == 0:
+        if hit_cap:
             deflate()
             for v in reversed(path):
                 backup(v)
@@ -1178,7 +1183,7 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     return ValueApprox(
         pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
         epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
-        gap=gap, engine="brtdp", episodes=episodes)
+        gap=gap, engine="brtdp", episodes=episodes, backups=backups, deflations=deflations)
 
 
 def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):
