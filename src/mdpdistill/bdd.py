@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ActionAttr, LiberalStrategy, Mdp
+from .core import ActionAttr, LiberalStrategy
 from .importance import Domain
 
 
@@ -150,10 +150,10 @@ class StrategyStore:
         return self.bdd.node_count(self.root)
 
 
-def store_strategy(mdp: Mdp, strategy: LiberalStrategy) -> StrategyStore:
-    """Encode the strategy's distinct (state, attribute) pairs."""
-    layout = BitLayout.of(Domain.of(mdp))
+def store_strategy(strategy: LiberalStrategy) -> StrategyStore:
+    """Encode the strategy's distinct (state, attribute) pairs in its model's bit layout."""
+    layout = BitLayout.of(Domain.of(strategy.mdp))
     bdd = Bdd(layout.n_bits)
-    vals = mdp.sparse.valuation
+    vals = strategy.mdp.sparse.valuation
     items = [layout.encode(vals[s].tolist(), attr) for s, attr in strategy.good_pairs()]
     return StrategyStore(bdd, bdd.encode_set(items), layout)

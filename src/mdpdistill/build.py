@@ -572,6 +572,8 @@ def parse_flat(src: str) -> Mdp:
                 sid = int(toks[1])
                 name = toks[2]
                 module = int(toks[3])
+                if module < 0:
+                    err(f"negative module {module}", ln)
                 rest = toks[4:]
                 if not rest or len(rest) % 2:
                     err("act needs (prob succ) pairs", ln)

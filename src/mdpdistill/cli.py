@@ -37,7 +37,10 @@ VARIANTS = {
 
 
 def _load(args) -> Mdp:
-    text = Path(args.model).read_text()
+    try:
+        text = Path(args.model).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelError(f"{args.model}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if is_flat(text):
         mdp = parse_flat(text)
         return retarget(mdp, args.target_expr) if args.target_expr else mdp
@@ -79,7 +82,7 @@ def cmd_solve(args) -> int:
     mdp = _load(args)
     va = _solve(mdp, args)
     sigma = strat.extract_liberal(mdp, va, exit_union=args.exit_union)
-    value = strat.evaluate(mdp, sigma)
+    value = strat.evaluate(sigma)
     _print_kv([
         ("states", mdp.n_states),
         ("target states", int(mdp.sparse.is_target.sum())),
@@ -90,11 +93,11 @@ def cmd_solve(args) -> int:
         ("explored", f"{len(va.explored)} ({100.0 * len(va.explored) / mdp.n_states:.1f}%)"),
         ("converged", "yes" if va.converged else "no"),
         ("defined states", int(sigma.defined.sum())),
-        ("explicit pairs", strat.explicit_size(mdp, sigma)),
+        ("explicit pairs", strat.explicit_size(sigma)),
         ("strategy value", f"{value:.10g}"),
     ])
     if args.strategy_out:
-        Path(args.strategy_out).write_text(strat.dump_tsv(mdp, sigma))
+        Path(args.strategy_out).write_text(strat.dump_tsv(sigma))
     return 0 if _converged(va) else 1
 
 
@@ -103,12 +106,11 @@ def _pipeline(args):
     mdp = _load(args)
     va = _solve(mdp, args)
     sigma = strat.extract_liberal(mdp, va, exit_union=args.exit_union)
-    stats = simulate_batched(mdp, sigma, args.runs, seed=args.seed)
+    stats = simulate_batched(sigma, args.runs, seed=args.seed)
     mode, kind = VARIANTS[args.variant]
     imp = importance_of(stats, kind)
     trunc = strat.truncate(sigma, imp.weights, args.delta, args.truncate_mode)
-    ts = build_training_set(mdp, sigma, imp.weights, mode=mode,
-                            runs=args.runs, delta=args.delta)
+    ts = build_training_set(sigma, imp.weights, mode=mode, runs=args.runs, delta=args.delta)
     return mdp, va, sigma, stats, imp, trunc, ts
 
 
@@ -136,7 +138,7 @@ def _fit_tree(mdp, va, ts, reference, args):
         sigma, _ = induce(t)
         key = sigma.rows.tobytes()
         if key not in verdicts:
-            chain = strat.restricted_chain(mdp, sigma)
+            chain = strat.restricted_chain(sigma)
             verdicts[key] = strat.decide(chain, va.state_upper, reference, args.budget)
             if verdicts[key] or not kept:  # the tree returned: the last accepted, or the first
                 kept.clear()
@@ -152,13 +154,13 @@ def _fit_tree(mdp, va, ts, reference, args):
                                  prune=not args.no_prune)
         tree, leaf = fit.tree, fit.min_leaf
     sigma, fallback = induce(tree)
-    chain = kept.get(sigma.rows.tobytes()) or strat.restricted_chain(mdp, sigma)
+    chain = kept.get(sigma.rows.tobytes()) or strat.restricted_chain(sigma)
     return tree, leaf, strat.chain_value(chain), fallback
 
 
 def cmd_distill(args) -> int:
     mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
-    reference = strat.evaluate(mdp, sigma)
+    reference = strat.evaluate(sigma)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, va, ts, reference, args)
     budget_met = strat.within_budget(tree_value, reference, args.budget)
     rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
@@ -183,18 +185,18 @@ def cmd_distill(args) -> int:
     if args.dot:
         Path(args.dot).write_text(dtree.export_dot(tree))
     if args.strategy_out:
-        Path(args.strategy_out).write_text(strat.dump_tsv(mdp, trunc, imp.weights))
+        Path(args.strategy_out).write_text(strat.dump_tsv(trunc, imp.weights))
     # a list, not `and`, so that every failed check prints its line
     return 0 if all([_converged(va), _runs_ended(stats), budget_met]) else 1
 
 
 def cmd_compare(args) -> int:
     mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
-    reference = strat.evaluate(mdp, trunc)
-    tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strat.evaluate(mdp, sigma), args)
-    store = bdd.store_strategy(mdp, trunc)
+    reference = strat.evaluate(trunc)
+    tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strat.evaluate(sigma), args)
+    store = bdd.store_strategy(trunc)
     rows = [
-        ("explicit", strat.explicit_size(mdp, trunc), reference),
+        ("explicit", strat.explicit_size(trunc), reference),
         ("bdd", store.size, reference),
         ("dtree", tree.size, tree_value),
     ]

@@ -277,17 +277,13 @@ class MecDecomposition:
 
     MECs are numbered by their smallest member state. A row is internal when
     its state lies in a MEC and every successor lies in the same MEC; these
-    are the actions that keep a run inside the component.
+    are the actions that keep a run inside the component. A target is
+    absorbing, so a MEC holding one is that target alone.
     """
 
     mec_of: np.ndarray  # (states,) MEC id of each state, -1 outside every MEC
     internal: np.ndarray  # (rows,) bool
     count: int
-
-    def touching(self, states: np.ndarray) -> np.ndarray:
-        """(count,) bool: the MECs holding one of the states in the mask."""
-        return np.bincount(self.mec_of[states & (self.mec_of >= 0)],
-                           minlength=self.count) > 0
 
 
 def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
@@ -339,23 +335,23 @@ def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
     return MecDecomposition(mec_of, internal, len(ids))
 
 
-def induce_chain(mdp: Mdp, strategy: LiberalStrategy) -> sp.csr_matrix:
+def induce_chain(strategy: LiberalStrategy) -> sp.csr_matrix:
     """Transition matrix of the uniform randomization over the selected
-    actions, states x states, with the entries of each row sorted.
+    actions of `strategy.mdp`, states x states, with each row's entries sorted.
 
     One sparse product: row s of the selection matrix weighs each selected
     row of s by w = 1/|choice|, so entry (s, t) sums w*p over the selected
     rows in row order, the order a per-state accumulation would use.
     """
-    v = mdp.sparse
+    v, n = strategy.mdp.sparse, strategy.mdp.n_states
     rows = np.flatnonzero(strategy.rows)
     owner = v.row_state[rows]
-    counts = np.bincount(owner, minlength=mdp.n_states)
+    counts = np.bincount(owner, minlength=n)
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise MdpError(f"strategy defines an empty action set at state {empty[0]}")
     select = sp.csr_matrix((1.0 / counts[owner], rows, np.concatenate(([0], np.cumsum(counts)))),
-                           shape=(mdp.n_states, len(v.row_state)))
+                           shape=(n, len(v.row_state)))
     P = select @ v.branches
     P.sort_indices()
     return P
@@ -489,15 +485,15 @@ def reach_exact(P: sp.csr_matrix, targets) -> np.ndarray:
 class Quotient:
     """The MEC quotient of a model, its action rows laid out slot-major.
 
-    `nodes` lists the nodes with rows by descending row count, ties by
-    node, and rows bounds[j]:bounds[j + 1] of R hold the j-th row of each
-    node with more than j rows, which is a prefix of `nodes`.
+    Nodes are numbered in sweep order: the nodes with rows first, by
+    descending row count, then the rest; ties go by smallest state. Rows
+    bounds[j]:bounds[j + 1] of R hold the j-th row of each node with more
+    than j rows, which is a prefix of the numbering.
     """
 
     num_nodes: int
     node_of: np.ndarray  # state -> node
     R: sp.csr_matrix  # action rows x nodes, slot-major
-    nodes: np.ndarray
     bounds: np.ndarray  # offsets of the slot blocks into the rows of R
     target_nodes: np.ndarray  # bool mask; target nodes have no rows
     zero_nodes: np.ndarray  # bool mask: no path to a target node
@@ -506,9 +502,9 @@ class Quotient:
 def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     """Collapse every MEC into one node; its internal rows vanish.
 
-    Nodes are numbered in order of their smallest state. The rows of R are
-    the external rows, a node's rows in state and action order across its
-    slots; branches into one node are added in declaration order.
+    The rows of R are the external rows, a node's rows in state and action
+    order across its slots; branches into one node are added in declaration
+    order. A row keeps its nodes in order of smallest state (see `Quotient`).
     """
     v = mdp.sparse
     n = mdp.n_states
@@ -518,7 +514,7 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     rep = np.arange(n)
     rep[members] = first[mecs.mec_of[members]]
     head = rep == np.arange(n)
-    node_of = (np.cumsum(head) - 1)[rep]
+    node_of = (np.cumsum(head) - 1)[rep]  # by smallest state until renumbered
     q = int(head.sum())
 
     target_nodes = np.zeros(q, dtype=bool)
@@ -540,24 +536,28 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     col = node_of[v.branches.indices[entries]]
     order, first_of = branch_groups(row, col, q)
     lead = order[first_of]  # the first branch of each (row, node) group
+    sweep = np.concatenate((owners[by_count],
+                            np.setdiff1d(np.arange(q), owners, assume_unique=True)))
+    new = np.empty_like(sweep)
+    new[sweep] = np.arange(q)
     # bincount adds the branches of each (row, node) group in the stable order
     R = sp.csr_matrix(
         (np.bincount(np.cumsum(first_of) - 1, weights=v.branches.data[entries[order]]),
-         col[lead],
+         new[col[lead]],
          np.concatenate(([0], np.cumsum(np.bincount(row[lead], minlength=len(sel)))))),
         shape=(len(sel), q))
     # nodes that cannot reach a target node get upper bound 0, among them every
     # node without rows but the targets; rows of target nodes are left out
     # of R, which a backward search from the targets never needs
-    edges = sp.csr_matrix((R.data, (np.repeat(row_node[sel], np.diff(R.indptr)), R.indices)),
-                          shape=(q, q))
+    edges = sp.csr_matrix(
+        (R.data, (np.repeat(new[row_node[sel]], np.diff(R.indptr)), R.indices)), shape=(q, q))
+    target_nodes = target_nodes[sweep]
     reach_mask = reachable(edges.T, np.flatnonzero(target_nodes))
 
     return Quotient(
         num_nodes=q,
-        node_of=node_of,
+        node_of=new[node_of],
         R=R,
-        nodes=owners[by_count],
         bounds=np.append(0, np.cumsum(sizes)),
         target_nodes=target_nodes,
         zero_nodes=~reach_mask,
@@ -570,30 +570,23 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
     """Synchronous lower/upper Bellman sweeps on the (EC-free) quotient.
 
     Stops when U-L at `stop_node` drops below eps, or globally below tol,
-    and raises MdpError after ITERATE_SWEEPS sweeps. Returns (L, U, sweeps).
-    The sweeps run on the nodes renumbered so that `q.nodes` comes first,
-    which makes each update a write to a prefix.
+    and raises MdpError after ITERATE_SWEEPS sweeps. Returns (L, U, sweeps)
+    over the nodes. It reads `q` as `build_quotient` left it: the nodes
+    with rows come first, so each update is a write to a prefix.
     """
-    R, nodes, bounds = q.R, q.nodes, q.bounds
-    order = np.concatenate((nodes, np.setdiff1d(np.arange(q.num_nodes), nodes,
-                                                assume_unique=True)))
-    new = np.empty_like(order)
-    new[order] = np.arange(q.num_nodes)
-    # the same entries in the same order, so each row's sum is the same
-    R = sp.csr_matrix((R.data, new.astype(R.indices.dtype)[R.indices], R.indptr), shape=R.shape)
+    R, bounds = q.R, q.bounds
     # a node without rows keeps its start bounds, 1 at a target and 0 elsewhere
-    L = q.target_nodes[order].astype(np.float64)
-    U = (~q.zero_nodes[order]).astype(np.float64)
-    k = len(nodes)
+    L = q.target_nodes.astype(np.float64)
+    U = (~q.zero_nodes).astype(np.float64)
+    k = int(bounds[1]) if len(bounds) > 1 else 0  # the nodes with rows
 
     def done():
         if stop_node is not None and eps is not None:
-            at = new[stop_node]
-            return U[at] - L[at] < eps
+            return U[stop_node] - L[stop_node] < eps
         return np.max(U - L) < tol
 
     def best(values: np.ndarray) -> np.ndarray:
-        """Largest row value per node, in the order of `nodes`."""
+        """Largest row value of each node with rows."""
         rows = R.dot(values)
         out = rows[:k]
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -607,4 +600,4 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
         np.maximum(L[:k], best(L), out=L[:k])
         np.minimum(U[:k], best(U), out=U[:k])
         sweeps += 1
-    return L[new], U[new], sweeps
+    return L, U, sweeps

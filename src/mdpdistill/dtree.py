@@ -375,7 +375,8 @@ def export_dot(tree: DTree) -> str:
             lines.append(f'  n{nid} [label="{"good" if node.good else "bad"}",'
                          f' shape=ellipse];')
             return nid
-        lines.append(f'  n{nid} [label="{node.pred.describe(tree.domain)}"];')
+        label = node.pred.describe(tree.domain).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{nid} [label="{label}"];')
         yid = walk(node.yes)
         nid_no = walk(node.no)
         lines.append(f"  n{nid} -> n{yid};")

@@ -21,7 +21,7 @@ def load(name: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
 
 def fig1_extended_text(k: int) -> str:
     """The two-road model with a length-k low-value detour chain at the coin
-    state; the chain inflates the state space without touching any value."""
+    state; the chain inflates the state space without changing any value."""
     return f"""\
 module main
   loc : [0..6] init 0;

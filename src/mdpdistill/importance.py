@@ -62,9 +62,9 @@ _BLOCK = 2048  # runs walked in lockstep at a time
 _PENDING = 1 << 18  # visit keys held before they are sorted and counted
 
 
-def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
+def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
              max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
-    """Sample runs of the induced chain from the initial state.
+    """Sample runs of the chain induced in `strategy.mdp` from the initial state.
 
     A run ends on reaching the target, on entering a state from which the
     chain cannot reach the target anymore, or at the step cap. Each run
@@ -72,7 +72,8 @@ def simulate(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     stats are identical however the batch is split across calls. Runs are
     walked in lockstep, `_BLOCK` at a time, and the blocks are merged.
     """
-    P = induce_chain(mdp, strategy)
+    mdp = strategy.mdp
+    P = induce_chain(strategy)
     n = mdp.n_states
     is_target = mdp.sparse.is_target
     live = reachable(P.T, np.flatnonzero(is_target)) & ~is_target  # a run at s moves on
@@ -281,10 +282,10 @@ class TrainingSet:
                 np.column_stack([at for _, at in found]) + np.cumsum([0] + sizes[:-1]))
 
 
-def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
+def build_training_set(strategy: LiberalStrategy, weights: np.ndarray,
                        *, mode: str = "repeat", runs: int = 1,
                        delta: float = 0.0) -> TrainingSet:
-    """Labelled (state, action attribute) examples for every weighted state.
+    """Labelled (state, action attribute) examples for each weighted state of `strategy.mdp`.
 
     States with weight at most `delta` are left out entirely. At a kept
     state every distinct attribute among its actions yields one row, good
@@ -295,6 +296,7 @@ def build_training_set(mdp: Mdp, strategy: LiberalStrategy, weights: np.ndarray,
     """
     if mode not in ("repeat", "once"):
         raise ValueError(f"unknown training mode {mode!r}")
+    mdp = strategy.mdp
     v = mdp.sparse
     weights = np.asarray(weights, dtype=np.float64)
     kept = ~v.is_target & ~(weights <= delta)

@@ -156,7 +156,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
             return
         mecs = mec_decompose(mdp, restrict=explored)
         groups = [([], []) for _ in range(mecs.count)]
-        states = np.flatnonzero(mecs.mec_of >= 0)
+        states = np.flatnonzero((mecs.mec_of >= 0) & ~v.is_target)
         for s, k in zip(states.tolist(), mecs.mec_of[states].tolist()):
             groups[k][0].append(s)
         rows = np.flatnonzero((mecs.mec_of[v.row_state] >= 0) & ~mecs.internal)
@@ -164,7 +164,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         for s, i, k in zip(owner.tolist(), (rows - v.row_start[owner]).tolist(),
                            mecs.mec_of[owner].tolist()):
             groups[k][1].append(state(s)[0][i])
-        groups = [groups[k] for k in np.flatnonzero(~mecs.touching(v.is_target))]
+        groups = [group for group in groups if group[0]]
         grouped_at = len(explored)
 
     def deflate():

@@ -45,8 +45,7 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, exit_union: bool = False) -> L
     best = np.maximum.reduceat(pl, v.row_start[:-1])
     selected = free[owner] & (pl >= best[owner] - TIE_TOL)
 
-    member = explored & (mecs.mec_of >= 0)
-    member[member] = ~mecs.touching(v.is_target)[mecs.mec_of[member]]
+    member = explored & (mecs.mec_of >= 0) & ~v.is_target
     in_mec = member[owner]
     k_of = mecs.mec_of[owner]
     external = in_mec & ~mecs.internal
@@ -72,13 +71,14 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, exit_union: bool = False) -> L
 
 def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """States reachable from the initial state in the induced chain."""
-    return np.flatnonzero(reachable(induce_chain(mdp, strategy), [mdp.initial])).tolist()
+    return np.flatnonzero(reachable(induce_chain(strategy), [mdp.initial])).tolist()
 
 
-def restricted_chain(mdp: Mdp, strategy: LiberalStrategy):
-    """The induced chain on the states reachable from the initial state, the
-    positions of the targets and of the initial state among them, the states."""
-    P = induce_chain(mdp, strategy)
+def restricted_chain(strategy: LiberalStrategy):
+    """The chain induced in `strategy.mdp` on the states reachable from the
+    initial state, the targets' and initial state's positions there, the states."""
+    mdp = strategy.mdp
+    P = induce_chain(strategy)
     states = np.flatnonzero(reachable(P, [mdp.initial]))
     return (P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]),
             int(np.searchsorted(states, mdp.initial)), states)
@@ -90,14 +90,14 @@ def chain_value(chain) -> float:
     return float(reach_exact(P, targets)[init])
 
 
-def evaluate(mdp: Mdp, strategy: LiberalStrategy) -> float:
-    """Reachability value of the induced chain from the initial state.
+def evaluate(strategy: LiberalStrategy) -> float:
+    """Reachability value from the initial state of the chain induced in `strategy.mdp`.
 
     The linear solve is restricted to the states actually reachable under
     the strategy, so changing choices anywhere else cannot perturb the
     result, not even in the last bit.
     """
-    return chain_value(restricted_chain(mdp, strategy))
+    return chain_value(restricted_chain(strategy))
 
 
 def within_budget(value: float, reference: float, budget: float) -> bool:
@@ -154,14 +154,14 @@ def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
     return LiberalStrategy(strategy.mdp, selected, kept)
 
 
-def explicit_size(mdp: Mdp, strategy: LiberalStrategy) -> int:
+def explicit_size(strategy: LiberalStrategy) -> int:
     """Size of the explicit description: distinct (state, attribute) pairs."""
-    return int(distinct_attrs(mdp, strategy.defined, strategy.rows)[3].sum())
+    return int(distinct_attrs(strategy.mdp, strategy.defined, strategy.rows)[3].sum())
 
 
-def dump_tsv(mdp: Mdp, strategy: LiberalStrategy,
-             weights: Optional[Sequence[float]] = None) -> str:
-    """Tab-separated listing of the decisions at every defined state."""
+def dump_tsv(strategy: LiberalStrategy, weights: Optional[Sequence[float]] = None) -> str:
+    """Tab-separated listing of the decisions at every defined state of `strategy.mdp`."""
+    mdp = strategy.mdp
     names = [n for n, _, _ in mdp.var_decls]
     out = ["\t".join(["state", "valuation", "action", "module", "label", "importance"])]
     state, action, module, good = distinct_attrs(mdp, strategy.defined, strategy.rows)

@@ -191,7 +191,7 @@ def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     induced chain; the first one, with s as the target, never reads the
     row of s, so the chain needs no cut there.
     """
-    P = induce_chain(mdp, strategy)
+    P = induce_chain(strategy)
     b = reach_exact(P, np.flatnonzero(mdp.sparse.is_target))
     if b[mdp.initial] <= 0.0:
         raise MdpError("strategy cannot reach the target; importance undefined")
@@ -234,7 +234,7 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
     3. pair values are consistent: V(s,a) <= sum_t delta(s,a)(t) * V(t);
     4. every end component carrying positive value contains an exiting pair
        whose value matches the component's best pair (otherwise extraction
-       could trap the run inside). Components touching the target and
+       could trap the run inside). Components holding the target and
        components with value zero need no exit.
     """
     rep = ValidityReport()
@@ -269,8 +269,7 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
 
     mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
     k_of = mecs.mec_of[v.row_state]
-    rows = recorded & (k_of >= 0)
-    rows[rows] = ~mecs.touching(v.is_target)[k_of[rows]]
+    rows = recorded & (k_of >= 0) & ~v.is_target[v.row_state]
     best = np.full(mecs.count, -np.inf)
     np.maximum.at(best, k_of[rows], pl[rows])
     exits = np.flatnonzero(rows & ~mecs.internal)
@@ -346,7 +345,7 @@ def acyclic_value(mdp: Mdp, strategy: LiberalStrategy) -> Fraction:
     """Exact value of a strategy when the induced chain has no cycles
     except the absorbing self-loops; pure rational arithmetic."""
     dm = as_tuples(mdp)
-    rows = chain_rows(induce_chain(mdp, strategy))
+    rows = chain_rows(induce_chain(strategy))
     played = actions_of(mdp, strategy)
     memo: Dict[int, Fraction] = {}
     on_path: set = set()
@@ -390,7 +389,7 @@ def horizon_importance(mdp: Mdp, strategy: LiberalStrategy, s: int,
     truth can still move. No linear solver involved.
     """
     dm = as_tuples(mdp)
-    rows = chain_rows(induce_chain(mdp, strategy))
+    rows = chain_rows(induce_chain(strategy))
     n = len(rows)
     dist = np.zeros((n, 2))
     dist[mdp.initial, 1 if s == mdp.initial else 0] = 1.0
@@ -516,7 +515,7 @@ def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     """`exact_importance` with the chain cut at each state: for
     P[reach s], the row of s is replaced by a self-loop first."""
     dm = as_tuples(mdp)
-    rows = chain_rows(induce_chain(mdp, strategy))
+    rows = chain_rows(induce_chain(strategy))
     b = reach_exact(chain_matrix(rows), dm.target)
     if b[mdp.initial] <= 0.0:
         raise MdpError("strategy cannot reach the target; importance undefined")
@@ -565,7 +564,7 @@ def simulate_rows(mdp: Mdp, strategy: LiberalStrategy, runs: int, *, seed: int =
                   max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
     """`importance.simulate`, one run after another with a visit dict per run."""
     dm = as_tuples(mdp)
-    P = induce_chain(mdp, strategy)
+    P = induce_chain(strategy)
     can = list(reachable(P.T, dm.target))
     stats = RunStats(mdp.n_states, total_runs=runs, max_steps=max_steps)
     cond_count = [0] * mdp.n_states
@@ -922,15 +921,19 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
             rows_by_node[node_of[s]].append((succs, tuple(mass[u] for u in succs)))
 
     owners = [u for u in range(q) if rows_by_node[u] and not target_nodes[u]]
-    # slot-major: the j-th row of every node with more than j rows, nodes
-    # by descending row count, then by number
+    # sweep order: nodes with rows by descending row count, then by number,
+    # then the rest by number
     nodes = sorted(owners, key=lambda u: (-len(rows_by_node[u]), u))
+    order = nodes + [u for u in range(q) if u not in nodes]
+    new = {u: i for i, u in enumerate(order)}
+    # slot-major: the j-th row of every node with more than j rows; a row's
+    # entries keep the order of their nodes before the renumbering
     data, ind, indptr, bounds = [], [], [0], [0]
     for j in range(len(rows_by_node[nodes[0]]) if nodes else 0):
         for u in nodes:
             if j < len(rows_by_node[u]):
                 succs, probs = rows_by_node[u][j]
-                ind.extend(succs)
+                ind.extend(new[t] for t in succs)
                 data.extend(probs)
                 indptr.append(len(ind))
         bounds.append(len(indptr) - 1)
@@ -942,20 +945,21 @@ def quotient_dict(mdp: Mdp, mecs: List[Mec]) -> Quotient:
                 pred[t].append(u)
     reach = _search(pred, np.flatnonzero(target_nodes).tolist())
     return Quotient(
-        num_nodes=q, node_of=node_of, R=R,
-        nodes=np.array(nodes, dtype=np.int64), bounds=np.array(bounds, dtype=np.int64),
-        target_nodes=target_nodes, zero_nodes=~np.array(reach, dtype=bool))
+        num_nodes=q, node_of=np.array([new[u] for u in node_of.tolist()], dtype=np.int64),
+        R=R, bounds=np.array(bounds, dtype=np.int64), target_nodes=target_nodes[order],
+        zero_nodes=~np.array(reach, dtype=bool)[order])
 
 
 def node_grouped(q: Quotient) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The rows of a slot-major quotient grouped by owner node, nodes in
     order and each node's rows in slot order. Returns that R, the offset of
-    each group and the nodes with rows."""
+    each group and the nodes with rows. The k-th row of a slot block is
+    node k's, since the nodes with rows come first in the numbering."""
     rows_of: Dict[int, List[int]] = {}
     bounds = q.bounds.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         for k, r in enumerate(range(lo, hi)):
-            rows_of.setdefault(int(q.nodes[k]), []).append(r)
+            rows_of.setdefault(k, []).append(r)
     owners = sorted(rows_of)
     perm = [r for u in owners for r in rows_of[u]]
     starts = np.cumsum([0] + [len(rows_of[u]) for u in owners])[:-1]
@@ -970,8 +974,9 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
     over R in its node-grouped order (`node_grouped`). It sets U to 0 on the
     nodes without rows apart from the targets, not only on `zero_nodes`, so
     the tests also check that the zero set holds them all."""
+    R, starts, nw = node_grouped(q)
     has_rows = np.zeros(q.num_nodes, dtype=bool)
-    has_rows[q.nodes] = True
+    has_rows[nw] = True
     L = np.zeros(q.num_nodes)
     L[q.target_nodes] = 1.0
     U = np.ones(q.num_nodes)
@@ -985,7 +990,6 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
         return np.max(U - L) < tol
 
     sweeps = 0
-    R, starts, nw = node_grouped(q)
     while not done():
         if sweeps >= max_sweeps:
             raise MdpError("interval iteration exceeded sweep budget")

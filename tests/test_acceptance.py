@@ -65,11 +65,11 @@ def _default_pipeline(name: str, variant: str = "IDP"):
     mdp = fixtures.load(name)
     va = value_iteration(mdp, 1e-6)
     sigma = strat.extract_liberal(mdp, va)
-    stats = simulate(mdp, sigma, 10000, seed=0)
+    stats = simulate(sigma, 10000, seed=0)
     imp = importance_of(stats, kind)
     trunc = strat.truncate(sigma, imp.weights, 0.0, "keep-all")
-    ts = build_training_set(mdp, sigma, imp.weights, mode=mode, runs=10000)
-    return mdp, va, sigma, imp, trunc, ts, strat.evaluate(mdp, sigma)
+    ts = build_training_set(sigma, imp.weights, mode=mode, runs=10000)
+    return mdp, va, sigma, imp, trunc, ts, strat.evaluate(sigma)
 
 
 @pytest.fixture(scope="session")
@@ -115,7 +115,7 @@ def test_criterion_02_importance_exact_and_sampled():
                 and imp[next(iter(t.target))] == 1.0)
     in_band = 0
     for seed in range(100):
-        stats = simulate(fig1, sigma, 10000, seed=seed)
+        stats = simulate(sigma, 10000, seed=seed)
         est = importance_of(stats, "DP").weights[q]
         if 0.003 <= est <= 0.008:
             in_band += 1
@@ -155,7 +155,7 @@ def test_criterion_04_soundness_corpus(corpus):
             if not rep.ok:
                 bad.append((i, engine, rep.messages))
                 continue
-            val = strat.evaluate(m, strat.extract_liberal(m, va))
+            val = strat.evaluate(strat.extract_liberal(m, va))
             gap = exact[m.initial] - val
             worst = max(worst, gap)
             if gap > 1e-6:
@@ -171,17 +171,16 @@ def test_criterion_05_truncation_safety(corpus):
     for m, _ in corpus:
         va = value_iteration(m, 1e-6)
         sigma = strat.extract_liberal(m, va)
-        ref = strat.evaluate(m, sigma)
+        ref = strat.evaluate(sigma)
         if ref <= 0.0:
             skipped += 1
             continue
         imp = exact_importance(m, sigma)
         pos = sorted(w for w in imp if w > 0)
-        below = strat.evaluate(m, strat.truncate(sigma, imp, pos[0] / 2))
+        below = strat.evaluate(strat.truncate(sigma, imp, pos[0] / 2))
         if below == ref:
             exact_eq += 1
-        swept = strat.evaluate(
-            m, strat.truncate(sigma, imp, pos[0] * (1 - 1e-9)))
+        swept = strat.evaluate(strat.truncate(sigma, imp, pos[0] * (1 - 1e-9)))
         if abs(swept - ref) <= 1e-9:
             swept_ok += 1
         checked += 1
@@ -209,7 +208,7 @@ def test_criterion_06_default_distill_budget():
     frontier = int(kv["min leaf"])
     tree = dtree.learn(ts, min_leaf=frontier + 1)
     induced, _ = dtree.induce_strategy(mdp, tree)
-    next_rel = (ref - strat.evaluate(mdp, induced)) / ref
+    next_rel = (ref - strat.evaluate(induced)) / ref
     cliff = (int(kv["tree size"]) > 1 and tree.size < int(kv["tree size"])
              and next_rel > 0.05)
     ok = within and cliff and dt < 300.0
@@ -309,7 +308,7 @@ def test_criterion_12_representation_exactness():
     bdd_bad = {}
     for name in FIXTURES:
         mdp, _, _, _, trunc, _, _ = _default_pipeline(name)
-        store = bdd.store_strategy(mdp, trunc)
+        store = bdd.store_strategy(trunc)
         items = {store.layout.encode(mdp.sparse.valuation[s].tolist(), attr)
                  for s, attr in trunc.good_pairs()}
         n = store.layout.n_bits

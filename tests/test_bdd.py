@@ -142,7 +142,7 @@ def test_encode_set_matches_subset_recursion_on_models(name, request):
     # the truncated strategy `compare` stores at its defaults, seed 0
     m = request.getfixturevalue(name)
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
-    weights = importance_of(simulate(m, sigma, 10000, seed=0)).weights
+    weights = importance_of(simulate(sigma, 10000, seed=0)).weights
     layout = BitLayout.of(Domain.of(m))
     vals = m.sparse.valuation
     items = [layout.encode(vals[s].tolist(), attr)
@@ -171,7 +171,7 @@ def test_encode_set_checks_width():
 # -------------------------------------------------------------------- store
 
 def test_store_fig1_frozen_size(fig1):
-    store = store_strategy(fig1, _opt(fig1, cut=True))
+    store = store_strategy(_opt(fig1, cut=True))
     assert store.layout.n_bits == 8
     assert store.size == 11
 
@@ -179,7 +179,7 @@ def test_store_fig1_frozen_size(fig1):
 def test_store_equivalent_to_pair_list(fig1, mutex, sync2):
     for m in (fig1, mutex, sync2):
         strat = _opt(m, cut=True)
-        store = store_strategy(m, strat)
+        store = store_strategy(strat)
         pairs = set(strat.good_pairs())
         t = as_tuples(m)
         for s in range(m.n_states):
@@ -190,8 +190,8 @@ def test_store_equivalent_to_pair_list(fig1, mutex, sync2):
 
 def test_store_deterministic(mutex):
     strat = _opt(mutex)
-    a = store_strategy(mutex, strat)
-    b = store_strategy(mutex, strat)
+    a = store_strategy(strat)
+    b = store_strategy(strat)
     assert a.size == b.size
     assert a.root == b.root or a.bdd is not b.bdd  # fresh manager per store
 
@@ -199,7 +199,7 @@ def test_store_deterministic(mutex):
 def test_store_empty_strategy(fig1):
     # don't-care states are not part of the stored description, so the
     # fully undefined strategy encodes the empty set
-    store = store_strategy(fig1, strategy_from_choice(fig1, {}))
+    store = store_strategy(strategy_from_choice(fig1, {}))
     assert store.size == 0
     assert store.root == store.bdd.FALSE
     assert not store.accepts((0, 1), ActionAttr("a", 1))

@@ -114,6 +114,23 @@ def test_solve_brtdp_runs_the_solver_hooks():
     assert metrics["core.quotient_rows"] == 0  # brtdp builds no quotient
 
 
+def test_reachable_under_runs_its_counter_hook():
+    # no command calls `strategy.reachable_under`, and its counter reads the
+    # model's size from the first argument, so call it under the hooks here
+    from mdpdistill import bdd, cli, dtree, fixtures, importance, solver, strategy
+    spans = _spans()
+    modules = {"cli": cli, "solver": solver, "strategy": strategy,
+               "importance": importance, "dtree": dtree, "bdd": bdd}
+    fig1 = fixtures.load("fig1")
+    sigma = strategy.extract_liberal(fig1, solver.value_iteration(fig1, 1e-6))
+    tracer = spans.Tracer()
+    with spans.patched(modules, tracer):
+        reach = strategy.reachable_under(fig1, sigma)
+    metrics = spans.layer_metrics(tracer, 0.0)
+    assert "strategy.reachable" in {span["name"] for span in tracer.spans}
+    assert metrics["strategy.reach_frac"] == len(reach) / fig1.n_states > 0
+
+
 def test_capture_hook_sees_one_simulation(monkeypatch):
     # perfbench/run.py reads the RunStats by wrapping cli.simulate_batched
     from mdpdistill import cli

@@ -149,6 +149,9 @@ def test_sniff_both_formats(fig1):
          "target references unknown state"),
         ("vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\ninit 0",
          "sum to nan"),
+        ("vars x:0..2\nstate 0 0\nstate 1 1\nstate 2 2\nact 0 go -1 1.0 2\n"
+         "act 1 stay 1 1.0 1\nact 2 t 0 1.0 2\ninit 0\ntarget 2",
+         r"^negative module -1 \(line 5\)$"),
     ],
 )
 def test_flat_errors(text, fragment):

@@ -4,6 +4,7 @@ import functools
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -213,8 +214,8 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         calls["evaluate"] += 1
         return real_evaluate(*a)
 
-    def restricted_chain(mdp, sigma):
-        built.append((sigma.rows.tobytes(), real_chain(mdp, sigma)))
+    def restricted_chain(sigma):
+        built.append((sigma.rows.tobytes(), real_chain(sigma)))
         return built[-1][1]
 
     def decide(chain, upper, *a):
@@ -510,6 +511,50 @@ def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys
     assert "Traceback" not in err
     assert "error" in err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+NEGATIVE_MODULE_FLAT = ("vars x:0..2\nstate 0 0\nstate 1 1\nstate 2 2\nact 0 go -1 1.0 2\n"
+                        "act 1 stay 1 1.0 1\nact 2 t 0 1.0 2\ninit 0\ntarget 2\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "distill", "compare", "export"])
+@pytest.mark.parametrize("name,data,message", [
+    ("bad.mdp", b"\xff\xfe\x00bad",
+     "error: bad.mdp: not UTF-8 text (invalid start byte at byte 0)"),
+    ("neg.flat", NEGATIVE_MODULE_FLAT.encode(), "error: negative module -1 (line 5)"),
+], ids=["not-utf8", "negative-module"])
+def test_unreadable_model_exits_two_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                        command, name, data, message):
+    (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--model", name])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+# state 0 chooses between `go"left`, which reaches the target, and `b"a\d`
+QUOTED_FLAT = ("vars x:0..3\nstate 0 0\nstate 1 1\nstate 2 2\nstate 3 3\n"
+               "act 0 go\"left 1 0.9 2 0.1 1\nact 0 b\"a\\d 1 1.0 3\nact 1 stay 1 1.0 1\n"
+               "act 2 tau 0 1.0 2\nact 3 stay 1 1.0 3\ninit 0\ntarget 2\n")
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path, capsys):
+    model = tmp_path / "quoted.flat"
+    model.write_text(QUOTED_FLAT)
+    rc = main(["distill", "--model", str(model), "--min-leaf", "1",
+               "--out", str(tmp_path / "tree.json"), "--dot", str(tmp_path / "tree.dot")])
+    capsys.readouterr()
+    assert rc == 0
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    assert tree["root"]["p"] == {"cat": "action", "v": 'b"a\\d'}
+    lines = (tmp_path / "tree.dot").read_text().splitlines()
+    assert lines[2] == '  n0 [label="action=b\\"a\\\\d"];'
+    # every label is one DOT string: no quote inside it is left unescaped
+    for line in lines[2:-1]:
+        assert re.fullmatch(r'  n\d+ (\[label="([^"\\]|\\.)*"(, shape=ellipse)?\]'
+                            r'|-> n\d+( \[style=dashed\])?);', line), line
 
 
 def test_state_cap_zero_is_an_option_error(models, capsys):

@@ -243,6 +243,22 @@ def test_mec_restrict(tiny_mec_mdp):
     assert frozenset({3}) in {x.states for x in mecs}
 
 
+def test_a_mec_holding_a_target_is_that_target_alone(fig1, mutex, sync2, grid):
+    # a target is absorbing, so extraction, BRTDP's deflation and
+    # `check_valid` leave out every MEC holding a target by leaving out
+    # the target states; on whole models and on a part of each
+    models = [fig1, mutex, sync2, grid] + [random_mdp(seed) for seed in range(400)]
+    held = {None: 0, "part": 0}
+    for seed, m in enumerate(models):
+        for key, restrict in ((None, None), ("part", _restrict(m, seed))):
+            mec_of = mec_decompose(m, restrict=restrict).mec_of
+            sizes = np.bincount(mec_of[mec_of >= 0])
+            at_target = mec_of[m.sparse.is_target & (mec_of >= 0)]
+            assert np.all(sizes[at_target] == 1), seed
+            held[key] += len(at_target)
+    assert held[None] > 400 and held["part"] > 300, held  # 470 and 311
+
+
 def test_fig1_mecs_frozen(fig1):
     mecs = mec_list(mec_decompose(fig1), fig1)
     got = {m.states for m in mecs}
@@ -283,7 +299,7 @@ def test_reach_exact_reads_a_self_loop_near_one_as_renormalised():
 @pytest.mark.parametrize("seed", range(20))
 def test_breadth_first_order_matches_reachable(seed):
     m = random_mdp(seed, max_states=25)
-    P = induce_chain(m, strategy_from_choice(m, {}))
+    P = induce_chain(strategy_from_choice(m, {}))
     sources = sorted(as_tuples(m).target)
     order = breadth_first(P.T, sources)
     mask = reachable(P.T, sources)
@@ -301,7 +317,7 @@ def test_reach_bounds_bracket_the_value_and_close(seed):
     strategy = strategy_from_choice(
         m, {s: frozenset({rng.randrange(len(t.actions[s]))})
             for s in range(m.n_states) if rng.random() < 0.5})
-    P = induce_chain(m, strategy)
+    P = induce_chain(strategy)
     exact = reach_exact(P, t.target)
     # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`;
     # the upper bound starts at 1 or at the optimal value's bound
@@ -322,7 +338,7 @@ def test_sweeps_match_the_split_matrices(seed):
     strategy = strategy_from_choice(
         m, {s: frozenset(rng.sample(range(k), rng.randint(1, k)))
             for s, k in enumerate(np.diff(m.sparse.row_start).tolist()) if rng.random() < 0.7})
-    P = induce_chain(m, strategy)
+    P = induce_chain(strategy)
     is_target, states = core._unknowns(P, np.flatnonzero(m.sparse.is_target))
     if not len(states):
         return
@@ -340,7 +356,7 @@ def test_reach_exact_matches_fraction_dp(seed):
         m, {s: frozenset({rng.randrange(len(t.actions[s]))})
          for s in range(m.n_states) if s not in t.target})
     exactv = acyclic_value(m, strategy)
-    chain = induce_chain(m, strategy)
+    chain = induce_chain(strategy)
     v = reach_exact(chain, t.target)
     assert v[m.initial] == pytest.approx(float(exactv), abs=1e-12)
 
@@ -354,7 +370,7 @@ def test_reach_exact_direct_path_matches_fraction_dp_closely(seed):
         m, {s: frozenset(rng.sample(range(len(t.actions[s])),
                                     rng.randint(1, len(t.actions[s]))))
             for s in range(m.n_states) if s not in t.target})
-    v = reach_exact(induce_chain(m, strategy), t.target)
+    v = reach_exact(induce_chain(strategy), t.target)
     assert abs(v[m.initial] - float(acyclic_value(m, strategy))) <= 1e-14
 
 
@@ -452,18 +468,21 @@ def _assert_same_matrix(got, want):
 
 def _assert_same_quotient(got, want):
     assert got.num_nodes == want.num_nodes
-    for field in ("node_of", "nodes", "bounds", "target_nodes", "zero_nodes"):
+    for field in ("node_of", "bounds", "target_nodes", "zero_nodes"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     _assert_same_matrix(got.R, want.R)
-    # `interval_iterate` starts U at 0 on the zero set alone, so that set must
-    # hold every node without rows but the targets
-    rowless = np.ones(got.num_nodes, dtype=bool)
-    rowless[got.nodes] = False
-    assert np.all(got.zero_nodes[rowless & ~got.target_nodes])
-    # and grouped by node, as `interval_iterate_reduceat` reads them
+    # grouped by node, as `interval_iterate_reduceat` reads them
     (R, starts, owners), (R0, starts0, owners0) = node_grouped(got), node_grouped(want)
     assert np.array_equal(starts, starts0) and np.array_equal(owners, owners0)
     _assert_same_matrix(R, R0)
+    # the nodes with rows come first, by descending row count
+    assert np.array_equal(owners, np.arange(len(owners)))
+    assert np.all(np.diff(np.diff(np.append(starts, R.shape[0]))) <= 0)
+    # `interval_iterate` starts U at 0 on the zero set alone, so that set must
+    # hold every node without rows but the targets
+    rowless = np.ones(got.num_nodes, dtype=bool)
+    rowless[owners] = False
+    assert np.all(got.zero_nodes[rowless & ~got.target_nodes])
 
 
 @pytest.mark.parametrize("seed", range(240))
@@ -485,7 +504,8 @@ def test_quotient_freezes_targets_and_traps(tiny_mec_mdp):
     assert q.node_of[1] == q.node_of[2]
     assert q.target_nodes[q.node_of[3]]
     assert q.zero_nodes[q.node_of[4]]
-    assert q.node_of[3] not in q.nodes and q.node_of[4] not in q.nodes
+    with_rows = node_grouped(q)[2]
+    assert q.node_of[3] not in with_rows and q.node_of[4] not in with_rows
     # nodes without rows keep their start bounds: 1 at the target, 0 at the trap
     L, U, _ = interval_iterate(q, tol=1e-12)
     assert L[q.node_of[3]] == U[q.node_of[3]] == 1.0
@@ -511,7 +531,7 @@ def test_grid_value_frozen(grid):
 
 def test_induce_chain_uniform_mixture(fig1):
     strategy = strategy_from_choice(fig1, {0: frozenset({0, 1})})  # both a and b
-    rows = chain_rows(induce_chain(fig1, strategy))
+    rows = chain_rows(induce_chain(strategy))
     succs, probs = rows[0]
     mix = dict(zip(succs, probs))
     # 1/2 a + 1/2 b: a gives .99->1 .01->2, b gives .5->3 .5->4
@@ -535,15 +555,15 @@ def test_induce_chain_matches_dict_loop(seed):
         if rng.random() < 0.8:
             choice[s] = frozenset(rng.sample(range(k), rng.randint(1, k)))
     strategy = strategy_from_choice(m, choice)
-    assert chain_rows(induce_chain(m, strategy)) == induce_rows(m, strategy)
+    assert chain_rows(induce_chain(strategy)) == induce_rows(m, strategy)
 
 
 def test_induce_chain_rejects_bad_choices(fig1):
     with pytest.raises(MdpError, match="empty action set at state 0"):
-        induce_chain(fig1, strategy_from_choice(fig1, {0: frozenset()}))
+        induce_chain(strategy_from_choice(fig1, {0: frozenset()}))
     # index 2 at state 0 would be the first row of state 1
     with pytest.raises(MdpError, match="out of range"):
-        induce_chain(fig1, strategy_from_choice(
+        induce_chain(strategy_from_choice(
             fig1, {0: frozenset({len(as_tuples(fig1).actions[0])})}))
 
 

@@ -213,7 +213,7 @@ def test_json_round_trip_classifies_identically(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, mode="once")
+    ts = build_training_set(strat, w, mode="once")
     t = learn(ts)
     t2 = import_json(export_json(t))
     assert t2.domain == t.domain
@@ -284,8 +284,8 @@ def _assert_induced_like_classify(m, tree):
 def test_induce_strategy_matches_classify(name, request):
     m = request.getfixturevalue(name)
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
-    weights = importance_of(simulate(m, sigma, 2000, seed=1)).weights
-    ts = build_training_set(m, sigma, weights, runs=2000)
+    weights = importance_of(simulate(sigma, 2000, seed=1)).weights
+    ts = build_training_set(sigma, weights, runs=2000)
     for min_leaf in (1, 10, 100, 1000):
         _assert_induced_like_classify(m, learn(ts, min_leaf=min_leaf))
     _assert_induced_like_classify(m, _hand_tree(m))
@@ -295,7 +295,7 @@ def test_induce_strategy_matches_classify(name, request):
 def test_induce_strategy_matches_classify_on_random_models(seed):
     m = random_mdp(seed, max_actions=4)
     sigma = extract_liberal(m, value_iteration(m, 1e-9))
-    ts = build_training_set(m, sigma, np.ones(m.n_states), mode="once")
+    ts = build_training_set(sigma, np.ones(m.n_states), mode="once")
     _assert_induced_like_classify(m, learn(ts, min_leaf=1, prune=False))
     _assert_induced_like_classify(m, _hand_tree(m))
 
@@ -304,7 +304,7 @@ def test_induce_strategy_round_trip(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, mode="once")
+    ts = build_training_set(strat, w, mode="once")
     tree = learn(ts, min_leaf=1, confidence=0.5)
     induced, fallback = induce_strategy(fig1, tree)
     # the tree only rules out a and c, so every other action counts as
@@ -314,7 +314,7 @@ def test_induce_strategy_round_trip(fig1):
     assert choice_of(induced)[2] == choice_of(strat)[2]
     # off-run states keep all their actions (st and e both classify good)
     assert len(choice_of(induced)[3]) == 2
-    assert evaluate(fig1, induced) == pytest.approx(0.995, abs=1e-12)
+    assert evaluate(induced) == pytest.approx(0.995, abs=1e-12)
 
 
 def test_induce_skips_target(fig1):
@@ -329,8 +329,8 @@ def test_induce_skips_target(fig1):
 
 def _distill_set(mdp):
     sigma = extract_liberal(mdp, value_iteration(mdp, 1e-6))
-    stats = simulate(mdp, sigma, 10000, seed=1)
-    return sigma, build_training_set(mdp, sigma, importance_of(stats, "DP").weights,
+    stats = simulate(sigma, 10000, seed=1)
+    return sigma, build_training_set(sigma, importance_of(stats, "DP").weights,
                                      runs=10000)
 
 
@@ -338,9 +338,9 @@ def _distill_set(mdp):
 def test_learn_matches_mask_loop_on_every_probe(name, request):
     mdp = request.getfixturevalue(name)
     sigma, ts = _distill_set(mdp)
-    reference = evaluate(mdp, sigma)
+    reference = evaluate(sigma)
     fit = fit_max_leaf(
-        ts, lambda t: evaluate(mdp, induce_strategy(mdp, t)[0]) >= 0.99 * reference)
+        ts, lambda t: evaluate(induce_strategy(mdp, t)[0]) >= 0.99 * reference)
     assert len(fit.tried) > 1 or name == "sync2"
     for leaf, _ in fit.tried:
         for prune in (True, False):
@@ -367,7 +367,7 @@ def test_store_export_and_build_leave_no_garbage_cycles(grid):
     sigma, ts = _distill_set(grid)
     tree = learn(ts, min_leaf=20)
     grid_ast, fig1_ast = (parse_model(fixtures.model_text(n)) for n in ("grid", "fig1"))
-    calls = {"store_strategy": lambda: store_strategy(grid, sigma),
+    calls = {"store_strategy": lambda: store_strategy(sigma),
              "export_dot": lambda: export_dot(tree),
              "compile_model": lambda: compile_model(grid_ast),
              "build_mdp": lambda: build_mdp(fig1_ast)}
@@ -472,9 +472,9 @@ def _assert_any_probe_order_learns_the_fresh_trees(ts, leaves, seed):
 
 def test_any_probe_order_learns_the_fresh_trees_on_grid(grid):
     sigma, ts = _distill_set(grid)
-    reference = evaluate(grid, sigma)
+    reference = evaluate(sigma)
     fit = fit_max_leaf(
-        ts, lambda t: evaluate(grid, induce_strategy(grid, t)[0]) >= 0.99 * reference)
+        ts, lambda t: evaluate(induce_strategy(grid, t)[0]) >= 0.99 * reference)
     leaves = [m for m, _ in fit.tried]
     assert len(leaves) >= 20
     _assert_any_probe_order_learns_the_fresh_trees(ts, leaves, 0)

@@ -45,7 +45,7 @@ def test_exact_importance_needs_reachable_target(fig1):
 def test_exact_importance_against_horizon_oracle(seed):
     m = random_mdp(seed)
     strat = strategy_from_choice(m, {})  # uniform everywhere
-    v0 = reach_exact(induce_chain(m, strat), as_tuples(m).target)[m.initial]
+    v0 = reach_exact(induce_chain(strat), as_tuples(m).target)[m.initial]
     if v0 <= 0.0:
         pytest.skip("uniform play cannot reach the target here")
     imp = exact_importance(m, strat)
@@ -91,8 +91,8 @@ def test_exact_importance_in_unit_interval(mutex):
 
 def test_simulate_deterministic(fig1):
     strat = _opt(fig1)
-    a = simulate(fig1, strat, 500, seed=9)
-    b = simulate(fig1, strat, 500, seed=9)
+    a = simulate(strat, 500, seed=9)
+    b = simulate(strat, 500, seed=9)
     assert a.total_runs == b.total_runs == 500
     assert a.target_runs == b.target_runs
     for f in ("visited_cond_count", "visited_cond_mult",
@@ -102,9 +102,9 @@ def test_simulate_deterministic(fig1):
 
 def test_simulate_split_invariance(fig1):
     strat = _opt(fig1)
-    whole = simulate(fig1, strat, 300, seed=4)
-    front = simulate(fig1, strat, 120, seed=4, first_run=0)
-    back = simulate(fig1, strat, 180, seed=4, first_run=120)
+    whole = simulate(strat, 300, seed=4)
+    front = simulate(strat, 120, seed=4, first_run=0)
+    back = simulate(strat, 180, seed=4, first_run=120)
     merged = front.merge(back)
     assert merged.target_runs == whole.target_runs
     assert np.array_equal(merged.visited_cond_mult, whole.visited_cond_mult)
@@ -116,14 +116,14 @@ def test_simulate_batched_matches_serial(fig1):
     from mdpdistill import cli
     assert cli.simulate_batched is importance.simulate
     strat = _opt(fig1)
-    serial = simulate(fig1, strat, 400, seed=2)
-    _same_stats(cli.simulate_batched(fig1, strat, 400, seed=2), serial)
+    serial = simulate(strat, 400, seed=2)
+    _same_stats(cli.simulate_batched(strat, 400, seed=2), serial)
 
 
 def test_merge_is_commutative(fig1):
     strat = _opt(fig1)
-    a = simulate(fig1, strat, 50, seed=1, first_run=0)
-    b = simulate(fig1, strat, 70, seed=1, first_run=50)
+    a = simulate(strat, 50, seed=1, first_run=0)
+    b = simulate(strat, 70, seed=1, first_run=50)
     ab, ba = a.merge(b), b.merge(a)
     assert ab.target_runs == ba.target_runs
     assert np.array_equal(ab.visited_cond_count, ba.visited_cond_count)
@@ -133,17 +133,17 @@ def test_merge_is_commutative(fig1):
 
 def test_merge_needs_one_step_cap(fig1):
     strat = _opt(fig1)
-    a = simulate(fig1, strat, 50, seed=1, max_steps=7)
+    a = simulate(strat, 50, seed=1, max_steps=7)
     assert a.max_steps == 7
-    assert a.merge(simulate(fig1, strat, 20, seed=1, max_steps=7)).max_steps == 7
+    assert a.merge(simulate(strat, 20, seed=1, max_steps=7)).max_steps == 7
     with pytest.raises(ValueError, match="different step caps"):
-        a.merge(simulate(fig1, strat, 20, seed=1))
+        a.merge(simulate(strat, 20, seed=1))
 
 
 def test_simulate_stops_in_doomed_states(fig1):
     # under the optimal strategy runs that slip to the dead end stop there
     strat = _opt(fig1)
-    stats = simulate(fig1, strat, 2000, seed=0)
+    stats = simulate(strat, 2000, seed=0)
     assert stats.target_runs < stats.total_runs  # some runs died
     assert stats.visited_all_mult[5] == stats.visited_all_count[5]  # no loops counted
     assert stats.visited_cond_count[5] == 0  # never on a successful run
@@ -153,25 +153,25 @@ def test_simulate_step_cap():
     import mdpdistill.fixtures as fx
     m = fx.load("fig1")
     strat = _opt(m)
-    capped = simulate(m, strat, 100, seed=3, max_steps=0)
+    capped = simulate(strat, 100, seed=3, max_steps=0)
     assert capped.target_runs == 0
     assert capped.visited_all_count[m.initial] == 100
     assert capped.visited_all_count.sum() == 100  # nothing else visited
 
 
 def test_truncated_runs_all_at_zero_cap(fig1):
-    stats = simulate(fig1, _opt(fig1), 100, seed=3, max_steps=0)
+    stats = simulate(_opt(fig1), 100, seed=3, max_steps=0)
     assert stats.truncated_runs == 100
 
 
 def test_truncated_runs_some_at_small_cap(mutex):
     strat = _opt(mutex)
-    capped = simulate(mutex, strat, 1000, seed=3, max_steps=4)
+    capped = simulate(strat, 1000, seed=3, max_steps=4)
     # at 4 steps some runs are cut, some hit, and some are already doomed
     assert 0 < capped.truncated_runs < capped.total_runs - capped.target_runs
-    assert simulate(mutex, strat, 1000, seed=3).truncated_runs == 0
-    front = simulate(mutex, strat, 400, seed=3, max_steps=4)
-    back = simulate(mutex, strat, 600, seed=3, max_steps=4, first_run=400)
+    assert simulate(strat, 1000, seed=3).truncated_runs == 0
+    front = simulate(strat, 400, seed=3, max_steps=4)
+    back = simulate(strat, 600, seed=3, max_steps=4, first_run=400)
     assert front.merge(back).truncated_runs == capped.truncated_runs
 
 
@@ -189,7 +189,7 @@ def _same_stats(a, b):
 def test_simulate_matches_run_loop(name, request):
     m = request.getfixturevalue(name)
     strat = _opt(m)
-    _same_stats(simulate(m, strat, 10000, seed=1),
+    _same_stats(simulate(strat, 10000, seed=1),
                 simulate_rows(m, strat, 10000, seed=1))
 
 
@@ -197,7 +197,7 @@ def test_simulate_matches_run_loop(name, request):
 def test_simulate_matches_run_loop_on_random_models(seed):
     m = random_mdp(seed)
     strat = strategy_from_choice(m, {})  # uniform everywhere
-    _same_stats(simulate(m, strat, 300, seed=seed),
+    _same_stats(simulate(strat, 300, seed=seed),
                 simulate_rows(m, strat, 300, seed=seed))
 
 
@@ -207,7 +207,7 @@ def test_simulate_matches_run_loop_on_random_models(seed):
     (3000, 5, 0), (3000, 5, 1), (3000, 5, 3)])
 def test_simulate_matches_run_loop_across_blocks(mutex, runs, first_run, max_steps):
     strat = _opt(mutex)
-    _same_stats(simulate(mutex, strat, runs, seed=6, first_run=first_run,
+    _same_stats(simulate(strat, runs, seed=6, first_run=first_run,
                          max_steps=max_steps),
                 simulate_rows(mutex, strat, runs, seed=6, first_run=first_run,
                               max_steps=max_steps))
@@ -217,7 +217,7 @@ def test_simulate_matches_run_loop_when_visits_are_tallied_early(sync2, monkeypa
     # a tiny limit tallies the held visits every few steps
     monkeypatch.setattr(importance, "_PENDING", 2)
     strat = _opt(sync2)
-    _same_stats(simulate(sync2, strat, 2500, seed=2),
+    _same_stats(simulate(strat, 2500, seed=2),
                 simulate_rows(sync2, strat, 2500, seed=2))
 
 
@@ -228,7 +228,7 @@ def test_simulate_peak_memory_flat_in_runs(grid):
     def peak(runs):
         tracemalloc.start()
         try:
-            simulate(grid, strat, runs, seed=1)
+            simulate(strat, runs, seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,7 +239,7 @@ def test_simulate_peak_memory_flat_in_runs(grid):
 
 def test_simulated_importance_near_exact(fig1):
     strat = _opt(fig1)
-    stats = simulate(fig1, strat, 20000, seed=11)
+    stats = simulate(strat, 20000, seed=11)
     imp = importance_of(stats, "DP").weights
     assert abs(imp[2] - 1 / 199) < 3e-3
     assert imp[0] == 1.0
@@ -286,7 +286,7 @@ def test_variant_errors():
 def test_training_set_fig1(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, mode="once")
+    ts = build_training_set(strat, w, mode="once")
     assert ts.domain == Domain.of(fig1)
     rows = rows_of(ts)
     by_state = {}
@@ -303,7 +303,7 @@ def test_training_set_fig1(fig1):
 def test_training_set_repeat_counts(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, mode="repeat", runs=1000)
+    ts = build_training_set(strat, w, mode="repeat", runs=1000)
     weight_of = {(r.x, r.attr.name): r.weight for r in rows_of(ts)}
     assert weight_of[((0, 1), "b")] == 1000
     # round(1000 / 199) = 5
@@ -314,7 +314,7 @@ def test_training_set_repeat_counts(fig1):
 def test_training_set_weight_floor(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, mode="repeat", runs=10)
+    ts = build_training_set(strat, w, mode="repeat", runs=10)
     # 10/199 rounds to zero but rows are never dropped by rounding
     assert min(r.weight for r in rows_of(ts)) == 1
 
@@ -322,13 +322,13 @@ def test_training_set_weight_floor(fig1):
 def test_training_set_delta(fig1):
     strat = _opt(fig1)
     w = exact_importance(fig1, strat)
-    ts = build_training_set(fig1, strat, w, delta=0.1)
+    ts = build_training_set(strat, w, delta=0.1)
     assert {r.x for r in rows_of(ts)} == {(0, 1)}
 
 
 def test_training_set_dont_care_all_good(fig1):
     w = np.ones(fig1.n_states)
-    ts = build_training_set(fig1, strategy_from_choice(fig1, {}), w, mode="once")
+    ts = build_training_set(strategy_from_choice(fig1, {}), w, mode="once")
     rows = rows_of(ts)
     assert rows and all(r.good for r in rows)
     assert (0, 1) in {r.x for r in rows}
@@ -338,7 +338,7 @@ def test_training_set_dedups_attributes(sync2):
     # four synchronized combinations share one attribute per state
     strat = _opt(sync2)
     w = np.ones(sync2.n_states)
-    rows = rows_of(build_training_set(sync2, strat, w, mode="once"))
+    rows = rows_of(build_training_set(strat, w, mode="once"))
     for r in rows:
         assert r.attr == ActionAttr("step", 0)
     xs = [r.x for r in rows]
@@ -347,12 +347,12 @@ def test_training_set_dedups_attributes(sync2):
 
 def test_training_set_mode_checked(fig1):
     with pytest.raises(ValueError, match="unknown training mode"):
-        build_training_set(fig1, strategy_from_choice(fig1, {}),
+        build_training_set(strategy_from_choice(fig1, {}),
                            np.ones(fig1.n_states), mode="thrice")
 
 
 def _assert_matches_row_loop(mdp, strategy, weights, **kw):
-    got = build_training_set(mdp, strategy, weights, **kw)
+    got = build_training_set(strategy, weights, **kw)
     rows = training_rows(mdp, strategy, weights, **kw)
     want = training_set(Domain.of(mdp), rows)
     assert got.domain == want.domain
@@ -369,7 +369,7 @@ def _assert_matches_row_loop(mdp, strategy, weights, **kw):
 def test_training_set_matches_row_loop(name, request):
     m = request.getfixturevalue(name)
     strat = _opt(m)
-    w = importance_of(simulate(m, strat, 2000, seed=1), "DP").weights
+    w = importance_of(simulate(strat, 2000, seed=1), "DP").weights
     positive = np.sort(w[w > 0])
     for delta in (0.0, float(positive[len(positive) // 2])):
         for runs in (1, 997, 10000):

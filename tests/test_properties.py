@@ -52,7 +52,7 @@ def test_vi_is_sound_and_extraction_optimal(m):
     va = value_iteration(m, 1e-7)
     assert check_valid(m, va, exact).ok
     strat = extract_liberal(m, va)
-    assert abs(evaluate(m, strat) - exact[m.initial]) <= 1e-5
+    assert abs(evaluate(strat) - exact[m.initial]) <= 1e-5
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,5 +135,5 @@ def test_run_stats_merge_is_order_insensitive(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(mdps())
 def test_uniform_play_never_beats_optimum(m):
-    uniform = evaluate(m, strategy_from_choice(m, {}))
+    uniform = evaluate(strategy_from_choice(m, {}))
     assert uniform <= max_reach_exact(m)[m.initial] + 1e-9

@@ -37,14 +37,14 @@ def test_extract_fig1_frozen(fig1):
     for dead in (5, 6, 7, 8):
         assert _names(fig1, dead, choice_of(strat)[dead]) == ["dd"]
     assert 1 not in choice_of(strat)  # target stays open
-    assert explicit_size(fig1, strat) == 8
+    assert explicit_size(strat) == 8
 
 
 def test_extract_keeps_value(fig1, mutex, sync2):
     for m in (fig1, mutex, sync2):
         va = value_iteration(m, 1e-9)
         strat = extract_liberal(m, va)
-        assert evaluate(m, strat) == pytest.approx(
+        assert evaluate(strat) == pytest.approx(
             max_reach_exact(m)[m.initial], abs=1e-7)
 
 
@@ -53,7 +53,7 @@ def test_extract_is_optimal_on_random_models(seed):
     m = random_mdp(seed)
     va = value_iteration(m, 1e-9)
     strat = extract_liberal(m, va)
-    assert evaluate(m, strat) == pytest.approx(
+    assert evaluate(strat) == pytest.approx(
         max_reach_exact(m)[m.initial], abs=1e-6)
 
 
@@ -119,7 +119,7 @@ def test_extract_mec_exit_choice(tiny_mec_mdp):
     # state 1 owns the best exit and commits to it; state 2 walks back
     assert _names(m, 1, choice_of(strat)[1]) == ["exit"]
     assert _names(m, 2, choice_of(strat)[2]) == ["spin"]
-    assert evaluate(m, strat) == pytest.approx(0.5, abs=1e-12)
+    assert evaluate(strat) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exit_union_keeps_internal(tiny_mec_mdp):
@@ -128,7 +128,7 @@ def test_exit_union_keeps_internal(tiny_mec_mdp):
     strat = extract_liberal(m, va, exit_union=True)
     assert _names(m, 1, choice_of(strat)[1]) == ["exit", "spin"]
     # spinning half the time still reaches the exit almost surely
-    assert evaluate(m, strat) == pytest.approx(0.5, abs=1e-12)
+    assert evaluate(strat) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_positive_mec_without_exit_rejected(monkeypatch):
@@ -161,13 +161,13 @@ def test_positive_mec_without_exit_rejected(monkeypatch):
 def test_evaluate_ignores_unreachable_choices(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
-    base = evaluate(fig1, strat)
+    base = evaluate(strat)
     # repoint every state outside the induced run; the result must not
     # move by a single bit
     tweaked = dict(choice_of(strat))
     tweaked[3] = frozenset({0})  # st instead of e; state 3 is unreachable
     tweaked[6] = frozenset({0})
-    assert evaluate(fig1, strategy_from_choice(fig1, tweaked)) == base
+    assert evaluate(strategy_from_choice(fig1, tweaked)) == base
 
 
 def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
@@ -175,12 +175,12 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
     calls = []
     real = strategy_mod.induce_chain
 
-    def counting(mdp, strat):
+    def counting(strat):
         calls.append(1)
-        return real(mdp, strat)
+        return real(strat)
 
     monkeypatch.setattr(strategy_mod, "induce_chain", counting)
-    assert evaluate(fig1, strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
     assert len(calls) == 1
 
 
@@ -188,20 +188,20 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
 def test_evaluate_equals_dict_loop_on_every_probe(name, request):
     m = request.getfixturevalue(name)
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
-    weights = importance_of(simulate(m, sigma, 2000, seed=0)).weights
-    ts = build_training_set(m, sigma, weights, runs=2000)
-    reference = evaluate(m, sigma)
+    weights = importance_of(simulate(sigma, 2000, seed=0)).weights
+    ts = build_training_set(sigma, weights, runs=2000)
+    reference = evaluate(sigma)
     strategies = [sigma, truncate(sigma, weights)]
 
     def accept(tree):
         induced, _ = induce_strategy(m, tree)
         strategies.append(induced)
-        return reference - evaluate(m, induced) <= 0.01 * reference
+        return reference - evaluate(induced) <= 0.01 * reference
 
     fit = fit_max_leaf(ts, accept)
     assert len(strategies) == 2 + len(fit.tried)
     for s in strategies:
-        assert evaluate(m, s) == evaluate_rows(m, s)
+        assert evaluate(s) == evaluate_rows(m, s)
 
 
 def _search_with_decisions(m, ts, reference, budget, upper, monkeypatch):
@@ -222,10 +222,10 @@ def _search_with_decisions(m, ts, reference, budget, upper, monkeypatch):
 
     def accept(tree):
         induced, _ = induce_strategy(m, tree)
-        chain = restricted_chain(m, induced)
+        chain = restricted_chain(induced)
         key = induced.rows.tobytes()
         if key not in exact:
-            exact[key] = value = evaluate(m, induced)
+            exact[key] = value = evaluate(induced)
             # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
             P, targets, init, states = chain
             for lower, up in islice(reach_bounds(P, targets, init, upper[states]),
@@ -253,9 +253,9 @@ ENGINES = {"vi": lambda m: value_iteration(m, 1e-6),
 def _check_decisions(m, monkeypatch, runs=2000, kind="DP", engine="vi"):
     va = ENGINES[engine](m)
     sigma = extract_liberal(m, va)
-    weights = importance_of(simulate(m, sigma, runs, seed=0), kind).weights
-    ts = build_training_set(m, sigma, weights, runs=runs)
-    reference = evaluate(m, sigma)
+    weights = importance_of(simulate(sigma, runs, seed=0), kind).weights
+    ts = build_training_set(sigma, weights, runs=runs)
+    reference = evaluate(sigma)
     values, _ = _search_with_decisions(m, ts, reference, 0.01, va.state_upper, monkeypatch)
     if reference <= 0:
         return
@@ -299,10 +299,10 @@ def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monk
     monkeypatch.setattr(strategy_mod, "DECIDE_SWEEPS", sweeps)
     va = value_iteration(m, 1e-6)
     sigma = extract_liberal(m, va)
-    reference = evaluate(m, sigma)
+    reference = evaluate(sigma)
     for tree_sigma in (sigma, strategy_from_choice(m, {})):
-        value = evaluate(m, tree_sigma)
-        chain = restricted_chain(m, tree_sigma)
+        value = evaluate(tree_sigma)
+        chain = restricted_chain(tree_sigma)
         for budget in (0.0, 0.01, 0.5, (reference - value) / reference):
             for upper in (va.state_upper, np.ones(m.n_states)):
                 assert (decide(chain, upper, reference, budget)
@@ -311,11 +311,11 @@ def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monk
 
 def test_evaluate_equals_dict_loop_on_grid(grid):
     sigma = extract_liberal(grid, value_iteration(grid, 1e-6))
-    assert evaluate(grid, sigma) == evaluate_rows(grid, sigma)
+    assert evaluate(sigma) == evaluate_rows(grid, sigma)
 
 
 def test_uniform_strategy_value_frozen(fig1):
-    assert evaluate(fig1, strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
+    assert evaluate(strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
 
 
 def test_truncate_drops_zero_weight(fig1):
@@ -324,9 +324,9 @@ def test_truncate_drops_zero_weight(fig1):
     w = exact_importance(fig1, strat)
     cut = truncate(strat, w, 0.0)
     assert set(choice_of(cut)) == {0, 2}
-    assert explicit_size(fig1, cut) == 2
+    assert explicit_size(cut) == 2
     # bit-identical value: dropped states were off the induced run
-    assert evaluate(fig1, cut) == evaluate(fig1, strat)
+    assert evaluate(cut) == evaluate(strat)
 
 
 def test_truncate_delta_thins_rare_states(fig1):
@@ -335,7 +335,7 @@ def test_truncate_delta_thins_rare_states(fig1):
     w = exact_importance(fig1, strat)
     cut = truncate(strat, w, 0.1)  # Imp(q) = 1/199 < 0.1
     assert set(choice_of(cut)) == {0}
-    v = evaluate(fig1, cut)
+    v = evaluate(cut)
     # q falls back to uniform over {c, d}: 0.99 + 0.01 * 0.25
     assert v == pytest.approx(0.9925, abs=1e-12)
 
@@ -363,7 +363,7 @@ def test_truncate_matches_dict_loop(name, request):
     m = request.getfixturevalue(name)
     for exit_union in (False, True):
         sigma = extract_liberal(m, value_iteration(m, 1e-6), exit_union=exit_union)
-        weights = importance_of(simulate(m, sigma, 2000, seed=0), "DP").weights
+        weights = importance_of(simulate(sigma, 2000, seed=0), "DP").weights
         for delta in (0.0, 0.01, -0.5):
             for mode in ("keep-all", "keep-argmax"):
                 _assert_same_strategy(truncate(sigma, weights, delta, mode),
@@ -400,7 +400,7 @@ def test_dump_tsv_layout(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
     w = exact_importance(fig1, strat)
-    text = dump_tsv(fig1, strat, w)
+    text = dump_tsv(strat, w)
     lines = text.strip().split("\n")
     assert lines[0].split("\t") == [
         "state", "valuation", "action", "module", "label", "importance"]
@@ -416,7 +416,7 @@ def test_dump_tsv_layout(fig1):
 def test_dump_tsv_without_weights(fig1):
     va = value_iteration(fig1, 1e-9)
     strat = extract_liberal(fig1, va)
-    lines = dump_tsv(fig1, strat).splitlines()
+    lines = dump_tsv(strat).splitlines()
     # importance column stays empty when no weights are handed over
     assert all(line.split("\t")[5] == "" for line in lines[1:])
 
@@ -442,10 +442,10 @@ def test_good_pairs_distinct_attrs(sync2):
 def test_explicit_size_counts_the_good_pairs(name, request):
     m = request.getfixturevalue(name)
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
-    weights = importance_of(simulate(m, sigma, 500, seed=0)).weights
+    weights = importance_of(simulate(sigma, 500, seed=0)).weights
     for s in (sigma, truncate(sigma, weights), truncate(sigma, weights, mode="keep-argmax"),
               strategy_from_choice(m, {})):
-        assert explicit_size(m, s) == len(s.good_pairs())
+        assert explicit_size(s) == len(s.good_pairs())
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -456,4 +456,4 @@ def test_explicit_size_counts_the_good_pairs_of_random_strategies(seed):
     s = strategy_from_choice(
         m, {st: frozenset(rng.sample(range(k), rng.randint(1, k)))
             for st, k in enumerate(counts) if rng.random() < 0.7})
-    assert explicit_size(m, s) == len(s.good_pairs())
+    assert explicit_size(s) == len(s.good_pairs())
