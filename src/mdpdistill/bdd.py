@@ -154,6 +154,6 @@ def store_strategy(strategy: LiberalStrategy) -> StrategyStore:
     """Encode the strategy's distinct (state, attribute) pairs in its model's bit layout."""
     layout = BitLayout.of(Domain.of(strategy.mdp))
     bdd = Bdd(layout.n_bits)
-    vals = strategy.mdp.sparse.valuation
+    vals = strategy.mdp.valuation
     items = [layout.encode(vals[s].tolist(), attr) for s, attr in strategy.good_pairs()]
     return StrategyStore(bdd, bdd.encode_set(items), layout)

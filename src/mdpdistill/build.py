@@ -4,8 +4,8 @@ A validated AST is compiled once into Python (`compile_model`): `walk`
 runs the breadth-first search from the initial valuation one state at a
 time, and `expand_all` expands many states at once with numpy. The search
 hands wide queue segments to `expand_all` and walks the rest, and writes
-the rows straight into a SparseView; the same AST always yields the same
-state numbering.
+the rows straight into the model's arrays; the same AST always yields the
+same state numbering.
 Commands fire in module/declaration order; labelled commands synchronize
 across all modules declaring the label (one enabled command per
 participating module, all combinations enumerated, attribute (label, 0)).
@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import TAU, Mdp, MdpError, SparseView, _ranges, branch_groups
+from .core import TAU, Mdp, MdpError, _ranges, branch_groups
 from .expr import (_PY_CMP, And, Arith, BoolLit, Cmp, Expr, IntLit, MinMax, Neg, Not,
                    Var, compile_expr, define)
 from .lang import ModelAst, ModelError, parse_model, parse_predicate
@@ -472,7 +472,7 @@ def _merge_repeats(row_len, succ, prob, n):
 
 def _assemble(var_decls, valuation, initial, module_count, names, row_state, row_name,
               row_module, row_len, succ, prob, is_target) -> Mdp:
-    """An Mdp whose view holds the given action rows, grouped by state.
+    """An Mdp that holds the given action rows, grouped by state.
 
     Rows may come in any state order and keep their relative order within
     a state. `row_name` indexes `names`; the branches of all rows are
@@ -502,7 +502,8 @@ def _assemble(var_decls, valuation, initial, module_count, names, row_state, row
     rank = np.zeros(len(names), dtype=np.int64)
     rank[ranked] = np.arange(len(ranked))
     counts = np.bincount(row_state[rows], minlength=n)
-    view = SparseView(
+    return Mdp(
+        var_decls=tuple(var_decls),
         row_start=np.concatenate(([0], np.cumsum(counts))),
         row_state=np.repeat(np.arange(n), counts),
         branches=sp.csr_matrix(
@@ -512,19 +513,20 @@ def _assemble(var_decls, valuation, initial, module_count, names, row_state, row
         module=row_module[rows],
         valuation=valuation,
         is_target=is_target,
+        action_names=tuple(names[i] for i in ranked),
+        initial=initial,
+        module_count=module_count,
     )
-    return Mdp(tuple(var_decls), view, tuple(names[i] for i in ranked), initial, module_count)
 
 
 def retarget(mdp: Mdp, expr: str) -> Mdp:
     """The model with its target set replaced by a predicate over its variables."""
     names = [n for n, _, _ in mdp.var_decls]
     pred = compile_expr(parse_predicate(expr, names), names)
-    v = mdp.sparse
-    target = np.fromiter((bool(pred(*vec)) for vec in v.valuation.tolist()), bool, mdp.n_states)
-    return _assemble(mdp.var_decls, v.valuation, mdp.initial, mdp.module_count,
-                     mdp.action_names, v.row_state, v.action_id, v.module,
-                     np.diff(v.branches.indptr), v.branches.indices, v.branches.data,
+    target = np.fromiter((bool(pred(*vec)) for vec in mdp.valuation.tolist()), bool, mdp.n_states)
+    return _assemble(mdp.var_decls, mdp.valuation, mdp.initial, mdp.module_count,
+                     mdp.action_names, mdp.row_state, mdp.action_id, mdp.module,
+                     np.diff(mdp.branches.indptr), mdp.branches.indices, mdp.branches.data,
                      target).validate()
 
 
@@ -633,21 +635,20 @@ def parse_flat(src: str) -> Mdp:
 
 
 def export_flat(mdp: Mdp) -> str:
-    v = mdp.sparse
     out = []
     out.append("vars " + " ".join(f"{n}:{lo}..{hi}" for n, lo, hi in mdp.var_decls))
-    for i, vec in enumerate(v.valuation.tolist()):
+    for i, vec in enumerate(mdp.valuation.tolist()):
         out.append(f"state {i} " + " ".join(str(x) for x in vec))
-    ptr = v.branches.indptr.tolist()
-    succ, prob = v.branches.indices.tolist(), v.branches.data.tolist()
-    for r, (s, a, m) in enumerate(zip(v.row_state.tolist(), v.action_id.tolist(),
-                                      v.module.tolist())):
+    ptr = mdp.branches.indptr.tolist()
+    succ, prob = mdp.branches.indices.tolist(), mdp.branches.data.tolist()
+    for r, (s, a, m) in enumerate(zip(mdp.row_state.tolist(), mdp.action_id.tolist(),
+                                      mdp.module.tolist())):
         pairs = " ".join(f"{p!r} {t}" for t, p in zip(succ[ptr[r]:ptr[r + 1]],
                                                      prob[ptr[r]:ptr[r + 1]]))
         out.append(f"act {s} {mdp.action_names[a]} {m} {pairs}")
     out.append(f"init {mdp.initial}")
-    if v.is_target.any():
-        out.append("target " + " ".join(map(str, np.flatnonzero(v.is_target).tolist())))
+    if mdp.is_target.any():
+        out.append("target " + " ".join(map(str, np.flatnonzero(mdp.is_target).tolist())))
     return "\n".join(out) + "\n"
 
 

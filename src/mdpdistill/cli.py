@@ -72,6 +72,14 @@ def _runs_ended(stats) -> bool:
     return not stats.truncated_runs
 
 
+def _kept_budget(met: bool, tree_value: float, rel: float, budget: float) -> bool:
+    """Whether the tree kept to the quality budget; if not, say so on stderr."""
+    if not met:
+        print(f"error: tree value {tree_value:.10g} loses {rel:.3g} of the strategy value, "
+              f"over the budget of {budget:g}", file=sys.stderr)
+    return met
+
+
 def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
@@ -85,7 +93,7 @@ def cmd_solve(args) -> int:
     value = strat.evaluate(sigma)
     _print_kv([
         ("states", mdp.n_states),
-        ("target states", int(mdp.sparse.is_target.sum())),
+        ("target states", int(mdp.is_target.sum())),
         ("engine", va.engine),
         ("lower", f"{va.state_lower[mdp.initial]:.10g}"),
         ("upper", f"{va.state_upper[mdp.initial]:.10g}"),
@@ -187,7 +195,8 @@ def cmd_distill(args) -> int:
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(trunc, imp.weights))
     # a list, not `and`, so that every failed check prints its line
-    return 0 if all([_converged(va), _runs_ended(stats), budget_met]) else 1
+    return 0 if all([_converged(va), _runs_ended(stats),
+                     _kept_budget(budget_met, tree_value, rel, args.budget)]) else 1
 
 
 def cmd_compare(args) -> int:

@@ -57,54 +57,62 @@ class ActionAttr(NamedTuple):
     module: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Mdp:
-    """Explicit MDP over vector-valued states with an absorbing target set.
+    """Explicit MDP over vector-valued states with an absorbing target set,
+    stored as arrays in the sparse row-grouped layout of PRISM and Storm.
 
-    The model is stored once, as its SparseView.
+    Action rows are numbered state by state in declaration order, so the
+    rows of state s are row_start[s]:row_start[s + 1] and local action i of
+    s is row row_start[s] + i.
     """
 
     var_decls: Tuple[Tuple[str, int, int], ...]  # (name, lo, hi) per coordinate
-    sparse: "SparseView"
+    row_start: np.ndarray  # (states + 1,) offset of each state's first row
+    row_state: np.ndarray  # (rows,) owning state of each row
+    branches: sp.csr_matrix  # rows x states, successors in declaration order
+    action_id: np.ndarray  # (rows,) index into action_names
+    module: np.ndarray  # (rows,) owning module
+    valuation: np.ndarray  # states x variables
+    is_target: np.ndarray  # (states,) bool
     action_names: Tuple[str, ...]  # sorted names of the actions that occur
     initial: int
     module_count: int = 1
 
     @property
     def n_states(self) -> int:
-        return len(self.sparse.row_start) - 1
+        return len(self.row_start) - 1
 
     @cached_property
     def row_valuation(self) -> np.ndarray:
         """The valuation of each action row's state, variables x rows."""
-        return np.ascontiguousarray(self.sparse.valuation.T[:, self.sparse.row_state])
+        return np.ascontiguousarray(self.valuation.T[:, self.row_state])
 
     @cached_property
     def actions(self) -> Tuple[range, ...]:
-        """The range of action rows of each state in the view."""
-        start = self.sparse.row_start.tolist()
+        """The range of action rows of each state."""
+        start = self.row_start.tolist()
         return tuple(map(range, start[:-1], start[1:]))
 
     def validate(self):
-        """Check the view's structure; report the first offending state.
+        """Check the arrays' structure; report the first offending state.
 
         Every check runs on whole arrays. The message is then worked out for
         the first state that fails one, in the order: variable ranges,
         deadlock, each action's distribution, absorbing targets.
         """
-        v = self.sparse
         n = self.n_states
         if not (0 <= self.initial < n):
             raise MdpError("initial state out of range")
         width = len(self.var_decls)
-        if v.valuation.shape != (n, width):
-            raise MdpError(f"valuation of shape {v.valuation.shape}, not ({n}, {width})")
+        if self.valuation.shape != (n, width):
+            raise MdpError(f"valuation of shape {self.valuation.shape}, not ({n}, {width})")
         # the valuation is int64, so bounds past that range constrain nothing
         lo = np.array([max(lo, _INT64.min) for _, lo, _ in self.var_decls], dtype=np.int64)
         hi = np.array([min(hi, _INT64.max) for _, _, hi in self.var_decls], dtype=np.int64)
-        outside = (v.valuation < lo) | (v.valuation > hi)
-        counts = np.diff(v.row_start)
-        ptr, succ, prob = v.branches.indptr, v.branches.indices, v.branches.data
+        outside = (self.valuation < lo) | (self.valuation > hi)
+        counts = np.diff(self.row_start)
+        ptr, succ, prob = self.branches.indptr, self.branches.indices, self.branches.data
         lengths = np.diff(ptr)
         rows = len(lengths)
         entry_row = np.repeat(np.arange(rows), lengths)
@@ -118,28 +126,28 @@ class Mdp:
                    | _hits(entry_row[~(prob > 0)], rows)
                    | _hits(entry_row[order[~first_of]], rows)
                    | _hits(entry_row[(succ < 0) | (succ >= n)], rows))
-        first = v.row_start[:-1]
+        first = self.row_start[:-1]
         one = np.flatnonzero(counts == 1)
         single = one[lengths[first[one]] == 1]
         absorbing = np.zeros(n, dtype=bool)
         absorbing[single] = succ[ptr[first[single]]] == single
-        bad = (outside.any(axis=1) | (counts == 0) | _hits(v.row_state[row_bad], n)
-               | (v.is_target & ~absorbing))
+        bad = (outside.any(axis=1) | (counts == 0) | _hits(self.row_state[row_bad], n)
+               | (self.is_target & ~absorbing))
         if not bad.any():
             return self
         s = int(np.flatnonzero(bad)[0])
         if outside[s].any():
             j = int(np.flatnonzero(outside[s])[0])
             name, lo, hi = self.var_decls[j]
-            raise MdpError(f"state {s}: {name}={v.valuation[s, j]} outside [{lo}..{hi}]")
+            raise MdpError(f"state {s}: {name}={self.valuation[s, j]} outside [{lo}..{hi}]")
         if counts[s] == 0:
             raise MdpError(f"state {s} has no enabled action (deadlock)")
-        for r in range(v.row_start[s], v.row_start[s + 1]):
+        for r in range(self.row_start[s], self.row_start[s + 1]):
             a, b = ptr[r], ptr[r + 1]
             if a == b:
                 raise MdpError(f"state {s}: malformed distribution")
             if not abs(total[r] - 1.0) <= ROW_SUM_TOL:
-                raise MdpError(f"state {s}, action {self.action_names[v.action_id[r]]}: "
+                raise MdpError(f"state {s}, action {self.action_names[self.action_id[r]]}: "
                                f"probabilities sum to {float(total[r])}")
             if not (prob[a:b] > 0).all():
                 raise MdpError(f"state {s}: non-positive branch probability")
@@ -170,24 +178,6 @@ def branch_groups(entry_row: np.ndarray, succ: np.ndarray, n: int):
     return order, first_of
 
 
-@dataclass(frozen=True)
-class SparseView:
-    """An Mdp as arrays, in the sparse row-grouped layout of PRISM and Storm.
-
-    Action rows are numbered state by state in declaration order, so the
-    rows of state s are row_start[s]:row_start[s + 1] and local action i of
-    s is row row_start[s] + i.
-    """
-
-    row_start: np.ndarray  # (states + 1,) offset of each state's first row
-    row_state: np.ndarray  # (rows,) owning state of each row
-    branches: sp.csr_matrix  # rows x states, successors in declaration order
-    action_id: np.ndarray  # (rows,) index into Mdp.action_names
-    module: np.ndarray  # (rows,) owning module
-    valuation: np.ndarray  # states x variables
-    is_target: np.ndarray  # (states,) bool
-
-
 def distinct_attrs(mdp: Mdp, states: np.ndarray, good: np.ndarray):
     """The distinct (state, action id, module) triples of the rows of `states`.
 
@@ -196,10 +186,9 @@ def distinct_attrs(mdp: Mdp, states: np.ndarray, good: np.ndarray):
     whether a `good` row carries the triple. Action ids rank the names, so
     sorting ids sorts names.
     """
-    v = mdp.sparse
-    rows = np.flatnonzero(states[v.row_state])
-    rows = rows[np.lexsort((v.module[rows], v.action_id[rows], v.row_state[rows]))]
-    keys = np.stack((v.row_state[rows], v.action_id[rows], v.module[rows]))
+    rows = np.flatnonzero(states[mdp.row_state])
+    rows = rows[np.lexsort((mdp.module[rows], mdp.action_id[rows], mdp.row_state[rows]))]
+    keys = np.stack((mdp.row_state[rows], mdp.action_id[rows], mdp.module[rows]))
     starts = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=1) != 0).any(axis=0))))
     if not len(rows):
         return keys[0], keys[1], keys[2], np.zeros(0, dtype=bool)
@@ -212,7 +201,7 @@ class LiberalStrategy:
     absent = don't-care.
 
     Don't-care states are read as the uniform distribution over Act(s). The
-    map is stored as two masks over the model's SparseView: `defined`, the
+    map is stored as two masks over the model's arrays: `defined`, the
     states it covers, and `rows`, the action rows in play, which are the
     chosen rows of defined states and every row of an open state.
     """
@@ -220,7 +209,7 @@ class LiberalStrategy:
     def __init__(self, mdp: Mdp, selected: np.ndarray, defined: np.ndarray):
         """Defined at the states in `defined`, choosing their `selected` rows."""
         self.mdp = mdp
-        self.rows = selected | ~defined[mdp.sparse.row_state]
+        self.rows = selected | ~defined[mdp.row_state]
         self.defined = defined
 
     def good_pairs(self) -> List[Tuple[int, ActionAttr]]:
@@ -273,7 +262,7 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MecDecomposition:
-    """Maximal end components of one model, as arrays over its SparseView.
+    """Maximal end components of one model, as arrays over its states and rows.
 
     MECs are numbered by their smallest member state. A row is internal when
     its state lies in a MEC and every successor lies in the same MEC; these
@@ -297,20 +286,19 @@ def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
     `restrict` limits the search to a set of states (rows reaching outside
     it count as leaving), and the work to their rows.
     """
-    v = mdp.sparse
     if restrict is None:
         states = np.arange(mdp.n_states)
     else:
         states = np.unique(np.fromiter(restrict, np.int64))
     m = len(states)
-    rows = _ranges(v.row_start[states], v.row_start[states + 1])
-    owner = np.repeat(np.arange(m), v.row_start[states + 1] - v.row_start[states])
-    ptr = v.branches.indptr
+    rows = _ranges(mdp.row_start[states], mdp.row_start[states + 1])
+    owner = np.repeat(np.arange(m), mdp.row_start[states + 1] - mdp.row_start[states])
+    ptr = mdp.branches.indptr
     entry_row = np.repeat(np.arange(len(rows)), ptr[rows + 1] - ptr[rows])
     entry_owner = owner[entry_row]
     local = np.full(mdp.n_states, m)  # m stands for every state outside `states`
     local[states] = np.arange(m)
-    col = local[v.branches.indices[_ranges(ptr[rows], ptr[rows + 1])]]
+    col = local[mdp.branches.indices[_ranges(ptr[rows], ptr[rows + 1])]]
     cand = np.zeros(m, dtype=np.int64)
     while True:
         padded = np.append(cand, -2)  # the outside never matches a candidate
@@ -330,7 +318,7 @@ def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
     ids = np.unique(cand[cand >= 0])
     mec_of = np.full(mdp.n_states, -1, dtype=np.int64)
     mec_of[states] = np.where(cand >= 0, np.searchsorted(ids, cand), -1)
-    internal = np.zeros(len(v.row_state), dtype=bool)
+    internal = np.zeros(len(mdp.row_state), dtype=bool)
     internal[rows] = keep
     return MecDecomposition(mec_of, internal, len(ids))
 
@@ -343,16 +331,16 @@ def induce_chain(strategy: LiberalStrategy) -> sp.csr_matrix:
     row of s by w = 1/|choice|, so entry (s, t) sums w*p over the selected
     rows in row order, the order a per-state accumulation would use.
     """
-    v, n = strategy.mdp.sparse, strategy.mdp.n_states
+    mdp, n = strategy.mdp, strategy.mdp.n_states
     rows = np.flatnonzero(strategy.rows)
-    owner = v.row_state[rows]
+    owner = mdp.row_state[rows]
     counts = np.bincount(owner, minlength=n)
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise MdpError(f"strategy defines an empty action set at state {empty[0]}")
     select = sp.csr_matrix((1.0 / counts[owner], rows, np.concatenate(([0], np.cumsum(counts)))),
-                           shape=(n, len(v.row_state)))
-    P = select @ v.branches
+                           shape=(n, len(mdp.row_state)))
+    P = select @ mdp.branches
     P.sort_indices()
     return P
 
@@ -506,7 +494,6 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     order across its slots; branches into one node are added in declaration
     order. A row keeps its nodes in order of smallest state (see `Quotient`).
     """
-    v = mdp.sparse
     n = mdp.n_states
     members = np.flatnonzero(mecs.mec_of >= 0)
     # MECs are numbered by smallest member, so their first members come in id order
@@ -518,9 +505,9 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     q = int(head.sum())
 
     target_nodes = np.zeros(q, dtype=bool)
-    target_nodes[node_of[v.is_target]] = True
+    target_nodes[node_of[mdp.is_target]] = True
 
-    row_node = node_of[v.row_state]
+    row_node = node_of[mdp.row_state]
     sel = np.flatnonzero(~mecs.internal & ~target_nodes[row_node])
     sel = sel[np.argsort(row_node[sel], kind="stable")]
     owners, starts, counts = np.unique(row_node[sel], return_index=True, return_counts=True)
@@ -530,10 +517,10 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     sizes = np.searchsorted(-counts[by_count], -np.arange(width), side="left")
     sel = sel[starts[by_count][_ranges(np.zeros(width, dtype=np.int64), sizes)]
               + np.repeat(np.arange(width), sizes)]
-    ptr = v.branches.indptr
+    ptr = mdp.branches.indptr
     entries = _ranges(ptr[sel], ptr[sel + 1])
     row = np.repeat(np.arange(len(sel)), ptr[sel + 1] - ptr[sel])
-    col = node_of[v.branches.indices[entries]]
+    col = node_of[mdp.branches.indices[entries]]
     order, first_of = branch_groups(row, col, q)
     lead = order[first_of]  # the first branch of each (row, node) group
     sweep = np.concatenate((owners[by_count],
@@ -542,7 +529,7 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     new[sweep] = np.arange(q)
     # bincount adds the branches of each (row, node) group in the stable order
     R = sp.csr_matrix(
-        (np.bincount(np.cumsum(first_of) - 1, weights=v.branches.data[entries[order]]),
+        (np.bincount(np.cumsum(first_of) - 1, weights=mdp.branches.data[entries[order]]),
          new[col[lead]],
          np.concatenate(([0], np.cumsum(np.bincount(row[lead], minlength=len(sel)))))),
         shape=(len(sel), q))

@@ -294,14 +294,13 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, np.ndarray]
     At each non-target state the strategy keeps the actions the tree calls
     good. States where it rejects everything stay open (uniform fallback);
     they are returned, in ascending order, so callers can report how often
-    that happened. The tree is walked once over all action rows of
-    `mdp.sparse`, each split dividing the rows that reach it.
+    that happened. The tree is walked once over all action rows of `mdp`,
+    each split dividing the rows that reach it.
     """
-    v = mdp.sparse
     x = mdp.row_valuation
     name_id = {name: k for k, name in enumerate(mdp.action_names)}
-    good = np.zeros(len(v.row_state), dtype=bool)
-    stack = [(tree.root, np.flatnonzero(~v.is_target[v.row_state]))]
+    good = np.zeros(len(mdp.row_state), dtype=bool)
+    stack = [(tree.root, np.flatnonzero(~mdp.is_target[mdp.row_state]))]
     while stack:
         node, rows = stack.pop()
         if isinstance(node, Leaf):
@@ -311,12 +310,12 @@ def induce_strategy(mdp: Mdp, tree: DTree) -> Tuple[LiberalStrategy, np.ndarray]
         if p.kind == "le":
             holds = x[p.coord][rows] <= p.k
         elif p.kind == COORD_ACTION:
-            holds = v.action_id[rows] == name_id.get(p.k, -1)
+            holds = mdp.action_id[rows] == name_id.get(p.k, -1)
         else:
-            holds = v.module[rows] == p.k
+            holds = mdp.module[rows] == p.k
         stack += ((node.no, rows[~holds]), (node.yes, rows[holds]))
-    defined = np.bincount(v.row_state[good], minlength=mdp.n_states) > 0
-    return LiberalStrategy(mdp, good, defined), np.flatnonzero(~defined & ~v.is_target)
+    defined = np.bincount(mdp.row_state[good], minlength=mdp.n_states) > 0
+    return LiberalStrategy(mdp, good, defined), np.flatnonzero(~defined & ~mdp.is_target)
 
 
 # --------------------------------------------------------------------------
@@ -395,26 +394,20 @@ class FitResult:
     min_leaf: int
     tried: List[Tuple[int, bool]]  # (min_leaf, accepted) of each probe, in order
 
-    @property
-    def budget_met(self) -> bool:
-        """Whether the first probe, the tree at min_leaf=1, was accepted."""
-        return self.tried[0][1]
-
 
 def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
-                 confidence: float = 0.25, prune: bool = True,
-                 hi: Optional[int] = None) -> FitResult:
+                 confidence: float = 0.25, prune: bool = True) -> FitResult:
     """Largest `min_leaf` whose tree still passes `accept` (smallest tree).
 
     Tree quality usually degrades monotonically as min_leaf grows, so a
     binary search finds the frontier quickly. Where it is not monotone the
     search still returns a min_leaf whose tree `accept` passed, since only
     accepted probes move the lower end; `accept` must be deterministic. If
-    even min_leaf=1 is rejected, that tree is returned with budget_met False.
+    even min_leaf=1 is rejected, that tree is returned, and `tried` holds
+    that one rejected probe.
     """
     wg, wb = int(ts.weight[ts.good].sum()), int(ts.weight[~ts.good].sum())
-    if hi is None:
-        hi = max(1, min(wg, wb) if min(wg, wb) > 0 else max(wg, wb))
+    top = max(1, min(wg, wb) if min(wg, wb) > 0 else max(wg, wb))
     tried: List[Tuple[int, bool]] = []
 
     def probe(m: int) -> Tuple[DTree, bool]:
@@ -429,7 +422,6 @@ def fit_max_leaf(ts: TrainingSet, accept: Callable[[DTree], bool], *,
     if not ok:
         return FitResult(tree, 1, tried)
     lo = 1
-    top = max(1, hi)
     while lo < top:
         mid = (lo + top + 1) // 2
         t, ok = probe(mid)

@@ -75,7 +75,7 @@ def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
     mdp = strategy.mdp
     P = induce_chain(strategy)
     n = mdp.n_states
-    is_target = mdp.sparse.is_target
+    is_target = mdp.is_target
     live = reachable(P.T, np.flatnonzero(is_target)) & ~is_target  # a run at s moves on
     # running sums along each row, added left to right as `acc += p` would
     cum, rows, width = P.data.copy(), np.flatnonzero(np.diff(P.indptr) > 1), 1
@@ -150,7 +150,7 @@ def _walk(mdp, live, pick, seed, first, runs, max_steps) -> RunStats:
     truncated = int(np.count_nonzero(live[s]))
     keys, mult = _fold(tally, held[:count])
     run, state = np.divmod(keys, n)
-    hit = np.bincount(run[mdp.sparse.is_target[state]], minlength=runs) > 0
+    hit = np.bincount(run[mdp.is_target[state]], minlength=runs) > 0
     cond = hit[run]
 
     def counts(at, weights=None):
@@ -297,13 +297,12 @@ def build_training_set(strategy: LiberalStrategy, weights: np.ndarray,
     if mode not in ("repeat", "once"):
         raise ValueError(f"unknown training mode {mode!r}")
     mdp = strategy.mdp
-    v = mdp.sparse
     weights = np.asarray(weights, dtype=np.float64)
-    kept = ~v.is_target & ~(weights <= delta)
+    kept = ~mdp.is_target & ~(weights <= delta)
     state, action, module, good = distinct_attrs(mdp, kept, strategy.rows)
     if mode == "once":
         repeat = np.ones(len(state), dtype=np.int64)
     else:
         repeat = np.maximum(1, (runs * weights[state] + 0.5).astype(np.int64))
-    return TrainingSet(Domain.of(mdp), np.column_stack((v.valuation[state], action, module)),
+    return TrainingSet(Domain.of(mdp), np.column_stack((mdp.valuation[state], action, module)),
                        good, repeat)

@@ -25,7 +25,7 @@ from .core import (Mdp, MecDecomposition, _ranges, build_quotient, derive_seed,
 class ValueApprox:
     """Reachability bounds: lower per action row, lower and upper per state.
 
-    The per-pair lower table, one entry per row of `mdp.sparse`, is the
+    The per-pair lower table, one entry per action row of `mdp`, is the
     object downstream steps consume: it is a valid eps-underapproximation
     of the optimal pair values (`tests/oracles.check_valid` checks the
     individual conditions against the exact optimum). `explored` lists, in
@@ -64,11 +64,10 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
     mecs = mec_decompose(mdp)
     q = build_quotient(mdp, mecs)
     L, U, sweeps = interval_iterate(q, eps=eps, stop_node=int(q.node_of[mdp.initial]))
-    v = mdp.sparse
     # one CSR mat-vec per bound adds each row's branches left to right
-    pair_lower = v.branches @ L[q.node_of]
-    pair_upper = v.branches @ U[q.node_of]
-    first_rows = v.row_start[:-1]
+    pair_lower = mdp.branches @ L[q.node_of]
+    pair_upper = mdp.branches @ U[q.node_of]
+    first_rows = mdp.row_start[:-1]
     gap = float(U[q.node_of[mdp.initial]] - L[q.node_of[mdp.initial]])
     return ValueApprox(
         pair_lower=pair_lower,
@@ -100,7 +99,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     having closed a cycle, deflates: the explored set is decomposed into MECs
     (again only when it has grown), the internal upper bounds of each MEC
     away from the target are capped by its best exiting pair, and the path
-    is backed up once more. Bounds are per-state lists over `mdp.sparse`; a
+    is backed up once more. Bounds are per-state lists over `mdp`'s states; a
     state's rows become Python lists when the search first touches it, and
     each pair value is summed over its row in declaration order. Returns
     tables over the explored states and their MECs, with `converged` False
@@ -108,8 +107,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    v = mdp.sparse
-    L = v.is_target.astype(np.float64).tolist()  # unexplored states hold the defaults
+    L = mdp.is_target.astype(np.float64).tolist()  # unexplored states hold the defaults
     U = [1.0] * mdp.n_states
     explored = set()
     rng = random.Random(derive_seed(seed, 0))
@@ -119,12 +117,12 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     def state(s: int):
         # the rows of s as (successors, probabilities) lists, whether it is a
         # target and whether it is a sink, read when s is first touched
-        a, b = v.row_start[s:s + 2].tolist()
-        ptr = v.branches.indptr[a:b + 1].tolist()
-        rows = [(v.branches.indices[i:j].tolist(), v.branches.data[i:j].tolist())
+        a, b = mdp.row_start[s:s + 2].tolist()
+        ptr = mdp.branches.indptr[a:b + 1].tolist()
+        rows = [(mdp.branches.indices[i:j].tolist(), mdp.branches.data[i:j].tolist())
                 for i, j in zip(ptr, ptr[1:])]
         # a sink's every row is a single branch back to itself (targets are sinks too)
-        return rows, bool(v.is_target[s]), all(t == [s] for t, _ in rows)
+        return rows, bool(mdp.is_target[s]), all(t == [s] for t, _ in rows)
 
     def pair(V: List[float], row) -> float:
         # adds the branches in declaration order, as the mat-vec below does
@@ -156,12 +154,12 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
             return
         mecs = mec_decompose(mdp, restrict=explored)
         groups = [([], []) for _ in range(mecs.count)]
-        states = np.flatnonzero((mecs.mec_of >= 0) & ~v.is_target)
+        states = np.flatnonzero((mecs.mec_of >= 0) & ~mdp.is_target)
         for s, k in zip(states.tolist(), mecs.mec_of[states].tolist()):
             groups[k][0].append(s)
-        rows = np.flatnonzero((mecs.mec_of[v.row_state] >= 0) & ~mecs.internal)
-        owner = v.row_state[rows]
-        for s, i, k in zip(owner.tolist(), (rows - v.row_start[owner]).tolist(),
+        rows = np.flatnonzero((mecs.mec_of[mdp.row_state] >= 0) & ~mecs.internal)
+        owner = mdp.row_state[rows]
+        for s, i, k in zip(owner.tolist(), (rows - mdp.row_start[owner]).tolist(),
                            mecs.mec_of[owner].tolist()):
             groups[k][1].append(state(s)[0][i])
         groups = [group for group in groups if group[0]]
@@ -218,9 +216,9 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
     # the tables over the explored rows; the rest keep the defaults
     decompose()
     states = np.array(sorted(explored))
-    starts, stops = v.row_start[states], v.row_start[states + 1]
+    starts, stops = mdp.row_start[states], mdp.row_start[states + 1]
     rows = _ranges(starts, stops)
-    sub = v.branches[rows]
+    sub = mdp.branches[rows]
     cols = np.unique(sub.indices).tolist()
 
     def pairs(V: List[float]) -> np.ndarray:
@@ -230,11 +228,11 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         return sub @ x
 
     first = np.cumsum(stops - starts) - (stops - starts)  # each state's first row in `sub`
-    open_ = ~v.is_target[states]
+    open_ = ~mdp.is_target[states]
     lower = pairs(L)
-    pair_lower = np.zeros(len(v.row_state))
+    pair_lower = np.zeros(len(mdp.row_state))
     pair_lower[rows] = lower
-    state_lower = v.is_target.astype(np.float64)
+    state_lower = mdp.is_target.astype(np.float64)
     state_lower[states[open_]] = np.maximum.reduceat(lower, first)[open_]
     state_upper = np.ones(mdp.n_states)
     state_upper[states[open_]] = np.minimum(

@@ -34,18 +34,17 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, exit_union: bool = False) -> L
     leaving them open keeps the placeholder self-loop out of the explicit
     description.
     """
-    v = mdp.sparse
     mecs = va.mecs if va.mecs is not None else mec_decompose(mdp, restrict=va.explored)
     explored = np.zeros(mdp.n_states, dtype=bool)
     explored[va.explored] = True
     pl = va.pair_lower
-    owner = v.row_state
+    owner = mdp.row_state
 
     free = explored & (mecs.mec_of < 0)
-    best = np.maximum.reduceat(pl, v.row_start[:-1])
+    best = np.maximum.reduceat(pl, mdp.row_start[:-1])
     selected = free[owner] & (pl >= best[owner] - TIE_TOL)
 
-    member = explored & (mecs.mec_of >= 0) & ~v.is_target
+    member = explored & (mecs.mec_of >= 0) & ~mdp.is_target
     in_mec = member[owner]
     k_of = mecs.mec_of[owner]
     external = in_mec & ~mecs.internal
@@ -80,7 +79,7 @@ def restricted_chain(strategy: LiberalStrategy):
     mdp = strategy.mdp
     P = induce_chain(strategy)
     states = np.flatnonzero(reachable(P, [mdp.initial]))
-    return (P[states][:, states], np.flatnonzero(mdp.sparse.is_target[states]),
+    return (P[states][:, states], np.flatnonzero(mdp.is_target[states]),
             int(np.searchsorted(states, mdp.initial)), states)
 
 
@@ -144,7 +143,7 @@ def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,
     """
     if mode not in ("keep-all", "keep-argmax"):
         raise ValueError(f"unknown truncation mode {mode!r}")
-    owner = strategy.mdp.sparse.row_state
+    owner = strategy.mdp.row_state
     kept = strategy.defined & (np.asarray(weights) > delta)
     selected = strategy.rows & kept[owner]
     if mode == "keep-argmax":
@@ -165,7 +164,7 @@ def dump_tsv(strategy: LiberalStrategy, weights: Optional[Sequence[float]] = Non
     names = [n for n, _, _ in mdp.var_decls]
     out = ["\t".join(["state", "valuation", "action", "module", "label", "importance"])]
     state, action, module, good = distinct_attrs(mdp, strategy.defined, strategy.rows)
-    vals = mdp.sparse.valuation
+    vals = mdp.valuation
     last = -1
     for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
         if s != last:

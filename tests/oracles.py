@@ -33,9 +33,9 @@ index ranges replaced. `sweeps_by_split` is the Gauss–Seidel set-up that
 re-indexed the unknowns' rows into A and split A with `triu`, `tril` and
 `diags`, which the one pass of `core._sweeps` replaced.
 `build_dict` is the interpreted build, over `eval_expr`, that the compiled
-one in `build` replaced; with `view_dict`, `validate_dict` and
+one in `build` replaced; with `mdp_dict`, `validate_dict` and
 `export_dict` it keeps a model as Python tuples. `as_tuples` reads any
-model's view back into those tuples (valuations, per-state `Action` rows,
+model's arrays back into those tuples (valuations, per-state `Action` rows,
 target set); the loops here read the model through it.
 `training_rows` is the per-row loop `importance.build_training_set`
 replaced, and `training_set` turns its `TrainRow`s (or hand-written ones)
@@ -61,7 +61,7 @@ import scipy.sparse.linalg as spla
 from mdpdistill.bdd import Bdd
 from mdpdistill.core import (_MASK64, TAU, ActionAttr, LiberalStrategy,
                              Mdp, MdpError, MecDecomposition, Quotient,
-                             SparseView, build_quotient, derive_seed, distinct_attrs,
+                             build_quotient, derive_seed, distinct_attrs,
                              induce_chain, interval_iterate, mec_decompose,
                              reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
@@ -111,29 +111,27 @@ def chain_rows(P: sp.csr_matrix) -> Rows:
 
 def strategy_from_choice(mdp: Mdp, choice: Dict[int, FrozenSet[int]]) -> LiberalStrategy:
     """The strategy choosing local action indices `choice[s]` at each key s."""
-    v = mdp.sparse
     states = np.fromiter(choice, np.int64, len(choice))
     sizes = np.fromiter(map(len, choice.values()), np.int64, len(choice))
     local = np.fromiter((i for acts in choice.values() for i in acts), np.int64,
                         int(sizes.sum()))
     owner = np.repeat(states, sizes)
-    if np.any((local < 0) | (local >= np.diff(v.row_start)[owner])):
+    if np.any((local < 0) | (local >= np.diff(mdp.row_start)[owner])):
         raise MdpError("strategy chooses an action index out of range")
     defined = np.zeros(mdp.n_states, dtype=bool)
     defined[states] = True
-    selected = np.zeros(len(v.row_state), dtype=bool)
-    selected[v.row_start[owner] + local] = True
+    selected = np.zeros(len(mdp.row_state), dtype=bool)
+    selected[mdp.row_start[owner] + local] = True
     return LiberalStrategy(mdp, selected, defined)
 
 
 def choice_of(strategy: LiberalStrategy) -> Dict[int, FrozenSet[int]]:
     """The strategy's map as a dict: each defined state's local action indices.
     Two strategies of one model play alike exactly when these are equal."""
-    v = strategy.mdp.sparse
-    rows = np.flatnonzero(strategy.rows & strategy.defined[v.row_state])
-    owner = v.row_state[rows]
+    rows = np.flatnonzero(strategy.rows & strategy.defined[strategy.mdp.row_state])
+    owner = strategy.mdp.row_state[rows]
     picked: Dict[int, List[int]] = {s: [] for s in np.flatnonzero(strategy.defined).tolist()}
-    for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+    for s, i in zip(owner.tolist(), (rows - strategy.mdp.row_start[owner]).tolist()):
         picked[s].append(i)
     return {s: frozenset(acts) for s, acts in picked.items()}
 
@@ -173,7 +171,7 @@ def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:
     Interval iteration on the MEC quotient; both bounds converge there since
     collapsing MECs removes every end component.
     """
-    if not mdp.sparse.is_target.any():
+    if not mdp.is_target.any():
         return np.zeros(mdp.n_states)
     mecs = mec_decompose(mdp)
     q = build_quotient(mdp, mecs)
@@ -192,7 +190,7 @@ def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
     row of s, so the chain needs no cut there.
     """
     P = induce_chain(strategy)
-    b = reach_exact(P, np.flatnonzero(mdp.sparse.is_target))
+    b = reach_exact(P, np.flatnonzero(mdp.is_target))
     if b[mdp.initial] <= 0.0:
         raise MdpError("strategy cannot reach the target; importance undefined")
     imp = np.zeros(mdp.n_states)
@@ -204,7 +202,7 @@ def exact_importance(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:
 def consulted_dont_care(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     """Reachable states the strategy leaves open (resolved uniformly)."""
     states = np.array(reachable_under(mdp, strategy), dtype=np.int64)
-    return states[~strategy.defined[states] & ~mdp.sparse.is_target[states]].tolist()
+    return states[~strategy.defined[states] & ~mdp.is_target[states]].tolist()
 
 
 CHECK_TOL = 1e-9  # rounding slack each of check_valid's comparisons allows
@@ -238,17 +236,16 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
        components with value zero need no exit.
     """
     rep = ValidityReport()
-    v = mdp.sparse
     explored = np.zeros(mdp.n_states, dtype=bool)
     explored[va.explored] = True
-    recorded = explored[v.row_state]
+    recorded = explored[mdp.row_state]
     pl = va.pair_lower
 
     def pair(r: int) -> str:
-        s = int(v.row_state[r])
-        return f"({s},{r - v.row_start[s]})"
+        s = int(mdp.row_state[r])
+        return f"({s},{r - mdp.row_start[s]})"
 
-    opt = v.branches @ exact
+    opt = mdp.branches @ exact
     for r in np.flatnonzero(recorded & (pl > opt + CHECK_TOL)):
         rep.lower_bound_ok = False
         rep.messages.append(
@@ -261,15 +258,15 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
             f"initial state: optimum {exact[mdp.initial]:.12g} minus bound "
             f"{v0:.12g} exceeds eps={va.epsilon}")
 
-    succ_val = v.branches @ va.state_lower
+    succ_val = mdp.branches @ va.state_lower
     for r in np.flatnonzero(recorded & (pl > succ_val + CHECK_TOL)):
         rep.bellman_ok = False
         rep.messages.append(
             f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
 
     mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
-    k_of = mecs.mec_of[v.row_state]
-    rows = recorded & (k_of >= 0) & ~v.is_target[v.row_state]
+    k_of = mecs.mec_of[mdp.row_state]
+    rows = recorded & (k_of >= 0) & ~mdp.is_target[mdp.row_state]
     best = np.full(mecs.count, -np.inf)
     np.maximum.at(best, k_of[rows], pl[rows])
     exits = np.flatnonzero(rows & ~mecs.internal)
@@ -662,10 +659,9 @@ def training_rows(mdp: Mdp, strategy: LiberalStrategy, weights, *, mode: str = "
     """`importance.build_training_set`, one row of one state at a time."""
     if mode not in ("repeat", "once"):
         raise ValueError(f"unknown training mode {mode!r}")
-    v = mdp.sparse
-    kept = ~v.is_target & ~(np.asarray(weights) <= delta)
+    kept = ~mdp.is_target & ~(np.asarray(weights) <= delta)
     state, action, module, good = distinct_attrs(mdp, kept, strategy.rows)
-    names, vals = mdp.action_names, v.valuation
+    names, vals = mdp.action_names, mdp.valuation
     rows: List[TrainRow] = []
     last = -1
     for s, a, m, g in zip(state.tolist(), action.tolist(), module.tolist(), good.tolist()):
@@ -817,14 +813,13 @@ class Mec:
 
 def mec_list(mecs: MecDecomposition, mdp: Mdp) -> List[Mec]:
     """The MECs of a `core.MecDecomposition` as `Mec` objects, in id order."""
-    v = mdp.sparse
     members: List[List[int]] = [[] for _ in range(mecs.count)]
     for s in np.flatnonzero(mecs.mec_of >= 0).tolist():
         members[mecs.mec_of[s]].append(s)
     rows = np.flatnonzero(mecs.internal)
-    owner = v.row_state[rows]
+    owner = mdp.row_state[rows]
     acts: Dict[int, List[int]] = {}
-    for s, i in zip(owner.tolist(), (rows - v.row_start[owner]).tolist()):
+    for s, i in zip(owner.tolist(), (rows - mdp.row_start[owner]).tolist()):
         acts.setdefault(s, []).append(i)
     return [Mec(frozenset(m), {s: tuple(acts[s]) for s in m}) for m in members]
 
@@ -1172,13 +1167,12 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
             for v in reversed(path):
                 backup(v)
 
-    view = mdp.sparse
-    pair_lower = np.zeros(len(view.row_state))
-    state_lower = view.is_target.astype(np.float64)
+    pair_lower = np.zeros(len(mdp.row_state))
+    state_lower = mdp.is_target.astype(np.float64)
     state_upper = np.ones(mdp.n_states)
     for s in sorted(explored):
         vals = [pair_l(s, a) for a in dm.actions[s]]
-        pair_lower[view.row_start[s]:view.row_start[s + 1]] = vals
+        pair_lower[mdp.row_start[s]:mdp.row_start[s + 1]] = vals
         if s not in target:
             state_lower[s] = max(vals)
             state_upper[s] = min(uval(s), max(pair_u(s, a) for a in dm.actions[s]))
@@ -1275,7 +1269,7 @@ def extract_dict(mdp: Mdp, pair_lower: Dict[Tuple[int, int], float], explored,
 # --------------------------------------------------------------------------
 # The model as Python tuples: the interpreted breadth-first build, the
 # tuple-to-array conversion, validation and flat export that the compiled
-# build and the SparseView-backed Mdp replaced.
+# build and the array-backed Mdp replaced.
 
 class DictModel(NamedTuple):
     var_decls: Tuple[Tuple[str, int, int], ...]
@@ -1492,8 +1486,8 @@ def validate_dict(model: DictModel, tol: float = 1e-9) -> DictModel:
     return model
 
 
-def view_dict(model: DictModel) -> Tuple[SparseView, Tuple[str, ...]]:
-    """The row-grouped arrays of a tuple model, and its sorted action names."""
+def mdp_dict(model: DictModel) -> Mdp:
+    """A tuple model as row-grouped arrays, its action names sorted."""
     n, width = len(model.states), len(model.var_decls)
     all_actions = [a for acts in model.actions for a in acts]
     names = tuple(sorted({a.attr.name for a in all_actions}))
@@ -1503,7 +1497,8 @@ def view_dict(model: DictModel) -> Tuple[SparseView, Tuple[str, ...]]:
         [len(a.succs) for a in all_actions], dtype=np.int64))))
     is_target = np.zeros(n, dtype=bool)
     is_target[sorted(model.target)] = True
-    view = SparseView(
+    return Mdp(
+        var_decls=model.var_decls,
         row_start=np.concatenate(([0], np.cumsum(counts))),
         row_state=np.repeat(np.arange(n), counts),
         branches=sp.csr_matrix(
@@ -1514,37 +1509,37 @@ def view_dict(model: DictModel) -> Tuple[SparseView, Tuple[str, ...]]:
         module=np.array([a.attr.module for a in all_actions], dtype=np.int64),
         valuation=np.array(model.states, dtype=np.int64).reshape(n, width),
         is_target=is_target,
+        action_names=names,
+        initial=model.initial,
+        module_count=model.module_count,
     )
-    return view, names
 
 
 _TUPLES: "weakref.WeakKeyDictionary[Mdp, DictModel]" = weakref.WeakKeyDictionary()
 
 
 def as_tuples(mdp: Mdp) -> DictModel:
-    """The model as Python tuples, read from its view once and kept: the
+    """The model as Python tuples, read from its arrays once and kept: the
     valuation of each state, the `Action` tuples of each state in row order,
-    and the target set. `view_dict` is its inverse."""
+    and the target set. `mdp_dict` is its inverse."""
     got = _TUPLES.get(mdp)
     if got is None:
-        v = mdp.sparse
-        ptr, start = v.branches.indptr.tolist(), v.row_start.tolist()
-        succ, prob = v.branches.indices.tolist(), v.branches.data.tolist()
+        ptr, start = mdp.branches.indptr.tolist(), mdp.row_start.tolist()
+        succ, prob = mdp.branches.indices.tolist(), mdp.branches.data.tolist()
         rows = [Action(ActionAttr(mdp.action_names[a], m), tuple(succ[ptr[r]:ptr[r + 1]]),
                        tuple(prob[ptr[r]:ptr[r + 1]]))
-                for r, (a, m) in enumerate(zip(v.action_id.tolist(), v.module.tolist()))]
+                for r, (a, m) in enumerate(zip(mdp.action_id.tolist(), mdp.module.tolist()))]
         got = _TUPLES[mdp] = DictModel(
-            mdp.var_decls, tuple(map(tuple, v.valuation.tolist())),
+            mdp.var_decls, tuple(map(tuple, mdp.valuation.tolist())),
             tuple(tuple(rows[a:b]) for a, b in zip(start, start[1:])), mdp.initial,
-            frozenset(np.flatnonzero(v.is_target).tolist()), mdp.module_count)
+            frozenset(np.flatnonzero(mdp.is_target).tolist()), mdp.module_count)
     return got
 
 
 def mdp_of(var_decls, states, actions, initial, target, module_count: int = 1) -> Mdp:
     """An Mdp from explicit Act(s) tuples; call `validate` to check it."""
-    view, names = view_dict(DictModel(tuple(var_decls), tuple(states), tuple(actions),
-                                      initial, frozenset(target), module_count))
-    return Mdp(tuple(var_decls), view, names, initial, module_count)
+    return mdp_dict(DictModel(tuple(var_decls), tuple(states), tuple(actions), initial,
+                              frozenset(target), module_count))
 
 
 def export_dict(model: DictModel) -> str:

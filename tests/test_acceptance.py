@@ -309,7 +309,7 @@ def test_criterion_12_representation_exactness():
     for name in FIXTURES:
         mdp, _, _, _, trunc, _, _ = _default_pipeline(name)
         store = bdd.store_strategy(trunc)
-        items = {store.layout.encode(mdp.sparse.valuation[s].tolist(), attr)
+        items = {store.layout.encode(mdp.valuation[s].tolist(), attr)
                  for s, attr in trunc.good_pairs()}
         n = store.layout.n_bits
         assert (1 << n) <= (1 << 20)

@@ -144,7 +144,7 @@ def test_encode_set_matches_subset_recursion_on_models(name, request):
     sigma = extract_liberal(m, value_iteration(m, 1e-6))
     weights = importance_of(simulate(sigma, 10000, seed=0)).weights
     layout = BitLayout.of(Domain.of(m))
-    vals = m.sparse.valuation
+    vals = m.valuation
     items = [layout.encode(vals[s].tolist(), attr)
              for s, attr in truncate(sigma, weights, 0.0).good_pairs()]
     assert items

@@ -82,7 +82,7 @@ def test_distill_counters_match_the_model_and_the_output(name):
     printed = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in out.getvalue().splitlines())
     mdp = fixtures.load(name)
     assert metrics["build.states"] == mdp.n_states
-    assert metrics["build.action_rows"] == len(mdp.sparse.row_state) > 0
+    assert metrics["build.action_rows"] == len(mdp.row_state) > 0
     assert metrics["importance.train_rows"] == int(printed["training rows"]) > 0
     assert metrics["importance.train_weight"] == int(printed["training weight"]) > 0
 

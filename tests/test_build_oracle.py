@@ -1,13 +1,14 @@
 """The compiled build against the interpreted one it replaced.
 
 `oracles.build_dict` explores a model by interpreting every guard and
-update, keeps it as Python tuples, and converts it with `view_dict`, the
-tuple-to-array code `Mdp.sparse` used to run. The compiled build must give
+update, keeps it as Python tuples, and converts it with `mdp_dict`, the
+tuple-to-array code the model used to run. The compiled build must give
 the same arrays bit for bit, the same flat text, and the same `ModelError`
 text, on the bundled models, on the chain generator and on a seeded random
 corpus of guarded-command models.
 """
 
+import dataclasses
 import io
 import random
 import re
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from mdpdistill import build, fixtures
@@ -25,25 +27,28 @@ from mdpdistill.core import Mdp, MdpError
 from mdpdistill.lang import ModelError, parse_model
 
 from conftest import random_mdp
-from oracles import (DictModel, as_tuples, build_dict, export_dict, mdp_of, validate_dict,
-                     view_dict)
+from oracles import (DictModel, as_tuples, build_dict, export_dict, mdp_dict, mdp_of,
+                     validate_dict)
+
+
+def assert_same_arrays(got: Mdp, want: Mdp):
+    """Every field of the two models is equal, each array bit for bit."""
+    for field in dataclasses.fields(Mdp):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, sp.csr_matrix):
+            assert a.shape == b.shape, field.name
+            a, b = (a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data)
+        elif isinstance(b, np.ndarray):
+            a, b = (a,), (b,)
+        else:
+            assert a == b, field.name
+            continue
+        for x, y in zip(a, b):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
 
 
 def assert_same_model(mdp: Mdp, model: DictModel):
-    view, names = view_dict(model)
-    got = mdp.sparse
-    for field in ("row_start", "row_state", "action_id", "module", "valuation", "is_target"):
-        want = getattr(view, field)
-        assert getattr(got, field).dtype == want.dtype, field
-        assert np.array_equal(getattr(got, field), want), field
-    for field in ("indptr", "indices"):
-        assert getattr(got.branches, field).dtype == getattr(view.branches, field).dtype
-        assert np.array_equal(getattr(got.branches, field), getattr(view.branches, field))
-    assert got.branches.data.tobytes() == view.branches.data.tobytes()
-    assert got.branches.shape == view.branches.shape
-    assert mdp.action_names == names
-    assert (mdp.var_decls, mdp.initial, mdp.module_count) == \
-        (model.var_decls, model.initial, model.module_count)
+    assert_same_arrays(mdp, mdp_dict(model))
     assert export_flat(mdp) == export_dict(model)
 
 
@@ -88,7 +93,7 @@ def test_large_chain_has_the_small_chains_shape():
     for k in (2000, 200000):
         m = fixtures.fig1_extended(k)
         assert m.n_states == k + 10
-        assert len(m.sparse.row_state) == k + 15
+        assert len(m.row_state) == k + 15
 
 
 # --------------------------------------------------------------------------
@@ -212,13 +217,12 @@ def test_random_corpus_covers_every_case():
         ast = parse_model(text)
         m, unmerged = build_mdp(ast), []
         build_dict(ast, unmerged=unmerged)
-        v = m.sparse
         tau = m.action_names.index("tau") if "tau" in m.action_names else -1
-        synced += bool(((v.module == 0) & (v.action_id != tau)).any())
+        synced += bool(((m.module == 0) & (m.action_id != tau)).any())
         # the label s, when used, is declared by every module
         s = m.action_names.index("s") if "s" in m.action_names else -1
-        synced3 += len(ast.modules) == 3 and bool(((v.module == 0) & (v.action_id == s)).any())
-        merged += sum(unmerged) > len(v.branches.data) - int(v.is_target.sum())
+        synced3 += len(ast.modules) == 3 and bool(((m.module == 0) & (m.action_id == s)).any())
+        merged += sum(unmerged) > len(m.branches.data) - int(m.is_target.sum())
         big += text.count("big") > 1
     assert kinds["ok"] >= 120 and kinds["deadlock"] >= 5, kinds
     assert kinds["state cap"] >= 10 and kinds["update drives"] >= 40, kinds
@@ -459,12 +463,7 @@ def test_grid_generator_matches_interpreted_build(n):
 
 def test_grid_generator_gives_the_bundled_grid():
     got, want = load_model(fixtures.grid_text(100)), fixtures.load("grid")
-    for field in ("row_start", "row_state", "action_id", "module", "valuation", "is_target"):
-        a, b = getattr(got.sparse, field), getattr(want.sparse, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-    for field in ("indptr", "indices", "data"):
-        a, b = getattr(got.sparse.branches, field), getattr(want.sparse.branches, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert_same_arrays(got, want)
     assert export_flat(got) == export_flat(want)
 
 

@@ -120,9 +120,11 @@ def test_distill_writes_everything(models, tmp_path, capsys):
                "--runs", "4000", "--seed", "7", "--min-leaf", "1",
                "--out", str(tree), "--dot", str(dot),
                "--strategy-out", str(tsv)])
-    out = _kv(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    out = _kv(out)
     assert rc == 0
     assert out["budget met"] == "yes"
+    assert err == ""
     assert int(out["tree size"]) == 5
     assert float(out["tree value"]) == pytest.approx(0.995, abs=1e-9)
     obj = json.loads(tree.read_text())
@@ -174,11 +176,14 @@ def test_distill_impossible_budget(models, capsys):
     # controller needs: every tree, min_leaf=1 included, is rejected
     rc = main(["distill", "--model", str(models / "fig1.mdp"),
                "--runs", "500", "--seed", "1", "--budget", "0", "--delta", "0.5"])
-    out = _kv(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    out = _kv(out)
     assert rc == 1
     assert out["budget met"] == "no"
     assert out["min leaf"] == "1"
     assert float(out["rel error"]) > 0
+    assert err == (f"error: tree value {out['tree value']} loses {out['rel error']} of the "
+                   "strategy value, over the budget of 0\n")
 
 
 def test_fixed_min_leaf_reports_missed_budget(models, capsys):
@@ -186,10 +191,13 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
     # that loses half the value; a fixed leaf size must not hide that
     rc = main(["distill", "--model", str(models / "fig1.mdp"),
                "--runs", "2000", "--min-leaf", "100000"])
-    out = _kv(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    out = _kv(out)
     assert float(out["rel error"]) > 0.01
     assert out["budget met"] == "no"
     assert rc == 1
+    assert err == (f"error: tree value {out['tree value']} loses {out['rel error']} of the "
+                   "strategy value, over the budget of 0.01\n")
 
 
 @pytest.mark.parametrize("min_leaf", ["auto", "3"])

@@ -1,5 +1,6 @@
 """Core model types, SCC/MEC decomposition and exact reachability."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mdpdistill.core import (TAU, ActionAttr,
+from mdpdistill.core import (TAU, ActionAttr, Mdp,
                              MdpError, branch_groups, breadth_first, build_quotient,
                              derive_seed, induce_chain, interval_iterate,
                              mec_decompose, reach_bounds,
@@ -46,6 +47,13 @@ def A(name, succs, probs, module=1):
 def test_validate_accepts_fixtures(fig1, mutex, sync2):
     for m in (fig1, mutex, sync2):
         assert m.validate() is m
+
+
+def test_no_field_of_a_model_can_be_assigned(fig1):
+    # each field is given its own value, so a mutable model would leave the shared fixture intact
+    for field in dataclasses.fields(Mdp):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fig1, field.name, getattr(fig1, field.name))
 
 
 @pytest.mark.parametrize(
@@ -202,10 +210,9 @@ def _assert_mecs_match_dict_loop(m, restrict=None):
         [(x.states, x.actions) for x in want]
     assert dec.count == len(want)
     # the arrays agree with the list they were read into
-    v = m.sparse
     for k, mec in enumerate(want):
         assert np.flatnonzero(dec.mec_of == k).tolist() == sorted(mec.states)
-    internal = [v.row_start[s] + i for mec in want for s in mec.states for i in mec.actions[s]]
+    internal = [m.row_start[s] + i for mec in want for s in mec.states for i in mec.actions[s]]
     assert np.flatnonzero(dec.internal).tolist() == sorted(internal)
 
 
@@ -253,7 +260,7 @@ def test_a_mec_holding_a_target_is_that_target_alone(fig1, mutex, sync2, grid):
         for key, restrict in ((None, None), ("part", _restrict(m, seed))):
             mec_of = mec_decompose(m, restrict=restrict).mec_of
             sizes = np.bincount(mec_of[mec_of >= 0])
-            at_target = mec_of[m.sparse.is_target & (mec_of >= 0)]
+            at_target = mec_of[m.is_target & (mec_of >= 0)]
             assert np.all(sizes[at_target] == 1), seed
             held[key] += len(at_target)
     assert held[None] > 400 and held["part"] > 300, held  # 470 and 311
@@ -337,9 +344,9 @@ def test_sweeps_match_the_split_matrices(seed):
     rng = random.Random(seed)
     strategy = strategy_from_choice(
         m, {s: frozenset(rng.sample(range(k), rng.randint(1, k)))
-            for s, k in enumerate(np.diff(m.sparse.row_start).tolist()) if rng.random() < 0.7})
+            for s, k in enumerate(np.diff(m.row_start).tolist()) if rng.random() < 0.7})
     P = induce_chain(strategy)
-    is_target, states = core._unknowns(P, np.flatnonzero(m.sparse.is_target))
+    is_target, states = core._unknowns(P, np.flatnonzero(m.is_target))
     if not len(states):
         return
     got = core._sweeps(P, is_target, states, np.ones(m.n_states))

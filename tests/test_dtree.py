@@ -502,7 +502,7 @@ def test_balanced_boundary_takes_the_fallback_split():
 
 def test_fit_max_leaf_accept_everything():
     fit = fit_max_leaf(SEVEN, lambda t: True)
-    assert fit.budget_met
+    assert fit.tried[0] == (1, True)
     # the search cannot push min_leaf past the lighter class weight
     assert fit.min_leaf == 3
     assert fit.tree.size == 3
@@ -510,7 +510,7 @@ def test_fit_max_leaf_accept_everything():
 
 def test_fit_max_leaf_accept_nothing():
     fit = fit_max_leaf(SEVEN, lambda t: False)
-    assert not fit.budget_met
+    assert fit.tried == [(1, False)]
     assert fit.min_leaf == 1
     assert fit.tree.size == 5  # most faithful tree still returned
 
@@ -523,9 +523,9 @@ def test_fit_max_leaf_exact_frontier():
         return hits / 7
 
     fit = fit_max_leaf(SEVEN, lambda t: accuracy(t) >= 0.999, confidence=0.5)
-    assert fit.budget_met and fit.min_leaf == 1
+    assert fit.tried[0] == (1, True) and fit.min_leaf == 1
     loose = fit_max_leaf(SEVEN, lambda t: accuracy(t) >= 0.85, confidence=0.5)
-    assert loose.budget_met and loose.min_leaf >= 2
+    assert loose.tried[0] == (1, True) and loose.min_leaf >= 2
     assert accuracy(loose.tree) >= 6 / 7
 
 
@@ -559,9 +559,9 @@ def test_fit_max_leaf_learns_each_leaf_size_once(seed, monkeypatch):
         return verdict.setdefault(m, rng.random() < 0.6)
 
     monkeypatch.setattr(dtree, "learn", learn_logged)
-    fit = fit_max_leaf(ts, accept, hi=rng.randint(1, 60))
+    fit = fit_max_leaf(ts, accept)
     sizes = [m for m, _ in learned]
     assert sizes == [m for m, _ in fit.tried]
     assert len(set(sizes)) == len(sizes)
     assert fit.tree is dict(learned)[fit.min_leaf]
-    assert verdict[fit.min_leaf] == fit.budget_met
+    assert verdict[fit.min_leaf] == fit.tried[0][1]

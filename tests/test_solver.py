@@ -46,7 +46,7 @@ def test_vi_fig1_frozen(fig1):
     assert va.explored.tolist() == list(range(9))
     # pair values: b beats a at the initial state
     names = {i: a.attr.name for i, a in enumerate(as_tuples(fig1).actions[0])}
-    by_name = {names[i]: va.pair_lower[fig1.sparse.row_start[0] + i] for i in names}
+    by_name = {names[i]: va.pair_lower[fig1.row_start[0] + i] for i in names}
     assert by_name["b"] == pytest.approx(0.995, abs=1e-9)
     assert by_name["a"] == pytest.approx(0.0, abs=1e-9)
 
@@ -76,7 +76,7 @@ def _fabricate(va, **overrides):
 def test_checker_flags_overclaimed_lower_bound(fig1):
     va = value_iteration(fig1, 1e-6)
     pl = va.pair_lower.copy()
-    pl[fig1.sparse.row_start[0]] = 0.999  # exact pair value is 0.995
+    pl[fig1.row_start[0]] = 0.999  # exact pair value is 0.995
     bad = _fabricate(va, pair_lower=pl)
     rep = check_valid(fig1, bad, max_reach_exact(fig1))
     assert not rep.lower_bound_ok
@@ -89,7 +89,7 @@ def test_checker_flags_initial_gap(fig1):
     va = value_iteration(fig1, 1e-6)
     pl = va.pair_lower.copy()
     sl = va.state_lower.copy()
-    rows = slice(fig1.sparse.row_start[0], fig1.sparse.row_start[1])
+    rows = slice(fig1.row_start[0], fig1.row_start[1])
     pl[rows] = np.minimum(pl[rows], 0.2)
     sl[0] = 0.2
     bad = _fabricate(va, pair_lower=pl, state_lower=sl, epsilon=1e-6)
@@ -102,8 +102,8 @@ def test_checker_flags_missing_mec_exit(tiny_mec_mdp):
     m = tiny_mec_mdp
     va = value_iteration(m, 1e-9)
     acts = as_tuples(m).actions
-    exit_row = next(r for r, s in enumerate(m.sparse.row_state)
-                    if acts[s][r - m.sparse.row_start[s]].attr.name == "exit")
+    exit_row = next(r for r, s in enumerate(m.row_state)
+                    if acts[s][r - m.row_start[s]].attr.name == "exit")
     pl = va.pair_lower.copy()
     pl[exit_row] = 0.0  # lose the exit; the spin pairs still claim 1/2
     bad = _fabricate(va, pair_lower=pl)
@@ -161,7 +161,7 @@ def test_brtdp_partial_exploration():
     # values are only recorded for explored states; the rest hold defaults
     unexplored = np.ones(m.n_states, dtype=bool)
     unexplored[va.explored] = False
-    assert not va.pair_lower[unexplored[m.sparse.row_state]].any()
+    assert not va.pair_lower[unexplored[m.row_state]].any()
     rep = check_valid(m, va, max_reach_exact(m))
     assert rep.ok, rep.messages
 
@@ -255,7 +255,7 @@ def _run_both(m, seed, monkeypatch, **budget):
 
 def _no_mecs(mdp, restrict=None):
     return MecDecomposition(np.full(mdp.n_states, -1),
-                            np.zeros(len(mdp.sparse.row_state), dtype=bool), 0)
+                            np.zeros(len(mdp.row_state), dtype=bool), 0)
 
 
 @pytest.mark.parametrize("budget", [{}, {"max_episodes": 2},

@@ -65,10 +65,9 @@ def _extracted(fn):
 
 
 def _assert_extract_matches_dict_loop(m, va, tie_tol=strategy_mod.TIE_TOL):
-    v = m.sparse
     explored = va.explored.tolist()
-    pair_lower = {(s, i): va.pair_lower[v.row_start[s] + i]
-                  for s in explored for i in range(v.row_start[s + 1] - v.row_start[s])}
+    pair_lower = {(s, i): va.pair_lower[m.row_start[s] + i]
+                  for s in explored for i in range(m.row_start[s + 1] - m.row_start[s])}
     mecs = mecs_dict(m, None if len(explored) == m.n_states else frozenset(explored))
     for exit_union in (False, True):
         want = _extracted(lambda: extract_dict(m, pair_lower, explored, mecs,
@@ -452,7 +451,7 @@ def test_explicit_size_counts_the_good_pairs(name, request):
 def test_explicit_size_counts_the_good_pairs_of_random_strategies(seed):
     m = random_mdp(seed, max_states=30)
     rng = random.Random(seed)
-    counts = np.diff(m.sparse.row_start).tolist()
+    counts = np.diff(m.row_start).tolist()
     s = strategy_from_choice(
         m, {st: frozenset(rng.sample(range(k), rng.randint(1, k)))
             for st, k in enumerate(counts) if rng.random() < 0.7})
