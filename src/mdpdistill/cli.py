@@ -54,7 +54,7 @@ def _load(args) -> Mdp:
 def _solve(mdp: Mdp, args):
     if args.engine == "vi":
         return value_iteration(mdp, args.eps)
-    return brtdp(mdp, args.eps, seed=args.seed, max_steps=args.max_steps)
+    return brtdp(mdp, args.eps, seed=args.seed)
 
 
 def _converged(va) -> bool:
@@ -70,6 +70,11 @@ def _runs_ended(stats) -> bool:
         print(f"error: {stats.truncated_runs} of {stats.total_runs} simulated runs hit "
               f"the step cap of {stats.max_steps} steps", file=sys.stderr)
     return not stats.truncated_runs
+
+
+def _rel_error(value: float, reference: float) -> float:
+    """The value lost against `reference`, relative to it; 0 if none is lost."""
+    return 0.0 if reference <= 0 else max(0.0, (reference - value) / reference)
 
 
 def _kept_budget(met: bool, tree_value: float, rel: float, budget: float) -> bool:
@@ -110,7 +115,8 @@ def cmd_solve(args) -> int:
 
 
 def _pipeline(args):
-    """Shared by distill and compare: model through truncated strategy."""
+    """Shared by distill and compare: model through truncated strategy, and
+    the untruncated strategy's value, which the tree search is held to."""
     mdp = _load(args)
     va = _solve(mdp, args)
     sigma = strat.extract_liberal(mdp, va, exit_union=args.exit_union)
@@ -119,7 +125,7 @@ def _pipeline(args):
     imp = importance_of(stats, kind)
     trunc = strat.truncate(sigma, imp.weights, args.delta, args.truncate_mode)
     ts = build_training_set(sigma, imp.weights, mode=mode, runs=args.runs, delta=args.delta)
-    return mdp, va, sigma, stats, imp, trunc, ts
+    return mdp, va, strat.evaluate(sigma), stats, imp, trunc, ts
 
 
 def _fit_tree(mdp, va, ts, reference, args):
@@ -167,11 +173,10 @@ def _fit_tree(mdp, va, ts, reference, args):
 
 
 def cmd_distill(args) -> int:
-    mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
-    reference = strat.evaluate(sigma)
+    mdp, va, reference, stats, imp, trunc, ts = _pipeline(args)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, va, ts, reference, args)
     budget_met = strat.within_budget(tree_value, reference, args.budget)
-    rel = 0.0 if reference <= 0 else max(0.0, (reference - tree_value) / reference)
+    rel = _rel_error(tree_value, reference)
     _print_kv([
         ("states", mdp.n_states),
         ("engine", va.engine),
@@ -200,9 +205,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    mdp, va, sigma, stats, imp, trunc, ts = _pipeline(args)
+    mdp, va, strategy_value, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(trunc)
-    tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strat.evaluate(sigma), args)
+    tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strategy_value, args)
     store = bdd.store_strategy(trunc)
     rows = [
         ("explicit", strat.explicit_size(trunc), reference),
@@ -214,12 +219,15 @@ def cmd_compare(args) -> int:
     print(f"{'store':<10} {'size':>8} {'value':>14} {'rel error':>10}")
     lines = ["store,size,value,rel_error"]
     for name, size, value in rows:
-        rel = 0.0 if reference <= 0 else max(0.0, (reference - value) / reference)
+        rel = _rel_error(value, reference)
         print(f"{name:<10} {size:>8} {value:>14.8g} {rel:>10.3g}")
         lines.append(f"{name},{size},{value!r},{rel!r}")
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    return 0 if all([_converged(va), _runs_ended(stats)]) else 1
+    budget_met = strat.within_budget(tree_value, strategy_value, args.budget)
+    tree_rel = _rel_error(tree_value, strategy_value)
+    return 0 if all([_converged(va), _runs_ended(stats),
+                     _kept_budget(budget_met, tree_value, tree_rel, args.budget)]) else 1
 
 
 def cmd_export(args) -> int:
@@ -276,8 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="certified gap at the initial state")
     solveopts.add_argument("--engine", choices=("vi", "brtdp"), default="vi")
     solveopts.add_argument("--seed", type=int, default=0)
-    solveopts.add_argument("--max-steps", type=_positive_int, default=None,
-                           help="per-episode step cap for brtdp")
     solveopts.add_argument("--exit-union", action="store_true",
                            help="keep internal actions alongside end component exits")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -551,13 +551,12 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
     )
 
 
-def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
-                     stop_node: Optional[int] = None,
-                     tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, int]:
+def interval_iterate(q: Quotient, *, eps: float,
+                     stop_node: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """Synchronous lower/upper Bellman sweeps on the (EC-free) quotient.
 
-    Stops when U-L at `stop_node` drops below eps, or globally below tol,
-    and raises MdpError after ITERATE_SWEEPS sweeps. Returns (L, U, sweeps)
+    Stops when U-L at `stop_node` drops below eps, and raises MdpError after
+    ITERATE_SWEEPS sweeps; a NaN gap never stops it. Returns (L, U, sweeps)
     over the nodes. It reads `q` as `build_quotient` left it: the nodes
     with rows come first, so each update is a write to a prefix.
     """
@@ -566,11 +565,6 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
     L = q.target_nodes.astype(np.float64)
     U = (~q.zero_nodes).astype(np.float64)
     k = int(bounds[1]) if len(bounds) > 1 else 0  # the nodes with rows
-
-    def done():
-        if stop_node is not None and eps is not None:
-            return U[stop_node] - L[stop_node] < eps
-        return np.max(U - L) < tol
 
     def best(values: np.ndarray) -> np.ndarray:
         """Largest row value of each node with rows."""
@@ -581,7 +575,7 @@ def interval_iterate(q: Quotient, *, eps: Optional[float] = None,
         return out
 
     sweeps = 0
-    while not done():
+    while not (U[stop_node] - L[stop_node] < eps):
         if sweeps >= ITERATE_SWEEPS:
             raise MdpError("interval iteration exceeded sweep budget")
         np.maximum(L[:k], best(L), out=L[:k])

@@ -29,9 +29,7 @@ class RunStats:
     Per state: runs that visited it / total visits, once over runs that
     reached the target and once over all runs. `truncated_runs` counts the
     runs cut off at the step cap, `max_steps`, before they reached the
-    target or a state that cannot reach it. Adding two RunStats walked
-    under the same cap gives the stats of the merged batch, so the result
-    does not depend on how a batch was split.
+    target or a state that cannot reach it.
     """
 
     n_states: int
@@ -50,6 +48,8 @@ class RunStats:
                 setattr(self, f.name, np.zeros(self.n_states, dtype=np.int64))
 
     def merge(self, other: "RunStats") -> "RunStats":
+        """The stats of both batches together, as `simulate` adds up its
+        blocks. Both must count the same states under the same step cap."""
         if other.n_states != self.n_states:
             raise ValueError("cannot merge stats over different state spaces")
         if other.max_steps != self.max_steps:
@@ -63,14 +63,14 @@ _PENDING = 1 << 18  # visit keys held before they are sorted and counted
 
 
 def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
-             max_steps: int = 1_000_000, first_run: int = 0) -> RunStats:
+             max_steps: int = 1_000_000) -> RunStats:
     """Sample runs of the chain induced in `strategy.mdp` from the initial state.
 
     A run ends on reaching the target, on entering a state from which the
-    chain cannot reach the target anymore, or at the step cap. Each run
-    draws from its own splitmix64 stream keyed by (seed, run index), so
-    stats are identical however the batch is split across calls. Runs are
-    walked in lockstep, `_BLOCK` at a time, and the blocks are merged.
+    chain cannot reach the target anymore, or at the step cap. Runs are
+    walked in lockstep, `_BLOCK` at a time, and the blocks are merged. Each
+    run draws from its own splitmix64 stream keyed by (seed, run index), so
+    the stats do not depend on the block size.
     """
     mdp = strategy.mdp
     P = induce_chain(strategy)
@@ -119,8 +119,7 @@ def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
 
     stats = RunStats(n, max_steps=max_steps)
     for lo in range(0, runs, _BLOCK):
-        stats = stats.merge(_walk(mdp, live, pick, seed, first_run + lo,
-                                  min(_BLOCK, runs - lo), max_steps))
+        stats = stats.merge(_walk(mdp, live, pick, seed, lo, min(_BLOCK, runs - lo), max_steps))
     return stats
 
 

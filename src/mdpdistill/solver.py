@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class ValueApprox:
     with value iteration that is every state. Elsewhere the tables hold
     the defaults: pair value 0, state lower bound 1 at targets and 0
     otherwise, state upper bound 1. `mecs` are the MECs within the explored
-    set, or None when they were not given. `backups` counts BRTDP's state
-    backups and `deflations` its end component deflations; both stay 0 for
-    value iteration.
+    set, which extraction reads. `backups` counts BRTDP's state backups and
+    `deflations` its end component deflations; both stay 0 for value
+    iteration.
     """
 
     pair_lower: np.ndarray
@@ -45,9 +45,9 @@ class ValueApprox:
     explored: np.ndarray
     gap: float
     engine: str
+    mecs: MecDecomposition
     episodes: int = 0
     sweeps: int = 0
-    mecs: Optional[MecDecomposition] = None
     backups: int = 0
     deflations: int = 0
 
@@ -77,7 +77,7 @@ def value_iteration(mdp: Mdp, eps: float) -> ValueApprox:
         gap=gap, engine="vi", sweeps=sweeps, mecs=mecs)
 
 
-# BRTDP's default step cap is CAP_PER_STATE * |explored| + CAP_SLACK steps: a
+# BRTDP's step cap is CAP_PER_STATE * |explored| + CAP_SLACK steps: a
 # path that long has, unless it keeps finding new states, closed a cycle.
 # Over seeds 0-9 it makes 5,949 backups on the 20,010-state chain and 31,335
 # on mutex, against 26,119 and 348,370 with 10 * |explored| + 1000; factors
@@ -86,24 +86,23 @@ CAP_PER_STATE, CAP_SLACK = 2, 10
 
 
 def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
-          max_steps: Optional[int] = None,
           max_episodes: int = 100_000) -> ValueApprox:
     """Upper-bound-guided sampling with on-the-fly end component deflation.
 
     Episodes start at the initial state, follow an action maximizing the
     current upper bound (ties broken by a seeded generator), and stop at a
-    target, at a sink, or at the step cap (`max_steps`; by default
-    CAP_PER_STATE * |explored| + CAP_SLACK). Bounds are backed up along the
-    path in reverse. End components inside the explored set would keep both
-    bounds at 1 forever and trap the path, so an episode that hits the cap,
-    having closed a cycle, deflates: the explored set is decomposed into MECs
-    (again only when it has grown), the internal upper bounds of each MEC
-    away from the target are capped by its best exiting pair, and the path
-    is backed up once more. Bounds are per-state lists over `mdp`'s states; a
-    state's rows become Python lists when the search first touches it, and
-    each pair value is summed over its row in declaration order. Returns
-    tables over the explored states and their MECs, with `converged` False
-    if the episode budget ran out first.
+    target, at a sink, or at the step cap of CAP_PER_STATE * |explored| +
+    CAP_SLACK steps. Bounds are backed up along the path in reverse. End
+    components inside the explored set would keep both bounds at 1 forever
+    and trap the path, so an episode that hits the cap, having closed a
+    cycle, deflates: the explored set is decomposed into MECs (again only
+    when it has grown), the internal upper bounds of each MEC away from the
+    target are capped by its best exiting pair, and the path is backed up
+    once more. Bounds are per-state lists over `mdp`'s states; a state's
+    rows become Python lists when the search first touches it, and each
+    pair value is summed over its row in declaration order. Returns tables
+    over the explored states and their MECs, with `converged` False if the
+    episode budget ran out first.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -182,7 +181,7 @@ def brtdp(mdp: Mdp, eps: float, *, seed: int = 0,
         if episodes >= max_episodes:
             break
         episodes += 1
-        cap = max_steps if max_steps is not None else CAP_PER_STATE * len(explored) + CAP_SLACK
+        cap = CAP_PER_STATE * len(explored) + CAP_SLACK
         path = [s0]
         s = s0
         hit_cap = False

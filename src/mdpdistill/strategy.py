@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+# `mec_decompose` is not called here; the benchmark's span table hooks this name
 from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, induce_chain,
                    mec_decompose, reach_bounds, reach_exact, reachable)
 from .solver import ValueApprox
@@ -26,15 +27,14 @@ def extract_liberal(mdp: Mdp, va: ValueApprox, *, exit_union: bool = False) -> L
     """Liberal strategy over the explored states of a value approximation.
 
     Non-member states pick all value-maximal actions. For each end component
-    (the engine's own when it built them, else computed within the explored
-    set, matching what the engines deflate): with `exit_union` every member
-    state keeps its internal actions plus any maximal exits it owns;
-    otherwise only the states owning a maximal exit are defined by it, and
-    the rest keep their internal actions. Target states are absorbing;
-    leaving them open keeps the placeholder self-loop out of the explicit
-    description.
+    within the explored set (`va.mecs`, the ones the engine built): with
+    `exit_union` every member state keeps its internal actions plus any
+    maximal exits it owns; otherwise only the states owning a maximal exit
+    are defined by it, and the rest keep their internal actions. Target
+    states are absorbing; leaving them open keeps the placeholder self-loop
+    out of the explicit description.
     """
-    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp, restrict=va.explored)
+    mecs = va.mecs
     explored = np.zeros(mdp.n_states, dtype=bool)
     explored[va.explored] = True
     pl = va.pair_lower

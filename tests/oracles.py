@@ -21,13 +21,15 @@ The per-state loops at the end (`induce_rows`, `reach_rows`,
 `tables_dict`, `extract_dict`) are the plain-Python forms of the array code
 in `core`, `solver`, `strategy`, `importance` and `dtree`. They add in the
 same order, so the tests compare against them with `==`. `mec_list` reads a
-`MecDecomposition` into the `Mec` objects `mecs_dict` returns.
+`MecDecomposition` into the `Mec` objects `mecs_dict` returns, and
+`mec_arrays` reads them back.
 `exact_importance_cut` is the `exact_importance` that rebuilt the chain
 with the row of each state cut to a self-loop before solving for it;
 `chain_rows` and `chain_matrix` convert between a chain's CSR matrix and
 its per-location (succs, probs) pairs. `interval_iterate_reduceat` is the
 sweep loop over R in node-grouped order (`node_grouped`) that
-`core.interval_iterate`'s slot-major layout replaced.
+`core.interval_iterate`'s slot-major layout replaced; it keeps the global
+stop rule `tol`, which `max_reach_exact` uses.
 `encode_set_subsets` is the tuple-subset recursion that `Bdd.encode_set`'s
 index ranges replaced. `sweeps_by_split` is the Gauss–Seidel set-up that
 re-indexed the unknowns' rows into A and split A with `triu`, `tril` and
@@ -62,7 +64,7 @@ from mdpdistill.bdd import Bdd
 from mdpdistill.core import (_MASK64, TAU, ActionAttr, LiberalStrategy,
                              Mdp, MdpError, MecDecomposition, Quotient,
                              build_quotient, derive_seed, distinct_attrs,
-                             induce_chain, interval_iterate, mec_decompose,
+                             induce_chain, mec_decompose,
                              reach_exact, reachable)
 from mdpdistill.dtree import (COORD_ACTION, DTree, Leaf, Node, Pred, Split,
                               _prune, _upper_z)
@@ -168,14 +170,15 @@ def actions_of(mdp: Mdp, strategy: LiberalStrategy) -> List[Tuple[int, ...]]:
 def max_reach_exact(mdp: Mdp, *, tol: float = 1e-12) -> np.ndarray:
     """Optimal reachability values Val(s), certified to a U-L gap below tol.
 
-    Interval iteration on the MEC quotient; both bounds converge there since
-    collapsing MECs removes every end component.
+    Interval iteration on the MEC quotient (`interval_iterate_reduceat`, not
+    the engine's sweep); both bounds converge there since collapsing MECs
+    removes every end component.
     """
     if not mdp.is_target.any():
         return np.zeros(mdp.n_states)
     mecs = mec_decompose(mdp)
     q = build_quotient(mdp, mecs)
-    L, U, _ = interval_iterate(q, tol=tol)
+    L, U, _ = interval_iterate_reduceat(q, tol=tol)
     vals = (L + U) / 2.0
     np.clip(vals, 0.0, 1.0, out=vals)
     return vals[q.node_of]
@@ -264,7 +267,7 @@ def check_valid(mdp: Mdp, va: ValueApprox, exact: np.ndarray) -> ValidityReport:
         rep.messages.append(
             f"pair {pair(r)}: value {pl[r]:.12g} above successor combination {succ_val[r]:.12g}")
 
-    mecs = va.mecs if va.mecs is not None else mec_decompose(mdp)
+    mecs = va.mecs
     k_of = mecs.mec_of[mdp.row_state]
     rows = recorded & (k_of >= 0) & ~mdp.is_target[mdp.row_state]
     best = np.full(mecs.count, -np.inf)
@@ -824,6 +827,17 @@ def mec_list(mecs: MecDecomposition, mdp: Mdp) -> List[Mec]:
     return [Mec(frozenset(m), {s: tuple(acts[s]) for s in m}) for m in members]
 
 
+def mec_arrays(mdp: Mdp, mecs: List[Mec]) -> MecDecomposition:
+    """The inverse of `mec_list`: `Mec` objects in id order as arrays."""
+    mec_of = np.full(mdp.n_states, -1, dtype=np.int64)
+    internal = np.zeros(len(mdp.row_state), dtype=bool)
+    for k, mec in enumerate(mecs):
+        for s, acts in mec.actions.items():
+            mec_of[s] = k
+            internal[[mdp.row_start[s] + i for i in acts]] = True
+    return MecDecomposition(mec_of, internal, len(mecs))
+
+
 def mecs_dict(mdp: Mdp, restrict: Optional[FrozenSet[int]] = None) -> List[Mec]:
     """`core.mec_decompose` as a work list of candidate state sets."""
     dm = as_tuples(mdp)
@@ -968,7 +982,9 @@ def interval_iterate_reduceat(q: Quotient, *, eps: Optional[float] = None,
     """`core.interval_iterate`, each node's best row taken by `np.maximum.reduceat`
     over R in its node-grouped order (`node_grouped`). It sets U to 0 on the
     nodes without rows apart from the targets, not only on `zero_nodes`, so
-    the tests also check that the zero set holds them all."""
+    the tests also check that the zero set holds them all. Given `tol` in
+    place of `eps` and `stop_node`, it stops once U-L is below tol at every
+    node, as `max_reach_exact` needs."""
     R, starts, nw = node_grouped(q)
     has_rows = np.zeros(q.num_nodes, dtype=bool)
     has_rows[nw] = True
@@ -1181,7 +1197,8 @@ def brtdp_dict(mdp: Mdp, eps: float, *, seed: int = 0,
     return ValueApprox(
         pair_lower=pair_lower, state_lower=state_lower, state_upper=state_upper,
         epsilon=eps, explored=np.array(sorted(explored), dtype=np.int64),
-        gap=gap, engine="brtdp", episodes=episodes, backups=backups, deflations=deflations)
+        gap=gap, engine="brtdp", mecs=mec_arrays(mdp, mecs_dict(mdp, restrict=explored)),
+        episodes=episodes, backups=backups, deflations=deflations)
 
 
 def tables_dict(mdp: Mdp, Ls: np.ndarray, Us: np.ndarray):

@@ -318,6 +318,18 @@ def test_compare_table_and_csv(models, tmp_path, capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_compare_reports_missed_budget(models, capsys, seed):
+    # truncating every state leaves a one-leaf tree at half the strategy
+    # value; compare holds the tree to the budget as distill does
+    rc = main(["compare", "--model", str(models / "fig1.mdp"), "--delta", "2", "--seed", seed])
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split() == ["dtree", "1", "0.49625", "0"]
+    assert rc == 1
+    assert err == ("error: tree value 0.49625 loses 0.501 of the strategy value, "
+                   "over the budget of 0.01\n")
+
+
 @pytest.mark.parametrize("command", ["distill", "compare"])
 def test_unconverged_engine_exits_one(models, tmp_path, monkeypatch, capsys, command):
     # one episode leaves BRTDP's gap open on fig1; the command still prints
@@ -482,8 +494,6 @@ NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\
     ["solve", "--model", "."],
     ["distill", "--threads", "0"],
     ["distill", "--threads", "-3"],
-    ["solve", "--engine", "brtdp", "--max-steps", "0"],
-    ["solve", "--engine", "brtdp", "--max-steps", "-2"],
     ["distill", "--runs", "0"],
     ["distill", "--runs", "-3"],
     ["solve", "--model", "nan.flat"],
@@ -500,9 +510,8 @@ NAN_FLAT = "vars x:0..1\nstate 0 0\nstate 1 1\nact 0 a 1 nan 1\nact 1 t 0 1.0 1\
     ["distill", "--variant", "XYZ"],
     ["compare", "--variant", "XYZ"],
 ], ids=["eps-zero", "eps-negative", "min-leaf-text", "min-leaf-zero", "model-directory",
-        "threads-zero", "threads-negative", "max-steps-zero", "max-steps-negative",
-        "runs-zero", "runs-negative", "nan-probability", "confidence-zero",
-        "confidence-above-one", "confidence-nan", "budget-nan", "delta-nan",
+        "threads-zero", "threads-negative", "runs-zero", "runs-negative", "nan-probability",
+        "confidence-zero", "confidence-above-one", "confidence-nan", "budget-nan", "delta-nan",
         "state-cap-zero", "budget-negative", "budget-minus-inf", "delta-inf",
         "delta-minus-inf", "variant-unknown-distill", "variant-unknown-compare"])
 def test_bad_input_exits_two_without_traceback(models, argv, monkeypatch, capsys):

@@ -400,12 +400,14 @@ def test_max_reach_matches_brute_force(seed):
 
 def test_interval_iterate_brackets_exact(fig1):
     q = build_quotient(fig1, mec_decompose(fig1))
-    L, U, sweeps = interval_iterate(q, tol=1e-12)
     exact = max_reach_exact(fig1)
-    Ls, Us = L[q.node_of], U[q.node_of]
-    assert np.all(Ls <= exact + 1e-12)
-    assert np.all(Us >= exact - 1e-12)
-    assert np.max(Us - Ls) <= 1e-9
+    # each node in turn is the stop node, so each gap is seen to close
+    for node in range(q.num_nodes):
+        L, U, sweeps = interval_iterate(q, eps=1e-12, stop_node=node)
+        Ls, Us = L[q.node_of], U[q.node_of]
+        assert np.all(Ls <= exact + 1e-12)
+        assert np.all(Us >= exact - 1e-12)
+        assert U[node] - L[node] <= 1e-12
 
 
 def test_interval_iterate_stop_node(tiny_mec_mdp):
@@ -419,12 +421,12 @@ def test_interval_iterate_stop_node(tiny_mec_mdp):
 
 def _assert_same_sweeps(m):
     q = build_quotient(m, mec_decompose(m))
-    for kw in (dict(eps=1e-6, stop_node=int(q.node_of[m.initial])), dict(tol=1e-12)):
-        L, U, sweeps = interval_iterate(q, **kw)
-        L0, U0, sweeps0 = interval_iterate_reduceat(q, **kw)
-        assert sweeps == sweeps0, kw
-        assert L.tobytes() == L0.tobytes(), kw
-        assert U.tobytes() == U0.tobytes(), kw
+    kw = dict(eps=1e-6, stop_node=int(q.node_of[m.initial]))
+    L, U, sweeps = interval_iterate(q, **kw)
+    L0, U0, sweeps0 = interval_iterate_reduceat(q, **kw)
+    assert sweeps == sweeps0
+    assert L.tobytes() == L0.tobytes()
+    assert U.tobytes() == U0.tobytes()
     return q
 
 
@@ -514,7 +516,7 @@ def test_quotient_freezes_targets_and_traps(tiny_mec_mdp):
     with_rows = node_grouped(q)[2]
     assert q.node_of[3] not in with_rows and q.node_of[4] not in with_rows
     # nodes without rows keep their start bounds: 1 at the target, 0 at the trap
-    L, U, _ = interval_iterate(q, tol=1e-12)
+    L, U, _ = interval_iterate(q, eps=1e-12, stop_node=int(q.node_of[m.initial]))
     assert L[q.node_of[3]] == U[q.node_of[3]] == 1.0
     assert L[q.node_of[4]] == U[q.node_of[4]] == 0.0
 

@@ -100,15 +100,14 @@ def test_simulate_deterministic(fig1):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
 
-def test_simulate_split_invariance(fig1):
+def test_simulate_split_invariance(fig1, monkeypatch):
     strat = _opt(fig1)
     whole = simulate(strat, 300, seed=4)
-    front = simulate(strat, 120, seed=4, first_run=0)
-    back = simulate(strat, 180, seed=4, first_run=120)
-    merged = front.merge(back)
-    assert merged.target_runs == whole.target_runs
-    assert np.array_equal(merged.visited_cond_mult, whole.visited_cond_mult)
-    assert np.array_equal(merged.visited_all_count, whole.visited_all_count)
+    monkeypatch.setattr(importance, "_BLOCK", 120)  # blocks of 120, 120 and 60 runs
+    split = simulate(strat, 300, seed=4)
+    assert split.target_runs == whole.target_runs
+    assert np.array_equal(split.visited_cond_mult, whole.visited_cond_mult)
+    assert np.array_equal(split.visited_all_count, whole.visited_all_count)
 
 
 def test_simulate_batched_matches_serial(fig1):
@@ -122,8 +121,8 @@ def test_simulate_batched_matches_serial(fig1):
 
 def test_merge_is_commutative(fig1):
     strat = _opt(fig1)
-    a = simulate(strat, 50, seed=1, first_run=0)
-    b = simulate(strat, 70, seed=1, first_run=50)
+    a = simulate(strat, 50, seed=1)
+    b = simulate(strat, 70, seed=2)
     ab, ba = a.merge(b), b.merge(a)
     assert ab.target_runs == ba.target_runs
     assert np.array_equal(ab.visited_cond_count, ba.visited_cond_count)
@@ -164,15 +163,14 @@ def test_truncated_runs_all_at_zero_cap(fig1):
     assert stats.truncated_runs == 100
 
 
-def test_truncated_runs_some_at_small_cap(mutex):
+def test_truncated_runs_some_at_small_cap(mutex, monkeypatch):
     strat = _opt(mutex)
     capped = simulate(strat, 1000, seed=3, max_steps=4)
     # at 4 steps some runs are cut, some hit, and some are already doomed
     assert 0 < capped.truncated_runs < capped.total_runs - capped.target_runs
     assert simulate(strat, 1000, seed=3).truncated_runs == 0
-    front = simulate(strat, 400, seed=3, max_steps=4)
-    back = simulate(strat, 600, seed=3, max_steps=4, first_run=400)
-    assert front.merge(back).truncated_runs == capped.truncated_runs
+    monkeypatch.setattr(importance, "_BLOCK", 400)  # blocks of 400, 400 and 200 runs
+    assert simulate(strat, 1000, seed=3, max_steps=4).truncated_runs == capped.truncated_runs
 
 
 def _same_stats(a, b):
@@ -201,16 +199,17 @@ def test_simulate_matches_run_loop_on_random_models(seed):
                 simulate_rows(m, strat, 300, seed=seed))
 
 
-@pytest.mark.parametrize("runs,first_run,max_steps", [
+# `block` is the number of runs walked at a time, 0 for the default `_BLOCK`
+@pytest.mark.parametrize("runs,block,max_steps", [
     (0, 0, 1_000_000), (1, 0, 1_000_000), (2047, 3, 1_000_000),
     (2048, 0, 1_000_000), (2049, 2048, 1_000_000), (4097, 11, 1_000_000),
     (3000, 5, 0), (3000, 5, 1), (3000, 5, 3)])
-def test_simulate_matches_run_loop_across_blocks(mutex, runs, first_run, max_steps):
+def test_simulate_matches_run_loop_across_blocks(mutex, monkeypatch, runs, block, max_steps):
     strat = _opt(mutex)
-    _same_stats(simulate(strat, runs, seed=6, first_run=first_run,
-                         max_steps=max_steps),
-                simulate_rows(mutex, strat, runs, seed=6, first_run=first_run,
-                              max_steps=max_steps))
+    if block:
+        monkeypatch.setattr(importance, "_BLOCK", block)
+    _same_stats(simulate(strat, runs, seed=6, max_steps=max_steps),
+                simulate_rows(mutex, strat, runs, seed=6, max_steps=max_steps))
 
 
 def test_simulate_matches_run_loop_when_visits_are_tallied_early(sync2, monkeypatch):

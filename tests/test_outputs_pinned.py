@@ -1,7 +1,9 @@
 """Digests of what the command line prints and writes on the bundled models
 (every command on grid, the headline workload) and on the 20,010-state
-chain `fixtures.fig1_extended_text(20000)`; every command whose output
-depends on `--seed` (all but `solve --engine vi`) also runs at seed 3.
+chain `fixtures.fig1_extended_text(20000)`, and of `distill` and `compare`
+on fig1 with every state truncated (`--delta 2`), which miss their quality
+budget and exit 1; every command whose output depends on `--seed` (all but
+`solve --engine vi`) also runs at seed 3.
 
 Each case runs one command in-process, from a fresh directory holding a
 copy of its model, which it names by a relative path, so that `compare`'s
@@ -45,7 +47,8 @@ COMMANDS = [f"{command} --model {model} --engine {engine}"
             for engine in ("vi", "brtdp")
             for command in OUTPUTS] + \
     [f"{command} --model grid.mdp --engine vi" for command in OUTPUTS] + \
-    [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")]
+    [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")] + \
+    [f"{command} --model fig1.mdp --engine vi --delta 2" for command in ("distill", "compare")]
 # the commands whose output depends on --seed (all but `solve --engine vi`), again at seed 3
 COMMANDS += [f"{command} --seed 3" for command in COMMANDS
              if not command.startswith("solve") or command.endswith("brtdp")]

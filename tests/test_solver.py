@@ -152,10 +152,11 @@ def test_brtdp_needs_deflation_on_mutex(mutex):
     assert rep.ok, rep.messages
 
 
-def test_brtdp_partial_exploration():
+def test_brtdp_partial_exploration(monkeypatch):
     from mdpdistill.fixtures import fig1_extended
     m = fig1_extended(200)
-    va = brtdp(m, 0.02, seed=1, max_steps=100)
+    _fix_cap(monkeypatch, 100)
+    va = brtdp(m, 0.02, seed=1)
     assert va.converged and va.gap <= 0.02
     assert len(va.explored) < m.n_states / 4
     # values are only recorded for explored states; the rest hold defaults
@@ -226,20 +227,38 @@ def test_vi_tables_match_dict_loop_on_models(name, request):
 
 # ------------------------------------------------- brtdp against the dict loop
 
+def _fix_cap(monkeypatch, steps):
+    """Make BRTDP's step cap `steps` whatever it has explored, the cap
+    `brtdp_dict(max_steps=steps)` keeps."""
+    monkeypatch.setattr(solver, "CAP_PER_STATE", 0)
+    monkeypatch.setattr(solver, "CAP_SLACK", steps)
+
+
+def _brtdp(m, seed, monkeypatch, max_steps=None, **budget):
+    """`brtdp` at eps 1e-6, under a fixed step cap if `max_steps` is given."""
+    if max_steps is not None:
+        _fix_cap(monkeypatch, max_steps)
+    return brtdp(m, 1e-6, seed=seed, **budget)
+
+
 def _run_both(m, seed, monkeypatch, **budget):
     """Run the engine and `oracles.brtdp_dict`, assert bit-equal results and
     counts, and return the engine's result and the oracle's number of
     deflations."""
-    va = brtdp(m, 1e-6, seed=seed, **budget)
-    deflations = []
+    va = _brtdp(m, seed, monkeypatch, **budget)
+    monkeypatch.undo()
+    restricts = []
 
     def counted(mdp, restrict=None):
-        deflations.append(len(restrict))
+        restricts.append(len(restrict))
         return mecs_dict(mdp, restrict)
 
     monkeypatch.setattr(oracles, "mecs_dict", counted)
     want = brtdp_dict(m, 1e-6, seed=seed, **budget)
     monkeypatch.undo()
+    # one decomposition per deflation, then one of the final explored set
+    *deflations, final = restricts
+    assert final == len(va.explored)
     for name in ("pair_lower", "state_lower", "state_upper", "explored"):
         got, ref = getattr(va, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
@@ -247,9 +266,10 @@ def _run_both(m, seed, monkeypatch, **budget):
     assert (va.backups, va.deflations) == (want.backups, want.deflations) == \
         (want.backups, len(deflations))
     # the engine hands over the MECs of its final explored set
-    mecs = mec_decompose(m, restrict=va.explored)
-    assert va.mecs.mec_of.tobytes() == mecs.mec_of.tobytes()
-    assert va.mecs.internal.tobytes() == mecs.internal.tobytes()
+    for mecs in (want.mecs, mec_decompose(m, restrict=va.explored)):
+        assert va.mecs.mec_of.tobytes() == mecs.mec_of.tobytes()
+        assert va.mecs.internal.tobytes() == mecs.internal.tobytes()
+        assert va.mecs.count == mecs.count
     return va, len(deflations)
 
 
@@ -271,7 +291,7 @@ def test_brtdp_matches_dict_loop_on_models(name, budget, request, monkeypatch):
             # deflation only ever lowers the upper bounds of explored MECs away
             # from the target, so an outcome that differs without it shows one
             monkeypatch.setattr(solver, "mec_decompose", _no_mecs)
-            other = brtdp(m, 1e-6, seed=seed, **budget)
+            other = _brtdp(m, seed, monkeypatch, **budget)
             monkeypatch.undo()
             assert (other.state_upper.tobytes(), other.episodes) != \
                 (va.state_upper.tobytes(), va.episodes)

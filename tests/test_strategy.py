@@ -135,7 +135,7 @@ def test_positive_mec_without_exit_rejected(monkeypatch):
     # cannot be turned into a strategy
     from mdpdistill.core import ActionAttr
     from mdpdistill.solver import ValueApprox
-    from oracles import Action, make_absorbing, mdp_of
+    from oracles import Action, make_absorbing, mdp_of, mec_arrays
     A = lambda name, succs: Action(ActionAttr(name, 1), succs, (1.0,))
     states = ((0,), (1,), (2,), (3,))
     actions = ((A("go", (1,)),), (A("spin", (2,)),), (A("spin", (1,)),), ())
@@ -147,7 +147,7 @@ def test_positive_mec_without_exit_rejected(monkeypatch):
         state_lower=np.array([0.5, 0.5, 0.5, 1.0]),
         state_upper=np.array([1.0, 1.0, 1.0, 1.0]),
         epsilon=0.1, explored=np.array([0, 1, 2]),
-        gap=0.0, engine="vi")
+        gap=0.0, engine="vi", mecs=mec_arrays(m, mecs_dict(m, frozenset({0, 1, 2}))))
     with pytest.raises(MdpError, match="no exiting action"):
         extract_liberal(m, fake)
     _assert_extract_matches_dict_loop(m, fake)
