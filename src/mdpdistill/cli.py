@@ -136,11 +136,10 @@ def _fit_tree(mdp, va, ts, reference, args):
     tree (same predicates and leaf labels, hence the same JSON) is induced
     once, and each distinct induced strategy decided once, since the value
     depends only on the row mask, which is all that `induce_chain` reads.
-    Only the returned tree's value is solved exactly, on its decision's chain.
+    The returned tree is valued by `evaluate`, on a chain built afresh.
     """
     induced = {}
     verdicts = {}
-    kept = {}
 
     def induce(t: dtree.DTree):
         key = dtree.export_json(t)
@@ -152,11 +151,7 @@ def _fit_tree(mdp, va, ts, reference, args):
         sigma, _ = induce(t)
         key = sigma.rows.tobytes()
         if key not in verdicts:
-            chain = strat.restricted_chain(sigma)
-            verdicts[key] = strat.decide(chain, va.state_upper, reference, args.budget)
-            if verdicts[key] or not kept:  # the tree returned: the last accepted, or the first
-                kept.clear()
-                kept[key] = chain
+            verdicts[key] = strat.decide(sigma, va.state_upper, reference, args.budget)
         return verdicts[key]
 
     if args.min_leaf != "auto":
@@ -168,8 +163,7 @@ def _fit_tree(mdp, va, ts, reference, args):
                                  prune=not args.no_prune)
         tree, leaf = fit.tree, fit.min_leaf
     sigma, fallback = induce(tree)
-    chain = kept.get(sigma.rows.tobytes()) or strat.restricted_chain(sigma)
-    return tree, leaf, strat.chain_value(chain), fallback
+    return tree, leaf, strat.evaluate(sigma), fallback
 
 
 def cmd_distill(args) -> int:

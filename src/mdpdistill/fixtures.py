@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .build import DEFAULT_STATE_CAP, load_model
+from .build import load_model
 from .core import Mdp
 
 
@@ -15,8 +15,8 @@ def model_text(name: str) -> str:
     return (resources.files("mdpdistill") / "models" / f"{stem}{suffix}").read_text()
 
 
-def load(name: str, *, state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
-    return load_model(model_text(name), state_cap=state_cap)
+def load(name: str) -> Mdp:
+    return load_model(model_text(name))
 
 
 def fig1_extended_text(k: int) -> str:

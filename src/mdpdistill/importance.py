@@ -28,8 +28,8 @@ class RunStats:
 
     Per state: runs that visited it / total visits, once over runs that
     reached the target and once over all runs. `truncated_runs` counts the
-    runs cut off at the step cap, `max_steps`, before they reached the
-    target or a state that cannot reach it.
+    runs cut off at the step cap, `max_steps` (`MAX_STEPS` when they were
+    walked), before they reached the target or a state that cannot reach it.
     """
 
     n_states: int
@@ -58,19 +58,19 @@ class RunStats:
                                          for f in fields(self)[1:8]), self.max_steps)
 
 
+MAX_STEPS = 1_000_000  # steps a simulated run takes at most
 _BLOCK = 2048  # runs walked in lockstep at a time
 _PENDING = 1 << 18  # visit keys held before they are sorted and counted
 
 
-def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
-             max_steps: int = 1_000_000) -> RunStats:
+def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0) -> RunStats:
     """Sample runs of the chain induced in `strategy.mdp` from the initial state.
 
     A run ends on reaching the target, on entering a state from which the
-    chain cannot reach the target anymore, or at the step cap. Runs are
-    walked in lockstep, `_BLOCK` at a time, and the blocks are merged. Each
-    run draws from its own splitmix64 stream keyed by (seed, run index), so
-    the stats do not depend on the block size.
+    chain cannot reach the target anymore, or after `MAX_STEPS` steps (read
+    at the call). Runs are walked in lockstep, `_BLOCK` at a time, and the
+    blocks are merged. Each run draws from its own splitmix64 stream keyed
+    by (seed, run index), so the stats do not depend on the block size.
     """
     mdp = strategy.mdp
     P = induce_chain(strategy)
@@ -117,13 +117,13 @@ def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0,
             at[far] = lo
         return succ[at]
 
-    stats = RunStats(n, max_steps=max_steps)
+    stats = RunStats(n, max_steps=MAX_STEPS)
     for lo in range(0, runs, _BLOCK):
-        stats = stats.merge(_walk(mdp, live, pick, seed, lo, min(_BLOCK, runs - lo), max_steps))
+        stats = stats.merge(_walk(mdp, live, pick, seed, lo, min(_BLOCK, runs - lo)))
     return stats
 
 
-def _walk(mdp, live, pick, seed, first, runs, max_steps) -> RunStats:
+def _walk(mdp, live, pick, seed, first, runs) -> RunStats:
     """Runs first..first+runs-1, every run still going moved once per step.
     Visit keys (run * n_states + state) are held in one buffer and sorted
     once it is full or the runs have ended."""
@@ -132,7 +132,7 @@ def _walk(mdp, live, pick, seed, first, runs, max_steps) -> RunStats:
     ctr = derive_seed(seed, np.arange(first, first + runs, dtype=np.uint64))
     held, tally = np.empty(max(_PENDING, runs), np.int64), None
     held[:runs], count = key + s, runs
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         go = live[s]
         if not go.all():
             key, s, ctr = key[go], s[go], ctr[go]
@@ -157,7 +157,7 @@ def _walk(mdp, live, pick, seed, first, runs, max_steps) -> RunStats:
 
     return RunStats(n, runs, int(np.count_nonzero(hit)), truncated,
                     counts(state[cond]), counts(state[cond], mult[cond]),
-                    counts(state), counts(state, mult), max_steps)
+                    counts(state), counts(state, mult), MAX_STEPS)
 
 
 def _fold(tally, fresh):

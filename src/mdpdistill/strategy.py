@@ -73,9 +73,10 @@ def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
     return np.flatnonzero(reachable(induce_chain(strategy), [mdp.initial])).tolist()
 
 
-def restricted_chain(strategy: LiberalStrategy):
-    """The chain induced in `strategy.mdp` on the states reachable from the
-    initial state, the targets' and initial state's positions there, the states."""
+def _reachable_chain(strategy: LiberalStrategy):
+    """What `evaluate` solves and `decide` bounds: the chain induced in `strategy.mdp`
+    on the states reachable from the initial state, the targets' and initial
+    state's positions there, and the states."""
     mdp = strategy.mdp
     P = induce_chain(strategy)
     states = np.flatnonzero(reachable(P, [mdp.initial]))
@@ -83,20 +84,15 @@ def restricted_chain(strategy: LiberalStrategy):
             int(np.searchsorted(states, mdp.initial)), states)
 
 
-def chain_value(chain) -> float:
-    """Reachability value of a `restricted_chain`'s initial state, solved exactly."""
-    P, targets, init, _ = chain
-    return float(reach_exact(P, targets)[init])
-
-
 def evaluate(strategy: LiberalStrategy) -> float:
     """Reachability value from the initial state of the chain induced in `strategy.mdp`.
 
-    The linear solve is restricted to the states actually reachable under
-    the strategy, so changing choices anywhere else cannot perturb the
-    result, not even in the last bit.
+    The linear solve runs on `_reachable_chain`, the states actually
+    reachable under the strategy, so changing choices anywhere else cannot
+    perturb the result, not even in the last bit.
     """
-    return chain_value(restricted_chain(strategy))
+    P, targets, init, _ = _reachable_chain(strategy)
+    return float(reach_exact(P, targets)[init])
 
 
 def within_budget(value: float, reference: float, budget: float) -> bool:
@@ -107,8 +103,9 @@ def within_budget(value: float, reference: float, budget: float) -> bool:
 DECIDE_SWEEPS = 100  # bound sweeps before a decision falls back to the exact value
 
 
-def decide(chain, upper: np.ndarray, reference: float, budget: float) -> bool:
-    """`within_budget(chain_value(chain), reference, budget)`, from bounds
+def decide(strategy: LiberalStrategy, upper: np.ndarray, reference: float,
+           budget: float) -> bool:
+    """`within_budget(evaluate(strategy), reference, budget)`, from bounds
     where they suffice.
 
     Gauss–Seidel bounds at the initial state (`reach_bounds`) accept once
@@ -120,7 +117,7 @@ def decide(chain, upper: np.ndarray, reference: float, budget: float) -> bool:
     the bounds close to within the margin undecided, or after DECIDE_SWEEPS
     sweeps, the exact value decides, on the same chain.
     """
-    P, targets, init, states = chain
+    P, targets, init, states = _reachable_chain(strategy)
     margin = 1e-9 * reference
     for lower, up in islice(reach_bounds(P, targets, init, upper[states]), DECIDE_SWEEPS + 1):
         if within_budget(lower - margin, reference, budget):
@@ -129,7 +126,7 @@ def decide(chain, upper: np.ndarray, reference: float, budget: float) -> bool:
             return False
         if up - lower < margin:
             break
-    return within_budget(chain_value(chain), reference, budget)
+    return within_budget(float(reach_exact(P, targets)[init]), reference, budget)
 
 
 def truncate(strategy: LiberalStrategy, weights: np.ndarray, delta: float = 0.0,

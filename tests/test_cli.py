@@ -202,18 +202,18 @@ def test_fixed_min_leaf_reports_missed_budget(models, capsys):
 
 @pytest.mark.parametrize("min_leaf", ["auto", "3"])
 def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf):
-    # two exact values, the liberal strategy's reference and the returned
-    # tree's; one induce per distinct tree (its JSON); and in the search,
-    # one chain and one budget decision per distinct induced strategy (its
-    # row mask), with bounds starting at the engine's upper bounds, and the
-    # returned tree solved on the chain its decision built
+    # two evaluations, the liberal strategy's reference and the returned
+    # tree's, and no other exact solve on fig1; one induce per distinct tree
+    # (its JSON); and in the search, one budget decision per distinct
+    # induced strategy (its row mask), with bounds starting at the engine's
+    # upper bounds, each on a chain built for it
     from mdpdistill import cli, dtree, strategy
     calls = {"evaluate": 0, "induce": 0}
     masks, built, decided, solved = [], [], [], []
     learned, induced = [], []
     fits, engines = [], []
     real_evaluate, real_decide = strategy.evaluate, strategy.decide
-    real_chain, real_value = strategy.restricted_chain, strategy.chain_value
+    real_chain, real_exact = strategy._reachable_chain, strategy.reach_exact
     real_induce = dtree.induce_strategy
     real_fit, real_learn = dtree.fit_max_leaf, dtree.learn
     real_solve = cli._solve
@@ -222,18 +222,18 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         calls["evaluate"] += 1
         return real_evaluate(*a)
 
-    def restricted_chain(sigma):
+    def reachable_chain(sigma):
         built.append((sigma.rows.tobytes(), real_chain(sigma)))
         return built[-1][1]
 
-    def decide(chain, upper, *a):
+    def decide(sigma, upper, *a):
         assert upper is engines[0].state_upper
-        decided.append(chain)
-        return real_decide(chain, upper, *a)
+        decided.append(sigma.rows.tobytes())
+        return real_decide(sigma, upper, *a)
 
-    def chain_value(chain):
-        solved.append(chain)
-        return real_value(chain)
+    def reach_exact(P, targets):
+        solved.append(P)
+        return real_exact(P, targets)
 
     def induce(mdp, tree):
         calls["induce"] += 1
@@ -256,9 +256,9 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
         return engines[-1]
 
     monkeypatch.setattr(strategy, "evaluate", evaluate)
-    monkeypatch.setattr(strategy, "restricted_chain", restricted_chain)
+    monkeypatch.setattr(strategy, "_reachable_chain", reachable_chain)
     monkeypatch.setattr(strategy, "decide", decide)
-    monkeypatch.setattr(strategy, "chain_value", chain_value)
+    monkeypatch.setattr(strategy, "reach_exact", reach_exact)
     monkeypatch.setattr(dtree, "induce_strategy", induce)
     monkeypatch.setattr(dtree, "learn", learn)
     monkeypatch.setattr(dtree, "fit_max_leaf", fit)
@@ -271,22 +271,24 @@ def test_distill_evaluates_each_tree_once(models, monkeypatch, capsys, min_leaf)
     assert probes > 1 or min_leaf != "auto"
     assert len(learned) == probes
     assert sorted(induced) == sorted(set(learned))
-    assert calls == {"evaluate": 1, "induce": len(set(learned))}
-    # the reference's chain comes first and is solved first
-    assert solved[0] is built[0][1]
+    assert calls == {"evaluate": 2, "induce": len(set(learned))}
+    # the reference's chain comes first and is solved first, and the
+    # returned tree's chain comes last and is solved last
+    tree = dtree.export_json(fits[0].tree) if fits else learned[0]
+    returned = dict(zip(induced, masks))[tree]
+    assert solved[0] is built[0][1][0]
+    assert built[-1][0] == returned and solved[-1] is built[-1][1][0]
+    # no decision here needs the exact value: the two solves are the evaluations
+    assert len(solved) == 2
     if min_leaf == "auto":
-        assert [c for _, c in built[1:]] == decided
-        assert sorted(k for k, _ in built[1:]) == sorted(set(masks))
-        # no decision here needs the exact value, so the one solve left is
-        # the returned tree's, on a chain built for its decision
-        assert len(solved) == 2 and any(solved[1] is c for c in decided)
+        assert [k for k, _ in built[1:-1]] == decided
+        assert sorted(decided) == sorted(set(masks))
         # on fig1 several probes grow the same tree, so several probes
         # share an induced strategy
         assert len(set(learned)) < probes
         assert len(set(masks)) < probes
     else:
         assert decided == [] and len(built) == 2
-        assert len(solved) == 2 and solved[1] is built[1][1]
 
 
 def test_distill_exit_union_and_modes(models, capsys):
@@ -356,14 +358,14 @@ def test_unconverged_engine_exits_one(models, tmp_path, monkeypatch, capsys, com
 def test_truncated_runs_exit_one(models, tmp_path, monkeypatch, capsys, command):
     # runs cut off at a 4-step cap on mutex; the command still prints and
     # writes its usual output, and the exit status and stderr report the cut
-    from mdpdistill import cli
-    from mdpdistill.importance import simulate
+    from mdpdistill import cli, importance
     caught = []
 
     def capped(*a, **kw):
-        caught.append(simulate(*a, **{**kw, "max_steps": 4}))
+        caught.append(importance.simulate(*a, **kw))
         return caught[-1]
 
+    monkeypatch.setattr(importance, "MAX_STEPS", 4)
     monkeypatch.setattr(cli, "simulate_batched", capped)
     dest = tmp_path / "out"
     rc = main([command, "--model", str(models / "mutex.mdp"), "--runs", "1000",

@@ -130,13 +130,15 @@ def test_merge_is_commutative(fig1):
         a.merge(RunStats(3))
 
 
-def test_merge_needs_one_step_cap(fig1):
+def test_merge_needs_one_step_cap(fig1, monkeypatch):
     strat = _opt(fig1)
-    a = simulate(strat, 50, seed=1, max_steps=7)
+    uncapped = simulate(strat, 20, seed=1)
+    monkeypatch.setattr(importance, "MAX_STEPS", 7)
+    a = simulate(strat, 50, seed=1)
     assert a.max_steps == 7
-    assert a.merge(simulate(strat, 20, seed=1, max_steps=7)).max_steps == 7
+    assert a.merge(simulate(strat, 20, seed=1)).max_steps == 7
     with pytest.raises(ValueError, match="different step caps"):
-        a.merge(simulate(strat, 20, seed=1))
+        a.merge(uncapped)
 
 
 def test_simulate_stops_in_doomed_states(fig1):
@@ -148,29 +150,32 @@ def test_simulate_stops_in_doomed_states(fig1):
     assert stats.visited_cond_count[5] == 0  # never on a successful run
 
 
-def test_simulate_step_cap():
+def test_simulate_step_cap(monkeypatch):
     import mdpdistill.fixtures as fx
     m = fx.load("fig1")
     strat = _opt(m)
-    capped = simulate(strat, 100, seed=3, max_steps=0)
+    monkeypatch.setattr(importance, "MAX_STEPS", 0)
+    capped = simulate(strat, 100, seed=3)
     assert capped.target_runs == 0
     assert capped.visited_all_count[m.initial] == 100
     assert capped.visited_all_count.sum() == 100  # nothing else visited
 
 
-def test_truncated_runs_all_at_zero_cap(fig1):
-    stats = simulate(_opt(fig1), 100, seed=3, max_steps=0)
+def test_truncated_runs_all_at_zero_cap(fig1, monkeypatch):
+    monkeypatch.setattr(importance, "MAX_STEPS", 0)
+    stats = simulate(_opt(fig1), 100, seed=3)
     assert stats.truncated_runs == 100
 
 
 def test_truncated_runs_some_at_small_cap(mutex, monkeypatch):
     strat = _opt(mutex)
-    capped = simulate(strat, 1000, seed=3, max_steps=4)
+    assert simulate(strat, 1000, seed=3).truncated_runs == 0
+    monkeypatch.setattr(importance, "MAX_STEPS", 4)
+    capped = simulate(strat, 1000, seed=3)
     # at 4 steps some runs are cut, some hit, and some are already doomed
     assert 0 < capped.truncated_runs < capped.total_runs - capped.target_runs
-    assert simulate(strat, 1000, seed=3).truncated_runs == 0
     monkeypatch.setattr(importance, "_BLOCK", 400)  # blocks of 400, 400 and 200 runs
-    assert simulate(strat, 1000, seed=3, max_steps=4).truncated_runs == capped.truncated_runs
+    assert simulate(strat, 1000, seed=3).truncated_runs == capped.truncated_runs
 
 
 def _same_stats(a, b):
@@ -208,7 +213,8 @@ def test_simulate_matches_run_loop_across_blocks(mutex, monkeypatch, runs, block
     strat = _opt(mutex)
     if block:
         monkeypatch.setattr(importance, "_BLOCK", block)
-    _same_stats(simulate(strat, runs, seed=6, max_steps=max_steps),
+    monkeypatch.setattr(importance, "MAX_STEPS", max_steps)
+    _same_stats(simulate(strat, runs, seed=6),
                 simulate_rows(mutex, strat, runs, seed=6, max_steps=max_steps))
 
 

@@ -2,8 +2,10 @@
 (every command on grid, the headline workload) and on the 20,010-state
 chain `fixtures.fig1_extended_text(20000)`, and of `distill` and `compare`
 on fig1 with every state truncated (`--delta 2`), which miss their quality
-budget and exit 1; every command whose output depends on `--seed` (all but
-`solve --engine vi`) also runs at seed 3.
+budget and exit 1, and of `distill` at a fixed leaf size on grid and at a
+zero budget on mutex, where decisions fall back to the exact value; every
+command whose output depends on `--seed` (all but `solve --engine vi`)
+also runs at seed 3.
 
 Each case runs one command in-process, from a fresh directory holding a
 copy of its model, which it names by a relative path, so that `compare`'s
@@ -48,7 +50,9 @@ COMMANDS = [f"{command} --model {model} --engine {engine}"
             for command in OUTPUTS] + \
     [f"{command} --model grid.mdp --engine vi" for command in OUTPUTS] + \
     [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")] + \
-    [f"{command} --model fig1.mdp --engine vi --delta 2" for command in ("distill", "compare")]
+    [f"{command} --model fig1.mdp --engine vi --delta 2" for command in ("distill", "compare")] + \
+    ["distill --model grid.mdp --engine vi --min-leaf 50",
+     "distill --model mutex.mdp --engine vi --budget 0"]
 # the commands whose output depends on --seed (all but `solve --engine vi`), again at seed 3
 COMMANDS += [f"{command} --seed 3" for command in COMMANDS
              if not command.startswith("solve") or command.endswith("brtdp")]

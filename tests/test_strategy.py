@@ -13,7 +13,7 @@ from mdpdistill.importance import build_training_set, importance_of, simulate
 from mdpdistill.solver import brtdp, value_iteration
 from mdpdistill.strategy import (decide, dump_tsv, evaluate,
                                  explicit_size, extract_liberal, reachable_under,
-                                 restricted_chain, truncate, within_budget)
+                                 truncate, within_budget)
 
 from conftest import random_mdp
 from oracles import (as_tuples, choice_of, consulted_dont_care, evaluate_rows, exact_importance,
@@ -221,18 +221,17 @@ def _search_with_decisions(m, ts, reference, budget, upper, monkeypatch):
 
     def accept(tree):
         induced, _ = induce_strategy(m, tree)
-        chain = restricted_chain(induced)
         key = induced.rows.tobytes()
         if key not in exact:
             exact[key] = value = evaluate(induced)
             # both sides round: allow 1e-13, far below the 1e-9 margin of `decide`
-            P, targets, init, states = chain
+            P, targets, init, states = strategy_mod._reachable_chain(induced)
             for lower, up in islice(reach_bounds(P, targets, init, upper[states]),
                                     strategy_mod.DECIDE_SWEEPS + 1):
                 assert lower - 1e-13 <= value <= up + 1e-13
         value = exact[key]
         before = len(solves)
-        verdict = decide(chain, upper, reference, budget)
+        verdict = decide(induced, upper, reference, budget)
         fallbacks.append(len(solves) > before)
         assert verdict == within_budget(value, reference, budget)
         values.append(value)
@@ -301,10 +300,9 @@ def test_decide_at_its_sweep_cap_falls_back_to_exact(name, sweeps, request, monk
     reference = evaluate(sigma)
     for tree_sigma in (sigma, strategy_from_choice(m, {})):
         value = evaluate(tree_sigma)
-        chain = restricted_chain(tree_sigma)
         for budget in (0.0, 0.01, 0.5, (reference - value) / reference):
             for upper in (va.state_upper, np.ones(m.n_states)):
-                assert (decide(chain, upper, reference, budget)
+                assert (decide(tree_sigma, upper, reference, budget)
                         == within_budget(value, reference, budget))
 
 
