@@ -6,10 +6,11 @@
     mdpdistill export  --model M [--out out.flat]
 
 Models are read in the guarded-command language, or in the flat explicit
-format when the file starts with a `vars` directive. Exit status is 0 on
-success, 1 when an engine did not converge, a simulated run hit the step
-cap, a quality budget was missed or the decision tree grew deeper than the
-recursion limit, 2 on bad input.
+format when the file starts with a `vars` directive. Each command returns
+its exit-1 reasons (engine not converged, runs cut at the step cap, tree
+over budget, in that order); `main` writes them, or the error that ended
+the command, as `error:` lines on stderr. Exit status is 0 on success, 1
+for a reason or a run-time failure, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -57,32 +58,27 @@ def _solve(mdp: Mdp, args):
     return brtdp(mdp, args.eps, seed=args.seed)
 
 
-def _converged(va) -> bool:
-    """Whether the engine met its gap; if not, say so on stderr."""
-    if not va.converged:
-        print(f"error: {va.engine} did not converge (gap {va.gap:.3g})", file=sys.stderr)
-    return va.converged
-
-
-def _runs_ended(stats) -> bool:
-    """Whether every simulated run ended before the step cap; if not, say so on stderr."""
-    if stats.truncated_runs:
-        print(f"error: {stats.truncated_runs} of {stats.total_runs} simulated runs hit "
-              f"the step cap of {stats.max_steps} steps", file=sys.stderr)
-    return not stats.truncated_runs
-
-
 def _rel_error(value: float, reference: float) -> float:
     """The value lost against `reference`, relative to it; 0 if none is lost."""
     return 0.0 if reference <= 0 else max(0.0, (reference - value) / reference)
 
 
-def _kept_budget(met: bool, tree_value: float, rel: float, budget: float) -> bool:
-    """Whether the tree kept to the quality budget; if not, say so on stderr."""
-    if not met:
-        print(f"error: tree value {tree_value:.10g} loses {rel:.3g} of the strategy value, "
-              f"over the budget of {budget:g}", file=sys.stderr)
-    return met
+def _unconverged(va) -> list[str]:
+    """The engine's exit-1 reason, if it missed its gap."""
+    return [] if va.converged else [f"{va.engine} did not converge (gap {va.gap:.3g})"]
+
+
+def _reasons(va, stats, tree_value: float, reference: float, budget: float) -> list[str]:
+    """The exit-1 reasons of a distill or compare run: engine, step cap, budget."""
+    reasons = _unconverged(va)
+    if stats.truncated_runs:
+        reasons.append(f"{stats.truncated_runs} of {stats.total_runs} simulated runs hit "
+                       f"the step cap of {stats.max_steps} steps")
+    if not strat.within_budget(tree_value, reference, budget):
+        rel = _rel_error(tree_value, reference)
+        reasons.append(f"tree value {tree_value:.10g} loses {rel:.3g} of the strategy value, "
+                       f"over the budget of {budget:g}")
+    return reasons
 
 
 def _print_kv(pairs):
@@ -91,7 +87,7 @@ def _print_kv(pairs):
         print(f"{k:<{width}}  {v}")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> list[str]:
     mdp = _load(args)
     va = _solve(mdp, args)
     sigma = strat.extract_liberal(mdp, va, exit_union=args.exit_union)
@@ -111,7 +107,7 @@ def cmd_solve(args) -> int:
     ])
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(sigma))
-    return 0 if _converged(va) else 1
+    return _unconverged(va)
 
 
 def _pipeline(args):
@@ -166,11 +162,10 @@ def _fit_tree(mdp, va, ts, reference, args):
     return tree, leaf, strat.evaluate(sigma), fallback
 
 
-def cmd_distill(args) -> int:
+def cmd_distill(args) -> list[str]:
     mdp, va, reference, stats, imp, trunc, ts = _pipeline(args)
     tree, used_leaf, tree_value, fallback = _fit_tree(mdp, va, ts, reference, args)
     budget_met = strat.within_budget(tree_value, reference, args.budget)
-    rel = _rel_error(tree_value, reference)
     _print_kv([
         ("states", mdp.n_states),
         ("engine", va.engine),
@@ -183,7 +178,7 @@ def cmd_distill(args) -> int:
         ("min leaf", used_leaf),
         ("tree size", tree.size),
         ("tree value", f"{tree_value:.10g}"),
-        ("rel error", f"{rel:.3g}"),
+        ("rel error", f"{_rel_error(tree_value, reference):.3g}"),
         ("fallback states", len(fallback)),
         ("budget met", "yes" if budget_met else "no"),
     ])
@@ -193,12 +188,10 @@ def cmd_distill(args) -> int:
         Path(args.dot).write_text(dtree.export_dot(tree))
     if args.strategy_out:
         Path(args.strategy_out).write_text(strat.dump_tsv(trunc, imp.weights))
-    # a list, not `and`, so that every failed check prints its line
-    return 0 if all([_converged(va), _runs_ended(stats),
-                     _kept_budget(budget_met, tree_value, rel, args.budget)]) else 1
+    return _reasons(va, stats, tree_value, reference, args.budget)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[str]:
     mdp, va, strategy_value, stats, imp, trunc, ts = _pipeline(args)
     reference = strat.evaluate(trunc)
     tree, used_leaf, tree_value, _ = _fit_tree(mdp, va, ts, strategy_value, args)
@@ -218,20 +211,17 @@ def cmd_compare(args) -> int:
         lines.append(f"{name},{size},{value!r},{rel!r}")
     if args.csv:
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    budget_met = strat.within_budget(tree_value, strategy_value, args.budget)
-    tree_rel = _rel_error(tree_value, strategy_value)
-    return 0 if all([_converged(va), _runs_ended(stats),
-                     _kept_budget(budget_met, tree_value, tree_rel, args.budget)]) else 1
+    return _reasons(va, stats, tree_value, strategy_value, args.budget)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> list[str]:
     mdp = _load(args)
     text = export_flat(mdp)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return []
 
 
 def _checked(name: str, convert, ok, what: str):
@@ -326,21 +316,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write each reason it failed as an `error:` line, return the status."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        reasons = args.fn(args)
+        status = 1 if reasons else 0
     except (ModelError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        reasons, status = [str(e)], 2
     except MdpError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        reasons, status = [str(e)], 1
     except RecursionError:
         # the tree code recurses once per level; parsing and building catch their own
-        print(f"error: decision tree deeper than the recursion limit of "
-              f"{sys.getrecursionlimit()}; a larger --min-leaf makes it shallower",
-              file=sys.stderr)
-        return 1
+        reasons, status = [f"decision tree deeper than the recursion limit of "
+                           f"{sys.getrecursionlimit()}; a larger --min-leaf makes it shallower"], 1
+    for reason in reasons:
+        print(f"error: {reason}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -383,7 +383,29 @@ def test_truncated_runs_exit_one(models, tmp_path, monkeypatch, capsys, command)
         assert out.splitlines()[-1].startswith("dtree ")
 
 
-def test_iteration_sweep_budget_exits_one(grid, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["distill", "compare"])
+def test_every_exit_one_reason_prints_in_order(models, monkeypatch, capsys, command):
+    # an engine cut to one episode, runs cut to 4 steps and truncation of
+    # every state fail all three checks at once: each prints its own line,
+    # engine first, then step cap, then budget
+    from mdpdistill import cli, importance
+    monkeypatch.setattr(cli, "brtdp", functools.partial(brtdp, max_episodes=1))
+    monkeypatch.setattr(importance, "MAX_STEPS", 4)
+    rc = main([command, "--model", str(models / "mutex.mdp"), "--engine", "brtdp",
+               "--runs", "1000", "--seed", "3", "--delta", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        "error: brtdp did not converge (gap 0.1)",
+        "error: 107 of 1000 simulated runs hit the step cap of 4 steps",
+        "error: tree value 0.6303125 loses 0.306 of the strategy value, "
+        "over the budget of 0.01",
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "distill", "compare"])
+def test_iteration_sweep_budget_exits_one(grid, tmp_path, monkeypatch, capsys, command):
+    # a budget hit inside the pipeline ends every command with one line
     from mdpdistill import core, fixtures
     from mdpdistill.core import MdpError
     monkeypatch.setattr(core, "ITERATE_SWEEPS", 1)
@@ -391,7 +413,7 @@ def test_iteration_sweep_budget_exits_one(grid, tmp_path, monkeypatch, capsys):
         value_iteration(grid, 1e-6)
     model = tmp_path / "grid.mdp"
     model.write_text(fixtures.model_text("grid"))
-    rc = main(["solve", "--model", str(model)])
+    rc = main([command, "--model", str(model)])
     out, err = capsys.readouterr()
     assert rc == 1
     assert err == "error: interval iteration exceeded sweep budget\n"
