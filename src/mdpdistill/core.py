@@ -89,6 +89,18 @@ class Mdp:
         return np.ascontiguousarray(self.valuation.T[:, self.row_state])
 
     @cached_property
+    def reaches_target(self) -> np.ndarray:
+        """(states,) bool: the states from which some choice of actions
+        reaches a target, targets included. The rest is the zero set of
+        maximal reachability (Prob0E), which no strategy can leave towards
+        a target. One backward search over the model's graph, whose edges
+        are every row's branches."""
+        ptr, succ = self.branches.indptr, self.branches.indices
+        graph = sp.csr_matrix((np.ones(len(succ), dtype=bool), succ, ptr[self.row_start]),
+                              shape=(self.n_states, self.n_states))
+        return reachable(graph.T, np.flatnonzero(self.is_target))
+
+    @cached_property
     def actions(self) -> Tuple[range, ...]:
         """The range of action rows of each state."""
         start = self.row_start.tolist()
@@ -230,7 +242,7 @@ def breadth_first(graph: sp.spmatrix, sources) -> np.ndarray:
     sources, then the rest by their distance from the sources."""
     g = sp.csr_matrix(graph)
     n = g.shape[0]
-    src = np.fromiter(sources, np.int64)
+    src = np.fromiter(sources, g.indices.dtype)
     # one extra node with an edge to every source makes a single-source search
     indices = np.concatenate((g.indices, src))
     indptr = np.append(g.indptr, len(indices))
@@ -323,13 +335,16 @@ def mec_decompose(mdp: Mdp, restrict=None) -> MecDecomposition:
     return MecDecomposition(mec_of, internal, len(ids))
 
 
-def induce_chain(strategy: LiberalStrategy) -> sp.csr_matrix:
+def induce_chain(strategy: LiberalStrategy, live: np.ndarray | None = None) -> sp.csr_matrix:
     """Transition matrix of the uniform randomization over the selected
     actions of `strategy.mdp`, states x states, with each row's entries sorted.
 
     One sparse product: row s of the selection matrix weighs each selected
     row of s by w = 1/|choice|, so entry (s, t) sums w*p over the selected
-    rows in row order, the order a per-state accumulation would use.
+    rows in row order, the order a per-state accumulation would use. Given
+    `live`, a mask over states, only the rows of live states are built; the
+    rest stay empty, so the chain stops there. Every state must still have
+    a choice.
     """
     mdp, n = strategy.mdp, strategy.mdp.n_states
     rows = np.flatnonzero(strategy.rows)
@@ -338,11 +353,26 @@ def induce_chain(strategy: LiberalStrategy) -> sp.csr_matrix:
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise MdpError(f"strategy defines an empty action set at state {empty[0]}")
-    select = sp.csr_matrix((1.0 / counts[owner], rows, np.concatenate(([0], np.cumsum(counts)))),
+    weight = 1.0 / counts[owner]
+    if live is not None:
+        keep = live[owner]
+        rows, weight = rows[keep], weight[keep]
+        counts = np.where(live, counts, 0)
+    select = sp.csr_matrix((weight, rows, np.concatenate(([0], np.cumsum(counts)))),
                            shape=(n, len(mdp.row_state)))
     P = select @ mdp.branches
     P.sort_indices()
     return P
+
+
+def from_initial(P: sp.csr_matrix,
+                 mdp: Mdp) -> Tuple[sp.csr_matrix, np.ndarray, int, np.ndarray]:
+    """The chain P, over the states of `mdp`, cut to the states reachable
+    from the initial state; the positions of the targets and of the initial
+    state there, and the states, ascending."""
+    states = np.flatnonzero(reachable(P, [mdp.initial]))
+    return (P[states][:, states], np.flatnonzero(mdp.is_target[states]),
+            int(np.searchsorted(states, mdp.initial)), states)
 
 
 def _unknowns(P: sp.csr_matrix, targets) -> Tuple[np.ndarray, np.ndarray]:
@@ -533,21 +563,20 @@ def build_quotient(mdp: Mdp, mecs: MecDecomposition) -> Quotient:
          new[col[lead]],
          np.concatenate(([0], np.cumsum(np.bincount(row[lead], minlength=len(sel)))))),
         shape=(len(sel), q))
-    # nodes that cannot reach a target node get upper bound 0, among them every
-    # node without rows but the targets; rows of target nodes are left out
-    # of R, which a backward search from the targets never needs
-    edges = sp.csr_matrix(
-        (R.data, (np.repeat(new[row_node[sel]], np.diff(R.indptr)), R.indices)), shape=(q, q))
-    target_nodes = target_nodes[sweep]
-    reach_mask = reachable(edges.T, np.flatnonzero(target_nodes))
+    node_of = new[node_of]
+    # a node reaches a target node iff its states reach a target, since a
+    # MEC's members reach each other; the rest get upper bound 0, among them
+    # every node without rows but the targets
+    zero_nodes = np.ones(q, dtype=bool)
+    zero_nodes[node_of[mdp.reaches_target]] = False
 
     return Quotient(
         num_nodes=q,
-        node_of=new[node_of],
+        node_of=node_of,
         R=R,
         bounds=np.append(0, np.cumsum(sizes)),
-        target_nodes=target_nodes,
-        zero_nodes=~reach_mask,
+        target_nodes=target_nodes[sweep],
+        zero_nodes=zero_nodes,
     )
 
 

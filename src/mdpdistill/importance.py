@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (GOLDEN64, LiberalStrategy, Mdp, MdpError, derive_seed,
-                   distinct_attrs, induce_chain, reachable, splitmix64)
+                   distinct_attrs, from_initial, induce_chain, reachable, splitmix64)
 
 VARIANTS = ("DP", "DE", "AP", "AE")
 
@@ -71,12 +71,18 @@ def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0) -> RunStats
     at the call). Runs are walked in lockstep, `_BLOCK` at a time, and the
     blocks are merged. Each run draws from its own splitmix64 stream keyed
     by (seed, run index), so the stats do not depend on the block size.
+
+    The runs are walked on the chain that `strategy.evaluate` solves: the
+    states reachable from the initial state, with rows only where a target
+    can still be reached (`Mdp.reaches_target`), in that chain's numbering.
+    A run stops where that chain stops, so every step is the one the whole
+    chain gives; the visit counts are scattered back to the model's states
+    once.
     """
     mdp = strategy.mdp
-    P = induce_chain(strategy)
-    n = mdp.n_states
-    is_target = mdp.is_target
-    live = reachable(P.T, np.flatnonzero(is_target)) & ~is_target  # a run at s moves on
+    P, targets, initial, states = from_initial(induce_chain(strategy, mdp.reaches_target), mdp)
+    n, is_target = len(states), mdp.is_target[states]
+    live = reachable(P.T, targets) & ~is_target  # a run at s moves on
     # running sums along each row, added left to right as `acc += p` would
     cum, rows, width = P.data.copy(), np.flatnonzero(np.diff(P.indptr) > 1), 1
     while len(rows):
@@ -119,16 +125,21 @@ def simulate(strategy: LiberalStrategy, runs: int, *, seed: int = 0) -> RunStats
 
     stats = RunStats(n, max_steps=MAX_STEPS)
     for lo in range(0, runs, _BLOCK):
-        stats = stats.merge(_walk(mdp, live, pick, seed, lo, min(_BLOCK, runs - lo)))
-    return stats
+        stats = stats.merge(_walk(initial, is_target, live, pick, seed, lo,
+                                  min(_BLOCK, runs - lo)))
+    visits = np.zeros((4, mdp.n_states), dtype=np.int64)
+    visits[:, states] = [getattr(stats, f.name) for f in fields(stats)[4:8]]
+    return RunStats(mdp.n_states, stats.total_runs, stats.target_runs, stats.truncated_runs,
+                    *visits, MAX_STEPS)
 
 
-def _walk(mdp, live, pick, seed, first, runs) -> RunStats:
-    """Runs first..first+runs-1, every run still going moved once per step.
-    Visit keys (run * n_states + state) are held in one buffer and sorted
-    once it is full or the runs have ended."""
-    n = mdp.n_states
-    key, s = np.arange(runs) * n, np.full(runs, mdp.initial)
+def _walk(initial, is_target, live, pick, seed, first, runs) -> RunStats:
+    """Runs first..first+runs-1 from `initial`, every run still going moved
+    once per step, over the chain's states. Visit keys (run * n_states +
+    state) are held in one buffer and sorted once it is full or the runs
+    have ended."""
+    n = len(is_target)
+    key, s = np.arange(runs) * n, np.full(runs, initial)
     ctr = derive_seed(seed, np.arange(first, first + runs, dtype=np.uint64))
     held, tally = np.empty(max(_PENDING, runs), np.int64), None
     held[:runs], count = key + s, runs
@@ -149,7 +160,7 @@ def _walk(mdp, live, pick, seed, first, runs) -> RunStats:
     truncated = int(np.count_nonzero(live[s]))
     keys, mult = _fold(tally, held[:count])
     run, state = np.divmod(keys, n)
-    hit = np.bincount(run[mdp.is_target[state]], minlength=runs) > 0
+    hit = np.bincount(run[is_target[state]], minlength=runs) > 0
     cond = hit[run]
 
     def counts(at, weights=None):

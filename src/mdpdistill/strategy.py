@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 # `mec_decompose` is not called here; the benchmark's span table hooks this name
-from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, induce_chain,
-                   mec_decompose, reach_bounds, reach_exact, reachable)
+from .core import (LiberalStrategy, Mdp, MdpError, distinct_attrs, from_initial,
+                   induce_chain, mec_decompose, reach_bounds, reach_exact, reachable)
 from .solver import ValueApprox
 
 TIE_TOL = 1e-9  # how far below the best a pair value still ties with it
@@ -76,20 +76,24 @@ def reachable_under(mdp: Mdp, strategy: LiberalStrategy) -> List[int]:
 def _reachable_chain(strategy: LiberalStrategy):
     """What `evaluate` solves and `decide` bounds: the chain induced in `strategy.mdp`
     on the states reachable from the initial state, the targets' and initial
-    state's positions there, and the states."""
+    state's positions there, and the states.
+
+    Rows are built only at states that can reach a target
+    (`Mdp.reaches_target`), so the chain stops at the first state of the
+    zero set it enters. Every state with a path to a target keeps its row,
+    so the states the solves read, and their rows, are those of the whole
+    chain.
+    """
     mdp = strategy.mdp
-    P = induce_chain(strategy)
-    states = np.flatnonzero(reachable(P, [mdp.initial]))
-    return (P[states][:, states], np.flatnonzero(mdp.is_target[states]),
-            int(np.searchsorted(states, mdp.initial)), states)
+    return from_initial(induce_chain(strategy, mdp.reaches_target), mdp)
 
 
 def evaluate(strategy: LiberalStrategy) -> float:
     """Reachability value from the initial state of the chain induced in `strategy.mdp`.
 
-    The linear solve runs on `_reachable_chain`, the states actually
-    reachable under the strategy, so changing choices anywhere else cannot
-    perturb the result, not even in the last bit.
+    The linear solve runs on `_reachable_chain`, the states reachable under
+    the strategy until it enters the zero set, so changing choices anywhere
+    else cannot perturb the result, not even in the last bit.
     """
     P, targets, init, _ = _reachable_chain(strategy)
     return float(reach_exact(P, targets)[init])

@@ -23,6 +23,9 @@ in `core`, `solver`, `strategy`, `importance` and `dtree`. They add in the
 same order, so the tests compare against them with `==`. `mec_list` reads a
 `MecDecomposition` into the `Mec` objects `mecs_dict` returns, and
 `mec_arrays` reads them back.
+`whole_reachable_chain` is `strategy._reachable_chain` as it was before
+the chain stopped at the zero set: built over every state, then cut to the
+states the initial state reaches.
 `exact_importance_cut` is the `exact_importance` that rebuilt the chain
 with the row of each state cut to a self-loop before solving for it;
 `chain_rows` and `chain_matrix` convert between a chain's CSR matrix and
@@ -509,6 +512,17 @@ def evaluate_rows(mdp: Mdp, strategy: LiberalStrategy) -> float:
     sub = tuple((tuple(pos[t] for t in rows[s][0]), rows[s][1]) for s in reach)
     vals = reach_rows(sub, [pos[s] for s in reach if s in dm.target])
     return float(vals[pos[mdp.initial]])
+
+
+def whole_reachable_chain(strategy: LiberalStrategy):
+    """The chain induced over every state of `strategy.mdp`, cut to the
+    states reachable from the initial state; the targets' and initial
+    state's positions there, and the states."""
+    mdp = strategy.mdp
+    P = induce_chain(strategy)
+    states = np.flatnonzero(reachable(P, [mdp.initial]))
+    return (P[states][:, states], np.flatnonzero(mdp.is_target[states]),
+            int(np.searchsorted(states, mdp.initial)), states)
 
 
 def exact_importance_cut(mdp: Mdp, strategy: LiberalStrategy) -> np.ndarray:

@@ -506,6 +506,35 @@ def test_quotient_matches_dict_loop_on_models(name, request):
     _assert_same_quotient(build_quotient(m, mec_decompose(m)), quotient_dict(m, mecs_dict(m)))
 
 
+def _reaches_target_loop(m):
+    """Each state's flag: some path of branches leads to a target, by a
+    depth-first search over predecessor lists."""
+    dm = as_tuples(m)
+    pred = [[] for _ in range(m.n_states)]
+    for s, actions in enumerate(dm.actions):
+        for a in actions:
+            for t in a.succs:
+                pred[t].append(s)
+    seen = [s in dm.target for s in range(m.n_states)]
+    stack = [s for s in range(m.n_states) if seen[s]]
+    while stack:
+        for u in pred[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["fig1", "mutex", "sync2", "grid"] +
+                         [f"random-{seed}" for seed in range(100)])
+def test_quotient_zero_nodes_are_the_models_search(name, request):
+    m = (random_mdp(int(name.split("-")[1]), max_states=12, max_actions=4)
+         if name.startswith("random") else request.getfixturevalue(name))
+    assert m.reaches_target.tolist() == _reaches_target_loop(m)
+    q = build_quotient(m, mec_decompose(m))
+    assert np.array_equal(q.zero_nodes[q.node_of], ~m.reaches_target)
+
+
 def test_quotient_freezes_targets_and_traps(tiny_mec_mdp):
     m = tiny_mec_mdp
     q = build_quotient(m, mec_decompose(m))

@@ -49,7 +49,7 @@ COMMANDS = [f"{command} --model {model} --engine {engine}"
             for engine in ("vi", "brtdp")
             for command in OUTPUTS] + \
     [f"{command} --model grid.mdp --engine vi" for command in OUTPUTS] + \
-    [f"{command} --model chain.mdp --engine brtdp" for command in ("distill", "compare")] + \
+    [f"{command} --model chain.mdp --engine brtdp" for command in OUTPUTS] + \
     [f"{command} --model fig1.mdp --engine vi --delta 2" for command in ("distill", "compare")] + \
     ["distill --model grid.mdp --engine vi --min-leaf 50",
      "distill --model mutex.mdp --engine vi --budget 0"]

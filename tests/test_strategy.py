@@ -6,8 +6,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from mdpdistill import strategy as strategy_mod
-from mdpdistill.core import MdpError, reach_bounds
+from mdpdistill import fixtures, strategy as strategy_mod
+from mdpdistill.core import MdpError, _unknowns, reach_bounds, reach_exact
 from mdpdistill.dtree import fit_max_leaf, induce_strategy
 from mdpdistill.importance import build_training_set, importance_of, simulate
 from mdpdistill.solver import brtdp, value_iteration
@@ -18,7 +18,7 @@ from mdpdistill.strategy import (decide, dump_tsv, evaluate,
 from conftest import random_mdp
 from oracles import (as_tuples, choice_of, consulted_dont_care, evaluate_rows, exact_importance,
                      extract_dict, max_reach_exact, mecs_dict, strategy_from_choice,
-                     truncate_dict)
+                     truncate_dict, whole_reachable_chain)
 
 
 def _names(mdp, s, acts):
@@ -174,9 +174,9 @@ def test_evaluate_builds_one_induced_chain(fig1, monkeypatch):
     calls = []
     real = strategy_mod.induce_chain
 
-    def counting(strat):
+    def counting(strat, live):
         calls.append(1)
-        return real(strat)
+        return real(strat, live)
 
     monkeypatch.setattr(strategy_mod, "induce_chain", counting)
     assert evaluate(strategy_from_choice(fig1, {})) == pytest.approx(0.49625, abs=1e-12)
@@ -391,6 +391,68 @@ def test_reachable_under(fig1):
     strat = extract_liberal(fig1, va)
     assert reachable_under(fig1, strat) == [0, 1, 2, 5]
     assert reachable_under(fig1, strategy_from_choice(fig1, {})) == list(range(9))
+
+
+def _random_choices(m, rng):
+    """A partial strategy: each state defined with probability 1/2, by a
+    random non-empty subset of its actions."""
+    choice = {}
+    for s, count in enumerate(np.diff(m.row_start).tolist()):
+        if rng.random() < 0.5:
+            choice[s] = frozenset(rng.sample(range(count), rng.randint(1, count)))
+    return strategy_from_choice(m, choice)
+
+
+def _solved(chain, upper):
+    """The model states of a chain's unknowns, in `_unknowns`' order, with
+    their exact values, and the first 15 pairs of bounds at the initial state."""
+    P, targets, init, states = chain
+    _, order = _unknowns(P, targets)
+    return (states[order].tolist(), reach_exact(P, targets)[order].tobytes(),
+            list(islice(reach_bounds(P, targets, init, upper[states]), 15)))
+
+
+def _models():
+    yield from ("fig1", "mutex", "sync2", "fig1_extended_2000")
+    yield from (f"random-{seed}" for seed in range(60))
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_chain_cut_at_the_zero_set_changes_no_bit(name, request):
+    # the chain stops at states that cannot reach a target; every solve
+    # reads only the states that can, so it gives the bits of the chain
+    # built over every state
+    m = (random_mdp(int(name.split("-")[1]), max_states=25) if name.startswith("random")
+         else request.getfixturevalue(name))
+    rng = random.Random(name)
+    upper = np.array([rng.uniform(0.5, 1.5) for _ in range(m.n_states)])
+    for sigma in [strategy_from_choice(m, {})] + [_random_choices(m, rng) for _ in range(4)]:
+        whole = whole_reachable_chain(sigma)
+        cut = strategy_mod._reachable_chain(sigma)
+        assert _solved(cut, upper) == _solved(whole, upper)
+        P, targets, init, _ = whole
+        assert evaluate(sigma) == float(reach_exact(P, targets)[init])
+
+
+def test_uniform_play_chain_and_runs_do_not_grow_with_k():
+    # uniform play on the two-road model enters the detour chain only at
+    # states that cannot reach the target, so the chain it is solved and
+    # simulated on stops before the chain's length k shows
+    small, large = (strategy_from_choice(fixtures.fig1_extended(k), {}) for k in (20, 20000))
+    a, b = strategy_mod._reachable_chain(small), strategy_mod._reachable_chain(large)
+    assert len(a[3]) == 8
+    for x, y in ((a[0].data, b[0].data), (a[0].indices, b[0].indices),
+                 (a[0].indptr, b[0].indptr), (a[1], b[1]), (a[3], b[3])):
+        assert x.tobytes() == y.tobytes()
+    assert a[2] == b[2]
+    ran = [simulate(sigma, 2000, seed=0) for sigma in (small, large)]
+    counts = [(r.total_runs, r.target_runs, r.truncated_runs) for r in ran]
+    assert counts[0] == counts[1] and counts[0][1] > 0
+    for field in ("visited_cond_count", "visited_cond_mult", "visited_all_count",
+                  "visited_all_mult"):
+        x, y = (getattr(r, field) for r in ran)
+        assert np.flatnonzero(x).tolist() == np.flatnonzero(y).tolist()
+        assert x[x != 0].tolist() == y[y != 0].tolist()
 
 
 def test_dump_tsv_layout(fig1):
